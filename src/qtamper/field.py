@@ -208,36 +208,32 @@ def fq_eval(p: FqPoly, x: Union[int, FieldElement]) -> FieldElement:
     return FieldElement(acc, p.q)
 
 
+def fq_values(p: FqPoly) -> list[int]:
+    """p(x) for every x in F_q, in value order (Horner at each point)."""
+    q = p.q
+    values = []
+    for x in range(q):
+        acc = 0
+        for c in reversed(p.coeffs):
+            acc = (acc * x + c) % q
+        values.append(acc)
+    return values
+
+
 def fq_count_roots(p: FqPoly) -> int:
     """Exact number of x in F_q with p(x) = 0, by exhaustive evaluation.
 
     Raises ZeroPolynomial for the zero polynomial, whose root set is all
     of F_q; callers must handle that case explicitly.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("every point of F_q is a root of the zero polynomial")
-    count = 0
-    for x in range(p.q):
-        acc = 0
-        for c in reversed(p.coeffs):
-            acc = (acc * x + c) % p.q
-        if acc == 0:
-            count += 1
-    return count
+    return len(fq_roots(p))
 
 
 def fq_roots(p: FqPoly) -> list[int]:
     """Root set of a nonzero polynomial, as sorted integer representatives."""
     if p.is_zero:
         raise ZeroPolynomial("every point of F_q is a root of the zero polynomial")
-    roots = []
-    for x in range(p.q):
-        acc = 0
-        for c in reversed(p.coeffs):
-            acc = (acc * x + c) % p.q
-        if acc == 0:
-            roots.append(x)
-    return roots
+    return [x for x, value in enumerate(fq_values(p)) if value == 0]
 
 
 def elements(q: int) -> Sequence[FieldElement]:

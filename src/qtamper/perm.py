@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ConsistencyError
 
 MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
 MAX_SWAPPER_DEGREE = 10       # parity swappers live in S_{2t}, 2t <= 10
@@ -192,7 +192,9 @@ def count_by_transpositions(n: int, i: int) -> int:
     if not 0 <= i <= n - 1:
         raise ValueError(f"transposition count {i} outside [0, {n - 1}]")
     count = _transposition_histogram(n)[i]
-    assert count <= comb(n, 2) ** i
+    if count > comb(n, 2) ** i:
+        raise ConsistencyError(f"{count} permutations of S_{n} at distance {i} "
+                               f"exceed C({n}, 2)^{i}")
     return count
 
 
@@ -219,7 +221,9 @@ def parity_swappers(t: int) -> list[Permutation]:
                 images[2 * a] = 2 * f[a] + 1      # odd label 2a+1 -> even label
                 images[2 * a + 1] = 2 * g[a]      # even label 2a+2 -> odd label
             out.append(Permutation(images))
-    assert len(out) == factorial(t) ** 2
+    if len(out) != factorial(t) ** 2:
+        raise ConsistencyError(f"{len(out)} parity swappers for t = {t}, "
+                               f"expected (t!)^2 = {factorial(t) ** 2}")
     return out
 
 

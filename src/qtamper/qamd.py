@@ -13,9 +13,9 @@ Layout conventions (fixed here, used by every routine):
 For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
 difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
-which has degree between 1 and d+1 whenever x_{1:d} != 0 (this is
-asserted during scans).  The squared amplitude is therefore bounded by
-((d+1)/q)^2.
+which has degree between 1 and d+1 whenever x_{1:d} != 0 (every root
+computation checks this and raises ConsistencyError otherwise).  The
+squared amplitude is therefore bounded by ((d+1)/q)^2.
 """
 
 from __future__ import annotations
@@ -26,13 +26,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, IdentityTampering, InvalidParams, OutOfRange
-from .field import FqPoly, fq_roots, is_prime
+from .errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
+                     InvalidParams, OutOfRange)
+from .field import FqPoly, fq_roots, fq_values, is_prime
 from .haar import child_generator
 
 MAX_DENSE_DIM = 4096
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 DENSE_MATCH_TOL = 1e-9
+# byte cap on each z-chunk temporary of the exhaustive dense cross-check
+DENSE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,8 @@ def tag_poly(params: QamdParams, s: Sequence[int]) -> FqPoly:
 
 
 def _tag_table(params: QamdParams, s: Sequence[int]) -> list[int]:
-    """f(s, r) for every r in F_q (exhaustive Horner)."""
-    poly = tag_poly(params, s)
-    out = []
-    for r in range(params.q):
-        acc = 0
-        for c in reversed(poly.coeffs):
-            acc = (acc * r + c) % params.q
-        out.append(acc)
-    return out
+    """f(s, r) for every r in F_q."""
+    return fq_values(tag_poly(params, s))
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,11 @@ def _difference_roots(params: QamdParams, s: tuple[int, ...],
     shifted = tag_poly(params, target).shift(x[d])
     diff = shifted - tag_poly(params, s) - FqPoly([x[d + 1]], q)
     if any(x[:d]):
-        assert not diff.is_zero, "difference polynomial degenerated to zero"
-        assert 1 <= diff.degree <= d + 1, f"difference degree {diff.degree}"
+        if not 1 <= diff.degree <= d + 1:
+            raise ConsistencyError(
+                f"difference polynomial for s={s}, x={x} has degree {diff.degree}, "
+                f"outside [1, {d + 1}]"
+            )
     if diff.is_zero:
         return list(range(q))
     return fq_roots(diff)
@@ -253,12 +252,121 @@ def dense_overlaps(s: Sequence[int], x: Sequence[int], z: Sequence[int],
 # security scan
 # ---------------------------------------------------------------------------
 
-def _exponent_grid(params: QamdParams) -> list[tuple[int, ...]]:
-    """All exponent vectors of F_q^{d+2}, little-endian rank order."""
-    return [
-        tuple(reversed(tup))
-        for tup in itertools.product(range(params.q), repeat=params.block_length)
-    ]
+def _lex_rank(rows: np.ndarray, q: int) -> np.ndarray:
+    """Rank of each row of digits in lexicographic (tuple) order."""
+    return rows @ (q ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _best_cell(probs: np.ndarray, tie_rank: np.ndarray):
+    """(max of probs, flat index of the max with the smallest tie_rank)."""
+    top = probs.max()
+    ties = np.flatnonzero(probs == top)
+    return float(top), int(ties[np.argmin(tie_rank.ravel()[ties])])
+
+
+def _dense_mismatches(params: QamdParams, psi: np.ndarray, x: tuple[int, ...],
+                      z_rows: np.ndarray, sym: np.ndarray, digits: np.ndarray,
+                      w_table: np.ndarray):
+    """Yield (first z row, |sym - dense| of shape (chunk, M)) for the words
+    X^x Z^z over z_rows, by dense state vectors in z-chunks.
+
+    A chunk stacks the tampered states X^x Z^z psi of its words, built
+    through the inverse permutation of X^x; one batched matmul then runs
+    psi^H @ tampered per word, the same small GEMM as a word at a time.
+    """
+    q, dim = params.q, params.dim
+    n_msg = psi.shape[1]
+    perm, _ = dense_word_action(params, x, (0,) * params.block_length, digits)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(dim)
+    psi_h = psi.conj().T
+    moved = psi[inv]
+    moved_digits_t = digits[inv].T
+    chunk = max(1, DENSE_CHUNK_BYTES // (dim * n_msg * psi.itemsize))
+    # filled in place: a fresh array of this size per chunk would be mapped
+    # and page-faulted anew each time, which costs more than the products
+    tampered = np.empty((chunk, dim, n_msg), dtype=np.complex128)
+    for lo in range(0, len(z_rows), chunk):
+        z_chunk = z_rows[lo:lo + chunk]
+        phase = w_table[(z_chunk @ moved_digits_t) % q]
+        batch = np.multiply(phase[:, :, None], moved, out=tampered[:len(z_chunk)])
+        overlaps = psi_h @ batch
+        dense = (np.sum(np.abs(overlaps) ** 2, axis=1)
+                 - np.abs(np.diagonal(overlaps, axis1=1, axis2=2)) ** 2)
+        yield lo, np.abs(sym[lo:lo + len(z_chunk)] - dense)
+
+
+def _exhaustive_scan(params: QamdParams, cross_check: bool):
+    """(max probability, witness key, worst dense mismatch) over every
+    ((x, z) != 0, s) cell, one shift x at a time."""
+    q, d, dim = params.q, params.d, params.dim
+    messages = params.messages()
+    digits = _digit_matrix(params)     # row k: the exponent vector of rank k
+    msg_digits = np.array(messages, dtype=np.int64)
+    psi = np.column_stack([encode(m, params).state for m in messages])
+    w_table = np.exp(2j * np.pi / q) ** np.arange(q)
+    tag_tables = [_tag_table(params, m) for m in messages]
+    base = (digits[:, :d] @ msg_digits.T) % q          # <z_{1:d}, s> per (z, s)
+    z_root, z_tag = digits[:, d], digits[:, d + 1]
+    # cells compare by the key (s, x, z); x is fixed within one shift
+    tie_rank = _lex_rank(msg_digits, q)[None, :] * dim + _lex_rank(digits, q)[:, None]
+
+    best_prob, best_key, max_mismatch = -1.0, None, 0.0
+    for xi in range(dim):
+        x = tuple(int(v) for v in digits[xi])
+        first_z = 1 if xi == 0 else 0       # (x, z) = 0 is not a tampering
+        sym = np.zeros((dim, len(messages)))
+        if any(x[:d]):
+            for mi, m in enumerate(messages):
+                tags = tag_tables[mi]
+                amp = np.zeros(dim, dtype=np.complex128)
+                for r in _difference_roots(params, m, x):
+                    amp += w_table[(base[:, mi] + z_root * r + z_tag * tags[r]) % q]
+                amp = amp / q
+                sym[:, mi] = np.hypot(amp.real, amp.imag) ** 2
+        sym = sym[first_z:]
+        z_rows = digits[first_z:]
+        if cross_check:
+            for lo, mismatch in _dense_mismatches(params, psi, x, z_rows, sym,
+                                                  digits, w_table):
+                worst = mismatch.max(axis=1)
+                max_mismatch = max(max_mismatch, float(worst.max()))
+                bad = np.flatnonzero(worst > DENSE_MATCH_TOL)
+                if bad.size:
+                    z = tuple(int(v) for v in z_rows[lo + bad[0]])
+                    raise ConsistencyError(
+                        f"symbolic/dense mismatch {float(worst[bad[0]])} at x={x}, z={z}"
+                    )
+        p, flat = _best_cell(sym, tie_rank[first_z:])
+        zi, mi = divmod(flat, len(messages))
+        key = (messages[mi], x, tuple(int(v) for v in z_rows[zi]))
+        if p > best_prob or (p == best_prob and key < best_key):
+            best_prob, best_key = p, key
+    return best_prob, best_key, max_mismatch
+
+
+def _random_scan(params: QamdParams, cells, cross_check: bool):
+    """(max probability, witness key, worst dense mismatch) over sampled cells."""
+    messages = params.messages()
+    if cross_check:
+        digits = _digit_matrix(params)
+        states = [encode(m, params).state for m in messages]
+    best_prob, best_key, max_mismatch = -1.0, None, 0.0
+    for s, x, z in cells:
+        p = wrong_decode_prob_exact(s, None, x, z, params)
+        if cross_check:
+            perm, phase = dense_word_action(params, x, z, digits)
+            tampered = np.zeros(params.dim, dtype=np.complex128)
+            tampered[perm] = phase * states[params.message_rank(s)]
+            dense = sum(abs(complex(np.vdot(state, tampered))) ** 2
+                        for m, state in zip(messages, states) if m != s)
+            max_mismatch = max(max_mismatch, abs(p - dense))
+            if abs(p - dense) > DENSE_MATCH_TOL:
+                raise ConsistencyError(f"symbolic/dense mismatch at {(s, x, z)}")
+        key = (s, x, z)
+        if p > best_prob or (p == best_prob and key < best_key):
+            best_prob, best_key = p, key
+    return best_prob, best_key, max_mismatch
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -271,17 +379,38 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     In exhaustive mode every ((x, z) != 0, s) cell is visited; with
     cross_check each cell's symbolic probability is compared to the
     dense state-vector simulation and the worst mismatch is reported
-    (the scan fails loudly above 1e-9).  Random mode samples cells from
-    the seeded stream instead.
+    (the scan raises ConsistencyError above DENSE_MATCH_TOL).  The
+    witness is the smallest (s, x, z) among the cells at the maximum.
+
+    The exhaustive scan takes one shift x at a time and handles all
+    q^(d+2) clock words z of it in a few array operations:
+      * symbolic: per message, the root set of the difference polynomial
+        is computed once, and each root adds its root-of-unity phase for
+        every z at once.  The root order and the division by q are those
+        of the per-cell route, and hypot is the modulus Python's abs()
+        takes (np.abs is not: it differs in the last bit).  The array
+        square v * v equals the per-cell scalar pow(v, 2) for every
+        amplitude an admissible (q, d) can produce (a test enumerates
+        them), so every probability has wrong_decode_prob_exact's bits;
+      * dense: it never reads the root sets.  The tampered states of a
+        chunk of z are stacked, built through the inverse permutation of
+        X^x, and one batched matmul with psi^H gives their overlaps: per
+        word the same (M, dim) @ (dim, M) GEMM as one word at a time, so
+        the same bits (one wide GEMM over the chunk would cross the BLAS
+        threading threshold).
+        Each temporary of a chunk holds at most about DENSE_CHUNK_BYTES
+        (256 KiB); no dim x dim table is built.
+    Random mode samples cells from the seeded stream instead, encoding
+    every message once per scan.
     """
     q, d = params.q, params.d
     bound = ((d + 1) / q) ** 2
-    messages = params.messages()
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        cells = None
+        best_prob, best_key, max_mismatch = _exhaustive_scan(params, cross_check)
+        checked = n_cells
     else:
         if not trials or trials < 1:
             raise OutOfRange("random mode needs a positive trial count")
@@ -294,73 +423,8 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
             s = tuple(int(v) for v in rng.integers(0, q, size=d))
             cells.append((s, tuple(int(v) for v in xz[:params.block_length]),
                           tuple(int(v) for v in xz[params.block_length:])))
-
-    best_prob = -1.0
-    best_key = None
-    checked = 0
-    max_mismatch = 0.0
-
-    if exhaustive:
-        grid = _exponent_grid(params)
-        digits = _digit_matrix(params)
-        psi = np.column_stack([encode(m, params).state for m in messages])
-        w_table = np.exp(2j * np.pi / q) ** np.arange(q)
-        tag_tables = {m: _tag_table(params, m) for m in messages}
-        for x in grid:
-            x_moves = any(x[:d])
-            # per-message root data is z-independent
-            per_s = []
-            for m in messages:
-                if x_moves:
-                    roots = _difference_roots(params, m, x)
-                    tags = tag_tables[m]
-                    per_s.append((roots, tags))
-                else:
-                    per_s.append(None)
-            for z in grid:
-                if not any(x) and not any(z):
-                    continue
-                sym = np.zeros(len(messages))
-                for mi, m in enumerate(messages):
-                    if per_s[mi] is None:
-                        continue
-                    roots, tags = per_s[mi]
-                    base = sum(z[i] * m[i] for i in range(d)) % q
-                    amp = 0j
-                    for r in roots:
-                        amp += w_table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
-                    sym[mi] = abs(amp / q) ** 2
-                checked += len(messages)
-                if cross_check:
-                    perm, phase = dense_word_action(params, x, z, digits)
-                    tampered = np.zeros_like(psi)
-                    tampered[perm, :] = phase[:, None] * psi
-                    overlaps = psi.conj().T @ tampered
-                    dense = np.sum(np.abs(overlaps) ** 2, axis=0) - np.abs(np.diagonal(overlaps)) ** 2
-                    mismatch = float(np.max(np.abs(sym - dense)))
-                    max_mismatch = max(max_mismatch, mismatch)
-                    if mismatch > DENSE_MATCH_TOL:
-                        raise AssertionError(
-                            f"symbolic/dense mismatch {mismatch} at x={x}, z={z}"
-                        )
-                for mi, m in enumerate(messages):
-                    p = float(sym[mi])
-                    key = (m, x, z)
-                    if p > best_prob or (p == best_prob and key < best_key):
-                        best_prob, best_key = p, key
-    else:
-        for s, x, z in cells:
-            p = wrong_decode_prob_exact(s, None, x, z, params)
-            checked += 1
-            if cross_check:
-                over = dense_overlaps(s, x, z, params)
-                dense = sum(abs(a) ** 2 for m, a in over.items() if m != s)
-                max_mismatch = max(max_mismatch, abs(p - dense))
-                if abs(p - dense) > DENSE_MATCH_TOL:
-                    raise AssertionError(f"symbolic/dense mismatch at {(s, x, z)}")
-            key = (s, x, z)
-            if p > best_prob or (p == best_prob and key < best_key):
-                best_prob, best_key = p, key
+        best_prob, best_key, max_mismatch = _random_scan(params, cells, cross_check)
+        checked = len(cells)
 
     witness_s, witness_x, witness_z = best_key
     return {

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtamper import cli
+from qtamper import cli, qamd
 
 
 def _run(*argv):
@@ -171,3 +174,29 @@ def test_jobs_do_not_change_bytes(tmp_path):
     assert _run("--out", str(out1), "--jobs", "1", *args) == 0
     assert _run("--out", str(out2), "--jobs", str(os.cpu_count() or 4), *args) == 0
     assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--trials", "50"]],
+                         ids=["exhaustive", "random"])
+def test_qamd_scan_dense_mismatch_exits_2(tmp_path, monkeypatch, mode):
+    monkeypatch.setattr(qamd, "DENSE_MATCH_TOL", -1.0)   # every cell mismatches
+    out = tmp_path / "r"
+    assert _run("--out", str(out), "qamd-scan", "--q", "3", "--d", "2", *mode) == 2
+    report = _load(out / "qamd-scan.json")
+    assert "result" not in report
+    assert report["error"].startswith("symbolic/dense mismatch")
+
+
+def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
+    args = ["qamd-scan", "--q", "3", "--d", "2", "--exhaustive"]
+    assert _run("--out", str(tmp_path / "plain"), *args) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(tmp_path / "opt"), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "opt" / "qamd-scan.json").read_bytes()
+            == (tmp_path / "plain" / "qamd-scan.json").read_bytes())

@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qtamper.errors import (BudgetExceeded, IdentityTampering, InvalidParams,
-                            OutOfRange)
+from qtamper import qamd
+from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
+                            InvalidParams, OutOfRange)
 from qtamper.field import FqPoly
 from qtamper.haar import child_generator
 from qtamper.linalg import inner
 from qtamper.pauli import PauliLabel, pauli_matrix
-from qtamper.qamd import (QamdParams, dense_overlaps, encode, security_scan,
+from qtamper.qamd import (QamdParams, _difference_roots, _digit_matrix, _tag_table,
+                          dense_overlaps, dense_word_action, encode, security_scan,
                           tag_poly, tamper_experiment, wrong_decode_prob_exact)
+from qtamper.reports import canonical_json_bytes
 
 P51 = QamdParams(q=5, d=1)
 P71 = QamdParams(q=7, d=1)
@@ -208,3 +213,132 @@ def test_security_scan_budget():
         security_scan(QamdParams(q=7, d=2), exhaustive=True)
     with pytest.raises(OutOfRange):
         security_scan(P51, exhaustive=False, trials=0)
+
+
+def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=True):
+    """security_scan one cell at a time: every (x, z) word gets its own
+    phase sums and its own dense GEMM; random cells use dense_overlaps.
+
+    Independent route for the batched scan, which must match it byte for byte.
+    """
+    q, d = params.q, params.d
+    messages = params.messages()
+    best_prob, best_key, checked, max_mismatch = -1.0, None, 0, 0.0
+
+    def consider(p, key):
+        nonlocal best_prob, best_key
+        if p > best_prob or (p == best_prob and key < best_key):
+            best_prob, best_key = p, key
+
+    if exhaustive:
+        digits = _digit_matrix(params)
+        grid = [tuple(int(v) for v in row) for row in digits]
+        psi = np.column_stack([encode(m, params).state for m in messages])
+        w_table = np.exp(2j * np.pi / q) ** np.arange(q)
+        for x in grid:
+            per_s = [(_difference_roots(params, m, x), _tag_table(params, m))
+                     if any(x[:d]) else None for m in messages]
+            for z in grid:
+                if not any(x) and not any(z):
+                    continue
+                sym = np.zeros(len(messages))
+                for mi, m in enumerate(messages):
+                    if per_s[mi] is None:
+                        continue
+                    roots, tags = per_s[mi]
+                    base = sum(z[i] * m[i] for i in range(d)) % q
+                    amp = 0j
+                    for r in roots:
+                        amp += w_table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
+                    sym[mi] = abs(amp / q) ** 2
+                checked += len(messages)
+                if cross_check:
+                    perm, phase = dense_word_action(params, x, z, digits)
+                    tampered = np.zeros_like(psi)
+                    tampered[perm, :] = phase[:, None] * psi
+                    overlaps = psi.conj().T @ tampered
+                    dense = (np.sum(np.abs(overlaps) ** 2, axis=0)
+                             - np.abs(np.diagonal(overlaps)) ** 2)
+                    mismatch = float(np.max(np.abs(sym - dense)))
+                    max_mismatch = max(max_mismatch, mismatch)
+                    assert mismatch <= 1e-9, (x, z)
+                for mi, m in enumerate(messages):
+                    consider(float(sym[mi]), (m, x, z))
+    else:
+        for s, x, z in _random_cells(params, trials, seed):
+            p = wrong_decode_prob_exact(s, None, x, z, params)
+            checked += 1
+            if cross_check:
+                over = dense_overlaps(s, x, z, params)
+                dense = sum(abs(a) ** 2 for m, a in over.items() if m != s)
+                max_mismatch = max(max_mismatch, abs(p - dense))
+                assert abs(p - dense) <= 1e-9, (s, x, z)
+            consider(p, (s, x, z))
+
+    bound = ((d + 1) / q) ** 2
+    witness_s, witness_x, witness_z = best_key
+    return {
+        "mode": "exhaustive" if exhaustive else "random",
+        "params": {"q": q, "d": d},
+        "bound": bound,
+        "max_prob": best_prob,
+        "witness": {"s": list(witness_s), "x": list(witness_x), "z": list(witness_z)},
+        "pairs_checked": checked,
+        "dense_cross_check": bool(cross_check),
+        "max_dense_mismatch": max_mismatch if cross_check else None,
+        "bound_satisfied": bool(best_prob <= bound + 1e-12),
+    }
+
+
+@pytest.mark.parametrize("cross_check", [True, False], ids=["dense", "symbolic"])
+@pytest.mark.parametrize("params", [P51, P32], ids=["q5d1", "q3d2"])
+def test_exhaustive_scan_bytes_match_reference(params, cross_check):
+    fast = security_scan(params, exhaustive=True, cross_check=cross_check)
+    slow = _reference_scan(params, exhaustive=True, cross_check=cross_check)
+    assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
+
+
+@pytest.mark.parametrize("params,trials", [(P71, 400), (QamdParams(q=5, d=2), 100)],
+                         ids=["q7d1", "q5d2"])
+def test_random_scan_bytes_match_reference(params, trials):
+    fast = security_scan(params, exhaustive=False, trials=trials, seed=21)
+    slow = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
+    assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
+
+
+def test_array_square_matches_scalar_power_for_every_amplitude():
+    # the batched scan squares moduli as arrays (v * v) where the per-cell
+    # route takes the scalar power (libm pow, not always correctly rounded);
+    # enumerate every root-of-unity sum of at most d+1 terms that a valid
+    # (q, d) can produce and require the two squares to agree bit for bit
+    for q in (2, 3, 5, 7, 11, 13):
+        max_roots = 0
+        for d in range(1, 12):
+            try:
+                QamdParams(q=q, d=d)
+            except InvalidParams:
+                continue
+            max_roots = d + 1
+        w_table = np.exp(2j * np.pi / q) ** np.arange(q)
+        for count in range(1, max_roots + 1):
+            for exponents in itertools.product(range(q), repeat=count):
+                amp = 0j
+                for e in exponents:
+                    amp += w_table[e]
+                modulus = abs(amp / q)
+                assert modulus ** 2 == np.square(np.array([modulus]))[0], (q, exponents)
+
+
+@pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 20}],
+                         ids=["exhaustive", "random"])
+def test_dense_mismatch_raises_consistency_error(monkeypatch, kwargs):
+    monkeypatch.setattr(qamd, "DENSE_MATCH_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
+        security_scan(P32, **kwargs)
+
+
+def test_difference_roots_degree_check_is_not_an_assert(monkeypatch):
+    # a degenerate difference polynomial must raise even under python -O
+    monkeypatch.setattr(FqPoly, "degree", property(lambda self: 0))
+    with pytest.raises(ConsistencyError):
+        _difference_roots(P51, (0,), (1, 0, 0))
