@@ -293,41 +293,52 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rerun", help="replay a manifest byte-for-byte")
     p.add_argument("manifest", help="manifest JSON file (or a report embedding one)")
+    parser.subcommands = sub.choices   # name -> subparser, for rerun's key check
     return parser
 
 
 def _params_from_args(args) -> dict:
-    seed_default = _env_seed()
-    sc = args.subcommand
-    if sc == "weingarten-table":
-        return {"p": args.p, "N": args.N}
-    if sc == "perm-verify":
-        return {"n_max": args.n_max, "t_max": args.t_max}
-    if sc == "qamd-scan":
-        return {
-            "q": args.q, "d": args.d,
-            "mode": "exhaustive" if args.exhaustive else "random",
-            "trials": args.trials,
-            "seed": seed_default if args.seed is None else args.seed,
-            "cross_check": not args.skip_dense_check,
-        }
-    if sc == "moments":
-        return {
-            "pattern": args.pattern, "t": args.t, "N": args.N,
-            "unitary": args.unitary, "K": args.K,
-            "target_index": args.target_index,
-            "trials": args.trials,
-            "seed": seed_default if args.seed is None else args.seed,
-        }
-    if sc == "tamper-sim":
-        return {
-            "n": args.n, "k": args.k, "family": args.family,
-            "epsilon": args.epsilon, "mode": args.mode,
-            "seeds": _parse_seeds(args.seeds),
-            "family_seed": seed_default if args.family_seed is None else args.family_seed,
-            "min_pass_fraction": args.min_pass_fraction,
-        }
-    raise _UsageError(f"unknown subcommand {sc}")
+    """The manifest parameters of a parsed command line: its subcommand's
+    options, with seeds resolved and the qamd-scan flags named."""
+    params = {k: v for k, v in vars(args).items() if k not in ("out", "jobs", "subcommand")}
+    for key in ("seed", "family_seed"):
+        if key in params and params[key] is None:
+            params[key] = _env_seed()
+    if args.subcommand == "qamd-scan":
+        params["mode"] = "exhaustive" if params.pop("exhaustive") else "random"
+        params["cross_check"] = not params.pop("skip_dense_check")
+    if args.subcommand == "tamper-sim":
+        params["seeds"] = _parse_seeds(params["seeds"])
+    return params
+
+
+def _load_manifest(parser: _Parser, path: str) -> dict:
+    """The manifest in a `rerun` file, refused unless this build can
+    reproduce it: a known subcommand, the running generator and build, and
+    exactly the parameters that its command line gives."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read manifest {path!r}: {exc}") from exc
+    manifest = data.get("manifest", data) if isinstance(data, dict) else data
+    subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if not isinstance(subcommand, str) or subcommand not in _HANDLERS:
+        raise InputError(f"manifest in {path!r} names no known subcommand")
+    # Every option at its default, required ones at a placeholder.
+    options = parser.subcommands[subcommand]._actions
+    keys = set(_params_from_args(argparse.Namespace(subcommand=subcommand, **{
+        a.dest: "0" if a.required else a.default
+        for a in options if a.default is not argparse.SUPPRESS})))
+    params = manifest.get("parameters")
+    if not isinstance(params, dict) or set(params) != keys:
+        raise InputError(f"manifest parameters of {subcommand} must be exactly {sorted(keys)}")
+    current = make_manifest(subcommand, params)
+    for field in ("generator_version", "build"):
+        if manifest.get(field) != current[field]:
+            raise InputError(f"manifest {field} {manifest.get(field)!r} is not the running "
+                             f"{current[field]!r}; refusing to replay it")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +348,6 @@ def _params_from_args(args) -> dict:
 def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     """Execute a manifest and write its report; returns the exit code."""
     subcommand = manifest["subcommand"]
-    if subcommand not in _HANDLERS:
-        raise InputError(f"manifest names unknown subcommand {subcommand!r}")
     params = manifest["parameters"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,14 +379,10 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
         if args.subcommand == "rerun":
-            try:
-                with open(args.manifest, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InputError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
-            manifest = data.get("manifest", data)
-            return run_manifest(manifest, args.out, args.jobs)
+            return run_manifest(_load_manifest(parser, args.manifest), args.out, args.jobs)
         params = _params_from_args(args)
         manifest = make_manifest(args.subcommand, params)
         return run_manifest(manifest, args.out, args.jobs)

@@ -10,7 +10,7 @@ Three patterns are supported, all of the form E[X^t] with t <= 3:
     message |psi> = sum_i a_i |i> and POVM row m (the subspace-decoder
     variable).
 
-The exact evaluator enumerates pairs (alpha, beta) in S_{2t}^2: alpha
+The exact evaluator sums over pairs (alpha, beta) in S_{2t}^2: alpha
 contributes a product over its cycles of Tr(U^{odd(c)-even(c)}) (the
 alternating U / U^dag factors along a cycle are powers of one unitary,
 so only the signed position count matters, making the in-cycle ordering
@@ -19,7 +19,8 @@ indicator for "js", the constant 1 for "ss", and |a_m|^{2 l(beta)} for
 "m", where l(beta) counts odd positions mapped to odd positions (the
 weight obtained by executing the delta constraints over the amplitude
 indices).  Each pair is weighted by the exact Weingarten value of
-beta alpha^-1.
+beta alpha^-1, looked up through the shared S_{2t} pair-class table
+`perm.sp_classes(2t).pair`, so the sum is one (p!, p!) matrix sandwich.
 
 The Monte Carlo estimator is the independent route: sample encoding
 isometries, evaluate the realized X^t, and average.
@@ -27,9 +28,9 @@ isometries, evaluate the realized X^t, and average.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 from typing import Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ConsistencyError, NotNormalized, OutOfRange
 from .haar import child_generator, sample_isometry_stack
 from .linalg import require_unitary
-from .perm import cycle_type_of, cycles_of, invert, iter_tuples, parity_swapper_tuples
+from .perm import cycles_of, parity_swapper_tuples, sp_classes
 from .weingarten import wg_table
 
 PATTERN_OFF_DIAGONAL = "js"
@@ -112,33 +113,6 @@ def first_moment_ss(U: np.ndarray) -> float:
     return (n + abs(np.trace(U)) ** 2) / (n * (n + 1))
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(p: int):
-    """Per-pair cycle-type bookkeeping for S_p x S_p.
-
-    Returns (perms, types, pair_type) with pair_type[a, b] = index of the
-    cycle type of beta_b o alpha_a^-1.
-    """
-    perms = tuple(iter_tuples(p))
-    type_lookup: dict[tuple[int, ...], int] = {}
-    types: list[tuple[int, ...]] = []
-
-    def type_id(ct):
-        if ct not in type_lookup:
-            type_lookup[ct] = len(types)
-            types.append(ct)
-        return type_lookup[ct]
-
-    n = len(perms)
-    pair_type = np.empty((n, n), dtype=np.uint8)
-    for ai, alpha in enumerate(perms):
-        alpha_inv = invert(alpha)
-        for bi, beta in enumerate(perms):
-            comp = tuple(beta[alpha_inv[i]] for i in range(p))
-            pair_type[ai, bi] = type_id(cycle_type_of(comp))
-    return perms, tuple(types), pair_type
-
-
 def _cycle_trace_products(perms, U: np.ndarray, t: int) -> np.ndarray:
     """Tr-product vector over alpha: prod_c Tr(U^{odd(c)-even(c)}).
 
@@ -183,12 +157,12 @@ def _beta_weights(spec: MomentSpec, perms) -> np.ndarray:
 def exact_moment(spec: MomentSpec) -> float:
     """Exact E[X^t] over the Haar measure for the spec's pattern."""
     p = 2 * spec.t
-    perms, types, pair_type = _pair_tables(p)
+    sp = sp_classes(p)
     table = wg_table(p, spec.N)
-    wg_float = np.array([float(table[ct]) for ct in types])
-    tp = _cycle_trace_products(perms, spec.U, spec.t)
-    weights = _beta_weights(spec, perms)
-    total = complex(tp @ wg_float[pair_type] @ weights)
+    wg_float = np.array([float(table[ct]) for ct in sp.types])
+    tp = _cycle_trace_products(sp.perms, spec.U, spec.t)
+    weights = _beta_weights(spec, sp.perms)
+    total = complex(tp @ wg_float[sp.pair] @ weights)
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {total.imag} in exact moment")
     return total.real
@@ -217,7 +191,8 @@ def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
 
     Trials are split into fixed-size chunks; chunk c draws from the
     child stream (seed, c), so the estimate is independent of the worker
-    count and bit-stable for a fixed seed.
+    count and bit-stable for a fixed seed.  At most min(jobs, chunks,
+    CPUs) threads run.
     """
     if trials < MIN_TRIALS:
         raise OutOfRange(f"need at least {MIN_TRIALS} trials")
@@ -225,8 +200,9 @@ def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
     if trials % MC_CHUNK:
         sizes.append(trials % MC_CHUNK)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(sizes), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(lambda c: _mc_chunk(spec, seed, c, sizes[c]), range(len(sizes)))
             )

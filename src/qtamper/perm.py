@@ -1,6 +1,10 @@
-"""Symmetric-group machinery: cycle decomposition, the odd/even valuation
-map, transposition distance, and the parity-swapping set used by the
-off-diagonal moment patterns.
+"""Symmetric-group machinery: cycle decomposition, the S_p pair-class
+table, the odd/even valuation map, transposition distance, and the
+parity-swapping set used by the off-diagonal moment patterns.
+
+`sp_classes(p)` alone builds the class data of S_p, including the
+N-independent table pair[a, b] = class of perms[b] o perms[a]^-1 that the
+Weingarten solve and the exact moments share.
 
 Points are stored 0-based; the valuation map and the parity-swapper set
 are defined on 1-based labels (label = point + 1), since oddness of a
@@ -12,7 +16,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError
 
@@ -20,6 +26,7 @@ MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
 MAX_SWAPPER_DEGREE = 10       # parity swappers live in S_{2t}, 2t <= 10
 MAX_LEMMA_DEGREE = 7          # fixed-point lemma checked on S_n, n <= 7
 MAX_COROLLARY_2T = 6          # cycle-bound corollary checked on S_{2t} x B_{2t}
+MAX_PAIR_DEGREE = 6           # (p!)^2 pair-class table: 720 x 720 bytes at most
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +91,44 @@ def num_cycles(images: Sequence[int]) -> int:
 def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths sorted descending; sums to the degree."""
     return tuple(sorted((len(c) for c in cycles_of(images)), reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# S_p class bookkeeping
+# ---------------------------------------------------------------------------
+
+class SpClasses(NamedTuple):
+    """Conjugacy-class data of S_p; see `sp_classes`."""
+
+    perms: tuple[tuple[int, ...], ...]   # lexicographic; perms[0] = identity
+    types: tuple[tuple[int, ...], ...]   # cycle types in first-seen order
+    class_of: np.ndarray                 # (p!,) class index of each perm
+    sizes: tuple[int, ...]               # class sizes, indexed like types
+    pair: np.ndarray                     # (p!, p!) class of perms[b] o perms[a]^-1
+
+
+@lru_cache(maxsize=None)
+def sp_classes(p: int) -> SpClasses:
+    """Class data of S_p, built once per p.  Base-p digit codes sort like
+    the lexicographic perms, so each row perms[:] o perms[a]^-1 of `pair` is
+    located with one searchsorted, in O(p! * p) temporaries."""
+    if not 0 <= p <= MAX_PAIR_DEGREE:
+        raise BudgetExceeded(f"S_{p} pair table capped at p <= {MAX_PAIR_DEGREE}")
+    perms = tuple(iter_tuples(p))
+    lookup: dict[tuple[int, ...], int] = {}   # cycle type -> class, first seen
+    class_of = np.array([lookup.setdefault(cycle_type_of(images), len(lookup))
+                         for images in perms], dtype=np.uint8)
+    table = np.array(perms, dtype=np.intp).reshape(len(perms), p)
+    place = p ** np.arange(p - 1, -1, -1, dtype=np.intp)
+    codes = table @ place
+    inverse = np.argsort(table, axis=1)
+    pair = np.empty((len(perms), len(perms)), dtype=np.uint8)
+    for a in range(len(perms)):
+        # row b of table[:, inverse[a]] is perms[b] o perms[a]^-1
+        pair[a] = class_of[np.searchsorted(codes, table[:, inverse[a]] @ place)]
+    class_of.flags.writeable = pair.flags.writeable = False   # shared via the cache
+    return SpClasses(perms, tuple(lookup), class_of, tuple(np.bincount(class_of).tolist()),
+                     pair)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +301,7 @@ def verify_fixed_point_lemma(n: int) -> dict:
 
 def verify_cycle_bound_corollary(t: int) -> dict:
     """Exhaustively check |C(alpha)| + |C(beta alpha^-1)| <= 3t over
-    S_{2t} x B_{2t}."""
+    S_{2t} x B_{2t}; composes directly, a route independent of `sp_classes`."""
     if 2 * t > MAX_COROLLARY_2T:
         raise BudgetExceeded(f"cycle-bound corollary check capped at 2t <= {MAX_COROLLARY_2T}")
     swappers = parity_swapper_tuples(t)

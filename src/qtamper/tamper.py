@@ -12,6 +12,7 @@ P_same + P_diff + P_perp = 1 conservation is a real numerical check.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log2, sqrt
@@ -264,7 +265,8 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     A seed passes when its worst detection metric (min P_perp for the
     classical and quantum decoders, min P_same + P_perp for the relaxed
     one, min 1 - X for the weak one) is at least 1 - epsilon; the report
-    carries the pass fraction over seeds plus every per-cell row.
+    carries the pass fraction over seeds plus every per-cell row.  Seeds
+    run on at most min(jobs, seeds, CPUs) threads.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -272,8 +274,9 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         raise OutOfRange("need at least one scheme seed")
     seeds = list(seeds)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_seed = list(
                 pool.map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode), seeds)
             )

@@ -10,6 +10,9 @@ against *every one of the p! permutation-level equations* exactly.  That
 verification both certifies the solution and doubles as the
 class-function check: a full p! x p! rational inversion in pure Python
 would blow the runtime budget without adding information.
+
+The collapsed counts are read off the N-independent pair table of
+`perm.sp_classes`; the exact p!-row check runs on every table build.
 """
 
 from __future__ import annotations
@@ -18,37 +21,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import OutOfRange, SingularGram
-from .perm import compose, cycle_type_of, invert, iter_tuples, num_cycles
+from .perm import sp_classes
 
 CycleType = tuple[int, ...]
 
 TABLE_ORDER_CAP = 6        # 720 x 720 permutation-level system at most
 HAAR_MOMENT_CAP = 5
-
-
-@lru_cache(maxsize=None)
-def _group_data(p: int):
-    """Permutations of S_p with type bookkeeping.
-
-    Returns (perms, type_index_per_perm, types, class_sizes) where types
-    are sorted-descending cycle partitions in first-seen order.
-    """
-    perms = tuple(iter_tuples(p))
-    types: list[CycleType] = []
-    type_lookup: dict[CycleType, int] = {}
-    type_index = []
-    class_sizes: list[int] = []
-    for images in perms:
-        ct = cycle_type_of(images)
-        if ct not in type_lookup:
-            type_lookup[ct] = len(types)
-            types.append(ct)
-            class_sizes.append(0)
-        ti = type_lookup[ct]
-        type_index.append(ti)
-        class_sizes[ti] += 1
-    return perms, tuple(type_index), tuple(types), tuple(class_sizes)
 
 
 def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -84,9 +65,6 @@ class WeingartenTable:
     def __getitem__(self, cycle_type: CycleType) -> Fraction:
         return self.values[tuple(sorted(cycle_type, reverse=True))]
 
-    def of_permutation(self, images: Sequence[int]) -> Fraction:
-        return self.values[cycle_type_of(images)]
-
     def items(self):
         return self.values.items()
 
@@ -105,51 +83,36 @@ def wg_table(p: int, N: int) -> WeingartenTable:
     if N < p:
         raise SingularGram(f"need N >= p for an invertible Gram system (N={N}, p={p})")
 
-    perms, type_index, types, class_sizes = _group_data(p)
-    n_perms = len(perms)
-    n_types = len(types)
-    n_pow = [N ** c for c in range(p + 1)]
+    sp = sp_classes(p)
+    n_perms = len(sp.perms)
+    n_types = len(sp.types)
 
-    # One pass over S_p x S_p: counts[s][j][c] = #{tau in class j with
-    # |C(sigma_s tau^-1)| = c}.  Class-representative rows feed the solve,
-    # all rows feed the verification.
-    counts = [[[0] * (p + 1) for _ in range(n_types)] for _ in range(n_perms)]
-    for t_i, tau in enumerate(perms):
-        tau_inv = invert(tau)
-        j = type_index[t_i]
-        for s_i, sigma in enumerate(perms):
-            counts[s_i][j][num_cycles(compose(sigma, tau_inv))] += 1
+    # counts[s, j, k] = #{tau in class j : sigma_s tau^-1 in class k}, read
+    # off pair[tau, sigma_s] with one bincount.  Class-representative rows
+    # feed the solve, all rows feed the verification.
+    key = sp.pair.T.astype(np.intp)
+    key += sp.class_of.astype(np.intp) * n_types
+    key += (np.arange(n_perms) * n_types * n_types)[:, None]
+    counts = np.bincount(key.ravel(), minlength=n_perms * n_types * n_types)
+    n_pow = np.array([N ** len(ct) for ct in sp.types], dtype=object)
+    gram = counts.reshape(n_perms, n_types, n_types).astype(object) @ n_pow
 
-    rep_of_type = [None] * n_types
-    for s_i in range(n_perms):
-        if rep_of_type[type_index[s_i]] is None:
-            rep_of_type[type_index[s_i]] = s_i
-
-    identity_type = type_index[0]  # perms[0] is the identity
-    matrix = []
-    rhs = []
-    for ti in range(n_types):
-        s_i = rep_of_type[ti]
-        matrix.append([
-            Fraction(sum(counts[s_i][j][c] * n_pow[c] for c in range(p + 1)))
-            for j in range(n_types)
-        ])
-        rhs.append(Fraction(1 if ti == identity_type else 0))
+    reps = np.unique(sp.class_of, return_index=True)[1]
+    identity_type = sp.class_of[0]  # perms[0] is the identity
+    matrix = [[Fraction(g) for g in gram[s_i]] for s_i in reps]
+    rhs = [Fraction(1 if ti == identity_type else 0) for ti in range(n_types)]
     solution = _solve_fraction_system(matrix, rhs)
 
     for s_i in range(n_perms):
-        total = Fraction(0)
-        for j in range(n_types):
-            row = counts[s_i][j]
-            total += solution[j] * sum(row[c] * n_pow[c] for c in range(p + 1))
-        expected = 1 if type_index[s_i] == identity_type else 0
+        total = sum((w * g for w, g in zip(solution, gram[s_i])), Fraction(0))
+        expected = 1 if sp.class_of[s_i] == identity_type else 0
         if total != expected:
             raise SingularGram(
                 f"class-function candidate fails permutation-level equation {s_i}"
             )
 
-    values = {types[j]: solution[j] for j in range(n_types)}
-    sizes = {types[j]: class_sizes[j] for j in range(n_types)}
+    values = dict(zip(sp.types, solution))
+    sizes = dict(zip(sp.types, sp.sizes))
     return WeingartenTable(p, N, values, sizes)
 
 
@@ -194,12 +157,9 @@ def haar_moment(i: Sequence[int], i2: Sequence[int], j: Sequence[int],
             raise OutOfRange(f"index {idx} outside [0, {N})")
 
     table = wg_table(p, N)
-    perms = list(iter_tuples(p))
-    row_sigmas = [s for s in perms if all(i[a] == i2[s[a]] for a in range(p))]
-    col_taus = [t for t in perms if all(j[a] == j2[t[a]] for a in range(p))]
-    total = Fraction(0)
-    for sigma in row_sigmas:
-        sigma_inv = invert(sigma)
-        for tau in col_taus:
-            total += table.of_permutation(compose(tau, sigma_inv))
-    return total
+    sp = sp_classes(p)
+    rows = [a for a, s in enumerate(sp.perms) if all(i[x] == i2[s[x]] for x in range(p))]
+    cols = [b for b, t in enumerate(sp.perms) if all(j[x] == j2[t[x]] for x in range(p))]
+    # pair[sigma, tau] is the class of tau sigma^-1
+    hits = np.bincount(sp.pair[np.ix_(rows, cols)].ravel(), minlength=len(sp.types))
+    return sum((table[ct] * int(n) for ct, n in zip(sp.types, hits)), Fraction(0))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtamper import cli, qamd
+from qtamper import cli, moments, qamd, tamper
 
 
 def _run(*argv):
@@ -164,6 +164,112 @@ def test_manifest_round_trip_bytes(tmp_path):
     assert _run("--out", str(out2), "rerun", str(out1 / "tamper-sim.json")) == 0
     assert (out1 / "tamper-sim.json").read_bytes() == (out2 / "tamper-sim.json").read_bytes()
     assert (out1 / "tamper-sim-cells.csv").read_bytes() == (out2 / "tamper-sim-cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["weingarten-table", "--p", "3", "--N", "8"],
+    ["perm-verify", "--n-max", "3", "--t-max", "1"],
+    ["qamd-scan", "--q", "3", "--d", "2", "--trials", "50", "--seed", "4"],
+    ["moments", "--pattern", "m", "--t", "1", "--N", "4", "--unitary", "random:2",
+     "--trials", "1000", "--seed", "1"],
+], ids=lambda args: args[0])
+def test_rerun_round_trip_every_subcommand(tmp_path, args):
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert _run("--out", str(out1), *args) == 0
+    report = out1 / f"{args[0]}.json"
+    assert _run("--out", str(out2), "rerun", str(report)) == 0
+    assert report.read_bytes() == (out2 / f"{args[0]}.json").read_bytes()
+
+
+def _without(key):
+    def edit(manifest):
+        del manifest["parameters"][key]
+        return manifest
+    return edit
+
+
+def _with(key, value, section=None):
+    def edit(manifest):
+        (manifest[section] if section else manifest)[key] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda manifest: {},
+    lambda manifest: [manifest],
+    _without("N"),
+    _with("extra", 1, "parameters"),
+    _with("parameters", [3, 8]),
+    _with("subcommand", "bogus"),
+    _with("subcommand", ["weingarten-table"]),
+    _with("subcommand", "rerun"),
+    _with("generator_version", "v0"),
+    _with("build", "qtamper/0.0.0"),
+], ids=["empty", "not-an-object", "missing-parameter", "unknown-parameter",
+        "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
+        "rerun-subcommand",
+        "generator-version", "build"])
+def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):
+    out = tmp_path / "a"
+    assert _run("--out", str(out), "weingarten-table", "--p", "3", "--N", "8") == 0
+    manifest = _load(out / "weingarten-table.json")["manifest"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(edit(manifest)))
+    capsys.readouterr()
+    assert _run("--out", str(tmp_path / "b"), "rerun", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "b").exists()
+
+
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+    for jobs in ("0", "-2"):
+        assert _run("--out", str(tmp_path / "r"), "--jobs", jobs,
+                    "weingarten-table", "--p", "2", "--N", "4") == 1
+        assert capsys.readouterr().err.startswith("usage error: --jobs")
+    assert not (tmp_path / "r").exists()
+
+
+def test_worker_pools_are_clamped(tmp_path, monkeypatch):
+    """Pools get min(jobs, tasks, CPUs) workers; a recording stand-in runs
+    the tasks serially, so no thread is started."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(tamper, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    runs = [  # (args, tasks)
+        (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
+          "--trials", str(5 * moments.MC_CHUNK), "--seed", "2"], 5),
+        (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
+          "--trials", str(2 * moments.MC_CHUNK), "--seed", "2"], 2),
+        (["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:3", "--epsilon", "0.4",
+          "--seeds", "0..1", "--min-pass-fraction", "0.0"], 2),
+    ]
+    for i, (args, tasks) in enumerate(runs):
+        for jobs in (1, 2, 10 ** 6):
+            made.clear()
+            assert _run("--out", str(tmp_path / f"{i}-{jobs}"), "--jobs", str(jobs), *args) == 0
+            workers = min(jobs, tasks, 3)
+            assert made == ([workers] if workers > 1 else [])
+        name = f"{args[0]}.json"
+        assert ((tmp_path / f"{i}-1" / name).read_bytes()
+                == (tmp_path / f"{i}-{10 ** 6}" / name).read_bytes())
 
 
 def test_jobs_do_not_change_bytes(tmp_path):

@@ -5,10 +5,11 @@ import pytest
 from conftest import bfs_transposition_distances
 
 from qtamper.errors import BudgetExceeded
-from qtamper.perm import (Permutation, compose, count_by_transpositions, fix_move,
-                          invert, iter_tuples, min_transpositions, num_cycles,
-                          parity_swappers, valuation, verify_cycle_bound_corollary,
-                          verify_fixed_point_lemma, verify_lemmas)
+from qtamper.perm import (Permutation, compose, count_by_transpositions, cycle_type_of,
+                          fix_move, invert, iter_tuples, min_transpositions, num_cycles,
+                          parity_swappers, sp_classes, valuation,
+                          verify_cycle_bound_corollary, verify_fixed_point_lemma,
+                          verify_lemmas)
 
 
 def test_not_a_bijection_rejected():
@@ -181,3 +182,25 @@ def test_compose_invert_helpers():
     assert compose(a, b) == (0, 1, 2)
     assert invert(a) == b
     assert num_cycles((1, 0, 3, 2)) == 2
+
+
+def test_sp_classes_match_tuple_helpers():
+    """pair[a, b] is the class of perms[b] o perms[a]^-1: every alpha row
+    for p <= 5, one representative alpha per class at p = 6, recomputed
+    with the tuple helpers."""
+    for p in range(1, 7):
+        sp = sp_classes(p)
+        perms = list(iter_tuples(p))
+        types = [cycle_type_of(a) for a in perms]
+        assert sp.perms == tuple(perms)
+        assert sp.types == tuple(dict.fromkeys(types))
+        assert [sp.types[c] for c in sp.class_of] == types
+        assert list(sp.sizes) == [types.count(ct) for ct in sp.types]
+        alphas = range(len(perms)) if p <= 5 else [types.index(ct) for ct in sp.types]
+        for a in alphas:
+            alpha_inv = invert(perms[a])
+            assert [sp.types[c] for c in sp.pair[a]] == [
+                cycle_type_of(compose(beta, alpha_inv)) for beta in perms
+            ], (p, perms[a])
+    with pytest.raises(BudgetExceeded):
+        sp_classes(7)

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
+from qtamper import weingarten
 from qtamper.errors import OutOfRange, SingularGram
 from qtamper.haar import child_generator, sample_isometry_stack
-from qtamper.perm import compose, invert, iter_tuples, num_cycles
+from qtamper.perm import compose, cycle_type_of, invert, iter_tuples, num_cycles
 from qtamper.weingarten import haar_moment, wg_abs_sum, wg_sum, wg_table, wg_value
 
 
@@ -67,17 +69,39 @@ def test_abs_sum_example_matches_table_sum():
 
 def test_full_gram_system_independent_check():
     """Recompute sum_tau N^{|C(sigma tau^-1)|} Wg(tau) = [sigma = e] for
-    every sigma, with test-local composition code."""
-    for p, n in ((2, 4), (3, 8), (4, 8), (5, 8)):
+    every sigma, with test-local composition code.  The taus of one sigma
+    are grouped by (|C(sigma tau^-1)|, cycle type of tau) with integer
+    counts, which keeps S_6 affordable."""
+    for p, n in ((2, 4), (3, 8), (4, 8), (5, 8), (6, 8)):
         table = wg_table(p, n)
         perms = list(iter_tuples(p))
+        taus = [(invert(tau), cycle_type_of(tau)) for tau in perms]
         identity = tuple(range(p))
         for sigma in perms:
-            total = Fraction(0)
-            for tau in perms:
-                prod = compose(sigma, invert(tau))
-                total += Fraction(n) ** num_cycles(prod) * table.of_permutation(tau)
+            counts = Counter((num_cycles(compose(sigma, tau_inv)), ct) for tau_inv, ct in taus)
+            total = sum((k * Fraction(n) ** c * table[ct] for (c, ct), k in counts.items()),
+                        Fraction(0))
             assert total == (1 if sigma == identity else 0)
+
+
+def test_certificate_rejects_a_wrong_solution(monkeypatch):
+    """The p!-row check, not the collapsed solve, decides: a solve that
+    returns a perturbed candidate makes wg_table raise SingularGram."""
+    solve = weingarten._solve_fraction_system
+
+    def perturbed(matrix, rhs):
+        solution = solve(matrix, rhs)
+        solution[-1] += Fraction(1, 10 ** 12)
+        return solution
+
+    wg_table.cache_clear()
+    monkeypatch.setattr(weingarten, "_solve_fraction_system", perturbed)
+    try:
+        for p, n in ((3, 8), (6, 8)):
+            with pytest.raises(SingularGram, match="permutation-level equation"):
+                wg_table(p, n)
+    finally:
+        wg_table.cache_clear()
 
 
 def test_errors():
