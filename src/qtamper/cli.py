@@ -25,11 +25,11 @@ from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import sample_haar_unitary
 from .moments import MomentSpec, exact_moment, first_moment_js, first_moment_ss, mc_moment
-from .pauli import PauliLabel, pauli_matrix
+from .pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from .perm import verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
-from .tamper import UnitaryFamily, family_security_scan, pauli_family
+from .tamper import UnitaryFamily, check_family_size, family_security_scan, pauli_family
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
 DEFAULT_OUT = "reports"
@@ -107,16 +107,21 @@ def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
         if isinstance(data, dict):
             phi = data.get("trace_bound_phi")
             entries = data.get("members", [])
+        if not isinstance(entries, list):
+            raise InputError(f"family file {path!r} holds no member list")
+        dense = [isinstance(e, dict) and "pauli" not in e and "file" in e for e in entries]
+        check_family_size(len(entries), N, dense=sum(dense))
         members = []
         base = Path(path).parent
         for i, entry in enumerate(entries):
             if isinstance(entry, str) and entry.startswith("pauli:"):
                 label = PauliLabel.from_compact(entry)
-                members.append((entry, pauli_matrix(label)))
+                members.append((entry, MonomialUnitary(*label.action())))
             elif isinstance(entry, dict) and "pauli" in entry:
                 label = PauliLabel.from_json(entry["pauli"])
-                members.append((entry.get("label", label.compact()), pauli_matrix(label)))
-            elif isinstance(entry, dict) and "file" in entry:
+                members.append((entry.get("label", label.compact()),
+                                MonomialUnitary(*label.action())))
+            elif dense[i]:
                 matrix = _load_unitary_file(str(base / entry["file"]))
                 members.append((entry.get("label", entry["file"]), matrix))
             else:
@@ -312,10 +317,27 @@ def _params_from_args(args) -> dict:
     return params
 
 
+def _argv_from_params(parser: _Parser, subcommand: str, params: dict) -> list[str]:
+    """The command line that `_params_from_args` would turn into `params`."""
+    values = dict(params)
+    if subcommand == "qamd-scan":
+        values["exhaustive"] = values.get("mode") == "exhaustive"
+        values["skip_dense_check"] = values.get("cross_check") is False
+    if subcommand == "tamper-sim" and isinstance(values.get("seeds"), list):
+        values["seeds"] = ",".join(str(seed) for seed in values["seeds"])
+    argv = [subcommand]
+    for action in parser.subcommands[subcommand]._actions:
+        value = values.get(action.dest)
+        if action.option_strings and value is not None and value is not False:
+            flag = action.option_strings[0]
+            argv.append(flag if action.nargs == 0 else f"{flag}={value}")
+    return argv
+
+
 def _load_manifest(parser: _Parser, path: str) -> dict:
     """The manifest in a `rerun` file, refused unless this build can
     reproduce it: a known subcommand, the running generator and build, and
-    exactly the parameters that its command line gives."""
+    parameters that its subcommand's own parser gives back unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -325,14 +347,17 @@ def _load_manifest(parser: _Parser, path: str) -> dict:
     subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
     if not isinstance(subcommand, str) or subcommand not in _HANDLERS:
         raise InputError(f"manifest in {path!r} names no known subcommand")
-    # Every option at its default, required ones at a placeholder.
-    options = parser.subcommands[subcommand]._actions
-    keys = set(_params_from_args(argparse.Namespace(subcommand=subcommand, **{
-        a.dest: "0" if a.required else a.default
-        for a in options if a.default is not argparse.SUPPRESS})))
     params = manifest.get("parameters")
-    if not isinstance(params, dict) or set(params) != keys:
-        raise InputError(f"manifest parameters of {subcommand} must be exactly {sorted(keys)}")
+    if not isinstance(params, dict):
+        raise InputError(f"manifest parameters of {subcommand} are not an object")
+    try:
+        argv = _argv_from_params(parser, subcommand, params)
+        parsed = _params_from_args(parser.parse_args(argv))
+        same = canonical_json_bytes(parsed) == canonical_json_bytes(params)
+    except (_UsageError, QTamperError, TypeError, ValueError) as exc:
+        raise InputError(f"manifest parameters of {subcommand} do not parse: {exc}") from exc
+    if not same:
+        raise InputError(f"manifest parameters of {subcommand} differ from their parse")
     current = make_manifest(subcommand, params)
     for field in ("generator_version", "build"):
         if manifest.get(field) != current[field]:

@@ -2,8 +2,8 @@
 else needs.
 
 Matrices and state vectors are plain complex128 numpy arrays.  These
-wrappers add the shape/unitarity/normalization checks the rest of the
-package relies on; heavy lifting (products, QR) is delegated to numpy.
+helpers add the shape/unitarity/normalization checks the rest of the
+package relies on; products, traces and QR are plain numpy.
 
 Tolerance conventions: structural identities 1e-10, rank tests 1e-12.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, NotNormalized, NotUnitary, RankDeficient
+from .errors import DimMismatch, NotNormalized, NotUnitary
 
 STRUCTURAL_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -27,69 +27,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    u = np.asarray(v, dtype=np.complex128)
-    if u.ndim != 1:
-        raise DimMismatch(f"expected a vector, got ndim={u.ndim}")
-    return u
-
-
-def inner(u, v) -> complex:
-    """Inner product <u|v>, conjugate-linear in the first argument."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise DimMismatch(f"vector dims differ: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimMismatch(f"trace of non-square matrix {a.shape}")
-    return complex(np.trace(a))
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product: (A (x) B)[(i1,i2),(j1,j2)] = A[i1,j1] * B[i2,j2]."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
-
-
-def projector(v) -> np.ndarray:
-    """Rank-1 projector |v><v| for a normalized vector."""
-    v = as_vector(v)
-    return np.outer(v, v.conj())
-
-
-def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of a square full-rank matrix.
-
-    Raises RankDeficient when any diagonal entry of R falls below the
-    rank tolerance (generic Gaussian inputs never do).
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimMismatch(f"QR of non-square matrix {a.shape}")
-    q, r = np.linalg.qr(a)
-    if np.min(np.abs(np.diagonal(r))) < RANK_TOL:
-        raise RankDeficient("QR pivot below 1e-12; matrix is rank deficient")
-    return q, r
 
 
 def max_abs(a) -> float:
@@ -111,12 +50,10 @@ def require_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     return u
 
 
-def is_normalized(v, tol: float = STRUCTURAL_TOL) -> bool:
-    return abs(float(np.linalg.norm(as_vector(v))) - 1.0) <= tol
-
-
 def require_normalized(v, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    v = as_vector(v)
-    if not is_normalized(v, tol):
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 1:
+        raise DimMismatch(f"expected a vector, got ndim={v.ndim}")
+    if abs(float(np.linalg.norm(v)) - 1.0) > tol:
         raise NotNormalized(f"vector norm {np.linalg.norm(v)} not within {tol} of 1")
     return v

@@ -6,8 +6,10 @@ Conventions (fixed once, used everywhere):
   * within one register the word is X^a Z^b, i.e. the clock acts first;
   * global phases are dropped from labels (every downstream quantity is a
     squared overlap, so they never matter);
-  * in a tensor word the register-1 factor is the most significant
-    kron digit.
+  * a tensor word is a monomial action in Kronecker digit order (register
+    1 is the most significant base-q digit): `PauliLabel.action()` gives
+    column j as phase[j] at row rows[j].  `pauli_matrix` is its dense
+    scatter; `MonomialUnitary` applies it without forming the matrix.
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a; the dense-matrix check
 `twisted_commutator_check` measures the scalar rather than assuming it.
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .errors import NonScalarMismatch, OutOfRange
+from .errors import DimMismatch, NonScalarMismatch, NotUnitary, OutOfRange
 from .field import is_prime
-from .linalg import max_abs
+from .linalg import STRUCTURAL_TOL, max_abs
 
 MAX_DENSE_DIM = 4096
 
@@ -61,6 +63,24 @@ class PauliLabel:
             raise ValueError("label field m disagrees with exponent length")
         return label
 
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, phase) of the word: column j is phase[j] at row rows[j].
+
+        Built register by register, |v> -> omega^{b v} |v+a>, in Kronecker
+        order and with the factor products of an `np.kron` loop, so every
+        phase equals that loop's matrix entry bit for bit.
+        """
+        if self.q ** self.m > MAX_DENSE_DIM:
+            raise OutOfRange(f"dimension {self.q ** self.m} exceeds {MAX_DENSE_DIM}")
+        w = omega(self.q)
+        rows = np.zeros(1, dtype=np.intp)
+        phase = np.ones(1, dtype=np.complex128)
+        for a, b in zip(self.x, self.z):
+            factors = np.array([w ** (b * v) for v in range(self.q)], dtype=np.complex128)
+            rows = (rows[:, np.newaxis] * self.q + (np.arange(self.q) + a) % self.q).ravel()
+            phase = (phase[:, np.newaxis] * factors).ravel()
+        return rows, phase
+
     def compact(self) -> str:
         """Compact text form `pauli:q:x-digits:z-digits` (q <= 7 registers)."""
         xs = "".join(str(v) for v in self.x)
@@ -83,24 +103,56 @@ def omega(q: int) -> complex:
 
 def single_pauli(q: int, a: int, b: int) -> np.ndarray:
     """Dense q x q matrix of X^a Z^b."""
-    a %= q
-    b %= q
-    w = omega(q)
-    m = np.zeros((q, q), dtype=np.complex128)
-    for v in range(q):
-        m[(v + a) % q, v] = w ** (b * v)
-    return m
+    return pauli_matrix(PauliLabel(q=q, x=(a,), z=(b,)))
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
-    """Dense q^m x q^m unitary of the tensor word (register 1 leftmost)."""
-    dim = label.q ** label.m
-    if dim > MAX_DENSE_DIM:
-        raise OutOfRange(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
-    out = np.array([[1.0 + 0j]])
-    for a, b in zip(label.x, label.z):
-        out = np.kron(out, single_pauli(label.q, a, b))
+    """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
+    rows, phase = label.action()
+    out = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    out[rows, np.arange(rows.size)] = phase
     return out
+
+
+class MonomialUnitary:
+    """N x N unitary whose column j is phase[j] at row rows[j], validated
+    once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
+    per column and equal the dense products; numpy defers `A @ U` to
+    `__rmatmul__`, so code written for dense matrices runs on it unchanged.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, rows, phase):
+        rows = np.asarray(rows, dtype=np.intp)
+        phase = np.asarray(phase, dtype=np.complex128)
+        if rows.ndim != 1 or phase.shape != rows.shape:
+            raise DimMismatch("rows and phase must be vectors of one length")
+        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+            raise NotUnitary("rows is not a permutation of range(N)")
+        if not np.all(np.abs(np.abs(phase) - 1.0) <= STRUCTURAL_TOL):
+            raise NotUnitary(f"a phase is not within {STRUCTURAL_TOL} of modulus 1")
+        self.rows, self.phase = rows, phase
+        self.shape = (rows.size, rows.size)
+
+    def trace(self) -> complex:
+        """Sum of the phases on the fixed points of rows."""
+        fixed = self.rows == np.arange(self.rows.size)
+        return complex(np.sum(np.where(fixed, self.phase, 0)))
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[:1]:
+            raise DimMismatch(f"cannot apply {self.shape} to {x.shape}")
+        out = np.empty(x.shape, dtype=np.complex128)
+        out[self.rows] = self.phase.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return out
+
+    def __rmatmul__(self, a):
+        a = np.asarray(a)
+        if a.shape[-1:] != self.shape[:1]:
+            raise DimMismatch(f"cannot multiply {a.shape} by {self.shape}")
+        return np.ascontiguousarray(a[..., self.rows] * self.phase)
 
 
 def pauli_trace(label: PauliLabel) -> complex:

@@ -2,12 +2,15 @@
 four decoders (classical, relaxed, weak, quantum-message), and empirical
 security scans over explicit unitary families.
 
-A scheme is a Haar isometry V (first K columns of a seeded Haar unitary)
-together with its decoder POVM: the K rank-1 codeword projectors, the
-code-subspace projector Pi = V V^dag, and Pi_perp = 1 - Pi.  Decoder
-probabilities are computed from codeword overlaps; P_perp is always
-computed independently (never as 1 minus the rest), so the reported
-P_same + P_diff + P_perp = 1 conservation is a real numerical check.
+A scheme holds only its Haar isometry V (first K columns of a seeded Haar
+unitary).  Decoder probabilities are computed from codeword overlaps
+V^dag U psi; P_perp is always computed independently (never as 1 minus
+the rest), so P_same + P_diff + P_perp = 1 is a real numerical check.
+Family members (dense, or a `MonomialUnitary` for every Pauli word) are
+validated once, when the family is built.  The weak decoder runs two
+routes on every call and compares them: the Gram double sum over
+V^dag U V, and Tr(Pi . U Pi U^dag) / K with the N x N Pi = V V^dag,
+O(N^2 K) for a monomial U.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
-from .linalg import identity, projector, require_normalized, require_unitary
-from .pauli import pauli_matrix, random_nonidentity_labels
+from .linalg import require_normalized, require_unitary
+from .pauli import MonomialUnitary, random_nonidentity_labels
 
 MAX_DIM = 4096
 MAX_FAMILY = 10 ** 4
+MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
 FIDELITY_FLOOR = 1e-12
 
@@ -35,15 +39,12 @@ MODES = ("classical", "relaxed", "weak", "quantum")
 
 @dataclass
 class EncodingScheme:
-    """Seeded Haar encoding plus its derived decoder POVM elements."""
+    """Seeded Haar encoding: the N x K isometry V and nothing N x N."""
 
     n: int
     k: int
     seed: int
     isometry: np.ndarray
-    codeword_projectors: list[np.ndarray]
-    subspace_projector: np.ndarray
-    perp_projector: np.ndarray
 
     @property
     def N(self) -> int:
@@ -64,31 +65,28 @@ def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
         raise OutOfRange(f"N = {N} exceeds {MAX_DIM}")
     if not 1 <= K < N:
         raise OutOfRange(f"need 1 <= K < N (K={K}, N={N})")
-    V = sample_encoding_isometry(N, K, seed)
-    pi = V @ V.conj().T
-    return EncodingScheme(
-        n=n, k=k, seed=seed, isometry=V,
-        codeword_projectors=[projector(V[:, i]) for i in range(K)],
-        subspace_projector=pi,
-        perp_projector=identity(N) - pi,
-    )
+    return EncodingScheme(n=n, k=k, seed=seed,
+                          isometry=sample_encoding_isometry(N, K, seed))
 
 
-def _decode_overlaps(scheme: EncodingScheme, U: np.ndarray, state: np.ndarray):
+def _check_dim(scheme: EncodingScheme, U) -> None:
+    if U.shape[0] != scheme.N:
+        raise OutOfRange(f"unitary dimension {U.shape[0]} != N = {scheme.N}")
+
+
+def _decode_overlaps(scheme: EncodingScheme, U, state: np.ndarray):
     """(overlaps with each codeword, squared norm of the tampered state)."""
     w = U @ state
     return scheme.isometry.conj().T @ w, float(np.vdot(w, w).real)
 
 
-def detect_classical(scheme: EncodingScheme, U: np.ndarray, s: int) -> dict:
+def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
     """Decoder outcome probabilities for stored message s under U.
 
     P_same is the weight on codeword s, P_diff the weight on the other
     codewords, P_perp the weight outside the code subspace.
     """
-    U = require_unitary(U)
-    if U.shape[0] != scheme.N:
-        raise OutOfRange(f"unitary dimension {U.shape[0]} != N = {scheme.N}")
+    _check_dim(scheme, U)
     if not 0 <= s < scheme.K:
         raise OutOfRange(f"message index {s} outside [0, {scheme.K})")
     overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.codeword(s))
@@ -99,13 +97,13 @@ def detect_classical(scheme: EncodingScheme, U: np.ndarray, s: int) -> dict:
     return {"P_same": p_same, "P_diff": p_diff, "P_perp": p_perp}
 
 
-def detect_relaxed(scheme: EncodingScheme, U: np.ndarray, s: int) -> float:
+def detect_relaxed(scheme: EncodingScheme, U, s: int) -> float:
     """Probability of the relaxed guarantee: original message or reject."""
     probs = detect_classical(scheme, U, s)
     return probs["P_same"] + probs["P_perp"]
 
 
-def detect_quantum(scheme: EncodingScheme, U: np.ndarray,
+def detect_quantum(scheme: EncodingScheme, U,
                    message_amplitudes: Sequence[complex]) -> dict:
     """Subspace-POVM decoder for a quantum message sum_i a_i |i>.
 
@@ -114,7 +112,7 @@ def detect_quantum(scheme: EncodingScheme, U: np.ndarray,
     (None when the pass probability is below 1e-12: the conditional
     state is undefined there, not zero).
     """
-    U = require_unitary(U)
+    _check_dim(scheme, U)
     amps = require_normalized(np.asarray(message_amplitudes, dtype=np.complex128))
     if amps.shape != (scheme.K,):
         raise OutOfRange(f"need {scheme.K} amplitudes")
@@ -128,20 +126,19 @@ def detect_quantum(scheme: EncodingScheme, U: np.ndarray,
     return {"P_perp": p_perp, "pass_prob": pass_prob, "fidelity_given_pass": fidelity}
 
 
-def detect_weak(scheme: EncodingScheme, U: np.ndarray) -> float:
+def detect_weak(scheme: EncodingScheme, U) -> float:
     """X = Tr(Pi U Enc(1_K / K) U^dag), the average-message pass weight.
 
-    Computed twice -- once from the dense projector matrices on the
-    maximally mixed encoded state, once as the overlap double sum
-    (1/K) sum_ij |<psi_i| U |psi_j>|^2 -- and asserted equal.
+    Computed twice and checked equal: as the overlap double sum
+    (1/K) sum_ij |<psi_i| U |psi_j>|^2, which is returned, and as
+    Tr(Pi . U Pi U^dag) / K with Pi = V V^dag and U Pi U^dag = W W^dag, W = U V.
     """
-    U = require_unitary(U)
-    if U.shape[0] != scheme.N:
-        raise OutOfRange(f"unitary dimension {U.shape[0]} != N = {scheme.N}")
-    rho = scheme.subspace_projector / scheme.K  # Enc of the maximally mixed message
-    direct = float(np.trace(scheme.subspace_projector @ U @ rho @ U.conj().T).real)
+    _check_dim(scheme, U)
     gram = scheme.isometry.conj().T @ U @ scheme.isometry
     double_sum = float(np.sum(np.abs(gram) ** 2)) / scheme.K
+    pi = scheme.isometry @ scheme.isometry.conj().T
+    w = U @ scheme.isometry
+    direct = float(np.vdot(pi, w @ w.conj().T).real) / scheme.K
     if abs(direct - double_sum) > CONSERVATION_TOL:
         raise ConsistencyError(
             f"weak-detection routes disagree: {direct} vs {double_sum}"
@@ -149,29 +146,38 @@ def detect_weak(scheme: EncodingScheme, U: np.ndarray) -> float:
     return double_sum
 
 
+def check_family_size(size: int, N: int = 0, dense: int = 0) -> None:
+    """Refuse a family before any member is built: 1 to MAX_FAMILY members,
+    of which the `dense` N x N ones fit in MAX_DENSE_BYTES."""
+    if size < 1:
+        raise InvalidParams("family must be non-empty")
+    if size > MAX_FAMILY:
+        raise OutOfRange(f"family size {size} exceeds {MAX_FAMILY}")
+    if dense * N * N * 16 > MAX_DENSE_BYTES:
+        raise OutOfRange(f"{dense} dense members of dimension {N} need "
+                         f"{dense * N * N * 16} bytes, over {MAX_DENSE_BYTES}")
+
+
 @dataclass
 class UnitaryFamily:
-    """Explicit list of (label, matrix) tampering unitaries, optionally
-    carrying a declared far-from-identity trace bound phi."""
+    """Explicit list of (label, unitary) tampering members, optionally
+    carrying a declared far-from-identity trace bound phi.  A dense member
+    is checked for unitarity here; a `MonomialUnitary` was when built."""
 
-    members: list[tuple[str, np.ndarray]]
+    members: list[tuple[str, object]]
     trace_bound_phi: Optional[float] = None
 
     def __post_init__(self):
-        if not self.members:
-            raise InvalidParams("family must be non-empty")
-        if len(self.members) > MAX_FAMILY:
-            raise OutOfRange(f"family size {len(self.members)} exceeds {MAX_FAMILY}")
+        check_family_size(len(self.members))
+        self.members = [
+            (label, u if isinstance(u, MonomialUnitary) else require_unitary(u))
+            for label, u in self.members
+        ]
+        phi = self.trace_bound_phi
         for label, u in self.members:
-            u = require_unitary(u)
-            if self.trace_bound_phi is not None:
-                n = u.shape[0]
-                bound = self.trace_bound_phi * n + 1e-9
-                if abs(np.trace(u)) > bound:
-                    raise InvalidParams(
-                        f"member {label!r} violates |Tr| <= phi N "
-                        f"({abs(np.trace(u)):.6g} > {bound:.6g})"
-                    )
+            if phi is not None and abs(u.trace()) > phi * u.shape[0] + 1e-9:
+                raise InvalidParams(f"member {label!r} violates |Tr| <= phi N "
+                                    f"({abs(u.trace()):.6g} > {phi * u.shape[0] + 1e-9:.6g})")
 
     @property
     def size(self) -> int:
@@ -186,8 +192,9 @@ def pauli_family(n: int, count: int, seed: int) -> UnitaryFamily:
 
     Every member is traceless, so the family carries phi = 0.
     """
+    check_family_size(count)
     labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
-    members = [(lab.compact(), pauli_matrix(lab)) for lab in labels]
+    members = [(lab.compact(), MonomialUnitary(*lab.action())) for lab in labels]
     return UnitaryFamily(members=members, trace_bound_phi=0.0)
 
 
@@ -233,21 +240,13 @@ def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
             x = detect_weak(scheme, u)
             rows.append({"seed": scheme_seed, "label": label, "X": x})
         metric = min(1.0 - r["X"] for r in rows)
-    elif mode == "quantum":
+    else:
         amps = np.full(scheme.K, 1.0 / sqrt(scheme.K), dtype=np.complex128)
         for label, u in family.members:
             out = detect_quantum(scheme, u, amps)
-            worst_violation = max(
-                worst_violation, abs(out["pass_prob"] + out["P_perp"] - 1.0)
-            )
-            rows.append({
-                "seed": scheme_seed, "label": label,
-                "P_perp": out["P_perp"], "pass_prob": out["pass_prob"],
-                "fidelity_given_pass": out["fidelity_given_pass"],
-            })
+            worst_violation = max(worst_violation, abs(out["pass_prob"] + out["P_perp"] - 1.0))
+            rows.append({"seed": scheme_seed, "label": label, **out})
         metric = min(r["P_perp"] for r in rows)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return {
         "seed": scheme_seed,
         "rows": rows,
@@ -277,9 +276,8 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(
-                pool.map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode), seeds)
-            )
+            per_seed = list(pool.map(
+                lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode), seeds))
     else:
         per_seed = [_evaluate_seed(sd, n, k, family, epsilon, mode) for sd in seeds]
 
@@ -297,26 +295,14 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         "n": n,
         "k": k,
         "epsilon": epsilon,
-        "family": {
-            "size": family.size,
-            "trace_bound_phi": phi,
-            "labels": family.labels(),
-        },
+        "family": {"size": family.size, "trace_bound_phi": phi, "labels": family.labels()},
         "seeds": seeds,
         "warnings": parameter_warnings(n, k, epsilon, phi),
-        "per_seed": [
-            {
-                "seed": e["seed"],
-                "detection_metric": e["detection_metric"],
-                "pass": e["pass"],
-            }
-            for e in per_seed
-        ],
+        "per_seed": [{key: e[key] for key in ("seed", "detection_metric", "pass")}
+                     for e in per_seed],
         "pass_fraction": sum(1 for e in per_seed if e["pass"]) / len(per_seed),
         "min_detection_metric": min(metrics),
         "extrema": extrema,
-        "max_conservation_violation": max(
-            e["max_conservation_violation"] for e in per_seed
-        ),
+        "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
         "rows": rows,
     }

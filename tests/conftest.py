@@ -3,6 +3,8 @@
 import itertools
 from collections import deque
 
+import numpy as np
+
 
 def bfs_transposition_distances(n: int) -> dict[tuple[int, ...], int]:
     """Distance of every permutation of S_n from the identity in the
@@ -27,3 +29,16 @@ def bfs_transposition_distances(n: int) -> dict[tuple[int, ...], int]:
                 dist[nxt] = dist[current] + 1
                 queue.append(nxt)
     return dist
+
+
+def dense_decoder_projectors(scheme):
+    """The decoder POVM of a scheme as dense N x N matrices, built from its
+    isometry V: the codeword projectors |psi_s><psi_s|, Pi = V V^dag and
+    Pi_perp = 1 - Pi.
+
+    Independent oracle for the overlap route the decoders take.
+    """
+    v = scheme.isometry
+    codewords = [np.outer(v[:, s], v[:, s].conj()) for s in range(v.shape[1])]
+    pi = v @ v.conj().T
+    return codewords, pi, np.eye(v.shape[0], dtype=np.complex128) - pi

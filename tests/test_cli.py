@@ -207,10 +207,18 @@ def _with(key, value, section=None):
     _with("subcommand", "rerun"),
     _with("generator_version", "v0"),
     _with("build", "qtamper/0.0.0"),
+    _with("p", "x", "parameters"),
+    _with("p", "3", "parameters"),
+    _with("p", 3.5, "parameters"),
+    _with("p", 3.0, "parameters"),
+    _with("p", True, "parameters"),
+    _with("N", None, "parameters"),
 ], ids=["empty", "not-an-object", "missing-parameter", "unknown-parameter",
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
-        "generator-version", "build"])
+        "generator-version", "build",
+        "string-for-int", "numeric-string-for-int", "float-for-int",
+        "integral-float-for-int", "bool-for-int", "null-for-int"])
 def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):
     out = tmp_path / "a"
     assert _run("--out", str(out), "weingarten-table", "--p", "3", "--N", "8") == 0
@@ -222,6 +230,47 @@ def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seeds", "0..2"), ("seeds", [0, "x"]), ("seeds", [0.5]), ("seeds", []),
+    ("seeds", 3), ("seeds", [0, True]), ("epsilon", "0.4"), ("mode", "odd"),
+], ids=["range-string", "string-seed", "float-seed", "no-seeds", "seeds-not-a-list",
+        "bool-seed", "string-for-float", "unknown-choice"])
+def test_rerun_refuses_malformed_parameter_values(tmp_path, capsys, key, value):
+    out = tmp_path / "a"
+    assert _run("--out", str(out), "tamper-sim", "--n", "3", "--k", "1", "--family",
+                "paulis:2", "--epsilon", "0.4", "--seeds", "0..2",
+                "--min-pass-fraction", "0.0") == 0
+    manifest = _load(out / "tamper-sim.json")["manifest"]
+    manifest["parameters"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run("--out", str(tmp_path / "b"), "rerun", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "b").exists()
+
+
+def test_oversized_family_refused_before_any_member_is_built(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a member was built for a family that must be refused")
+
+    monkeypatch.setattr(cli, "_load_unitary_file", refuse)
+    monkeypatch.setattr(cli, "MonomialUnitary", refuse)
+    monkeypatch.setattr(tamper, "random_nonidentity_labels", refuse)
+    too_many = tmp_path / "many.json"
+    too_many.write_text(json.dumps(["pauli:2:1000:0000"] * (tamper.MAX_FAMILY + 1)))
+    too_dense = tmp_path / "dense.json"   # 5 x 4096^2 x 16 B = 1.25 GiB
+    too_dense.write_text(json.dumps([{"file": f"u{i}.json"} for i in range(5)]))
+    for family, n in ((f"file:{too_many}", "4"), (f"file:{too_dense}", "12"),
+                      (f"paulis:{tamper.MAX_FAMILY + 1}", "8")):
+        capsys.readouterr()
+        assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", n, "--k", "1",
+                    "--family", family, "--epsilon", "0.3", "--seeds", "0") == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "r" / "tamper-sim.json").exists()
 
 
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):

@@ -1,14 +1,36 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
-from qtamper.errors import OutOfRange
+from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
-from qtamper.linalg import identity, max_abs, trace
-from qtamper.pauli import (PauliLabel, omega, pauli_matrix, pauli_trace,
-                           random_nonidentity_labels, single_pauli,
+from qtamper.linalg import identity, max_abs
+from qtamper.pauli import (MonomialUnitary, PauliLabel, omega, pauli_matrix,
+                           pauli_trace, random_nonidentity_labels, single_pauli,
                            twisted_commutator_check)
+
+
+def _kron_oracle(label):
+    """Dense word as the Kronecker product of its register matrices."""
+    out = np.array([[1.0 + 0j]])
+    for a, b in zip(label.x, label.z):
+        out = np.kron(out, single_pauli(label.q, a, b))
+    return out
+
+
+def _labels(q, m):
+    for digits in itertools.product(range(q), repeat=2 * m):
+        yield PauliLabel(q=q, x=digits[:m], z=digits[m:])
+
+
+def _sampled_labels(q, m, count, seed):
+    rng = child_generator(seed, 0)
+    for _ in range(count):
+        digits = rng.integers(0, q, size=2 * m)
+        yield PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
+                         z=tuple(int(v) for v in digits[m:]))
 
 
 def test_qubit_matrices():
@@ -64,7 +86,7 @@ def test_trace_matches_dense():
             digits = rng.integers(0, q, size=2 * m)
             label = PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
                                z=tuple(int(v) for v in digits[m:]))
-            dense = trace(pauli_matrix(label))
+            dense = np.trace(pauli_matrix(label))
             assert abs(pauli_trace(label) - dense) <= 1e-9
 
 
@@ -145,3 +167,56 @@ def test_random_nonidentity_labels():
     assert all(not lab.is_identity for lab in labels)
     with pytest.raises(OutOfRange):
         random_nonidentity_labels(2, 1, 4, rng)
+
+
+def test_action_matches_kron_oracle_bitwise():
+    labels = [*_labels(2, 1), *_labels(2, 2), *_labels(2, 3),
+              *_labels(3, 1), *_labels(3, 2), *_sampled_labels(2, 8, 50, 21)]
+    for label in labels:
+        dense = _kron_oracle(label)
+        rows, phase = label.action()
+        columns = np.arange(rows.size)
+        assert np.array_equal(np.sort(rows), columns)
+        assert np.array_equal(phase.view(float), dense[rows, columns].view(float))
+        assert np.array_equal(pauli_matrix(label).view(float), dense.view(float))
+
+
+def test_monomial_validation():
+    MonomialUnitary([2, 0, 1], [1, -1, 1j])
+    with pytest.raises(NotUnitary):
+        MonomialUnitary([0, 0, 1], [1, 1, 1])         # repeated row
+    with pytest.raises(NotUnitary):
+        MonomialUnitary([0, 1, 3], [1, 1, 1])         # row out of range
+    with pytest.raises(NotUnitary):
+        MonomialUnitary([0, 1, 2], [1, 1.001, 1])     # |phase| != 1
+    with pytest.raises(NotUnitary):
+        MonomialUnitary([0, 1, 2], [1, np.nan, 1])
+    with pytest.raises(DimMismatch):
+        MonomialUnitary([0, 1, 2], [1, 1])
+
+
+def test_monomial_trace_matches_dense():
+    labels = [*_labels(2, 2), *_labels(3, 2), *_sampled_labels(2, 6, 20, 22),
+              PauliLabel(q=2, x=(0,) * 6, z=(0, 1, 0, 0, 1, 0))]
+    for label in labels:
+        assert MonomialUnitary(*label.action()).trace() == np.trace(_kron_oracle(label))
+
+
+def test_monomial_products_match_dense():
+    """Qubit words: U @ x and A @ U equal the BLAS products bit for bit."""
+    rng = child_generator(23, 0)
+    for label in _sampled_labels(2, 6, 20, 24):
+        u = MonomialUnitary(*label.action())
+        dense = _kron_oracle(label)
+        vec = rng.normal(size=64) + 1j * rng.normal(size=64)
+        block = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+        for x in (vec, block, block[:, 1]):
+            assert np.array_equal((u @ x).view(float), (dense @ x).view(float))
+        left = block.conj().T
+        assert np.array_equal((left @ u).view(float), (left @ dense).view(float))
+    for label in _sampled_labels(3, 3, 10, 25):
+        u = MonomialUnitary(*label.action())
+        dense = _kron_oracle(label)
+        x = rng.normal(size=(27, 3)) + 1j * rng.normal(size=(27, 3))
+        assert max_abs(u @ x - dense @ x) <= 1e-14
+        assert max_abs(x.T @ u - x.T @ dense) <= 1e-14

@@ -8,7 +8,6 @@ from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
                             InvalidParams, OutOfRange)
 from qtamper.field import FqPoly
 from qtamper.haar import child_generator
-from qtamper.linalg import inner
 from qtamper.pauli import PauliLabel, pauli_matrix
 from qtamper.qamd import (QamdParams, _difference_roots, _digit_matrix, _tag_table,
                           dense_overlaps, dense_word_action, encode, security_scan,
@@ -54,7 +53,7 @@ def test_encode_orthogonality():
         messages = params.messages()
         for a in messages[:3]:
             for b in messages[:3]:
-                ip = inner(encode(a, params).state, encode(b, params).state)
+                ip = np.vdot(encode(a, params).state, encode(b, params).state)
                 if a == b:
                     assert abs(ip - 1) < 1e-12
                 else:
@@ -113,7 +112,7 @@ def _random_cells(params, count, seed):
 @pytest.mark.parametrize("params", [P51, P71, P32], ids=["q5d1", "q7d1", "q3d2"])
 def test_symbolic_matches_dense_oracle(params):
     """1e3 random instances per parameter set against the dense
-    state-vector oracle built from pauli_matrix and inner."""
+    state-vector oracle built from pauli_matrix and np.vdot."""
     for s, x, z in _random_cells(params, 1000, seed=params.q * 100 + params.d):
         sym = wrong_decode_prob_exact(s, None, x, z, params)
         # register 1 is the least significant state digit, so the kron
@@ -123,7 +122,7 @@ def test_symbolic_matches_dense_oracle(params):
                                        z=tuple(reversed(z))))
         tampered = word @ encode(s, params).state
         dense = sum(
-            abs(inner(encode(m, params).state, tampered)) ** 2
+            abs(np.vdot(encode(m, params).state, tampered)) ** 2
             for m in params.messages() if m != s
         )
         assert abs(sym - dense) <= 1e-9, (s, x, z)
@@ -135,7 +134,7 @@ def test_dense_overlap_helper_matches_pauli_matrix_route():
         tampered = word @ encode(s, P32).state
         fast = dense_overlaps(s, x, z, P32)
         for m in P32.messages():
-            direct = inner(encode(m, P32).state, tampered)
+            direct = np.vdot(encode(m, P32).state, tampered)
             assert abs(fast[m] - direct) <= 1e-12
 
 
@@ -144,7 +143,7 @@ def test_no_tamper_correctness():
     for params in (P51, P32):
         for s in params.messages()[:4]:
             state = encode(s, params).state
-            assert abs(abs(inner(encode(s, params).state, state)) ** 2 - 1.0) <= 1e-12
+            assert abs(abs(np.vdot(encode(s, params).state, state)) ** 2 - 1.0) <= 1e-12
 
 
 def test_tamper_experiment_distribution():

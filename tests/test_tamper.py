@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from conftest import dense_decoder_projectors
 
-from qtamper.errors import InvalidParams, OutOfRange
+from qtamper import tamper
+from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.linalg import identity, max_abs
+from qtamper.linalg import identity, max_abs, require_unitary
 from qtamper.moments import MomentSpec, exact_moment, first_moment_js, first_moment_ss
-from qtamper.pauli import PauliLabel, pauli_matrix
+from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from qtamper.reports import canonical_json_bytes
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,
                             detect_quantum, detect_relaxed, detect_weak,
@@ -17,20 +19,19 @@ def test_build_scheme_invariants():
     assert scheme.N == 8 and scheme.K == 2
     v = scheme.isometry
     assert max_abs(v.conj().T @ v - identity(2)) <= 1e-10
-    p0, p1 = scheme.codeword_projectors
+    (p0, p1), pi, perp = dense_decoder_projectors(scheme)
     assert max_abs(p0 @ p1) <= 1e-10
-    pi = scheme.subspace_projector
-    assert max_abs(pi @ pi - pi) <= 1e-10
-    assert max_abs(pi - pi.conj().T) <= 1e-10
-    assert np.array_equal(pi + scheme.perp_projector, identity(8))
-    assert abs(np.trace(scheme.perp_projector).real - (8 - 2)) <= 1e-9
+    for p in (p0, p1, pi):
+        assert max_abs(p @ p - p) <= 1e-10
+        assert max_abs(p - p.conj().T) <= 1e-10
+    assert np.array_equal(pi + perp, identity(8))
+    assert abs(np.trace(perp).real - (8 - 2)) <= 1e-9
 
 
 def test_build_scheme_deterministic():
     a = build_scheme(4, 2, seed=5)
     b = build_scheme(4, 2, seed=5)
     assert np.array_equal(a.isometry, b.isometry)
-    assert np.array_equal(a.subspace_projector, b.subspace_projector)
 
 
 def test_build_scheme_bounds():
@@ -61,17 +62,17 @@ def test_detect_classical_errors():
 
 def test_detect_matches_dense_projector_route():
     scheme = build_scheme(4, 1, seed=21)
+    codewords, _, perp = dense_decoder_projectors(scheme)
     u = sample_haar_unitary(16, seed=22)
     for s in range(scheme.K):
         probs = detect_classical(scheme, u, s)
-        rho = np.outer(scheme.codeword(s), scheme.codeword(s).conj())
-        tampered = u @ rho @ u.conj().T
-        p_same = float(np.trace(scheme.codeword_projectors[s] @ tampered).real)
+        tampered = u @ codewords[s] @ u.conj().T
+        p_same = float(np.trace(codewords[s] @ tampered).real)
         p_diff = sum(
-            float(np.trace(scheme.codeword_projectors[j] @ tampered).real)
+            float(np.trace(codewords[j] @ tampered).real)
             for j in range(scheme.K) if j != s
         )
-        p_perp = float(np.trace(scheme.perp_projector @ tampered).real)
+        p_perp = float(np.trace(perp @ tampered).real)
         assert abs(probs["P_same"] - p_same) <= 1e-10
         assert abs(probs["P_diff"] - p_diff) <= 1e-10
         assert abs(probs["P_perp"] - p_perp) <= 1e-10
@@ -161,7 +162,8 @@ def test_pauli_family_traceless_and_distinct():
     assert fam.trace_bound_phi == 0.0
     assert len(set(fam.labels())) == 20
     for _, u in fam.members:
-        assert abs(np.trace(u)) <= 1e-9
+        assert isinstance(u, MonomialUnitary)
+        assert abs(u.trace()) <= 1e-9
 
 
 def test_scan_monotone_under_family_growth():
@@ -249,7 +251,8 @@ def test_quantum_mean_matches_exact_moment():
     passes = np.array([row["pass_prob"] for row in rep["rows"]])
     amps = np.full(2, 1 / np.sqrt(2), dtype=complex)
     exact_by_label = {}
-    for label, u in fam.members:
+    for label in fam.labels():
+        u = pauli_matrix(PauliLabel.from_compact(label))
         exact_by_label[label] = sum(
             exact_moment(MomentSpec("m", 1, u, K=2, message_amplitudes=amps,
                                     target_index=m))
@@ -266,3 +269,60 @@ def test_parameter_warnings():
     warn = parameter_warnings(8, 1, 0.125, 0.5)
     assert any("phi^2" in w for w in warn)
     assert any("asymptotic" in w for w in warn)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_monomial_family_scan_matches_dense_family(n):
+    """Monomial members give the same report bytes as dense matrices of
+    the same labels, in every mode."""
+    fam = pauli_family(n, 6, seed=101)
+    dense = UnitaryFamily(
+        members=[(label, pauli_matrix(PauliLabel.from_compact(label))) for label in fam.labels()],
+        trace_bound_phi=0.0,
+    )
+    for mode in ("classical", "relaxed", "weak", "quantum"):
+        reports = [family_security_scan(n, 2, f, epsilon=0.3, seeds=[3, 4], mode=mode)
+                   for f in (fam, dense)]
+        assert canonical_json_bytes(reports[0]) == canonical_json_bytes(reports[1])
+
+
+def test_members_are_validated_once(monkeypatch):
+    calls = []
+
+    def counting(u):
+        calls.append(1)
+        return require_unitary(u)
+
+    monkeypatch.setattr(tamper, "require_unitary", counting)
+    paulis = pauli_family(4, 3, seed=103)
+    fam = UnitaryFamily(members=paulis.members + [("id", identity(16)),
+                                                  ("haar", sample_haar_unitary(16, 104))])
+    assert len(calls) == 2
+    for mode in ("classical", "weak", "quantum"):
+        family_security_scan(4, 1, fam, epsilon=0.3, seeds=[0, 1], mode=mode)
+    assert len(calls) == 2
+
+
+def test_detect_weak_route_mismatch_raises(monkeypatch):
+    scheme = build_scheme(4, 1, seed=105)
+    u = MonomialUnitary(*PauliLabel(q=2, x=(1, 0, 0, 1), z=(0, 1, 1, 0)).action())
+    detect_weak(scheme, u)
+    applied = MonomialUnitary.__matmul__
+    # a wrong U @ x breaks the Tr(Pi . U Pi U^dag) route only
+    monkeypatch.setattr(MonomialUnitary, "__matmul__", lambda self, x: 1.01 * applied(self, x))
+    with pytest.raises(ConsistencyError):
+        detect_weak(scheme, u)
+
+
+def test_family_size_is_checked_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("labels sampled for a family that must be refused")
+
+    monkeypatch.setattr(tamper, "random_nonidentity_labels", refuse)
+    with pytest.raises(OutOfRange):
+        pauli_family(8, tamper.MAX_FAMILY + 1, seed=0)
+    with pytest.raises(InvalidParams):
+        pauli_family(8, 0, seed=0)
+    with pytest.raises(OutOfRange):
+        tamper.check_family_size(5, 4096, dense=5)   # 1.25 GiB of dense members
+    tamper.check_family_size(5, 4096, dense=4)
