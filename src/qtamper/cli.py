@@ -91,6 +91,29 @@ def _resolve_unitary(spec: str, N: int) -> np.ndarray:
     raise InputError(f"unknown unitary spec {spec!r} (pauli:|file:|random:)")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry_kind(entry) -> str | None:
+    """The kind of a well-formed family file entry, else None: "label" for
+    a label string, "pauli" for an object whose `pauli` is an object of
+    integer lists, "file" for an object with a `file` string.  An object's
+    optional `label` must be a string."""
+    if isinstance(entry, str):
+        return "label"
+    if not isinstance(entry, dict) or not isinstance(entry.get("label", ""), str):
+        return None
+    if "pauli" in entry:
+        word = entry["pauli"]
+        if (isinstance(word, dict) and _is_int(word.get("q")) and _is_int(word.get("m", 0))
+                and all(isinstance(word.get(key), list) and all(map(_is_int, word[key]))
+                        for key in ("x", "z"))):
+            return "pauli"
+        return None
+    return "file" if isinstance(entry.get("file"), str) else None
+
+
 def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
     N = 2 ** n
     if spec.startswith("paulis:"):
@@ -109,19 +132,21 @@ def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
             entries = data.get("members", [])
         if not isinstance(entries, list):
             raise InputError(f"family file {path!r} holds no member list")
-        dense = [isinstance(e, dict) and "pauli" not in e and "file" in e for e in entries]
-        check_family_size(len(entries), N, dense=sum(dense))
+        if phi is not None and (isinstance(phi, bool) or not isinstance(phi, (int, float))):
+            raise InputError(f"trace_bound_phi {phi!r} is neither a number nor null")
+        kinds = [_entry_kind(entry) for entry in entries]
+        check_family_size(len(entries), N, dense=kinds.count("file"))
         members = []
         base = Path(path).parent
-        for i, entry in enumerate(entries):
-            if isinstance(entry, str) and entry.startswith("pauli:"):
+        for i, (entry, kind) in enumerate(zip(entries, kinds)):
+            if kind == "label":
                 label = PauliLabel.from_compact(entry)
                 members.append((entry, MonomialUnitary(*label.action())))
-            elif isinstance(entry, dict) and "pauli" in entry:
+            elif kind == "pauli":
                 label = PauliLabel.from_json(entry["pauli"])
                 members.append((entry.get("label", label.compact()),
                                 MonomialUnitary(*label.action())))
-            elif dense[i]:
+            elif kind == "file":
                 matrix = _load_unitary_file(str(base / entry["file"]))
                 members.append((entry.get("label", entry["file"]), matrix))
             else:
@@ -375,18 +400,18 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     subcommand = manifest["subcommand"]
     params = manifest["parameters"]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{subcommand}.json"
     started = time.monotonic()
     try:
         result, ok, csv_rows = _HANDLERS[subcommand](params, jobs)
     except (AssertionError, ConsistencyError) as exc:
         report = {"manifest": manifest, "error": str(exc)}
-        path = out / f"{subcommand}.json"
+        out.mkdir(parents=True, exist_ok=True)
         path.write_bytes(canonical_json_bytes(report))
         print(f"[qtamper] {subcommand}: FAILED ({exc}); report at {path}", file=sys.stderr)
         return 2
     report = {"manifest": manifest, "result": result}
-    path = out / f"{subcommand}.json"
+    out.mkdir(parents=True, exist_ok=True)
     path.write_bytes(canonical_json_bytes(report))
     if csv_rows is not None:
         csv_path = out / f"{subcommand}-cells.csv"

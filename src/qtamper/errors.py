@@ -9,10 +9,6 @@ class ModulusMismatch(QTamperError):
     """Operands live in different prime fields."""
 
 
-class DivisionByZero(QTamperError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class ZeroPolynomial(QTamperError):
     """Root counting on the zero polynomial: every point is a root."""
 

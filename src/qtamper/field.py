@@ -1,16 +1,17 @@
 """Exact arithmetic in prime fields F_q and univariate polynomial utilities.
 
-Only prime q is supported; the characteristic equals q.  Root counting is
-done by exhaustive evaluation, which is exact and cheap at desk scale
-(q up to a few hundred).
+Only prime q is supported; the characteristic equals q.  Field elements
+are plain ints in [0, q), and `fq_eval` is the one evaluator.  Root
+counting is done by exhaustive evaluation, which is exact and cheap at
+desk scale (q up to a few hundred).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
-from .errors import DivisionByZero, ModulusMismatch, ZeroPolynomial
+from .errors import ModulusMismatch, ZeroPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -30,78 +31,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldElement:
-    """An element of F_q for prime q, with value in [0, q)."""
-
-    __slots__ = ("value", "q")
-
-    def __init__(self, value: int, q: int):
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
-        self.value = value % q
-        self.q = q
-
-    def _coerce(self, other: Union["FieldElement", int]) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ModulusMismatch(f"moduli differ: {self.q} vs {other.q}")
-            return other
-        return FieldElement(other, self.q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.q)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.q)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.q}")
-        return FieldElement(pow(self.value, self.q - 2, self.q), self.q)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.q), self.q)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.q
-        return (
-            isinstance(other, FieldElement)
-            and self.q == other.q
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.q))
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, q={self.q})"
-
-
 class FqPoly:
     """Univariate polynomial over F_q, coefficients indexed by degree.
 
@@ -112,17 +41,10 @@ class FqPoly:
 
     __slots__ = ("coeffs", "q")
 
-    def __init__(self, coeffs: Iterable[Union[int, FieldElement]], q: int):
+    def __init__(self, coeffs: Iterable[int], q: int):
         if not is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.q != q:
-                    raise ModulusMismatch(f"coefficient modulus {c.q} != {q}")
-                vals.append(c.value)
-            else:
-                vals.append(c % q)
+        vals = [c % q for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
@@ -166,7 +88,7 @@ class FqPoly:
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return FqPoly([x - y for x, y in zip(a, b)], self.q)
 
-    def __call__(self, x: Union[int, FieldElement]) -> FieldElement:
+    def __call__(self, x: int) -> int:
         return fq_eval(self, x)
 
     def shift(self, a: int) -> "FqPoly":
@@ -194,30 +116,17 @@ def _mul_linear(p: FqPoly, a: int) -> FqPoly:
     return FqPoly(out, q)
 
 
-def fq_eval(p: FqPoly, x: Union[int, FieldElement]) -> FieldElement:
-    """Horner evaluation of p at x in F_q."""
-    if isinstance(x, FieldElement):
-        if x.q != p.q:
-            raise ModulusMismatch(f"moduli differ: {p.q} vs {x.q}")
-        xv = x.value
-    else:
-        xv = x % p.q
+def fq_eval(p: FqPoly, x: int) -> int:
+    """Horner evaluation of p at x in F_q, as an int in [0, q)."""
     acc = 0
     for c in reversed(p.coeffs):
-        acc = (acc * xv + c) % p.q
-    return FieldElement(acc, p.q)
+        acc = (acc * x + c) % p.q
+    return acc
 
 
 def fq_values(p: FqPoly) -> list[int]:
     """p(x) for every x in F_q, in value order (Horner at each point)."""
-    q = p.q
-    values = []
-    for x in range(q):
-        acc = 0
-        for c in reversed(p.coeffs):
-            acc = (acc * x + c) % q
-        values.append(acc)
-    return values
+    return [fq_eval(p, x) for x in range(p.q)]
 
 
 def fq_count_roots(p: FqPoly) -> int:
@@ -235,7 +144,3 @@ def fq_roots(p: FqPoly) -> list[int]:
         raise ZeroPolynomial("every point of F_q is a root of the zero polynomial")
     return [x for x, value in enumerate(fq_values(p)) if value == 0]
 
-
-def elements(q: int) -> Sequence[FieldElement]:
-    """All elements of F_q in value order."""
-    return [FieldElement(v, q) for v in range(q)]

@@ -8,7 +8,9 @@ seed: the root stream uses key (seed, 0) and Monte Carlo trial chunk c
 uses key (seed, 1 + c).  Complex Gaussians are produced by an explicit
 Box-Muller transform on Philox uniforms, so a (seed, stream) pair pins
 the sample exactly; ``GENERATOR_VERSION`` names this scheme and is
-stamped into every report.
+stamped into every report.  Version 2 also pins the phase rule of Pauli
+words (one lookup in `pauli.omega_powers` per entry), which moved some
+report bits of version 1 at the last-place level.
 
 The sampler itself is the standard Ginibre construction: QR-factorize a
 square complex Gaussian matrix and multiply Q on the right by the phases
@@ -26,7 +28,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/box-muller/v1"
+GENERATOR_VERSION = "philox4x64/box-muller/v2"
 
 MAX_DIM = 4096
 

@@ -1,14 +1,19 @@
 """Generalized Pauli operators in prime dimension q and their tensor words.
 
-Conventions (fixed once, used everywhere):
-  * omega = exp(2*pi*i/q);
+Conventions (fixed once, used everywhere; this module is the only one
+that knows the digit order and the phase rule):
+  * omega = exp(2*pi*i/q), and every phase is read from one table,
+    `omega_powers(q)[k] = omega ** k`;
   * shift:  X^a = sum_v |v+a><v|;  clock:  Z^b = sum_v omega^{b v} |v><v|;
   * within one register the word is X^a Z^b, i.e. the clock acts first;
   * global phases are dropped from labels (every downstream quantity is a
     squared overlap, so they never matter);
-  * a tensor word is a monomial action in Kronecker digit order (register
-    1 is the most significant base-q digit): `PauliLabel.action()` gives
-    column j as phase[j] at row rows[j].  `pauli_matrix` is its dense
+  * basis tuples v = (v_1, ..., v_m) index q^m-dimensional vectors in
+    Kronecker digit order: register 1 is the most significant base-q
+    digit, so `kron_digits(q, m)` lists them in lexicographic order;
+  * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
+    `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
+    phase[j] = omega_powers(q)[<z, v_j> mod q].  `pauli_matrix` is its dense
     scatter; `MonomialUnitary` applies it without forming the matrix.
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a; the dense-matrix check
@@ -18,6 +23,7 @@ With these choices X^a Z^b = omega^{-ab} Z^b X^a; the dense-matrix check
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator
@@ -38,8 +44,9 @@ class PauliLabel:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"register dimension {self.q} must be prime")
+        # the bound comes first: trial division of a huge q would not end
+        if not 2 <= self.q <= MAX_DENSE_DIM or not is_prime(self.q):
+            raise ValueError(f"register dimension {self.q} must be a prime <= {MAX_DENSE_DIM}")
         if len(self.x) != len(self.z):
             raise ValueError("exponent vectors must have equal length")
         object.__setattr__(self, "x", tuple(v % self.q for v in self.x))
@@ -66,19 +73,14 @@ class PauliLabel:
     def action(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, phase) of the word: column j is phase[j] at row rows[j].
 
-        Built register by register, |v> -> omega^{b v} |v+a>, in Kronecker
-        order and with the factor products of an `np.kron` loop, so every
-        phase equals that loop's matrix entry bit for bit.
+        With v the digits of j, rows[j] is the index of v + x (mod q) and
+        phase[j] = omega_powers(q)[<z, v> mod q].
         """
-        if self.q ** self.m > MAX_DENSE_DIM:
-            raise OutOfRange(f"dimension {self.q ** self.m} exceeds {MAX_DENSE_DIM}")
-        w = omega(self.q)
-        rows = np.zeros(1, dtype=np.intp)
-        phase = np.ones(1, dtype=np.complex128)
-        for a, b in zip(self.x, self.z):
-            factors = np.array([w ** (b * v) for v in range(self.q)], dtype=np.complex128)
-            rows = (rows[:, np.newaxis] * self.q + (np.arange(self.q) + a) % self.q).ravel()
-            phase = (phase[:, np.newaxis] * factors).ravel()
+        q = self.q
+        digits = kron_digits(q, self.m)
+        radix = q ** np.arange(self.m - 1, -1, -1, dtype=np.intp)
+        rows = ((digits + np.array(self.x, dtype=np.intp)) % q) @ radix
+        phase = omega_powers(q)[(digits @ np.array(self.z, dtype=np.intp)) % q]
         return rows, phase
 
     def compact(self) -> str:
@@ -99,6 +101,26 @@ class PauliLabel:
 
 def omega(q: int) -> complex:
     return np.exp(2j * np.pi / q)
+
+
+@lru_cache(maxsize=None)
+def omega_powers(q: int) -> np.ndarray:
+    """Read-only table of omega^k for k in [0, q): the one phase rule."""
+    table = omega(q) ** np.arange(q)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def kron_digits(q: int, m: int) -> np.ndarray:
+    """Read-only (q^m, m) table whose row k holds the base-q digits of k,
+    register 1 most significant: the digit tuples in lexicographic order."""
+    if q ** m > MAX_DENSE_DIM:
+        raise OutOfRange(f"dimension {q ** m} exceeds {MAX_DENSE_DIM}")
+    index = np.arange(q ** m, dtype=np.intp)[:, np.newaxis]
+    digits = index // q ** np.arange(m - 1, -1, -1, dtype=np.intp) % q
+    digits.flags.writeable = False
+    return digits
 
 
 def single_pauli(q: int, a: int, b: int) -> np.ndarray:

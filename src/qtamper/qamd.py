@@ -6,9 +6,12 @@ Layout conventions (fixed here, used by every routine):
   * a message is s = (s_1, ..., s_d) in F_q^d;
   * the tag map is f(s, r) = sum_i s_i r^i + r^{d+2};
   * a codeword superposes the q registers tuples (s, r, f(s, r));
-  * basis tuples v = (v_1, ..., v_{d+2}) index the dense state vector
-    little-endian: index = sum_i v_i q^{i-1} (first register is the
-    least significant digit).
+  * basis tuples v = (v_1, ..., v_{d+2}) index the dense state vector in
+    the Kronecker digit order of `pauli.kron_digits` (register 1 is the
+    most significant digit), and messages run in the same lexicographic
+    order;
+  * every tampering word X^x Z^z acts as `PauliLabel(q, x, z).action()`,
+    and every phase omega^k is read from `pauli.omega_powers(q)`.
 
 For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
@@ -30,8 +33,8 @@ from .errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
                      InvalidParams, OutOfRange)
 from .field import FqPoly, fq_roots, fq_values, is_prime
 from .haar import child_generator
+from .pauli import MAX_DENSE_DIM, PauliLabel, kron_digits, omega_powers
 
-MAX_DENSE_DIM = 4096
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 DENSE_MATCH_TOL = 1e-9
 # byte cap on each z-chunk temporary of the exhaustive dense cross-check
@@ -71,17 +74,19 @@ class QamdParams:
         return self.q ** self.d
 
     def messages(self) -> list[tuple[int, ...]]:
-        """All of F_q^d, ordered by little-endian rank."""
-        return [
-            tuple(reversed(tup))
-            for tup in itertools.product(range(self.q), repeat=self.d)
-        ]
+        """All of F_q^d in lexicographic order."""
+        return list(itertools.product(range(self.q), repeat=self.d))
 
     def message_rank(self, s: Sequence[int]) -> int:
-        return sum(v * self.q ** i for i, v in enumerate(s))
+        """Position of s in messages()."""
+        return self.state_index(s)
 
     def state_index(self, v: Sequence[int]) -> int:
-        return sum(val * self.q ** i for i, val in enumerate(v))
+        """Index of a basis tuple: its digits, register 1 most significant."""
+        index = 0
+        for val in v:
+            index = index * self.q + val
+        return index
 
 
 def tag_poly(params: QamdParams, s: Sequence[int]) -> FqPoly:
@@ -165,11 +170,11 @@ def overlap_amplitude(s: Sequence[int], s_prime: Sequence[int],
         return 0j
     roots = _difference_roots(params, s, x)
     tags = _tag_table(params, s)
-    w = np.exp(2j * np.pi / q)
+    table = omega_powers(q)
     base = sum(z[i] * s[i] for i in range(d)) % q
     total = 0j
     for r in roots:
-        total += w ** ((base + z[d] * r + z[d + 1] * tags[r]) % q)
+        total += table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
     return complex(total / q)
 
 
@@ -211,37 +216,20 @@ def tamper_experiment(s: Sequence[int], x: Sequence[int], z: Sequence[int],
 # dense state-vector oracle
 # ---------------------------------------------------------------------------
 
-def _digit_matrix(params: QamdParams) -> np.ndarray:
-    """(dim, d+2) matrix of little-endian base-q digits of each index."""
-    idx = np.arange(params.dim)
-    digits = np.empty((params.dim, params.block_length), dtype=np.int64)
-    for i in range(params.block_length):
-        digits[:, i] = (idx // params.q ** i) % params.q
-    return digits
-
-
-def dense_word_action(params: QamdParams, x: Sequence[int], z: Sequence[int],
-                      digits: Optional[np.ndarray] = None):
-    """The word X^x Z^z as (index permutation, phase vector) on the dense
-    basis: |v> -> omega^{<z, v>} |v + x>."""
-    q = params.q
-    if digits is None:
-        digits = _digit_matrix(params)
-    x_arr = np.asarray(x, dtype=np.int64) % q
-    z_arr = np.asarray(z, dtype=np.int64) % q
-    radix = q ** np.arange(params.block_length, dtype=np.int64)
-    perm = ((digits + x_arr) % q) @ radix
-    phase = np.exp(2j * np.pi / q) ** ((digits @ z_arr) % q)
-    return perm, phase
+def _apply_word(params: QamdParams, x: Sequence[int], z: Sequence[int],
+                state: np.ndarray) -> np.ndarray:
+    """X^x Z^z applied to a dense state vector."""
+    rows, phase = PauliLabel(params.q, x, z).action()
+    out = np.zeros(params.dim, dtype=np.complex128)
+    out[rows] = phase * state
+    return out
 
 
 def dense_overlaps(s: Sequence[int], x: Sequence[int], z: Sequence[int],
                    params: QamdParams) -> dict[tuple[int, ...], complex]:
     """<psi_{s'}| X^x Z^z |psi_s> for every s', via dense state vectors."""
     x, z = _check_word(params, x, z)
-    word_perm, word_phase = dense_word_action(params, x, z)
-    tampered = np.zeros(params.dim, dtype=np.complex128)
-    tampered[word_perm] = word_phase * encode(s, params).state
+    tampered = _apply_word(params, x, z, encode(s, params).state)
     out = {}
     for m in params.messages():
         out[m] = complex(np.vdot(encode(m, params).state, tampered))
@@ -252,21 +240,8 @@ def dense_overlaps(s: Sequence[int], x: Sequence[int], z: Sequence[int],
 # security scan
 # ---------------------------------------------------------------------------
 
-def _lex_rank(rows: np.ndarray, q: int) -> np.ndarray:
-    """Rank of each row of digits in lexicographic (tuple) order."""
-    return rows @ (q ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
-
-
-def _best_cell(probs: np.ndarray, tie_rank: np.ndarray):
-    """(max of probs, flat index of the max with the smallest tie_rank)."""
-    top = probs.max()
-    ties = np.flatnonzero(probs == top)
-    return float(top), int(ties[np.argmin(tie_rank.ravel()[ties])])
-
-
 def _dense_mismatches(params: QamdParams, psi: np.ndarray, x: tuple[int, ...],
-                      z_rows: np.ndarray, sym: np.ndarray, digits: np.ndarray,
-                      w_table: np.ndarray):
+                      z_rows: np.ndarray, sym: np.ndarray):
     """Yield (first z row, |sym - dense| of shape (chunk, M)) for the words
     X^x Z^z over z_rows, by dense state vectors in z-chunks.
 
@@ -276,12 +251,13 @@ def _dense_mismatches(params: QamdParams, psi: np.ndarray, x: tuple[int, ...],
     """
     q, dim = params.q, params.dim
     n_msg = psi.shape[1]
-    perm, _ = dense_word_action(params, x, (0,) * params.block_length, digits)
+    perm, _ = PauliLabel(q, x, (0,) * params.block_length).action()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(dim)
     psi_h = psi.conj().T
     moved = psi[inv]
-    moved_digits_t = digits[inv].T
+    moved_digits_t = kron_digits(q, params.block_length)[inv].T
+    w_table = omega_powers(q)
     chunk = max(1, DENSE_CHUNK_BYTES // (dim * n_msg * psi.itemsize))
     # filled in place: a fresh array of this size per chunk would be mapped
     # and page-faulted anew each time, which costs more than the products
@@ -301,15 +277,13 @@ def _exhaustive_scan(params: QamdParams, cross_check: bool):
     ((x, z) != 0, s) cell, one shift x at a time."""
     q, d, dim = params.q, params.d, params.dim
     messages = params.messages()
-    digits = _digit_matrix(params)     # row k: the exponent vector of rank k
-    msg_digits = np.array(messages, dtype=np.int64)
+    digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
+    msg_digits = np.array(messages, dtype=np.intp)
     psi = np.column_stack([encode(m, params).state for m in messages])
-    w_table = np.exp(2j * np.pi / q) ** np.arange(q)
+    w_table = omega_powers(q)
     tag_tables = [_tag_table(params, m) for m in messages]
     base = (digits[:, :d] @ msg_digits.T) % q          # <z_{1:d}, s> per (z, s)
     z_root, z_tag = digits[:, d], digits[:, d + 1]
-    # cells compare by the key (s, x, z); x is fixed within one shift
-    tie_rank = _lex_rank(msg_digits, q)[None, :] * dim + _lex_rank(digits, q)[:, None]
 
     best_prob, best_key, max_mismatch = -1.0, None, 0.0
     for xi in range(dim):
@@ -327,8 +301,7 @@ def _exhaustive_scan(params: QamdParams, cross_check: bool):
         sym = sym[first_z:]
         z_rows = digits[first_z:]
         if cross_check:
-            for lo, mismatch in _dense_mismatches(params, psi, x, z_rows, sym,
-                                                  digits, w_table):
+            for lo, mismatch in _dense_mismatches(params, psi, x, z_rows, sym):
                 worst = mismatch.max(axis=1)
                 max_mismatch = max(max_mismatch, float(worst.max()))
                 bad = np.flatnonzero(worst > DENSE_MATCH_TOL)
@@ -337,8 +310,10 @@ def _exhaustive_scan(params: QamdParams, cross_check: bool):
                     raise ConsistencyError(
                         f"symbolic/dense mismatch {float(worst[bad[0]])} at x={x}, z={z}"
                     )
-        p, flat = _best_cell(sym, tie_rank[first_z:])
-        zi, mi = divmod(flat, len(messages))
+        # messages and z rows both run in lexicographic order, so the first
+        # maximum of sym.T is the cell with the smallest key (s, x, z)
+        mi, zi = divmod(int(np.argmax(sym.T)), len(z_rows))
+        p = float(sym[zi, mi])
         key = (messages[mi], x, tuple(int(v) for v in z_rows[zi]))
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
@@ -349,15 +324,12 @@ def _random_scan(params: QamdParams, cells, cross_check: bool):
     """(max probability, witness key, worst dense mismatch) over sampled cells."""
     messages = params.messages()
     if cross_check:
-        digits = _digit_matrix(params)
         states = [encode(m, params).state for m in messages]
     best_prob, best_key, max_mismatch = -1.0, None, 0.0
     for s, x, z in cells:
         p = wrong_decode_prob_exact(s, None, x, z, params)
         if cross_check:
-            perm, phase = dense_word_action(params, x, z, digits)
-            tampered = np.zeros(params.dim, dtype=np.complex128)
-            tampered[perm] = phase * states[params.message_rank(s)]
+            tampered = _apply_word(params, x, z, states[params.message_rank(s)])
             dense = sum(abs(complex(np.vdot(state, tampered))) ** 2
                         for m, state in zip(messages, states) if m != s)
             max_mismatch = max(max_mismatch, abs(p - dense))

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtamper import cli, moments, qamd, tamper
+from qtamper.reports import make_manifest
 
 
 def _run(*argv):
@@ -355,3 +359,117 @@ def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert ((tmp_path / "opt" / "qamd-scan.json").read_bytes()
             == (tmp_path / "plain" / "qamd-scan.json").read_bytes())
+
+
+@pytest.mark.parametrize("content", [
+    [{"file": 5}],
+    [{"pauli": "x"}],
+    [{"pauli": {"q": 2, "x": 5, "z": 1}}],
+    {"trace_bound_phi": "a", "members": ["pauli:2:10:01"]},
+    {"trace_bound_phi": True, "members": ["pauli:2:10:01"]},
+    [{"pauli": {"q": 2, "x": [1, 0], "z": [0, True]}}],
+    [{"pauli": {"q": 2, "x": [1, 0], "z": [0, 1]}, "label": 3}],
+    [7],
+    ["pauli:1000000000000000003:1:1"],
+], ids=["file-not-a-string", "pauli-not-an-object", "exponents-not-lists",
+        "phi-not-a-number", "phi-bool", "bool-exponent", "label-not-a-string",
+        "entry-not-a-string-or-object", "huge-register-dimension"])
+def test_malformed_family_file_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "r"
+    assert _run("--out", str(out), "tamper-sim", "--n", "2", "--k", "0", "--epsilon", "0.5",
+                "--seeds", "1", "--family", f"file:{path}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_refused_run_leaves_no_out_directory(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    assert _run("--out", str(out), "tamper-sim", "--n", "2", "--k", "0", "--epsilon", "0.5",
+                "--seeds", "1", "--family", f"paulis:{tamper.MAX_FAMILY + 1}") == 1
+    assert not out.exists()
+    # a failed cross-check still writes its error report, directory and all
+    monkeypatch.setattr(qamd, "DENSE_MATCH_TOL", -1.0)
+    assert _run("--out", str(out / "nested"), "qamd-scan", "--q", "5", "--d", "1",
+                "--trials", "5") == 2
+    assert "error" in _load(out / "nested" / "qamd-scan.json")
+
+
+# random JSON values and family files at tiny sizes: `cli.run` must turn
+# every one of them into an exit code, never an exception
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                     st.floats(-2, 4), st.sampled_from([float("nan"), float("inf")]),
+                     st.text(max_size=6))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+_INT_LISTS = st.lists(st.one_of(st.integers(-1, 3), _SCALARS), max_size=3)
+_PAULI_OBJECTS = st.fixed_dictionaries(
+    {"q": st.one_of(st.integers(-1, 5), _SCALARS), "x": st.one_of(_INT_LISTS, _SCALARS),
+     "z": st.one_of(_INT_LISTS, _SCALARS)},
+    optional={"m": _SCALARS})
+# well-formed members of the n = 2 family (N = 4), mixed with malformed ones
+_TWO_DIGITS = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+_GOOD_ENTRIES = st.one_of(
+    st.builds(lambda x, z: f"pauli:2:{x}:{z}", st.text("01", min_size=2, max_size=2),
+              st.text("01", min_size=2, max_size=2)),
+    st.fixed_dictionaries({"pauli": st.fixed_dictionaries({"q": st.just(2), "x": _TWO_DIGITS,
+                                                           "z": _TWO_DIGITS})},
+                          optional={"label": st.text(max_size=4)}),
+    st.fixed_dictionaries({"file": st.just("u.json")}),
+)
+_ENTRIES = st.one_of(
+    _GOOD_ENTRIES,
+    _SCALARS,
+    st.builds(lambda q, x, z: f"pauli:{q}:{x}:{z}", st.integers(0, 5),
+              st.text("0123", max_size=3), st.text("0123", max_size=3)),
+    st.fixed_dictionaries({"pauli": st.one_of(_PAULI_OBJECTS, _SCALARS)},
+                          optional={"label": _SCALARS}),
+    st.fixed_dictionaries({"file": _SCALARS}, optional={"label": _SCALARS}),
+)
+_MEMBER_LISTS = st.one_of(st.lists(_GOOD_ENTRIES, min_size=1, max_size=3),
+                          st.lists(_ENTRIES, max_size=4))
+_FAMILY_FILES = st.one_of(
+    _VALUES, _MEMBER_LISTS,
+    st.fixed_dictionaries({}, optional={"members": st.one_of(_MEMBER_LISTS, _SCALARS),
+                                        "trace_bound_phi": _SCALARS}))
+# X on register 2, as [re, im] pairs
+_SHIFT = [[[float(r == c ^ 1), 0.0] for c in range(4)] for r in range(4)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_FAMILY_FILES)
+def test_fuzzed_family_files_end_in_an_exit_code(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "u.json").write_text(json.dumps(_SHIFT))
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(content))
+        code = _run("--out", str(Path(tmp) / "r"), "tamper-sim", "--n", "2", "--k", "0",
+                    "--epsilon", "0.5", "--seeds", "1", "--family", f"file:{path}")
+    assert code in (0, 1, 2)
+
+
+_TINY_RUNS = [
+    ["weingarten-table", "--p", "2", "--N", "3"],
+    ["perm-verify", "--n-max", "3", "--t-max", "1"],
+    ["qamd-scan", "--q", "5", "--d", "1", "--trials", "3", "--seed", "1"],
+    ["moments", "--pattern", "m", "--t", "1", "--N", "4", "--unitary", "pauli:2:10:01",
+     "--trials", "1000", "--seed", "1"],
+    ["tamper-sim", "--n", "2", "--k", "1", "--family", "paulis:2", "--epsilon", "0.5",
+     "--seeds", "0..1"],
+]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_TINY_RUNS), st.data())
+def test_fuzzed_manifest_parameters_end_in_an_exit_code(argv, data):
+    parser = cli._build_parser()
+    params = cli._params_from_args(parser.parse_args(argv))
+    keys = data.draw(st.lists(st.sampled_from(sorted(params)), max_size=2, unique=True))
+    for key in keys:
+        params[key] = data.draw(_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(make_manifest(argv[0], params)))
+        code = _run("--out", str(Path(tmp) / "r"), "rerun", str(path))
+    assert code in (0, 1, 2)

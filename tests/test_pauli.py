@@ -7,9 +7,9 @@ import pytest
 from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
-from qtamper.pauli import (MonomialUnitary, PauliLabel, omega, pauli_matrix,
-                           pauli_trace, random_nonidentity_labels, single_pauli,
-                           twisted_commutator_check)
+from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
+                           pauli_matrix, pauli_trace, random_nonidentity_labels,
+                           single_pauli, twisted_commutator_check)
 
 
 def _kron_oracle(label):
@@ -18,6 +18,23 @@ def _kron_oracle(label):
     for a, b in zip(label.x, label.z):
         out = np.kron(out, single_pauli(label.q, a, b))
     return out
+
+
+def _loop_oracle(label):
+    """(rows, phase) of the word, one basis tuple at a time: v -> v + x at
+    row sum_i ((v_i + x_i) mod q) q^(m-i), phase omega^(<z, v> mod q)."""
+    q, m = label.q, label.m
+    table = omega(q) ** np.arange(q)
+    rows = np.empty(q ** m, dtype=np.intp)
+    phase = np.empty(q ** m, dtype=np.complex128)
+    for j in range(q ** m):
+        v, rest = [], j
+        for _ in range(m):
+            rest, digit = divmod(rest, q)
+            v.insert(0, digit)
+        rows[j] = sum((v[i] + label.x[i]) % q * q ** (m - 1 - i) for i in range(m))
+        phase[j] = table[sum(label.z[i] * v[i] for i in range(m)) % q]
+    return rows, phase
 
 
 def _labels(q, m):
@@ -169,16 +186,44 @@ def test_random_nonidentity_labels():
         random_nonidentity_labels(2, 1, 4, rng)
 
 
+ORACLE_LABELS = [*_labels(2, 1), *_labels(2, 2), *_labels(2, 3), *_labels(3, 1),
+                 *_labels(3, 2), *_sampled_labels(2, 8, 50, 21)]
+
+
+def test_action_matches_loop_oracle_bitwise():
+    for label in ORACLE_LABELS:
+        rows, phase = label.action()
+        loop_rows, loop_phase = _loop_oracle(label)
+        assert np.array_equal(rows, loop_rows)
+        assert np.array_equal(phase.view(float), loop_phase.view(float))
+        dense = np.zeros((rows.size, rows.size), dtype=np.complex128)
+        dense[loop_rows, np.arange(rows.size)] = loop_phase
+        assert np.array_equal(pauli_matrix(label).view(float), dense.view(float))
+
+
 def test_action_matches_kron_oracle_bitwise():
-    labels = [*_labels(2, 1), *_labels(2, 2), *_labels(2, 3),
-              *_labels(3, 1), *_labels(3, 2), *_sampled_labels(2, 8, 50, 21)]
-    for label in labels:
+    """Rows equal the kron loop's exactly; its phases are products of m
+    rounded factors, so they agree with the table phases to within 1e-13."""
+    for label in ORACLE_LABELS:
         dense = _kron_oracle(label)
         rows, phase = label.action()
         columns = np.arange(rows.size)
-        assert np.array_equal(np.sort(rows), columns)
-        assert np.array_equal(phase.view(float), dense[rows, columns].view(float))
-        assert np.array_equal(pauli_matrix(label).view(float), dense.view(float))
+        assert np.array_equal(np.flatnonzero(dense.T), columns * rows.size + rows)
+        assert max_abs(phase - dense[rows, columns]) <= 1e-13
+
+
+def test_digit_and_phase_tables():
+    for q, m in ((2, 0), (2, 3), (3, 2), (5, 1)):
+        digits = kron_digits(q, m)
+        assert digits.tolist() == [list(v) for v in itertools.product(range(q), repeat=m)]
+        assert not digits.flags.writeable
+    for q in (2, 3, 5, 7, 31):
+        table = omega_powers(q)
+        w = omega(q)
+        assert all(table[k] == w ** k for k in range(q))
+        assert not table.flags.writeable
+    with pytest.raises(OutOfRange):
+        kron_digits(2, 13)
 
 
 def test_monomial_validation():
@@ -199,7 +244,7 @@ def test_monomial_trace_matches_dense():
     labels = [*_labels(2, 2), *_labels(3, 2), *_sampled_labels(2, 6, 20, 22),
               PauliLabel(q=2, x=(0,) * 6, z=(0, 1, 0, 0, 1, 0))]
     for label in labels:
-        assert MonomialUnitary(*label.action()).trace() == np.trace(_kron_oracle(label))
+        assert MonomialUnitary(*label.action()).trace() == np.trace(pauli_matrix(label))
 
 
 def test_monomial_products_match_dense():
@@ -207,7 +252,7 @@ def test_monomial_products_match_dense():
     rng = child_generator(23, 0)
     for label in _sampled_labels(2, 6, 20, 24):
         u = MonomialUnitary(*label.action())
-        dense = _kron_oracle(label)
+        dense = pauli_matrix(label)
         vec = rng.normal(size=64) + 1j * rng.normal(size=64)
         block = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
         for x in (vec, block, block[:, 1]):
@@ -216,7 +261,7 @@ def test_monomial_products_match_dense():
         assert np.array_equal((left @ u).view(float), (left @ dense).view(float))
     for label in _sampled_labels(3, 3, 10, 25):
         u = MonomialUnitary(*label.action())
-        dense = _kron_oracle(label)
+        dense = pauli_matrix(label)
         x = rng.normal(size=(27, 3)) + 1j * rng.normal(size=(27, 3))
         assert max_abs(u @ x - dense @ x) <= 1e-14
         assert max_abs(x.T @ u - x.T @ dense) <= 1e-14

@@ -8,10 +8,10 @@ from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
                             InvalidParams, OutOfRange)
 from qtamper.field import FqPoly
 from qtamper.haar import child_generator
-from qtamper.pauli import PauliLabel, pauli_matrix
-from qtamper.qamd import (QamdParams, _difference_roots, _digit_matrix, _tag_table,
-                          dense_overlaps, dense_word_action, encode, security_scan,
-                          tag_poly, tamper_experiment, wrong_decode_prob_exact)
+from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix
+from qtamper.qamd import (QamdParams, _difference_roots, _tag_table, dense_overlaps,
+                          encode, security_scan, tag_poly, tamper_experiment,
+                          wrong_decode_prob_exact)
 from qtamper.reports import canonical_json_bytes
 
 P51 = QamdParams(q=5, d=1)
@@ -39,13 +39,19 @@ def test_tag_polynomial():
 
 
 def test_encode_support_and_normalization():
-    cw = encode((0,), P51)
-    support = set(np.nonzero(cw.state)[0].tolist())
-    expected = {0 * 1 + r * 5 + ((r ** 3) % 5) * 25 for r in range(5)}
-    assert support == expected
-    amps = cw.state[sorted(support)]
-    assert np.allclose(amps, 1 / np.sqrt(5))
-    assert abs(np.linalg.norm(cw.state) - 1.0) < 1e-12
+    for params in (P51, P32):
+        q, d = params.q, params.d
+        for s in params.messages():
+            cw = encode(s, params)
+            support = set(np.nonzero(cw.state)[0].tolist())
+            tags = [(sum(v * r ** (i + 1) for i, v in enumerate(s)) + r ** (d + 2)) % q
+                    for r in range(q)]
+            expected = {int(np.ravel_multi_index(s + (r, tags[r]), (q,) * (d + 2)))
+                        for r in range(q)}
+            assert support == expected
+            amps = cw.state[sorted(support)]
+            assert np.allclose(amps, 1 / np.sqrt(q))
+            assert abs(np.linalg.norm(cw.state) - 1.0) < 1e-12
 
 
 def test_encode_orthogonality():
@@ -115,11 +121,7 @@ def test_symbolic_matches_dense_oracle(params):
     state-vector oracle built from pauli_matrix and np.vdot."""
     for s, x, z in _random_cells(params, 1000, seed=params.q * 100 + params.d):
         sym = wrong_decode_prob_exact(s, None, x, z, params)
-        # register 1 is the least significant state digit, so the kron
-        # word (register 1 leftmost = most significant) takes the
-        # exponents reversed
-        word = pauli_matrix(PauliLabel(q=params.q, x=tuple(reversed(x)),
-                                       z=tuple(reversed(z))))
+        word = pauli_matrix(PauliLabel(q=params.q, x=x, z=z))
         tampered = word @ encode(s, params).state
         dense = sum(
             abs(np.vdot(encode(m, params).state, tampered)) ** 2
@@ -130,7 +132,7 @@ def test_symbolic_matches_dense_oracle(params):
 
 def test_dense_overlap_helper_matches_pauli_matrix_route():
     for s, x, z in _random_cells(P32, 50, seed=5):
-        word = pauli_matrix(PauliLabel(q=3, x=tuple(reversed(x)), z=tuple(reversed(z))))
+        word = pauli_matrix(PauliLabel(q=3, x=x, z=z))
         tampered = word @ encode(s, P32).state
         fast = dense_overlaps(s, x, z, P32)
         for m in P32.messages():
@@ -216,7 +218,8 @@ def test_security_scan_budget():
 
 def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=True):
     """security_scan one cell at a time: every (x, z) word gets its own
-    phase sums and its own dense GEMM; random cells use dense_overlaps.
+    phase sums and its own dense GEMM with the word's `PauliLabel.action()`;
+    random cells use dense_overlaps.  Ties go to the smallest (s, x, z).
 
     Independent route for the batched scan, which must match it byte for byte.
     """
@@ -230,10 +233,9 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
             best_prob, best_key = p, key
 
     if exhaustive:
-        digits = _digit_matrix(params)
-        grid = [tuple(int(v) for v in row) for row in digits]
+        grid = [tuple(int(v) for v in row) for row in kron_digits(q, d + 2)]
         psi = np.column_stack([encode(m, params).state for m in messages])
-        w_table = np.exp(2j * np.pi / q) ** np.arange(q)
+        w_table = omega_powers(q)
         for x in grid:
             per_s = [(_difference_roots(params, m, x), _tag_table(params, m))
                      if any(x[:d]) else None for m in messages]
@@ -252,9 +254,9 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
                     sym[mi] = abs(amp / q) ** 2
                 checked += len(messages)
                 if cross_check:
-                    perm, phase = dense_word_action(params, x, z, digits)
+                    rows, phase = PauliLabel(q, x, z).action()
                     tampered = np.zeros_like(psi)
-                    tampered[perm, :] = phase[:, None] * psi
+                    tampered[rows, :] = phase[:, None] * psi
                     overlaps = psi.conj().T @ tampered
                     dense = (np.sum(np.abs(overlaps) ** 2, axis=0)
                              - np.abs(np.diagonal(overlaps)) ** 2)
@@ -303,6 +305,21 @@ def test_random_scan_bytes_match_reference(params, trials):
     fast = security_scan(params, exhaustive=False, trials=trials, seed=21)
     slow = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
     assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
+
+
+def test_witness_is_the_smallest_key_at_the_maximum():
+    # at q = 7 the maximum is reached at cells whose (s, z) and (z, s)
+    # orders disagree, so this pins the tie-break of the batched scan
+    report = security_scan(P71, exhaustive=True, cross_check=False)
+    w = report["witness"]
+    key = (tuple(w["s"]), tuple(w["x"]), tuple(w["z"]))
+    assert key == ((0,), (1, 1, 1), (0, 5, 3))     # as the explicit-rank scan found it
+    assert wrong_decode_prob_exact(key[0], None, *key[1:], P71) == report["max_prob"]
+    grid = [tuple(int(v) for v in row) for row in kron_digits(7, 3)]
+    for x in grid[1:grid.index(key[1]) + 1]:
+        for z in grid:
+            if (x, z) < key[1:]:
+                assert wrong_decode_prob_exact((0,), None, x, z, P71) < report["max_prob"]
 
 
 def test_array_square_matches_scalar_power_for_every_amplitude():
