@@ -10,7 +10,8 @@ Box-Muller transform on Philox uniforms, so a (seed, stream) pair pins
 the sample exactly; ``GENERATOR_VERSION`` names this scheme and is
 stamped into every report.  Version 2 also pins the phase rule of Pauli
 words (one lookup in `pauli.omega_powers` per entry), which moved some
-report bits of version 1 at the last-place level.
+report bits of version 1 at the last-place level.  Version 3 pins the
+QAMD scan's support-sum cross-check and root-count certificate fields.
 
 The sampler itself is the standard Ginibre construction: QR-factorize a
 square complex Gaussian matrix and multiply Q on the right by the phases
@@ -28,7 +29,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/box-muller/v2"
+GENERATOR_VERSION = "philox4x64/box-muller/v3"
 
 MAX_DIM = 4096
 

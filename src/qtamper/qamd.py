@@ -17,14 +17,18 @@ For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
 difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
 which has degree between 1 and d+1 whenever x_{1:d} != 0 (every root
-computation checks this and raises ConsistencyError otherwise).  The
-squared amplitude is therefore bounded by ((d+1)/q)^2.
+computation checks this and raises ConsistencyError otherwise).  By the
+triangle inequality the squared amplitude is at most (|roots|/q)^2, so
+counting roots in integers certifies the bound ((d+1)/q)^2 exactly.  The
+dense cross-check never reads root sets: each codeword has q nonzero
+entries, so every amplitude is a q-term sum over the codeword's support.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +41,6 @@ from .pauli import MAX_DENSE_DIM, PauliLabel, kron_digits, omega_powers
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 DENSE_MATCH_TOL = 1e-9
-# byte cap on each z-chunk temporary of the exhaustive dense cross-check
-DENSE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,16 +52,19 @@ class QamdParams:
     d: int
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise InvalidParams(f"q = {self.q} is not prime")
-        if self.d < 1:
+        q, d = self.q, self.d
+        # the bounds come first: trial division of a huge q, or q^(d+2) of a
+        # huge d, would not end; q >= 2 makes d + 2 >= bit_length a sure excess
+        if not 2 <= q <= MAX_DENSE_DIM:
+            raise InvalidParams(f"q = {q} is outside [2, {MAX_DENSE_DIM}]")
+        if d < 1:
             raise InvalidParams("d must be >= 1")
-        if (self.d + 2) % self.q == 0:
-            raise InvalidParams(f"d + 2 = {self.d + 2} divisible by q = {self.q}")
-        if self.q ** (self.d + 2) > MAX_DENSE_DIM:
-            raise InvalidParams(
-                f"dense dimension q^(d+2) = {self.q ** (self.d + 2)} exceeds {MAX_DENSE_DIM}"
-            )
+        if d + 2 >= MAX_DENSE_DIM.bit_length() or q ** (d + 2) > MAX_DENSE_DIM:
+            raise InvalidParams(f"dense dimension q^(d+2) exceeds {MAX_DENSE_DIM}")
+        if not is_prime(q):
+            raise InvalidParams(f"q = {q} is not prime")
+        if (d + 2) % q == 0:
+            raise InvalidParams(f"d + 2 = {d + 2} divisible by q = {q}")
 
     @property
     def block_length(self) -> int:
@@ -152,6 +157,19 @@ def _difference_roots(params: QamdParams, s: tuple[int, ...],
     return fq_roots(diff)
 
 
+def _phase_sum(params: QamdParams, s: tuple[int, ...], z: tuple[int, ...],
+               roots: Sequence[int]) -> complex:
+    """(1/q) sum over the roots r of omega^{<z_{1:d}, s> + z_{d+1} r + z_{d+2} f(s, r)}."""
+    q, d = params.q, params.d
+    tags = _tag_table(params, s)
+    table = omega_powers(q)
+    base = sum(z[i] * s[i] for i in range(d)) % q
+    total = 0j
+    for r in roots:
+        total += table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
+    return complex(total / q)
+
+
 def overlap_amplitude(s: Sequence[int], s_prime: Sequence[int],
                       x: Sequence[int], z: Sequence[int],
                       params: QamdParams) -> complex:
@@ -168,14 +186,7 @@ def overlap_amplitude(s: Sequence[int], s_prime: Sequence[int],
     target = tuple((s[i] + x[i]) % q for i in range(d))
     if s_prime != target:
         return 0j
-    roots = _difference_roots(params, s, x)
-    tags = _tag_table(params, s)
-    table = omega_powers(q)
-    base = sum(z[i] * s[i] for i in range(d)) % q
-    total = 0j
-    for r in roots:
-        total += table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
-    return complex(total / q)
+    return _phase_sum(params, s, z, _difference_roots(params, s, x))
 
 
 def wrong_decode_prob_exact(s: Sequence[int], s_prime: Optional[Sequence[int]],
@@ -194,26 +205,8 @@ def wrong_decode_prob_exact(s: Sequence[int], s_prime: Optional[Sequence[int]],
     return abs(overlap_amplitude(s, target, x, z, params)) ** 2
 
 
-def tamper_experiment(s: Sequence[int], x: Sequence[int], z: Sequence[int],
-                      params: QamdParams) -> dict:
-    """Full decoder outcome distribution under the tampering word.
-
-    Returns {"probabilities": {s': P(s')}, "reject": P(bot)}; the
-    probabilities sum to 1 within 1e-9 (only s + x_{1:d} can be
-    nonzero among the messages).
-    """
-    q, d = params.q, params.d
-    s = tuple(v % q for v in s)
-    x, z = _check_word(params, x, z)
-    target = tuple((s[i] + x[i]) % q for i in range(d))
-    probs = {m: 0.0 for m in params.messages()}
-    probs[target] = abs(overlap_amplitude(s, target, x, z, params)) ** 2
-    reject = 1.0 - sum(probs.values())
-    return {"probabilities": probs, "reject": reject}
-
-
 # ---------------------------------------------------------------------------
-# dense state-vector oracle
+# dense state-vector routes
 # ---------------------------------------------------------------------------
 
 def _apply_word(params: QamdParams, x: Sequence[int], z: Sequence[int],
@@ -225,67 +218,60 @@ def _apply_word(params: QamdParams, x: Sequence[int], z: Sequence[int],
     return out
 
 
-def dense_overlaps(s: Sequence[int], x: Sequence[int], z: Sequence[int],
-                   params: QamdParams) -> dict[tuple[int, ...], complex]:
-    """<psi_{s'}| X^x Z^z |psi_s> for every s', via dense state vectors."""
-    x, z = _check_word(params, x, z)
-    tampered = _apply_word(params, x, z, encode(s, params).state)
-    out = {}
-    for m in params.messages():
-        out[m] = complex(np.vdot(encode(m, params).state, tampered))
-    return out
+def _support_sum_route(params: QamdParams, psi: np.ndarray):
+    """The exhaustive scan's dense cross-check: a function of the shift x
+    giving sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for every clock word
+    z (rows) and message s (columns) from the codeword columns psi alone.
+
+    Each codeword has exactly q nonzero entries j (checked here), so the
+    amplitude is sum_j omega^{<z, v_j>} conj(psi_{s'}[perm_x(j)]) psi_s[j]:
+    the phase stack P[s] (z by j) is built once, and a shift gathers C[s]
+    (j by s') for one batched product P @ C of shape (M, dim, M).
+    """
+    q = params.q
+    supports = [np.flatnonzero(column) for column in psi.T]
+    if any(support.size != q for support in supports):
+        raise ConsistencyError(f"codeword support sizes {[v.size for v in supports]} != {q}")
+    supp = np.array(supports)                                       # (M, q)
+    digits = kron_digits(q, params.block_length)
+    phase = omega_powers(q)[(digits @ digits[supp].transpose(0, 2, 1)) % q]
+    weight = np.take_along_axis(psi.T, supp, axis=1)[:, :, np.newaxis]
+    psi_conj = psi.conj()
+    no_clock = (0,) * params.block_length
+    # filled in place on every shift: fresh arrays of this size would be
+    # mapped and page-faulted anew each time, which costs more than the product
+    amps = np.empty((len(supports), params.dim, len(supports)), dtype=np.complex128)
+    power, imag_sq = np.empty(amps.shape), np.empty(amps.shape)
+
+    def dense(x: tuple[int, ...]) -> np.ndarray:
+        perm, _ = PauliLabel(q, x, no_clock).action()
+        np.matmul(phase, psi_conj[perm[supp]] * weight, out=amps)  # [s, z, s']
+        np.add(np.square(amps.real, out=power), np.square(amps.imag, out=imag_sq), out=power)
+        return power.sum(axis=2).T - np.diagonal(power, axis1=0, axis2=2)
+
+    return dense
 
 
 # ---------------------------------------------------------------------------
 # security scan
 # ---------------------------------------------------------------------------
 
-def _dense_mismatches(params: QamdParams, psi: np.ndarray, x: tuple[int, ...],
-                      z_rows: np.ndarray, sym: np.ndarray):
-    """Yield (first z row, |sym - dense| of shape (chunk, M)) for the words
-    X^x Z^z over z_rows, by dense state vectors in z-chunks.
-
-    A chunk stacks the tampered states X^x Z^z psi of its words, built
-    through the inverse permutation of X^x; one batched matmul then runs
-    psi^H @ tampered per word, the same small GEMM as a word at a time.
-    """
-    q, dim = params.q, params.dim
-    n_msg = psi.shape[1]
-    perm, _ = PauliLabel(q, x, (0,) * params.block_length).action()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(dim)
-    psi_h = psi.conj().T
-    moved = psi[inv]
-    moved_digits_t = kron_digits(q, params.block_length)[inv].T
-    w_table = omega_powers(q)
-    chunk = max(1, DENSE_CHUNK_BYTES // (dim * n_msg * psi.itemsize))
-    # filled in place: a fresh array of this size per chunk would be mapped
-    # and page-faulted anew each time, which costs more than the products
-    tampered = np.empty((chunk, dim, n_msg), dtype=np.complex128)
-    for lo in range(0, len(z_rows), chunk):
-        z_chunk = z_rows[lo:lo + chunk]
-        phase = w_table[(z_chunk @ moved_digits_t) % q]
-        batch = np.multiply(phase[:, :, None], moved, out=tampered[:len(z_chunk)])
-        overlaps = psi_h @ batch
-        dense = (np.sum(np.abs(overlaps) ** 2, axis=1)
-                 - np.abs(np.diagonal(overlaps, axis1=1, axis2=2)) ** 2)
-        yield lo, np.abs(sym[lo:lo + len(z_chunk)] - dense)
-
-
 def _exhaustive_scan(params: QamdParams, cross_check: bool):
-    """(max probability, witness key, worst dense mismatch) over every
-    ((x, z) != 0, s) cell, one shift x at a time."""
+    """(max probability, witness key, worst dense mismatch, max root count)
+    over every ((x, z) != 0, s) cell, one shift x at a time."""
     q, d, dim = params.q, params.d, params.dim
     messages = params.messages()
     digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
     msg_digits = np.array(messages, dtype=np.intp)
-    psi = np.column_stack([encode(m, params).state for m in messages])
     w_table = omega_powers(q)
     tag_tables = [_tag_table(params, m) for m in messages]
     base = (digits[:, :d] @ msg_digits.T) % q          # <z_{1:d}, s> per (z, s)
     z_root, z_tag = digits[:, d], digits[:, d + 1]
+    if cross_check:
+        dense = _support_sum_route(
+            params, np.column_stack([encode(m, params).state for m in messages]))
 
-    best_prob, best_key, max_mismatch = -1.0, None, 0.0
+    best_prob, best_key, max_mismatch, max_roots = -1.0, None, 0.0, 0
     for xi in range(dim):
         x = tuple(int(v) for v in digits[xi])
         first_z = 1 if xi == 0 else 0       # (x, z) = 0 is not a tampering
@@ -293,23 +279,24 @@ def _exhaustive_scan(params: QamdParams, cross_check: bool):
         if any(x[:d]):
             for mi, m in enumerate(messages):
                 tags = tag_tables[mi]
+                roots = _difference_roots(params, m, x)
+                max_roots = max(max_roots, len(roots))
                 amp = np.zeros(dim, dtype=np.complex128)
-                for r in _difference_roots(params, m, x):
+                for r in roots:
                     amp += w_table[(base[:, mi] + z_root * r + z_tag * tags[r]) % q]
                 amp = amp / q
                 sym[:, mi] = np.hypot(amp.real, amp.imag) ** 2
         sym = sym[first_z:]
         z_rows = digits[first_z:]
         if cross_check:
-            for lo, mismatch in _dense_mismatches(params, psi, x, z_rows, sym):
-                worst = mismatch.max(axis=1)
-                max_mismatch = max(max_mismatch, float(worst.max()))
-                bad = np.flatnonzero(worst > DENSE_MATCH_TOL)
-                if bad.size:
-                    z = tuple(int(v) for v in z_rows[lo + bad[0]])
-                    raise ConsistencyError(
-                        f"symbolic/dense mismatch {float(worst[bad[0]])} at x={x}, z={z}"
-                    )
+            worst = np.abs(sym - dense(x)[first_z:]).max(axis=1)
+            max_mismatch = max(max_mismatch, float(worst.max()))
+            bad = np.flatnonzero(worst > DENSE_MATCH_TOL)
+            if bad.size:
+                z = tuple(int(v) for v in z_rows[bad[0]])
+                raise ConsistencyError(
+                    f"symbolic/dense mismatch {float(worst[bad[0]])} at x={x}, z={z}"
+                )
         # messages and z rows both run in lexicographic order, so the first
         # maximum of sym.T is the cell with the smallest key (s, x, z)
         mi, zi = divmod(int(np.argmax(sym.T)), len(z_rows))
@@ -317,17 +304,22 @@ def _exhaustive_scan(params: QamdParams, cross_check: bool):
         key = (messages[mi], x, tuple(int(v) for v in z_rows[zi]))
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
-    return best_prob, best_key, max_mismatch
+    return best_prob, best_key, max_mismatch, max_roots
 
 
 def _random_scan(params: QamdParams, cells, cross_check: bool):
-    """(max probability, witness key, worst dense mismatch) over sampled cells."""
+    """(max probability, witness key, worst dense mismatch, max root count)
+    over sampled cells."""
     messages = params.messages()
     if cross_check:
         states = [encode(m, params).state for m in messages]
-    best_prob, best_key, max_mismatch = -1.0, None, 0.0
+    best_prob, best_key, max_mismatch, max_roots = -1.0, None, 0.0, 0
     for s, x, z in cells:
-        p = wrong_decode_prob_exact(s, None, x, z, params)
+        p = 0.0                             # x_{1:d} = 0 moves no mass off s
+        if any(x[:params.d]):
+            roots = _difference_roots(params, s, x)
+            max_roots = max(max_roots, len(roots))
+            p = abs(_phase_sum(params, s, z, roots)) ** 2
         if cross_check:
             tampered = _apply_word(params, x, z, states[params.message_rank(s)])
             dense = sum(abs(complex(np.vdot(state, tampered))) ** 2
@@ -338,7 +330,7 @@ def _random_scan(params: QamdParams, cells, cross_check: bool):
         key = (s, x, z)
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
-    return best_prob, best_key, max_mismatch
+    return best_prob, best_key, max_mismatch, max_roots
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -353,6 +345,11 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     dense state-vector simulation and the worst mismatch is reported
     (the scan raises ConsistencyError above DENSE_MATCH_TOL).  The
     witness is the smallest (s, x, z) among the cells at the maximum.
+    The certificate is exact: `max_root_count` is the largest root set
+    the scan computed (x_{1:d} != 0), `bound_satisfied` is the integer
+    test max_root_count <= d + 1, which bounds every cell by the rational
+    `bound_exact`, and the float `max_prob` is checked against
+    (max_root_count/q)^2 up to rounding.
 
     The exhaustive scan takes one shift x at a time and handles all
     q^(d+2) clock words z of it in a few array operations:
@@ -364,24 +361,20 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
         square v * v equals the per-cell scalar pow(v, 2) for every
         amplitude an admissible (q, d) can produce (a test enumerates
         them), so every probability has wrong_decode_prob_exact's bits;
-      * dense: it never reads the root sets.  The tampered states of a
-        chunk of z are stacked, built through the inverse permutation of
-        X^x, and one batched matmul with psi^H gives their overlaps: per
-        word the same (M, dim) @ (dim, M) GEMM as one word at a time, so
-        the same bits (one wide GEMM over the chunk would cross the BLAS
-        threading threshold).
-        Each temporary of a chunk holds at most about DENSE_CHUNK_BYTES
-        (256 KiB); no dim x dim table is built.
+      * dense: it never reads the root sets.  Each codeword has exactly q
+        nonzero entries (checked), so every amplitude <psi_{s'}| X^x Z^z
+        |psi_s> of the shift, over all z and all message pairs, is a
+        q-term sum over the support of psi_s: one batched product with a
+        phase stack built once per scan.  Every s' != s is weighed.
     Random mode samples cells from the seeded stream instead, encoding
     every message once per scan.
     """
     q, d = params.q, params.d
-    bound = ((d + 1) / q) ** 2
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        best_prob, best_key, max_mismatch = _exhaustive_scan(params, cross_check)
+        best_prob, best_key, max_mismatch, max_roots = _exhaustive_scan(params, cross_check)
         checked = n_cells
     else:
         if not trials or trials < 1:
@@ -395,18 +388,24 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
             s = tuple(int(v) for v in rng.integers(0, q, size=d))
             cells.append((s, tuple(int(v) for v in xz[:params.block_length]),
                           tuple(int(v) for v in xz[params.block_length:])))
-        best_prob, best_key, max_mismatch = _random_scan(params, cells, cross_check)
+        best_prob, best_key, max_mismatch, max_roots = _random_scan(params, cells, cross_check)
         checked = len(cells)
+    # each cell's amplitude is a sum of at most max_roots unit phases over q
+    if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):
+        raise ConsistencyError(f"max_prob {best_prob} exceeds (max_root_count/q)^2 "
+                               f"with max_root_count = {max_roots}")
 
     witness_s, witness_x, witness_z = best_key
     return {
         "mode": "exhaustive" if exhaustive else "random",
         "params": {"q": q, "d": d},
-        "bound": bound,
+        "bound": ((d + 1) / q) ** 2,
+        "bound_exact": Fraction((d + 1) ** 2, q ** 2),
         "max_prob": best_prob,
+        "max_root_count": max_roots,
         "witness": {"s": list(witness_s), "x": list(witness_x), "z": list(witness_z)},
         "pairs_checked": checked,
         "dense_cross_check": bool(cross_check),
         "max_dense_mismatch": max_mismatch if cross_check else None,
-        "bound_satisfied": bool(best_prob <= bound + 1e-12),
+        "bound_satisfied": max_roots <= d + 1,
     }

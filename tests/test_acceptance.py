@@ -13,7 +13,7 @@ from math import ceil
 
 import numpy as np
 import pytest
-from conftest import bfs_transposition_distances
+from conftest import bfs_transposition_distances, tamper_experiment
 
 from qtamper import cli
 from qtamper.haar import child_generator, sample_haar_unitary
@@ -21,7 +21,7 @@ from qtamper.moments import (MomentSpec, exact_moment, first_moment_js,
                              first_moment_ss, mc_moment)
 from qtamper.pauli import pauli_matrix, random_nonidentity_labels
 from qtamper.perm import Permutation, min_transpositions, verify_lemmas
-from qtamper.qamd import QamdParams, security_scan, tamper_experiment
+from qtamper.qamd import QamdParams, security_scan
 from qtamper.tamper import family_security_scan, pauli_family
 from qtamper.weingarten import wg_abs_sum, wg_sum, wg_value
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,19 @@ def test_oversized_family_refused_before_any_member_is_built(tmp_path, monkeypat
                     "--family", family, "--epsilon", "0.3", "--seeds", "0") == 1
         assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "r" / "tamper-sim.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "1000000000000000003", "--d", "1", "--trials", "1"],
+    ["--q", "5", "--d", "100000000", "--exhaustive"],
+], ids=["huge-prime-q", "huge-d"])
+def test_oversized_qamd_parameters_fail_fast(tmp_path, capsys, argv):
+    # the size bounds are checked before trial division and before q^(d+2)
+    started = time.monotonic()
+    assert _run("--out", str(tmp_path / "r"), "qamd-scan", *argv) == 1
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "r").exists()
 
 
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import dense_overlaps, tamper_experiment
 
 from qtamper import qamd
 from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
@@ -9,9 +11,8 @@ from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
 from qtamper.field import FqPoly
 from qtamper.haar import child_generator
 from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix
-from qtamper.qamd import (QamdParams, _difference_roots, _tag_table, dense_overlaps,
-                          encode, security_scan, tag_poly, tamper_experiment,
-                          wrong_decode_prob_exact)
+from qtamper.qamd import (QamdParams, _difference_roots, _tag_table, encode,
+                          security_scan, tag_poly, wrong_decode_prob_exact)
 from qtamper.reports import canonical_json_bytes
 
 P51 = QamdParams(q=5, d=1)
@@ -221,11 +222,14 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
     phase sums and its own dense GEMM with the word's `PauliLabel.action()`;
     random cells use dense_overlaps.  Ties go to the smallest (s, x, z).
 
-    Independent route for the batched scan, which must match it byte for byte.
+    Independent route for the batched scan, which must match it byte for
+    byte.  Returns the report and, for an exhaustive cross-checked scan,
+    the per-cell dense probabilities indexed [x rank, z rank, s rank].
     """
     q, d = params.q, params.d
     messages = params.messages()
-    best_prob, best_key, checked, max_mismatch = -1.0, None, 0, 0.0
+    best_prob, best_key, checked, max_mismatch, max_roots = -1.0, None, 0, 0.0, 0
+    dense_cells = None
 
     def consider(p, key):
         nonlocal best_prob, best_key
@@ -236,10 +240,13 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
         grid = [tuple(int(v) for v in row) for row in kron_digits(q, d + 2)]
         psi = np.column_stack([encode(m, params).state for m in messages])
         w_table = omega_powers(q)
-        for x in grid:
+        if cross_check:
+            dense_cells = np.zeros((len(grid), len(grid), len(messages)))
+        for xi, x in enumerate(grid):
             per_s = [(_difference_roots(params, m, x), _tag_table(params, m))
                      if any(x[:d]) else None for m in messages]
-            for z in grid:
+            max_roots = max([max_roots] + [len(v[0]) for v in per_s if v is not None])
+            for zi, z in enumerate(grid):
                 if not any(x) and not any(z):
                     continue
                 sym = np.zeros(len(messages))
@@ -260,6 +267,7 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
                     overlaps = psi.conj().T @ tampered
                     dense = (np.sum(np.abs(overlaps) ** 2, axis=0)
                              - np.abs(np.diagonal(overlaps)) ** 2)
+                    dense_cells[xi, zi] = dense
                     mismatch = float(np.max(np.abs(sym - dense)))
                     max_mismatch = max(max_mismatch, mismatch)
                     assert mismatch <= 1e-9, (x, z)
@@ -268,6 +276,8 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
     else:
         for s, x, z in _random_cells(params, trials, seed):
             p = wrong_decode_prob_exact(s, None, x, z, params)
+            if any(x[:d]):
+                max_roots = max(max_roots, len(_difference_roots(params, s, x)))
             checked += 1
             if cross_check:
                 over = dense_overlaps(s, x, z, params)
@@ -276,34 +286,48 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
                 assert abs(p - dense) <= 1e-9, (s, x, z)
             consider(p, (s, x, z))
 
-    bound = ((d + 1) / q) ** 2
     witness_s, witness_x, witness_z = best_key
-    return {
+    report = {
         "mode": "exhaustive" if exhaustive else "random",
         "params": {"q": q, "d": d},
-        "bound": bound,
+        "bound": ((d + 1) / q) ** 2,
+        "bound_exact": Fraction((d + 1) ** 2, q ** 2),
         "max_prob": best_prob,
+        "max_root_count": max_roots,
         "witness": {"s": list(witness_s), "x": list(witness_x), "z": list(witness_z)},
         "pairs_checked": checked,
         "dense_cross_check": bool(cross_check),
         "max_dense_mismatch": max_mismatch if cross_check else None,
-        "bound_satisfied": bool(best_prob <= bound + 1e-12),
+        "bound_satisfied": max_roots <= d + 1,
     }
+    return report, dense_cells
 
 
 @pytest.mark.parametrize("cross_check", [True, False], ids=["dense", "symbolic"])
 @pytest.mark.parametrize("params", [P51, P32], ids=["q5d1", "q3d2"])
 def test_exhaustive_scan_bytes_match_reference(params, cross_check):
     fast = security_scan(params, exhaustive=True, cross_check=cross_check)
-    slow = _reference_scan(params, exhaustive=True, cross_check=cross_check)
-    assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
+    slow, dense_cells = _reference_scan(params, exhaustive=True, cross_check=cross_check)
+    # the support-sum kernel sums in another order than the per-word GEMM,
+    # so the worst gap moves in the last bits: every other field must match
+    skip = {"max_dense_mismatch"} if cross_check else set()
+    assert (canonical_json_bytes({k: v for k, v in fast.items() if k not in skip})
+            == canonical_json_bytes({k: v for k, v in slow.items() if k not in skip}))
+    if cross_check:
+        assert fast["max_dense_mismatch"] <= qamd.DENSE_MATCH_TOL
+        # the support-sum kernel, cell by cell, against the per-word GEMM
+        psi = np.column_stack([encode(m, params).state for m in params.messages()])
+        dense = qamd._support_sum_route(params, psi)
+        for xi, row in enumerate(kron_digits(params.q, params.block_length)):
+            np.testing.assert_allclose(dense(tuple(int(v) for v in row)),
+                                       dense_cells[xi], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("params,trials", [(P71, 400), (QamdParams(q=5, d=2), 100)],
                          ids=["q7d1", "q5d2"])
 def test_random_scan_bytes_match_reference(params, trials):
     fast = security_scan(params, exhaustive=False, trials=trials, seed=21)
-    slow = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
+    slow, _ = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
     assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
 
 
@@ -358,3 +382,84 @@ def test_difference_roots_degree_check_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(FqPoly, "degree", property(lambda self: 0))
     with pytest.raises(ConsistencyError):
         _difference_roots(P51, (0,), (1, 0, 0))
+
+
+def test_certificate_is_an_integer_root_count():
+    # at q = 7 the float maximum lies above the float bound in its last
+    # bits; the certificate holds because no root set exceeds d + 1 = 2
+    report = security_scan(P71, exhaustive=True, cross_check=False)
+    assert report["max_prob"] > report["bound"]
+    assert report["max_root_count"] == 2 and report["bound_satisfied"] is True
+    assert b'"bound_exact":"4/49"' in canonical_json_bytes(report)
+    random = security_scan(P71, exhaustive=False, trials=400, seed=21, cross_check=False)
+    assert random["max_root_count"] == 2 and random["bound_satisfied"] is True
+
+
+def _patch_codeword(monkeypatch, edit):
+    """Make encode() hand out message 0's codeword with `edit` applied."""
+    true_encode = qamd.encode
+
+    def encode(s, params):
+        codeword = true_encode(s, params)
+        if not any(s):
+            edit(codeword.state)
+        return codeword
+
+    monkeypatch.setattr(qamd, "encode", encode)
+
+
+@pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 200}],
+                         ids=["exhaustive", "random"])
+def test_perturbed_codeword_entry_fails_cross_check(monkeypatch, kwargs):
+    def flip_first_entry(state):
+        state[np.flatnonzero(state)[0]] *= -1
+    _patch_codeword(monkeypatch, flip_first_entry)
+    with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
+        security_scan(P51, **kwargs)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda state: state.__setitem__(np.flatnonzero(state)[0], 0),
+    lambda state: state.__setitem__(np.flatnonzero(state == 0)[0], 1e-3),
+], ids=["support-q-minus-1", "support-q-plus-1"])
+def test_codeword_support_other_than_q_raises(monkeypatch, edit):
+    _patch_codeword(monkeypatch, edit)
+    with pytest.raises(ConsistencyError, match="codeword support"):
+        security_scan(P51, exhaustive=True)
+
+
+def _patch_roots(monkeypatch, edit):
+    true_roots = qamd._difference_roots
+    monkeypatch.setattr(qamd, "_difference_roots",
+                        lambda params, s, x: edit(params, true_roots(params, s, x)))
+
+
+def _one_more_root(params, roots):
+    return roots + [next(r for r in range(params.q) if r not in roots)]
+
+
+@pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 200}],
+                         ids=["exhaustive", "random"])
+@pytest.mark.parametrize("edit", [lambda params, roots: roots[1:], _one_more_root],
+                         ids=["root-dropped", "root-added"])
+def test_miscounted_root_set_fails_cross_check(monkeypatch, kwargs, edit):
+    _patch_roots(monkeypatch, edit)
+    with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
+        security_scan(P51, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 200}],
+                         ids=["exhaustive", "random"])
+def test_overcounted_root_set_fails_certificate(monkeypatch, kwargs):
+    _patch_roots(monkeypatch, _one_more_root)
+    report = security_scan(P51, cross_check=False, **kwargs)
+    assert report["max_root_count"] == 3 and report["bound_satisfied"] is False
+
+
+def test_probability_above_root_count_raises(monkeypatch):
+    # phases of modulus 2 make an amplitude exceed |roots|/q: the float
+    # maximum must agree with the integer certificate
+    table = qamd.omega_powers(5) * 2
+    monkeypatch.setattr(qamd, "omega_powers", lambda q: table)
+    with pytest.raises(ConsistencyError, match="max_root_count"):
+        security_scan(P51, exhaustive=True, cross_check=False)
