@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import sample_haar_unitary
-from .moments import MomentSpec, exact_moment, first_moment_js, first_moment_ss, mc_moment
+from .moments import MomentSpec, closed_form_moment, exact_moment, mc_moment
 from .pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from .perm import verify_lemmas
 from .qamd import QamdParams, security_scan
@@ -211,11 +211,6 @@ def _run_moments(params: dict, jobs: int):
                       K=params["K"], **kwargs)
     exact = exact_moment(spec)
     estimate, stderr = mc_moment(spec, params["trials"], params["seed"], jobs=jobs)
-    closed_form = None
-    if params["t"] == 1 and params["pattern"] == "js":
-        closed_form = first_moment_js(unitary)
-    elif params["t"] == 1 and params["pattern"] == "ss":
-        closed_form = first_moment_ss(unitary)
     result = {
         "pattern": params["pattern"],
         "t": params["t"],
@@ -224,7 +219,7 @@ def _run_moments(params: dict, jobs: int):
         "exact": exact,
         "mc_estimate": estimate,
         "mc_stderr": stderr,
-        "closed_form": closed_form,
+        "closed_form": closed_form_moment(spec),
     }
     return result, True, None
 

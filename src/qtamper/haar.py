@@ -8,17 +8,17 @@ seed: the root stream uses key (seed, 0) and Monte Carlo trial chunk c
 uses key (seed, 1 + c).  Complex Gaussians are produced by an explicit
 Box-Muller transform on Philox uniforms, so a (seed, stream) pair pins
 the sample exactly; ``GENERATOR_VERSION`` names this scheme and is
-stamped into every report.  Version 2 also pins the phase rule of Pauli
-words (one lookup in `pauli.omega_powers` per entry), which moved some
-report bits of version 1 at the last-place level.  Version 3 pins the
-QAMD scan's support-sum cross-check and root-count certificate fields.
+stamped into every report.  Versions 2 and 3 pinned the Pauli phase rule
+and the QAMD scan's certificate fields; version 4 pins the isometry
+sampler below, which moved every Monte Carlo field and tamper-sim report.
 
-The sampler itself is the standard Ginibre construction: QR-factorize a
-square complex Gaussian matrix and multiply Q on the right by the phases
-diag(R_jj / |R_jj|).  The phase fix makes the factorization the unique
-one with positive-real R diagonal, which is what renders the output
-Haar-distributed (plain Householder QR is biased by LAPACK's sign
-convention).
+A Haar sample is the unique QR factor with positive-real R diagonal of a
+complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
+convention).  A square unitary is LAPACK's Q times diag(R_jj / |R_jj|).
+An isometry stack -- Monte Carlo draws and encoding isometries alike --
+is a (count, K, N) Ginibre block (row k is column k) orthonormalized by
+classical Gram-Schmidt with one re-orthogonalization pass (CGS2), whose
+R diagonal is the real positive norm: O(N K^2) per draw.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/box-muller/v3"
+GENERATOR_VERSION = "philox4x64/box-muller/v4"
 
 MAX_DIM = 4096
 
@@ -53,10 +53,15 @@ def complex_gaussian(rng: Generator, shape) -> np.ndarray:
     Box-Muller outputs become the real and imaginary parts.
     """
     u1 = 1.0 - rng.random(size=shape)
-    u2 = rng.random(size=shape)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = radius * np.exp(2j * np.pi * u2)
-    return z / np.sqrt(2.0)
+    u2 = 2 * np.pi * rng.random(size=shape)
+    z = np.empty(u2.shape, dtype=np.complex128)
+    np.cos(u2, out=z.real)
+    np.sin(u2, out=z.imag)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    z *= np.sqrt(u1, out=u1)
+    z /= np.sqrt(2.0)  # after the radius: bit-identical to r e^{i theta} / sqrt 2
+    return z
 
 
 def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
@@ -86,21 +91,26 @@ def sample_haar_unitary(N: int, seed: int) -> np.ndarray:
 
 
 def sample_encoding_isometry(N: int, K: int, seed: int) -> np.ndarray:
-    """First K columns of sample_haar_unitary(N, seed), an N x K isometry."""
+    """The N x K Haar isometry of the seed's root stream."""
     if not 1 <= K < N:
         raise OutOfRange(f"need 1 <= K < N, got K={K}, N={N}")
-    return sample_haar_unitary(N, seed)[:, :K]
+    return sample_isometry_stack(root_generator(seed), 1, N, K)[0]
 
 
 def sample_isometry_stack(rng: Generator, count: int, N: int, K: int) -> np.ndarray:
-    """`count` independent Haar isometries as a (count, N, K) stack.
-
-    Thin phase-fixed QR of an N x K Ginibre block.  Because the
-    phase-fixed factorization is unique, this equals the first K columns
-    of the phase-fixed QR of any square Ginibre extension of the block:
-    the distribution is exactly the first-K-columns one, at O(N K^2)
-    cost per draw instead of O(N^3).
-    """
+    """`count` independent Haar isometries as a (count, N, K) stack: the
+    transposed view of a CGS2-orthonormalized (count, K, N) Ginibre block."""
     if not 1 <= K <= N or N > MAX_DIM:
         raise OutOfRange(f"bad isometry shape N={N}, K={K}")
-    return _phase_fixed_qr(complex_gaussian(rng, (count, N, K)))
+    g = complex_gaussian(rng, (count, K, N))
+    for j in range(K):
+        v = g[:, j, :]
+        if j:  # project out the earlier rows, then once more (CGS2)
+            prev = g[:, :j, :]
+            for _ in range(2):
+                v -= np.matvec(prev.transpose(0, 2, 1), np.vecdot(prev, v[:, np.newaxis, :]))
+        norm = np.sqrt(np.vecdot(v, v).real)
+        if np.min(norm) < RANK_TOL:
+            raise RankDeficient("Gram-Schmidt pivot below tolerance")
+        v /= norm[:, np.newaxis]
+    return g.transpose(0, 2, 1)

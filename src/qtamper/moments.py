@@ -95,22 +95,30 @@ class MomentSpec:
         return self.U.shape[0]
 
 
-def first_moment_js(U: np.ndarray) -> float:
-    """E[X_js] = (N^2 - |Tr U|^2) / (N (N^2 - 1)), closed form."""
-    U = require_unitary(U)
+def _first_moment(pattern: str, U: np.ndarray) -> float:
     n = U.shape[0]
     if n < 2:
         raise OutOfRange("need N >= 2")
-    return (n ** 2 - abs(np.trace(U)) ** 2) / (n * (n ** 2 - 1))
+    if pattern == PATTERN_OFF_DIAGONAL:
+        return (n ** 2 - abs(np.trace(U)) ** 2) / (n * (n ** 2 - 1))
+    return (n + abs(np.trace(U)) ** 2) / (n * (n + 1))
+
+
+def first_moment_js(U: np.ndarray) -> float:
+    """E[X_js] = (N^2 - |Tr U|^2) / (N (N^2 - 1)), closed form."""
+    return _first_moment(PATTERN_OFF_DIAGONAL, require_unitary(U))
 
 
 def first_moment_ss(U: np.ndarray) -> float:
     """E[X_ss] = (N + |Tr U|^2) / (N (N + 1)), closed form."""
-    U = require_unitary(U)
-    n = U.shape[0]
-    if n < 2:
-        raise OutOfRange("need N >= 2")
-    return (n + abs(np.trace(U)) ** 2) / (n * (n + 1))
+    return _first_moment(PATTERN_DIAGONAL, require_unitary(U))
+
+
+def closed_form_moment(spec: MomentSpec) -> Optional[float]:
+    """First-moment closed form of a js or ss spec (t = 1), else None."""
+    if spec.t != 1 or spec.pattern == PATTERN_QUANTUM_MESSAGE:
+        return None
+    return _first_moment(spec.pattern, spec.U)
 
 
 def _cycle_trace_products(perms, U: np.ndarray, t: int) -> np.ndarray:
@@ -170,17 +178,16 @@ def exact_moment(spec: MomentSpec) -> float:
 
 def _mc_chunk(spec: MomentSpec, seed: int, chunk_index: int, count: int):
     rng = child_generator(seed, chunk_index)
-    stack = sample_isometry_stack(rng, count, spec.N, spec.K)
-    if spec.pattern == PATTERN_OFF_DIAGONAL:
-        moved = stack[:, :, 0] @ spec.U.T
-        amps = np.einsum("tn,tn->t", stack[:, :, 1].conj(), moved)
-    elif spec.pattern == PATTERN_DIAGONAL:
-        moved = stack[:, :, 0] @ spec.U.T
-        amps = np.einsum("tn,tn->t", stack[:, :, 0].conj(), moved)
+    # the first k columns of a Haar isometry are a Haar k-frame: draw only those read
+    columns = {PATTERN_DIAGONAL: 1, PATTERN_OFF_DIAGONAL: 2}.get(spec.pattern, spec.K)
+    stack = sample_isometry_stack(rng, count, spec.N, columns)
+    if spec.pattern == PATTERN_QUANTUM_MESSAGE:
+        moved = (stack @ spec.message_amplitudes) @ spec.U.T
+        read = stack[:, :, spec.target_index]
     else:
-        encoded = stack @ spec.message_amplitudes
-        moved = encoded @ spec.U.T
-        amps = np.einsum("tn,tn->t", stack[:, :, spec.target_index].conj(), moved)
+        moved = stack[:, :, 0] @ spec.U.T
+        read = stack[:, :, columns - 1]
+    amps = np.vecdot(read, moved)
     x = np.abs(amps) ** 2
     y = x ** spec.t
     return float(np.sum(y)), float(np.sum(y * y))

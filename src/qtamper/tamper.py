@@ -2,15 +2,15 @@
 four decoders (classical, relaxed, weak, quantum-message), and empirical
 security scans over explicit unitary families.
 
-A scheme holds only its Haar isometry V (first K columns of a seeded Haar
-unitary).  Decoder probabilities are computed from codeword overlaps
-V^dag U psi; P_perp is always computed independently (never as 1 minus
-the rest), so P_same + P_diff + P_perp = 1 is a real numerical check.
-Family members (dense, or a `MonomialUnitary` for every Pauli word) are
-validated once, when the family is built.  The weak decoder runs two
-routes on every call and compares them: the Gram double sum over
-V^dag U V, and Tr(Pi . U Pi U^dag) / K with the N x N Pi = V V^dag,
-O(N^2 K) for a monomial U.
+A scheme holds only its seeded Haar isometry V.  Decoder probabilities
+are computed from codeword overlaps V^dag U psi; P_perp is always
+computed independently (never as 1 minus the rest), so P_same + P_diff +
+P_perp = 1 is a real numerical check.  Family members (dense, or a
+`MonomialUnitary` for every Pauli word) are validated once, when the
+family is built.  The weak decoder runs two routes on every call and
+compares them: the Gram double sum over V^dag U V, and
+Tr(Pi . U Pi U^dag) / K with the N x N Pi = V V^dag (built once per seed
+in a scan), O(N^2 K) for a monomial U.
 """
 
 from __future__ import annotations
@@ -133,10 +133,14 @@ def detect_weak(scheme: EncodingScheme, U) -> float:
     (1/K) sum_ij |<psi_i| U |psi_j>|^2, which is returned, and as
     Tr(Pi . U Pi U^dag) / K with Pi = V V^dag and U Pi U^dag = W W^dag, W = U V.
     """
+    return _detect_weak(scheme, U, scheme.isometry @ scheme.isometry.conj().T)
+
+
+def _detect_weak(scheme: EncodingScheme, U, pi: np.ndarray) -> float:
+    """`detect_weak` given the scheme's Pi = V V^dag, built once per seed."""
     _check_dim(scheme, U)
     gram = scheme.isometry.conj().T @ U @ scheme.isometry
     double_sum = float(np.sum(np.abs(gram) ** 2)) / scheme.K
-    pi = scheme.isometry @ scheme.isometry.conj().T
     w = U @ scheme.isometry
     direct = float(np.vdot(pi, w @ w.conj().T).real) / scheme.K
     if abs(direct - double_sum) > CONSERVATION_TOL:
@@ -236,8 +240,9 @@ def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
         else:
             metric = min(r["P_same"] + r["P_perp"] for r in rows)
     elif mode == "weak":
+        pi = scheme.isometry @ scheme.isometry.conj().T
         for label, u in family.members:
-            x = detect_weak(scheme, u)
+            x = _detect_weak(scheme, u, pi)
             rows.append({"seed": scheme_seed, "label": label, "X": x})
         metric = min(1.0 - r["X"] for r in rows)
     else:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qtamper import cli, moments, qamd, tamper
+from qtamper.linalg import require_unitary
 from qtamper.reports import make_manifest
 
 
@@ -73,6 +74,23 @@ def test_moments_quantum_pattern(tmp_path):
     result = _load(out / "moments.json")["result"]
     assert result["closed_form"] is None
     assert result["exact"] > 0
+
+
+def test_moments_validates_the_unitary_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(u):
+        calls.append(1)
+        return require_unitary(u)
+
+    monkeypatch.setattr(moments, "require_unitary", counting)
+    for pattern in ("js", "ss"):
+        calls.clear()
+        assert _run("--out", str(tmp_path / pattern), "moments", "--pattern", pattern,
+                    "--t", "1", "--N", "64", "--unitary", "random:3",
+                    "--trials", "1000", "--seed", "4") == 0
+        assert len(calls) == 1
+        assert _load(tmp_path / pattern / "moments.json")["result"]["closed_form"] is not None
 
 
 def test_tamper_sim_writes_json_and_csv(tmp_path):

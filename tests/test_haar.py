@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qtamper.errors import OutOfRange
-from qtamper.haar import (child_generator, complex_gaussian, root_generator,
-                          sample_encoding_isometry, sample_haar_unitary,
-                          sample_isometry_stack)
+from qtamper.errors import OutOfRange, RankDeficient
+from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
+                          root_generator, sample_encoding_isometry,
+                          sample_haar_unitary, sample_isometry_stack)
 from qtamper.linalg import identity, max_abs
 
 
@@ -36,11 +36,66 @@ def test_dimension_bounds():
         child_generator(0, -1)
 
 
-def test_isometry_is_parent_columns():
-    parent = sample_haar_unitary(8, seed=77)
+def test_isometry_is_thin_qr_of_root_block():
     v = sample_encoding_isometry(8, 2, seed=77)
-    assert np.array_equal(v, parent[:, :2])
+    block = complex_gaussian(root_generator(77), (1, 2, 8))
+    assert max_abs(v - _phase_fixed_qr(block.transpose(0, 2, 1))[0]) <= 1e-13
     assert max_abs(v.conj().T @ v - identity(2)) <= 1e-10
+
+
+def _unfused_complex_gaussian(rng, shape):
+    """The Box-Muller expression the fused sampler must reproduce bit for bit."""
+    u1 = 1.0 - rng.random(size=shape)
+    u2 = rng.random(size=shape)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = radius * np.exp(2j * np.pi * u2)
+    return z / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("seed", [1, 9001, 52001])
+def test_complex_gaussian_matches_unfused_oracle(seed):
+    for shape in [(4096, 64, 2), (4096, 16, 4), (4096, 64, 1), (256, 256)]:
+        fused = complex_gaussian(child_generator(seed, 0), shape)
+        oracle = _unfused_complex_gaussian(child_generator(seed, 0), shape)
+        assert np.array_equal(fused.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("K,N", [(k, n) for k in (1, 2, 4, 16)
+                                 for n in (2, 16, 64, 4096) if k <= n])
+def test_stack_matches_lapack_phase_fixed_qr(K, N):
+    count = 4 if N == 4096 else 64
+    block = complex_gaussian(child_generator(13, 0), (count, K, N))
+    stack = sample_isometry_stack(child_generator(13, 0), count, N, K)
+    assert stack.shape == (count, N, K)
+    assert max_abs(stack - _phase_fixed_qr(block.transpose(0, 2, 1))) <= 1e-13
+
+
+class _RepeatedRows:
+    """Uniform source whose draws repeat row 0 along axis 1, mixed with a
+    fraction `jitter` of fresh draws, so the Ginibre blocks it feeds have
+    equal (jitter 0) or nearly parallel columns."""
+
+    def __init__(self, seed, jitter=0.0):
+        self.rng = root_generator(seed)
+        self.jitter = jitter
+
+    def random(self, size):
+        u = self.rng.random(size=size)
+        u[:, 1:, :] = (1 - self.jitter) * u[:, :1, :] + self.jitter * u[:, 1:, :]
+        return u
+
+
+def test_equal_columns_raise_rank_deficient():
+    with pytest.raises(RankDeficient):
+        sample_isometry_stack(_RepeatedRows(3), 4, 16, 2)
+
+
+def test_nearly_parallel_columns_stay_orthonormal():
+    """Columns about 1e-6 apart: a single Gram-Schmidt pass leaves ~1e-4 of
+    overlap there, the re-orthogonalization pass brings it to rounding."""
+    stack = sample_isometry_stack(_RepeatedRows(5, jitter=1e-6), 64, 16, 4)
+    gram = np.einsum("tni,tnj->tij", stack.conj(), stack)
+    assert max_abs(gram - identity(4)) <= 1e-13
 
 
 def test_isometry_columns_orthogonal():

@@ -5,7 +5,7 @@ import pytest
 
 from qtamper.errors import NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.moments import (MomentSpec, exact_moment, first_moment_js,
+from qtamper.moments import (MomentSpec, _mc_chunk, exact_moment, first_moment_js,
                              first_moment_ss, mc_moment)
 from qtamper.pauli import PauliLabel, pauli_matrix
 from qtamper.perm import iter_tuples
@@ -58,6 +58,15 @@ def test_first_moment_ss_monotone_in_trace():
     values.sort()
     moments = [m for _, m in values]
     assert moments == sorted(moments)
+
+
+def test_mc_chunk_draws_only_the_columns_it_reads():
+    """js reads two isometry columns and ss one, so their Monte Carlo
+    chunks are bit-identical for every message count K."""
+    u = sample_haar_unitary(16, 61)
+    for pattern, ks in (("ss", (2, 8)), ("js", (2, 5))):
+        results = [_mc_chunk(MomentSpec(pattern, 2, u, K=k), 62, 3, 1000) for k in ks]
+        assert results[0] == results[1]
 
 
 def test_not_unitary_rejected():
