@@ -203,6 +203,9 @@ def _run_moments(params: dict, jobs: int):
     unitary = _resolve_unitary(params["unitary"], n_dim)
     kwargs = {}
     if params["pattern"] == "m":
+        # MomentSpec checks K too, but only after the amplitudes 1/sqrt(K) exist
+        if not 1 <= params["K"] < n_dim:
+            raise OutOfRange(f"need 1 <= K < N (K={params['K']}, N={n_dim})")
         kwargs["message_amplitudes"] = np.full(
             params["K"], 1.0 / np.sqrt(params["K"]), dtype=np.complex128
         )

@@ -100,9 +100,6 @@ class FqPoly:
             out = _mul_linear(out, a) + FqPoly([c], self.q)
         return out
 
-    def count_roots(self) -> int:
-        return fq_count_roots(self)
-
 
 def _mul_linear(p: FqPoly, a: int) -> FqPoly:
     """Multiply p by (y + a)."""
@@ -127,15 +124,6 @@ def fq_eval(p: FqPoly, x: int) -> int:
 def fq_values(p: FqPoly) -> list[int]:
     """p(x) for every x in F_q, in value order (Horner at each point)."""
     return [fq_eval(p, x) for x in range(p.q)]
-
-
-def fq_count_roots(p: FqPoly) -> int:
-    """Exact number of x in F_q with p(x) = 0, by exhaustive evaluation.
-
-    Raises ZeroPolynomial for the zero polynomial, whose root set is all
-    of F_q; callers must handle that case explicitly.
-    """
-    return len(fq_roots(p))
 
 
 def fq_roots(p: FqPoly) -> list[int]:

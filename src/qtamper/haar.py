@@ -10,7 +10,9 @@ Box-Muller transform on Philox uniforms, so a (seed, stream) pair pins
 the sample exactly; ``GENERATOR_VERSION`` names this scheme and is
 stamped into every report.  Versions 2 and 3 pinned the Pauli phase rule
 and the QAMD scan's certificate fields; version 4 pins the isometry
-sampler below, which moved every Monte Carlo field and tamper-sim report.
+sampler below, which moved every Monte Carlo field and tamper-sim report;
+version 5 pins the random-mode QAMD cross-check arithmetic, now the
+exhaustive scan's support sum, which moved `max_dense_mismatch` there.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
@@ -27,11 +29,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import OutOfRange, RankDeficient
-from .linalg import RANK_TOL
+from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/box-muller/v4"
-
-MAX_DIM = 4096
+GENERATOR_VERSION = "philox4x64/box-muller/v5"
 
 
 def root_generator(seed: int) -> Generator:

@@ -16,6 +16,7 @@ from .errors import DimMismatch, NotNormalized, NotUnitary
 
 STRUCTURAL_TOL = 1e-10
 RANK_TOL = 1e-12
+MAX_DIM = 4096      # the largest dense dimension any routine builds
 
 
 def as_matrix(a) -> np.ndarray:

@@ -30,9 +30,7 @@ from numpy.random import Generator
 
 from .errors import DimMismatch, NonScalarMismatch, NotUnitary, OutOfRange
 from .field import is_prime
-from .linalg import STRUCTURAL_TOL, max_abs
-
-MAX_DENSE_DIM = 4096
+from .linalg import MAX_DIM, STRUCTURAL_TOL, max_abs
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,8 @@ class PauliLabel:
 
     def __post_init__(self):
         # the bound comes first: trial division of a huge q would not end
-        if not 2 <= self.q <= MAX_DENSE_DIM or not is_prime(self.q):
-            raise ValueError(f"register dimension {self.q} must be a prime <= {MAX_DENSE_DIM}")
+        if not 2 <= self.q <= MAX_DIM or not is_prime(self.q):
+            raise ValueError(f"register dimension {self.q} must be a prime <= {MAX_DIM}")
         if len(self.x) != len(self.z):
             raise ValueError("exponent vectors must have equal length")
         object.__setattr__(self, "x", tuple(v % self.q for v in self.x))
@@ -59,9 +57,6 @@ class PauliLabel:
     @property
     def is_identity(self) -> bool:
         return not any(self.x) and not any(self.z)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "m": self.m, "x": list(self.x), "z": list(self.z)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PauliLabel":
@@ -115,8 +110,8 @@ def omega_powers(q: int) -> np.ndarray:
 def kron_digits(q: int, m: int) -> np.ndarray:
     """Read-only (q^m, m) table whose row k holds the base-q digits of k,
     register 1 most significant: the digit tuples in lexicographic order."""
-    if q ** m > MAX_DENSE_DIM:
-        raise OutOfRange(f"dimension {q ** m} exceeds {MAX_DENSE_DIM}")
+    if q ** m > MAX_DIM:
+        raise OutOfRange(f"dimension {q ** m} exceeds {MAX_DIM}")
     index = np.arange(q ** m, dtype=np.intp)[:, np.newaxis]
     digits = index // q ** np.arange(m - 1, -1, -1, dtype=np.intp) % q
     digits.flags.writeable = False
@@ -177,24 +172,14 @@ class MonomialUnitary:
         return np.ascontiguousarray(a[..., self.rows] * self.phase)
 
 
-def pauli_trace(label: PauliLabel) -> complex:
-    """q^m for the identity word, 0 otherwise.
-
-    Per register: the trace of X^a Z^b vanishes unless a = 0 (no diagonal
-    support) and then equals the geometric sum over omega^{b v}, which is
-    0 unless b = 0 too.  Never touches the dense matrix.
-    """
-    return complex(label.q ** label.m) if label.is_identity else 0j
-
-
 def twisted_commutator_check(a: int, b: int, q: int) -> complex:
     """Scalar lambda with X^a Z^b = lambda * Z^b X^a, measured from dense
     matrices.  Raises NonScalarMismatch if the two products are not
     proportional (which would signal an implementation bug); the expected
     value is omega^{-ab}.
     """
-    if q > MAX_DENSE_DIM:
-        raise OutOfRange(f"dimension {q} exceeds {MAX_DENSE_DIM}")
+    if q > MAX_DIM:
+        raise OutOfRange(f"dimension {q} exceeds {MAX_DIM}")
     xz = single_pauli(q, a, 0) @ single_pauli(q, 0, b)
     zx = single_pauli(q, 0, b) @ single_pauli(q, a, 0)
     flat = np.argmax(np.abs(zx))

@@ -1,6 +1,6 @@
-"""The explicit polynomial-tag qudit code: encoder, decoder overlap
-computations by exact root counting, and security scans against the
-generalized Pauli family.
+"""The explicit polynomial-tag qudit code: its encoder, and one security
+scan against the generalized Pauli family that computes decoder overlaps
+by exact root counting and cross-checks them densely.
 
 Layout conventions (fixed here, used by every routine):
   * a message is s = (s_1, ..., s_d) in F_q^d;
@@ -22,6 +22,8 @@ triangle inequality the squared amplitude is at most (|roots|/q)^2, so
 counting roots in integers certifies the bound ((d+1)/q)^2 exactly.  The
 dense cross-check never reads root sets: each codeword has q nonzero
 entries, so every amplitude is a q-term sum over the codeword's support.
+Exhaustive and random mode share one scan loop over (shift, message)
+groups of cells and differ only in the groups they hand it.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
-                     InvalidParams, OutOfRange)
+from .errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
 from .field import FqPoly, fq_roots, fq_values, is_prime
 from .haar import child_generator
-from .pauli import MAX_DENSE_DIM, PauliLabel, kron_digits, omega_powers
+from .linalg import MAX_DIM
+from .pauli import PauliLabel, kron_digits, omega_powers
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 DENSE_MATCH_TOL = 1e-9
@@ -55,12 +57,12 @@ class QamdParams:
         q, d = self.q, self.d
         # the bounds come first: trial division of a huge q, or q^(d+2) of a
         # huge d, would not end; q >= 2 makes d + 2 >= bit_length a sure excess
-        if not 2 <= q <= MAX_DENSE_DIM:
-            raise InvalidParams(f"q = {q} is outside [2, {MAX_DENSE_DIM}]")
+        if not 2 <= q <= MAX_DIM:
+            raise InvalidParams(f"q = {q} is outside [2, {MAX_DIM}]")
         if d < 1:
             raise InvalidParams("d must be >= 1")
-        if d + 2 >= MAX_DENSE_DIM.bit_length() or q ** (d + 2) > MAX_DENSE_DIM:
-            raise InvalidParams(f"dense dimension q^(d+2) exceeds {MAX_DENSE_DIM}")
+        if d + 2 >= MAX_DIM.bit_length() or q ** (d + 2) > MAX_DIM:
+            raise InvalidParams(f"dense dimension q^(d+2) exceeds {MAX_DIM}")
         if not is_prime(q):
             raise InvalidParams(f"q = {q} is not prime")
         if (d + 2) % q == 0:
@@ -81,10 +83,6 @@ class QamdParams:
     def messages(self) -> list[tuple[int, ...]]:
         """All of F_q^d in lexicographic order."""
         return list(itertools.product(range(self.q), repeat=self.d))
-
-    def message_rank(self, s: Sequence[int]) -> int:
-        """Position of s in messages()."""
-        return self.state_index(s)
 
     def state_index(self, v: Sequence[int]) -> int:
         """Index of a basis tuple: its digits, register 1 most significant."""
@@ -125,16 +123,6 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
     return QamdCodeword(params=params, message=s, state=state)
 
 
-def _check_word(params: QamdParams, x: Sequence[int], z: Sequence[int]):
-    if len(x) != params.block_length or len(z) != params.block_length:
-        raise InvalidParams(f"exponent vectors must have length {params.block_length}")
-    x = tuple(v % params.q for v in x)
-    z = tuple(v % params.q for v in z)
-    if not any(x) and not any(z):
-        raise IdentityTampering("tampering word is the identity")
-    return x, z
-
-
 def _difference_roots(params: QamdParams, s: tuple[int, ...],
                       x: tuple[int, ...]) -> list[int]:
     """Root set of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}.
@@ -157,97 +145,39 @@ def _difference_roots(params: QamdParams, s: tuple[int, ...],
     return fq_roots(diff)
 
 
-def _phase_sum(params: QamdParams, s: tuple[int, ...], z: tuple[int, ...],
-               roots: Sequence[int]) -> complex:
-    """(1/q) sum over the roots r of omega^{<z_{1:d}, s> + z_{d+1} r + z_{d+2} f(s, r)}."""
-    q, d = params.q, params.d
-    tags = _tag_table(params, s)
-    table = omega_powers(q)
-    base = sum(z[i] * s[i] for i in range(d)) % q
-    total = 0j
-    for r in roots:
-        total += table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
-    return complex(total / q)
-
-
-def overlap_amplitude(s: Sequence[int], s_prime: Sequence[int],
-                      x: Sequence[int], z: Sequence[int],
-                      params: QamdParams) -> complex:
-    """Exact <psi_{s'}| X^x Z^z |psi_s>, computed symbolically.
-
-    Zero unless s' = s + x_{1:d}; otherwise a phase sum over the root
-    set, including the constant omega^{<z_{1:d}, s>} prefactor so the
-    value matches the dense simulation amplitude-by-amplitude.
-    """
-    q, d = params.q, params.d
-    s = tuple(v % q for v in s)
-    s_prime = tuple(v % q for v in s_prime)
-    x, z = _check_word(params, x, z)
-    target = tuple((s[i] + x[i]) % q for i in range(d))
-    if s_prime != target:
-        return 0j
-    return _phase_sum(params, s, z, _difference_roots(params, s, x))
-
-
-def wrong_decode_prob_exact(s: Sequence[int], s_prime: Optional[Sequence[int]],
-                            x: Sequence[int], z: Sequence[int],
-                            params: QamdParams) -> float:
-    """|<psi_{s'}| X^x Z^z |psi_s>|^2, or with s_prime=None the aggregate
-    sum over all s' != s (the total wrong-decode mass)."""
-    q, d = params.q, params.d
-    s = tuple(v % q for v in s)
-    x, z = _check_word(params, x, z)
-    if s_prime is not None:
-        return abs(overlap_amplitude(s, s_prime, x, z, params)) ** 2
-    target = tuple((s[i] + x[i]) % q for i in range(d))
-    if target == s:
-        return 0.0
-    return abs(overlap_amplitude(s, target, x, z, params)) ** 2
-
-
-# ---------------------------------------------------------------------------
-# dense state-vector routes
-# ---------------------------------------------------------------------------
-
-def _apply_word(params: QamdParams, x: Sequence[int], z: Sequence[int],
-                state: np.ndarray) -> np.ndarray:
-    """X^x Z^z applied to a dense state vector."""
-    rows, phase = PauliLabel(params.q, x, z).action()
-    out = np.zeros(params.dim, dtype=np.complex128)
-    out[rows] = phase * state
-    return out
-
-
 def _support_sum_route(params: QamdParams, psi: np.ndarray):
-    """The exhaustive scan's dense cross-check: a function of the shift x
-    giving sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for every clock word
-    z (rows) and message s (columns) from the codeword columns psi alone.
+    """The scan's dense cross-check: a function dense(perm, mi, zs) giving
+    sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for message s = rank mi at
+    the clock words of ranks zs (at most dim of them), from the codeword
+    columns psi alone; perm is the row map of the shift word X^x.
 
     Each codeword has exactly q nonzero entries j (checked here), so the
-    amplitude is sum_j omega^{<z, v_j>} conj(psi_{s'}[perm_x(j)]) psi_s[j]:
-    the phase stack P[s] (z by j) is built once, and a shift gathers C[s]
-    (j by s') for one batched product P @ C of shape (M, dim, M).
+    amplitude is sum_j omega^{<z, v_j>} conj(psi_{s'}[perm(j)]) psi_s[j]:
+    the phase stack P[s] (z by j) is built once, and a call gathers C
+    (j by s') for one product P[s][zs] @ C.
     """
     q = params.q
     supports = [np.flatnonzero(column) for column in psi.T]
     if any(support.size != q for support in supports):
         raise ConsistencyError(f"codeword support sizes {[v.size for v in supports]} != {q}")
     supp = np.array(supports)                                       # (M, q)
-    digits = kron_digits(q, params.block_length)
-    phase = omega_powers(q)[(digits @ digits[supp].transpose(0, 2, 1)) % q]
+    digits, w_table = kron_digits(q, params.block_length), omega_powers(q)
+    phase = np.empty((len(supports), params.dim, q), dtype=np.complex128)
+    for mi, support in enumerate(supports):     # one message at a time: no (M, dim, q) ints
+        phase[mi] = w_table[(digits @ digits[support].T) % q]
     weight = np.take_along_axis(psi.T, supp, axis=1)[:, :, np.newaxis]
-    psi_conj = psi.conj()
-    no_clock = (0,) * params.block_length
-    # filled in place on every shift: fresh arrays of this size would be
+    # filled in place on every call: fresh arrays of this size would be
     # mapped and page-faulted anew each time, which costs more than the product
-    amps = np.empty((len(supports), params.dim, len(supports)), dtype=np.complex128)
-    power, imag_sq = np.empty(amps.shape), np.empty(amps.shape)
+    amps_buf = np.empty((params.dim, len(supports)), dtype=np.complex128)
+    power_buf, imag_buf = np.empty(amps_buf.shape), np.empty(amps_buf.shape)
 
-    def dense(x: tuple[int, ...]) -> np.ndarray:
-        perm, _ = PauliLabel(q, x, no_clock).action()
-        np.matmul(phase, psi_conj[perm[supp]] * weight, out=amps)  # [s, z, s']
-        np.add(np.square(amps.real, out=power), np.square(amps.imag, out=imag_sq), out=power)
-        return power.sum(axis=2).T - np.diagonal(power, axis1=0, axis2=2)
+    def dense(perm: np.ndarray, mi: int, zs) -> np.ndarray:
+        rows = phase[mi, zs]
+        n = len(rows)
+        amps = np.matmul(rows, psi[perm[supp[mi]]].conj() * weight[mi], out=amps_buf[:n])
+        power = np.add(np.square(amps.real, out=power_buf[:n]),
+                       np.square(amps.imag, out=imag_buf[:n]), out=power_buf[:n])  # [z, s']
+        return power.sum(axis=1) - power[:, mi]
 
     return dense
 
@@ -256,81 +186,73 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
 # security scan
 # ---------------------------------------------------------------------------
 
-def _exhaustive_scan(params: QamdParams, cross_check: bool):
-    """(max probability, witness key, worst dense mismatch, max root count)
-    over every ((x, z) != 0, s) cell, one shift x at a time."""
-    q, d, dim = params.q, params.d, params.dim
+def _scan(params: QamdParams, groups, cross_check: bool):
+    """(max probability, witness key, worst dense mismatch, max root count,
+    cells checked) over `groups`: (x rank, s rank, z ranks) triples sorted
+    by x rank, the z ranks increasing (a slice or an index array) and at
+    most dim of them."""
+    q, d = params.q, params.d
     messages = params.messages()
     digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
-    msg_digits = np.array(messages, dtype=np.intp)
     w_table = omega_powers(q)
     tag_tables = [_tag_table(params, m) for m in messages]
-    base = (digits[:, :d] @ msg_digits.T) % q          # <z_{1:d}, s> per (z, s)
-    z_root, z_tag = digits[:, d], digits[:, d + 1]
+    base = (digits[:, :d] @ np.array(messages, dtype=np.intp).T) % q   # <z_{1:d}, s> per (z, s)
     if cross_check:
         dense = _support_sum_route(
             params, np.column_stack([encode(m, params).state for m in messages]))
+    no_clock = (0,) * params.block_length
 
-    best_prob, best_key, max_mismatch, max_roots = -1.0, None, 0.0, 0
-    for xi in range(dim):
-        x = tuple(int(v) for v in digits[xi])
-        first_z = 1 if xi == 0 else 0       # (x, z) = 0 is not a tampering
-        sym = np.zeros((dim, len(messages)))
-        if any(x[:d]):
-            for mi, m in enumerate(messages):
-                tags = tag_tables[mi]
-                roots = _difference_roots(params, m, x)
-                max_roots = max(max_roots, len(roots))
-                amp = np.zeros(dim, dtype=np.complex128)
-                for r in roots:
-                    amp += w_table[(base[:, mi] + z_root * r + z_tag * tags[r]) % q]
-                amp = amp / q
-                sym[:, mi] = np.hypot(amp.real, amp.imag) ** 2
-        sym = sym[first_z:]
-        z_rows = digits[first_z:]
-        if cross_check:
-            worst = np.abs(sym - dense(x)[first_z:]).max(axis=1)
-            max_mismatch = max(max_mismatch, float(worst.max()))
-            bad = np.flatnonzero(worst > DENSE_MATCH_TOL)
-            if bad.size:
-                z = tuple(int(v) for v in z_rows[bad[0]])
-                raise ConsistencyError(
-                    f"symbolic/dense mismatch {float(worst[bad[0]])} at x={x}, z={z}"
-                )
-        # messages and z rows both run in lexicographic order, so the first
-        # maximum of sym.T is the cell with the smallest key (s, x, z)
-        mi, zi = divmod(int(np.argmax(sym.T)), len(z_rows))
-        p = float(sym[zi, mi])
-        key = (messages[mi], x, tuple(int(v) for v in z_rows[zi]))
-        if p > best_prob or (p == best_prob and key < best_key):
-            best_prob, best_key = p, key
-    return best_prob, best_key, max_mismatch, max_roots
-
-
-def _random_scan(params: QamdParams, cells, cross_check: bool):
-    """(max probability, witness key, worst dense mismatch, max root count)
-    over sampled cells."""
-    messages = params.messages()
-    if cross_check:
-        states = [encode(m, params).state for m in messages]
-    best_prob, best_key, max_mismatch, max_roots = -1.0, None, 0.0, 0
-    for s, x, z in cells:
-        p = 0.0                             # x_{1:d} = 0 moves no mass off s
-        if any(x[:params.d]):
+    best_prob, best_key, max_mismatch, max_roots, checked = -1.0, None, 0.0, 0, 0
+    shift = None
+    for xi, mi, zs in groups:
+        if xi != shift:
+            shift, x = xi, tuple(int(v) for v in digits[xi])
+            perm, _ = PauliLabel(q, x, no_clock).action()
+        s, z_rows = messages[mi], digits[zs]
+        sym = np.zeros(len(z_rows))
+        if any(x[:d]):                      # x_{1:d} = 0 moves no mass off s
             roots = _difference_roots(params, s, x)
             max_roots = max(max_roots, len(roots))
-            p = abs(_phase_sum(params, s, z, roots)) ** 2
+            tags, s_base = tag_tables[mi], base[zs, mi]
+            amp = np.zeros(len(z_rows), dtype=np.complex128)
+            for r in roots:
+                amp += w_table[(s_base + z_rows[:, d] * r + z_rows[:, d + 1] * tags[r]) % q]
+            amp = amp / q
+            sym = np.hypot(amp.real, amp.imag) ** 2
+        checked += len(z_rows)
         if cross_check:
-            tampered = _apply_word(params, x, z, states[params.message_rank(s)])
-            dense = sum(abs(complex(np.vdot(state, tampered))) ** 2
-                        for m, state in zip(messages, states) if m != s)
-            max_mismatch = max(max_mismatch, abs(p - dense))
-            if abs(p - dense) > DENSE_MATCH_TOL:
-                raise ConsistencyError(f"symbolic/dense mismatch at {(s, x, z)}")
-        key = (s, x, z)
+            gap = np.abs(sym - dense(perm, mi, zs))
+            max_mismatch = max(max_mismatch, float(gap.max()))
+            if max_mismatch > DENSE_MATCH_TOL:     # earlier groups would have raised
+                z = tuple(int(v) for v in z_rows[np.argmax(gap)])
+                raise ConsistencyError(
+                    f"symbolic/dense mismatch {max_mismatch} at s={s}, x={x}, z={z}")
+        zi = int(np.argmax(sym))            # the first maximum: the smallest z
+        p, key = float(sym[zi]), (s, x, tuple(int(v) for v in z_rows[zi]))
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
-    return best_prob, best_key, max_mismatch, max_roots
+    return best_prob, best_key, max_mismatch, max_roots, checked
+
+
+def _sampled_groups(params: QamdParams, trials: int, seed: int):
+    """The scan groups of `trials` cells drawn from the seeded stream, each
+    drawn cell kept, duplicates too."""
+    q, n, m = params.q, params.block_length, params.num_messages
+    rng = child_generator(seed, 0)
+    cells = np.empty((trials, 2 * n + params.d), dtype=np.intp)    # digits of x, s, z
+    drawn = 0
+    while drawn < trials:
+        xz = rng.integers(0, q, size=2 * n)
+        if xz.any():
+            cells[drawn] = np.concatenate((xz[:n], rng.integers(0, q, size=params.d), xz[n:]))
+            drawn += 1
+    # one base-q number per cell: sorting it sorts the cells by (x, s, z)
+    xs, z = np.divmod(np.sort(cells @ q ** np.arange(cells.shape[1] - 1, -1, -1)), params.dim)
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    for start, stop in zip(starts, np.r_[starts[1:], trials]):
+        xi, mi = divmod(int(xs[start]), m)
+        for first in range(start, stop, params.dim):    # repeats can exceed dim rows
+            yield xi, mi, z[first:min(first + params.dim, stop)]
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -340,56 +262,41 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     aggregate wrong-decode probability, its witness, and the theorem
     bound ((d+1)/q)^2.
 
-    In exhaustive mode every ((x, z) != 0, s) cell is visited; with
-    cross_check each cell's symbolic probability is compared to the
-    dense state-vector simulation and the worst mismatch is reported
-    (the scan raises ConsistencyError above DENSE_MATCH_TOL).  The
-    witness is the smallest (s, x, z) among the cells at the maximum.
+    In exhaustive mode every ((x, z) != 0, s) cell is visited; random
+    mode visits `trials` cells drawn from the seeded stream, duplicates
+    included.  With cross_check each cell's symbolic probability is
+    compared to the dense state-vector simulation and the worst mismatch
+    is reported (the scan raises ConsistencyError above DENSE_MATCH_TOL).
+    The witness is the smallest (s, x, z) among the cells at the maximum.
     The certificate is exact: `max_root_count` is the largest root set
     the scan computed (x_{1:d} != 0), `bound_satisfied` is the integer
     test max_root_count <= d + 1, which bounds every cell by the rational
     `bound_exact`, and the float `max_prob` is checked against
     (max_root_count/q)^2 up to rounding.
 
-    The exhaustive scan takes one shift x at a time and handles all
-    q^(d+2) clock words z of it in a few array operations:
-      * symbolic: per message, the root set of the difference polynomial
-        is computed once, and each root adds its root-of-unity phase for
-        every z at once.  The root order and the division by q are those
-        of the per-cell route, and hypot is the modulus Python's abs()
-        takes (np.abs is not: it differs in the last bit).  The array
-        square v * v equals the per-cell scalar pow(v, 2) for every
-        amplitude an admissible (q, d) can produce (a test enumerates
-        them), so every probability has wrong_decode_prob_exact's bits;
-      * dense: it never reads the root sets.  Each codeword has exactly q
-        nonzero entries (checked), so every amplitude <psi_{s'}| X^x Z^z
-        |psi_s> of the shift, over all z and all message pairs, is a
-        q-term sum over the support of psi_s: one batched product with a
-        phase stack built once per scan.  Every s' != s is weighed.
-    Random mode samples cells from the seeded stream instead, encoding
-    every message once per scan.
+    Both modes run one scan loop over groups: a shift x, a message s and
+    the clock words z of the cells that share them (every z in exhaustive
+    mode; the sampled ones, sorted, in random mode).  Per group the root
+    set is computed once, and each root adds its root-of-unity phase for
+    every z at once, in the per-cell phase sum's root order and division
+    by q.  hypot is the modulus Python's abs() takes (np.abs differs in
+    the last bit), and the array square v * v equals the scalar pow(v, 2)
+    for every amplitude an admissible (q, d) can produce (a test
+    enumerates them), so every probability has the per-cell route's
+    bits.  The dense route is one `_support_sum_route` product per group.
     """
     q, d = params.q, params.d
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        best_prob, best_key, max_mismatch, max_roots = _exhaustive_scan(params, cross_check)
-        checked = n_cells
+        groups = ((xi, mi, slice(1 if xi == 0 else 0, None))    # (x, z) = 0 is no tampering
+                  for xi in range(params.dim) for mi in range(params.num_messages))
     else:
         if not trials or trials < 1:
             raise OutOfRange("random mode needs a positive trial count")
-        rng = child_generator(seed, 0)
-        cells = []
-        while len(cells) < trials:
-            xz = rng.integers(0, q, size=2 * params.block_length)
-            if not xz.any():
-                continue
-            s = tuple(int(v) for v in rng.integers(0, q, size=d))
-            cells.append((s, tuple(int(v) for v in xz[:params.block_length]),
-                          tuple(int(v) for v in xz[params.block_length:])))
-        best_prob, best_key, max_mismatch, max_roots = _random_scan(params, cells, cross_check)
-        checked = len(cells)
+        groups = _sampled_groups(params, trials, seed)
+    best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, groups, cross_check)
     # each cell's amplitude is a sum of at most max_roots unit phases over q
     if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):
         raise ConsistencyError(f"max_prob {best_prob} exceeds (max_root_count/q)^2 "

@@ -25,10 +25,9 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
-from .linalg import require_normalized, require_unitary
+from .linalg import MAX_DIM, require_normalized, require_unitary
 from .pauli import MonomialUnitary, random_nonidentity_labels
 
-MAX_DIM = 4096
 MAX_FAMILY = 10 ** 4
 MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
@@ -95,12 +94,6 @@ def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
     p_diff = float(np.sum(weights) - weights[s])
     p_perp = norm_sq - float(np.sum(weights))
     return {"P_same": p_same, "P_diff": p_diff, "P_perp": p_perp}
-
-
-def detect_relaxed(scheme: EncodingScheme, U, s: int) -> float:
-    """Probability of the relaxed guarantee: original message or reject."""
-    probs = detect_classical(scheme, U, s)
-    return probs["P_same"] + probs["P_perp"]
 
 
 def detect_quantum(scheme: EncodingScheme, U,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_moments_validates_the_unitary_once(tmp_path, monkeypatch):
                     "--trials", "1000", "--seed", "4") == 0
         assert len(calls) == 1
         assert _load(tmp_path / pattern / "moments.json")["result"]["closed_form"] is not None
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "8"])
+def test_moments_bad_k_is_one_input_error(tmp_path, capsys, k):
+    # K is checked before the amplitudes 1/sqrt(K) are built, so no numpy
+    # warning comes before the input error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("--out", str(tmp_path / "r"), "moments", "--pattern", "m", "--t", "1",
+                    "--N", "8", "--unitary", "random:5", "--K", k,
+                    "--trials", "100", "--seed", "4") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_tamper_sim_writes_json_and_csv(tmp_path):

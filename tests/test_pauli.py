@@ -8,7 +8,7 @@ from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
-                           pauli_matrix, pauli_trace, random_nonidentity_labels,
+                           pauli_matrix, random_nonidentity_labels,
                            single_pauli, twisted_commutator_check)
 
 
@@ -81,7 +81,8 @@ def test_label_validation_and_reduction():
 
 def test_serialization_round_trip():
     label = PauliLabel(q=3, x=(1, 0, 2), z=(2, 2, 0))
-    assert PauliLabel.from_json(label.to_json()) == label
+    assert PauliLabel.from_json({"q": 3, "m": 3, "x": [1, 0, 2], "z": [2, 2, 0]}) == label
+    assert PauliLabel.from_json({"q": 3, "x": [4, 3, 2], "z": [2, -1, 0]}) == label
     assert PauliLabel.from_compact(label.compact()) == label
     assert label.compact() == "pauli:3:102:220"
     with pytest.raises(ValueError):
@@ -90,21 +91,14 @@ def test_serialization_round_trip():
         PauliLabel.from_json({"q": 3, "m": 5, "x": [1], "z": [1]})
 
 
+def _trace(label):
+    return MonomialUnitary(*label.action()).trace()
+
+
 def test_trace_symbolic():
-    assert pauli_trace(PauliLabel(q=2, x=(0, 0, 0), z=(0, 0, 0))) == 8
-    assert pauli_trace(PauliLabel(q=2, x=(1, 0, 0), z=(0, 0, 0))) == 0
-    assert pauli_trace(PauliLabel(q=5, x=(0,), z=(3,))) == 0
-
-
-def test_trace_matches_dense():
-    rng = child_generator(17, 0)
-    for q, m in ((2, 1), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2)):
-        for _ in range(5):
-            digits = rng.integers(0, q, size=2 * m)
-            label = PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
-                               z=tuple(int(v) for v in digits[m:]))
-            dense = np.trace(pauli_matrix(label))
-            assert abs(pauli_trace(label) - dense) <= 1e-9
+    assert _trace(PauliLabel(q=2, x=(0, 0, 0), z=(0, 0, 0))) == 8
+    assert _trace(PauliLabel(q=2, x=(1, 0, 0), z=(0, 0, 0))) == 0
+    assert abs(_trace(PauliLabel(q=5, x=(0,), z=(3,)))) <= 1e-12
 
 
 def test_unitarity_battery():
@@ -243,8 +237,14 @@ def test_monomial_validation():
 def test_monomial_trace_matches_dense():
     labels = [*_labels(2, 2), *_labels(3, 2), *_sampled_labels(2, 6, 20, 22),
               PauliLabel(q=2, x=(0,) * 6, z=(0, 1, 0, 0, 1, 0))]
+    rng = child_generator(17, 0)
+    for q, m in ((2, 1), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2)):
+        for _ in range(5):
+            digits = rng.integers(0, q, size=2 * m)
+            labels.append(PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
+                                     z=tuple(int(v) for v in digits[m:])))
     for label in labels:
-        assert MonomialUnitary(*label.action()).trace() == np.trace(pauli_matrix(label))
+        assert _trace(label) == np.trace(pauli_matrix(label))
 
 
 def test_monomial_products_match_dense():

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_overlaps, tamper_experiment
+from conftest import dense_overlaps, tamper_experiment, wrong_decode_prob_exact
 
 from qtamper import qamd
 from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
                             InvalidParams, OutOfRange)
-from qtamper.field import FqPoly
+from qtamper.field import FqPoly, fq_roots
 from qtamper.haar import child_generator
 from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix
 from qtamper.qamd import (QamdParams, _difference_roots, _tag_table, encode,
-                          security_scan, tag_poly, wrong_decode_prob_exact)
+                          security_scan, tag_poly)
 from qtamper.reports import canonical_json_bytes
 
 P51 = QamdParams(q=5, d=1)
@@ -184,7 +184,7 @@ def test_difference_polynomial_degree_window():
                     target = ((s0 + x1) % q,)
                     g = tag_poly(P51, target).shift(x2) - tag_poly(P51, s) - FqPoly([x3], q)
                     assert 1 <= g.degree <= d + 1
-                    assert g.count_roots() <= d + 1
+                    assert len(fq_roots(g)) <= d + 1
 
 
 def test_security_scan_exhaustive_q5():
@@ -316,19 +316,41 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
     if cross_check:
         assert fast["max_dense_mismatch"] <= qamd.DENSE_MATCH_TOL
         # the support-sum kernel, cell by cell, against the per-word GEMM
-        psi = np.column_stack([encode(m, params).state for m in params.messages()])
-        dense = qamd._support_sum_route(params, psi)
+        dense = _dense_kernel(params)
         for xi, row in enumerate(kron_digits(params.q, params.block_length)):
-            np.testing.assert_allclose(dense(tuple(int(v) for v in row)),
-                                       dense_cells[xi], rtol=0, atol=1e-13)
+            perm, _ = PauliLabel(params.q, row, (0,) * params.block_length).action()
+            for mi in range(params.num_messages):
+                np.testing.assert_allclose(dense(perm, mi, slice(None)),
+                                           dense_cells[xi, :, mi], rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("params,trials", [(P71, 400), (QamdParams(q=5, d=2), 100)],
-                         ids=["q7d1", "q5d2"])
+def _dense_kernel(params):
+    psi = np.column_stack([encode(m, params).state for m in params.messages()])
+    return qamd._support_sum_route(params, psi)
+
+
+@pytest.mark.parametrize("params,trials", [(P71, 400), (QamdParams(q=5, d=2), 100),
+                                           (QamdParams(q=2, d=1), 500)],
+                         ids=["q7d1", "q5d2", "q2d1"])
 def test_random_scan_bytes_match_reference(params, trials):
+    # q2d1 has 126 cells, so 500 draws repeat cells: each must count
     fast = security_scan(params, exhaustive=False, trials=trials, seed=21)
     slow, _ = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
-    assert canonical_json_bytes(fast) == canonical_json_bytes(slow)
+    # the support-sum kernel sums in another order than dense_overlaps,
+    # so the worst gap moves in the last bits: every other field must match
+    skip = {"max_dense_mismatch"}
+    assert (canonical_json_bytes({k: v for k, v in fast.items() if k not in skip})
+            == canonical_json_bytes({k: v for k, v in slow.items() if k not in skip}))
+    assert fast["max_dense_mismatch"] <= qamd.DENSE_MATCH_TOL
+    # the support-sum kernel, cell by cell, against the one-word dense route
+    dense = _dense_kernel(params)
+    for s, x, z in _random_cells(params, trials, seed=21):
+        perm, _ = PauliLabel(params.q, x, (0,) * params.block_length).action()
+        mi = params.messages().index(s)
+        over = dense_overlaps(s, x, z, params)
+        expected = sum(abs(a) ** 2 for m, a in over.items() if m != s)
+        got = dense(perm, mi, [params.state_index(z)])
+        np.testing.assert_allclose(got, [expected], rtol=0, atol=1e-13)
 
 
 def test_witness_is_the_smallest_key_at_the_maximum():
