@@ -101,6 +101,17 @@ def test_trace_symbolic():
     assert abs(_trace(PauliLabel(q=5, x=(0,), z=(3,)))) <= 1e-12
 
 
+def test_trace_matches_dense():
+    rng = child_generator(17, 0)
+    for q, m in ((2, 1), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2)):
+        for _ in range(5):
+            digits = rng.integers(0, q, size=2 * m)
+            label = PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
+                               z=tuple(int(v) for v in digits[m:]))
+            dense = np.trace(pauli_matrix(label))
+            assert abs(_trace(label) - dense) <= 1e-9
+
+
 def test_unitarity_battery():
     rng = child_generator(18, 0)
     for q in (2, 3, 5):
@@ -237,12 +248,6 @@ def test_monomial_validation():
 def test_monomial_trace_matches_dense():
     labels = [*_labels(2, 2), *_labels(3, 2), *_sampled_labels(2, 6, 20, 22),
               PauliLabel(q=2, x=(0,) * 6, z=(0, 1, 0, 0, 1, 0))]
-    rng = child_generator(17, 0)
-    for q, m in ((2, 1), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2)):
-        for _ in range(5):
-            digits = rng.integers(0, q, size=2 * m)
-            labels.append(PauliLabel(q=q, x=tuple(int(v) for v in digits[:m]),
-                                     z=tuple(int(v) for v in digits[m:])))
     for label in labels:
         assert _trace(label) == np.trace(pauli_matrix(label))
 
