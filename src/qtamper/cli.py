@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import sample_haar_unitary
-from .moments import MomentSpec, closed_form_moment, exact_moment, mc_moment
+from .moments import (MomentSpec, check_trials, closed_form_moment, exact_moment,
+                      mc_moment)
 from .pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from .perm import verify_lemmas
 from .qamd import QamdParams, security_scan
@@ -199,6 +200,7 @@ def _run_qamd_scan(params: dict, jobs: int):
 
 
 def _run_moments(params: dict, jobs: int):
+    check_trials(params["trials"])  # before U, whose sampling takes seconds at N = 4096
     n_dim = params["N"]
     unitary = _resolve_unitary(params["unitary"], n_dim)
     kwargs = {}

@@ -28,8 +28,6 @@ isometries, evaluate the realized X^t, and average.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
@@ -38,7 +36,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NotNormalized, OutOfRange
 from .haar import child_generator, sample_isometry_stack
-from .linalg import require_unitary
+from .linalg import parallel_map, require_unitary
 from .perm import cycles_of, parity_swapper_tuples, sp_classes
 from .weingarten import wg_table
 
@@ -49,6 +47,7 @@ PATTERNS = (PATTERN_OFF_DIAGONAL, PATTERN_DIAGONAL, PATTERN_QUANTUM_MESSAGE)
 
 MOMENT_ORDER_CAP = 3
 MIN_TRIALS = 1000
+MAX_TRIALS = 10 ** 8    # 24415 chunks: the chunk list and the pool's futures stay small
 MC_CHUNK = 4096
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -193,28 +192,27 @@ def _mc_chunk(spec: MomentSpec, seed: int, chunk_index: int, count: int):
     return float(np.sum(y)), float(np.sum(y * y))
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a Monte Carlo trial count outside [MIN_TRIALS, MAX_TRIALS]."""
+    if not MIN_TRIALS <= trials <= MAX_TRIALS:
+        raise OutOfRange(f"trials = {trials} outside [{MIN_TRIALS}, {MAX_TRIALS}]")
+
+
 def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
     """Monte Carlo estimate of E[X^t] with its standard error.
 
     Trials are split into fixed-size chunks; chunk c draws from the
     child stream (seed, c), so the estimate is independent of the worker
-    count and bit-stable for a fixed seed.  At most min(jobs, chunks,
-    CPUs) threads run.
+    count and bit-stable for a fixed seed.  The chunks run on
+    `linalg.parallel_map`'s pool of at most min(jobs, chunks, CPUs)
+    threads, with OpenBLAS held at one thread while it runs.
     """
-    if trials < MIN_TRIALS:
-        raise OutOfRange(f"need at least {MIN_TRIALS} trials")
+    check_trials(trials)
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
         sizes.append(trials % MC_CHUNK)
-
-    workers = min(jobs, len(sizes), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda c: _mc_chunk(spec, seed, c, sizes[c]), range(len(sizes)))
-            )
-    else:
-        results = [_mc_chunk(spec, seed, c, sizes[c]) for c in range(len(sizes))]
+    results = parallel_map(lambda c: _mc_chunk(spec, seed, c, sizes[c]),
+                           range(len(sizes)), jobs)
 
     total = 0.0
     total_sq = 0.0

@@ -42,6 +42,7 @@ from .linalg import MAX_DIM
 from .pauli import PauliLabel, kron_digits, omega_powers
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
+MAX_TRIALS = 10 ** 6     # random mode's (trials, 2n+d) cell array stays under 272 MB at d=10
 DENSE_MATCH_TOL = 1e-9
 
 
@@ -293,8 +294,9 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
         groups = ((xi, mi, slice(1 if xi == 0 else 0, None))    # (x, z) = 0 is no tampering
                   for xi in range(params.dim) for mi in range(params.num_messages))
     else:
-        if not trials or trials < 1:
-            raise OutOfRange("random mode needs a positive trial count")
+        if not trials or not 1 <= trials <= MAX_TRIALS:
+            raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "
+                             f"got {trials}")
         groups = _sampled_groups(params, trials, seed)
     best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, groups, cross_check)
     # each cell's amplitude is a sum of at most max_roots unit phases over q

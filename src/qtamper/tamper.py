@@ -9,14 +9,13 @@ P_perp = 1 is a real numerical check.  Family members (dense, or a
 `MonomialUnitary` for every Pauli word) are validated once, when the
 family is built.  The weak decoder runs two routes on every call and
 compares them: the Gram double sum over V^dag U V, and
-Tr(Pi . U Pi U^dag) / K with the N x N Pi = V V^dag (built once per seed
-in a scan), O(N^2 K) for a monomial U.
+Tr(Pi . U Pi U^dag) / K = Tr(W^dag Pi W) / K with W = U V and the N x N
+Pi = V V^dag (built once per seed in a scan), O(N^2 K) with no N x N
+array beyond Pi.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log2, sqrt
 from typing import Optional, Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
-from .linalg import MAX_DIM, require_normalized, require_unitary
+from .linalg import MAX_DIM, parallel_map, require_normalized, require_unitary
 from .pauli import MonomialUnitary, random_nonidentity_labels
 
 MAX_FAMILY = 10 ** 4
@@ -124,7 +123,7 @@ def detect_weak(scheme: EncodingScheme, U) -> float:
 
     Computed twice and checked equal: as the overlap double sum
     (1/K) sum_ij |<psi_i| U |psi_j>|^2, which is returned, and as
-    Tr(Pi . U Pi U^dag) / K with Pi = V V^dag and U Pi U^dag = W W^dag, W = U V.
+    Tr(Pi . U Pi U^dag) / K = Tr(W^dag Pi W) / K with Pi = V V^dag and W = U V.
     """
     return _detect_weak(scheme, U, scheme.isometry @ scheme.isometry.conj().T)
 
@@ -135,7 +134,7 @@ def _detect_weak(scheme: EncodingScheme, U, pi: np.ndarray) -> float:
     gram = scheme.isometry.conj().T @ U @ scheme.isometry
     double_sum = float(np.sum(np.abs(gram) ** 2)) / scheme.K
     w = U @ scheme.isometry
-    direct = float(np.vdot(pi, w @ w.conj().T).real) / scheme.K
+    direct = float(np.vdot(w, pi @ w).real) / scheme.K
     if abs(direct - double_sum) > CONSERVATION_TOL:
         raise ConsistencyError(
             f"weak-detection routes disagree: {direct} vs {double_sum}"
@@ -263,7 +262,8 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     classical and quantum decoders, min P_same + P_perp for the relaxed
     one, min 1 - X for the weak one) is at least 1 - epsilon; the report
     carries the pass fraction over seeds plus every per-cell row.  Seeds
-    run on at most min(jobs, seeds, CPUs) threads.
+    run on `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs)
+    threads, with OpenBLAS held at one thread while it runs.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -271,13 +271,8 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         raise OutOfRange("need at least one scheme seed")
     seeds = list(seeds)
 
-    workers = min(jobs, len(seeds), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(
-                lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode), seeds))
-    else:
-        per_seed = [_evaluate_seed(sd, n, k, family, epsilon, mode) for sd in seeds]
+    per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),
+                            seeds, jobs)
 
     rows = [row for entry in per_seed for row in entry["rows"]]
     metrics = [entry["detection_metric"] for entry in per_seed]

@@ -117,7 +117,8 @@ def test_criterion_4_first_moment_closed_forms():
             for pattern, closed in (("js", first_moment_js(u)),
                                     ("ss", first_moment_ss(u))):
                 seed += 1
-                est, se = mc_moment(MomentSpec(pattern, 1, u), 100_000, seed=seed)
+                est, se = mc_moment(MomentSpec(pattern, 1, u), 100_000, seed=seed,
+                                    jobs=os.cpu_count() or 1)
                 cells += 1
                 if abs(est - closed) <= 4 * se:
                     hits += 1
@@ -142,7 +143,8 @@ def test_criterion_5_higher_moments():
                 _verdict(5, False, f"t=1 exact/closed-form gap {abs(t1 - closed)}")
             seed += 1
             exact2 = exact_moment(MomentSpec(pattern, 2, u))
-            est, se = mc_moment(MomentSpec(pattern, 2, u), 100_000, seed=seed)
+            est, se = mc_moment(MomentSpec(pattern, 2, u), 100_000, seed=seed,
+                                jobs=os.cpu_count() or 1)
             if abs(est - exact2) > 4 * se:
                 _verdict(5, False,
                          f"t=2 {pattern}: |{est} - {exact2}| > 4 x {se}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtamper import cli, moments, qamd, tamper
+from qtamper import cli, linalg, moments, qamd, tamper
 from qtamper.linalg import require_unitary
 from qtamper.reports import make_manifest
 
@@ -323,6 +323,27 @@ def test_oversized_qamd_parameters_fail_fast(tmp_path, capsys, argv):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["qamd-scan", "--q", "5", "--d", "1", "--trials", str(10 ** 13)],
+    ["qamd-scan", "--q", "5", "--d", "1", "--trials", str(qamd.MAX_TRIALS + 1)],
+    ["moments", "--pattern", "ss", "--t", "1", "--N", "4096", "--unitary", "random:1",
+     "--trials", str(10 ** 13), "--seed", "2"],
+    ["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
+     "--trials", str(moments.MAX_TRIALS + 1), "--seed", "2"],
+], ids=["qamd-huge", "qamd-cap", "moments-huge", "moments-cap"])
+def test_oversized_trials_are_one_input_error(tmp_path, capsys, argv):
+    # the trial count is capped where it enters, before any allocation or pool,
+    # and for moments before the N = 4096 unitary is sampled (seconds of QR)
+    started = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("--out", str(tmp_path / "r"), *argv) == 1
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r").exists()
+
+
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
     for jobs in ("0", "-2"):
         assert _run("--out", str(tmp_path / "r"), "--jobs", jobs,
@@ -332,8 +353,8 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
 
 
 def test_worker_pools_are_clamped(tmp_path, monkeypatch):
-    """Pools get min(jobs, tasks, CPUs) workers; a recording stand-in runs
-    the tasks serially, so no thread is started."""
+    """The one pool gets min(jobs, tasks, CPUs) workers; a recording
+    stand-in runs the tasks serially, so no thread is started."""
     made = []
 
     class RecordingPool:
@@ -349,8 +370,7 @@ def test_worker_pools_are_clamped(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(moments, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(tamper, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(linalg, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     runs = [  # (args, tasks)
         (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",

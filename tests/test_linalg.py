@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from conftest import dense_decoder_projectors
 
+from qtamper import linalg
 from qtamper.errors import DimMismatch, NotNormalized, NotUnitary, RankDeficient
 from qtamper.haar import _phase_fixed_qr
-from qtamper.linalg import (identity, is_unitary, max_abs, require_normalized,
-                            require_unitary)
+from qtamper.linalg import (identity, is_unitary, max_abs, parallel_map,
+                            require_normalized, require_unitary)
 from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix, single_pauli
 
 RNG = np.random.default_rng(20260809)
@@ -145,3 +146,33 @@ def test_nan_rejected():
     bad = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(ValueError):
         require_unitary(bad)
+
+
+def test_pool_holds_openblas_at_one_thread(monkeypatch):
+    """Workers see OpenBLAS at one thread; the prior count comes back after
+    the pool, and after a worker raises."""
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy did not load an OpenBLAS this process can find")
+    get, set_ = blas
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
+    original = get()
+    set_(2)
+    try:
+        before = get()
+        assert parallel_map(lambda _: get(), range(6), jobs=2) == [1] * 6
+        assert get() == before
+
+        def fail_on_three(i):
+            if i == 3:
+                raise ValueError("worker failure")
+            return get()
+
+        with pytest.raises(ValueError, match="worker failure"):
+            parallel_map(fail_on_three, range(6), jobs=2)
+        assert get() == before
+        # one worker is a plain loop: BLAS keeps its threads
+        assert parallel_map(lambda _: get(), range(3), jobs=1) == [before] * 3
+    finally:
+        set_(original)
+

@@ -5,8 +5,8 @@ import pytest
 
 from qtamper.errors import NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.moments import (MomentSpec, _mc_chunk, exact_moment, first_moment_js,
-                             first_moment_ss, mc_moment)
+from qtamper.moments import (MAX_TRIALS, MomentSpec, _mc_chunk, exact_moment,
+                             first_moment_js, first_moment_ss, mc_moment)
 from qtamper.pauli import PauliLabel, pauli_matrix
 from qtamper.perm import iter_tuples
 
@@ -195,6 +195,8 @@ def test_mc_reproducible_and_jobs_independent():
     assert a == b == c
     with pytest.raises(OutOfRange):
         mc_moment(spec, 999, seed=3)
+    with pytest.raises(OutOfRange):
+        mc_moment(spec, MAX_TRIALS + 1, seed=3)
 
 
 def test_moment_growth_bound_zero_trace():
