@@ -30,7 +30,8 @@ from .pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from .perm import verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
-from .tamper import UnitaryFamily, check_family_size, family_security_scan, pauli_family
+from .tamper import (UnitaryFamily, check_family_size, check_seed_count, family_security_scan,
+                     pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
 DEFAULT_OUT = "reports"
@@ -57,6 +58,7 @@ def _parse_seeds(text: str) -> list[int]:
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise InputError(f"empty seed range {text!r}")
+        check_seed_count(hi - lo + 1)
         return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 

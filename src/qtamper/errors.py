@@ -5,14 +5,6 @@ class QTamperError(Exception):
     """Base class for all package errors."""
 
 
-class ModulusMismatch(QTamperError):
-    """Operands live in different prime fields."""
-
-
-class ZeroPolynomial(QTamperError):
-    """Root counting on the zero polynomial: every point is a root."""
-
-
 class DimMismatch(QTamperError):
     """Incompatible vector/matrix shapes."""
 

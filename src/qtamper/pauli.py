@@ -54,10 +54,6 @@ class PauliLabel:
     def m(self) -> int:
         return len(self.x)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.x) and not any(self.z)
-
     @classmethod
     def from_json(cls, obj: dict) -> "PauliLabel":
         label = cls(q=int(obj["q"]), x=tuple(obj["x"]), z=tuple(obj["z"]))

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError
 
-MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
 MAX_SWAPPER_DEGREE = 10       # parity swappers live in S_{2t}, 2t <= 10
 MAX_LEMMA_DEGREE = 7          # fixed-point lemma checked on S_n, n <= 7
 MAX_COROLLARY_2T = 6          # cycle-bound corollary checked on S_{2t} x B_{2t}
@@ -150,15 +149,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build from disjoint cycles of 0-based points."""
-        imgs = list(range(n))
-        for cyc in cycles:
-            for i, p in enumerate(cyc):
-                imgs[p] = cyc[(i + 1) % len(cyc)]
-        return cls(imgs)
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -193,7 +183,7 @@ class Permutation:
 
 
 # ---------------------------------------------------------------------------
-# valuation, fixed points, transposition distance
+# valuation, transposition distance
 # ---------------------------------------------------------------------------
 
 def valuation(sigma: Permutation) -> int:
@@ -209,38 +199,9 @@ def valuation(sigma: Permutation) -> int:
     return total
 
 
-def fix_move(sigma: Permutation) -> tuple[frozenset[int], frozenset[int]]:
-    """(Fix, Move) as disjoint 0-based point sets covering [n]."""
-    fixed = frozenset(i for i, j in enumerate(sigma.images) if i == j)
-    moved = frozenset(range(sigma.degree)) - fixed
-    return fixed, moved
-
-
 def min_transpositions(sigma: Permutation) -> int:
     """Minimum number of transpositions composing to sigma: n - |C(sigma)|."""
     return sigma.degree - sigma.num_cycles()
-
-
-@lru_cache(maxsize=None)
-def _transposition_histogram(n: int) -> tuple[int, ...]:
-    """histogram[i] = #{sigma in S_n : min_transpositions(sigma) = i}."""
-    hist = [0] * n
-    for images in iter_tuples(n):
-        hist[n - num_cycles(images)] += 1
-    return tuple(hist)
-
-
-def count_by_transpositions(n: int, i: int) -> int:
-    """Exact |{sigma in S_n : T(sigma) = i}| by enumeration, n <= 9."""
-    if n > MAX_ENUM_DEGREE:
-        raise BudgetExceeded(f"S_{n} enumeration exceeds budget (n <= {MAX_ENUM_DEGREE})")
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"transposition count {i} outside [0, {n - 1}]")
-    count = _transposition_histogram(n)[i]
-    if count > comb(n, 2) ** i:
-        raise ConsistencyError(f"{count} permutations of S_{n} at distance {i} "
-                               f"exceed C({n}, 2)^{i}")
-    return count
 
 
 # ---------------------------------------------------------------------------

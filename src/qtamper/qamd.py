@@ -4,7 +4,8 @@ by exact root counting and cross-checks them densely.
 
 Layout conventions (fixed here, used by every routine):
   * a message is s = (s_1, ..., s_d) in F_q^d;
-  * the tag map is f(s, r) = sum_i s_i r^i + r^{d+2};
+  * the tag map is f(s, r) = sum_i s_i r^i + r^{d+2}, held as the
+    coefficient row [0, s_1..s_d, 0, 1] and evaluated by `field.fq_values`;
   * a codeword superposes the q registers tuples (s, r, f(s, r));
   * basis tuples v = (v_1, ..., v_{d+2}) index the dense state vector in
     the Kronecker digit order of `pauli.kron_digits` (register 1 is the
@@ -16,8 +17,10 @@ Layout conventions (fixed here, used by every routine):
 For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
 difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
-which has degree between 1 and d+1 whenever x_{1:d} != 0 (every root
-computation checks this and raises ConsistencyError otherwise).  By the
+which has degree between 1 and d+1 whenever x_{1:d} != 0.  Per shift x,
+one `field.taylor_shift` product gives the coefficients of all M
+difference polynomials, their degrees are checked (ConsistencyError
+otherwise), and one evaluation gives their root masks.  By the
 triangle inequality the squared amplitude is at most (|roots|/q)^2, so
 counting roots in integers certifies the bound ((d+1)/q)^2 exactly.  The
 dense cross-check never reads root sets: each codeword has q nonzero
@@ -36,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
-from .field import FqPoly, fq_roots, fq_values, is_prime
+from .field import fq_values, is_prime, taylor_shift
 from .haar import child_generator
 from .linalg import MAX_DIM
 from .pauli import PauliLabel, kron_digits, omega_powers
@@ -93,15 +96,13 @@ class QamdParams:
         return index
 
 
-def tag_poly(params: QamdParams, s: Sequence[int]) -> FqPoly:
-    """f(s, .) as a polynomial in r: coefficients [0, s_1..s_d, 0, 1]."""
-    coeffs = [0] + [v % params.q for v in s] + [0, 1]
-    return FqPoly(coeffs, params.q)
-
-
-def _tag_table(params: QamdParams, s: Sequence[int]) -> list[int]:
-    """f(s, r) for every r in F_q."""
-    return fq_values(tag_poly(params, s))
+def _tag_coeffs(params: QamdParams, messages) -> np.ndarray:
+    """The tag polynomials f(s, .) of `messages` as (M, d+3) coefficient
+    rows [0, s_1..s_d, 0, 1]."""
+    coeffs = np.zeros((len(messages), params.d + 3), dtype=np.int64)
+    coeffs[:, 1:params.d + 1] = np.reshape(messages, (len(messages), params.d))
+    coeffs[:, -1] = 1
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -118,32 +119,36 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
         raise InvalidParams(f"message length {len(s)} != d = {params.d}")
     amp = 1.0 / np.sqrt(params.q)
     state = np.zeros(params.dim, dtype=np.complex128)
-    tags = _tag_table(params, s)
+    tags = fq_values(_tag_coeffs(params, [s]), params.q)[0]
     for r in range(params.q):
         state[params.state_index(s + (r, tags[r]))] = amp
     return QamdCodeword(params=params, message=s, state=state)
 
 
-def _difference_roots(params: QamdParams, s: tuple[int, ...],
-                      x: tuple[int, ...]) -> list[int]:
-    """Root set of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}.
+def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...]) -> np.ndarray:
+    """(M, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
+    for the messages s of the tag coefficient rows `coeffs`.
 
-    When x_{1:d} != 0 the polynomial is checked to have degree in
-    [1, d+1]; root counting is an exhaustive scan.
+    All M difference polynomials come from one Taylor-shift product; when
+    x_{1:d} != 0 each is checked to have degree in [1, d+1].
     """
     q, d = params.q, params.d
-    target = tuple((s[i] + x[i]) % q for i in range(d))
-    shifted = tag_poly(params, target).shift(x[d])
-    diff = shifted - tag_poly(params, s) - FqPoly([x[d + 1]], q)
+    target = coeffs.copy()
+    target[:, 1:d + 1] += x[:d]
+    diff = target @ taylor_shift(d + 3, x[d], q) - coeffs
+    diff[:, 0] -= x[d + 1]
+    diff %= q
     if any(x[:d]):
-        if not 1 <= diff.degree <= d + 1:
+        nonzero = diff != 0
+        degree = np.where(nonzero.any(axis=1), d + 2 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+        bad = np.flatnonzero((degree < 1) | (degree > d + 1))
+        if bad.size:
+            s = tuple(int(v) for v in coeffs[bad[0], 1:d + 1])
             raise ConsistencyError(
-                f"difference polynomial for s={s}, x={x} has degree {diff.degree}, "
+                f"difference polynomial for s={s}, x={x} has degree {degree[bad[0]]}, "
                 f"outside [1, {d + 1}]"
             )
-    if diff.is_zero:
-        return list(range(q))
-    return fq_roots(diff)
+    return fq_values(diff, q) == 0
 
 
 def _support_sum_route(params: QamdParams, psi: np.ndarray):
@@ -196,7 +201,8 @@ def _scan(params: QamdParams, groups, cross_check: bool):
     messages = params.messages()
     digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
     w_table = omega_powers(q)
-    tag_tables = [_tag_table(params, m) for m in messages]
+    coeffs = _tag_coeffs(params, messages)
+    tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
     base = (digits[:, :d] @ np.array(messages, dtype=np.intp).T) % q   # <z_{1:d}, s> per (z, s)
     if cross_check:
         dense = _support_sum_route(
@@ -209,10 +215,12 @@ def _scan(params: QamdParams, groups, cross_check: bool):
         if xi != shift:
             shift, x = xi, tuple(int(v) for v in digits[xi])
             perm, _ = PauliLabel(q, x, no_clock).action()
+            # x_{1:d} = 0 moves no mass off s
+            masks = _root_masks(params, coeffs, x) if any(x[:d]) else None
         s, z_rows = messages[mi], digits[zs]
         sym = np.zeros(len(z_rows))
-        if any(x[:d]):                      # x_{1:d} = 0 moves no mass off s
-            roots = _difference_roots(params, s, x)
+        if masks is not None:
+            roots = np.flatnonzero(masks[mi])      # ascending r, as the per-cell phase sum
             max_roots = max(max_roots, len(roots))
             tags, s_base = tag_tables[mi], base[zs, mi]
             amp = np.zeros(len(z_rows), dtype=np.complex128)
@@ -269,18 +277,19 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     compared to the dense state-vector simulation and the worst mismatch
     is reported (the scan raises ConsistencyError above DENSE_MATCH_TOL).
     The witness is the smallest (s, x, z) among the cells at the maximum.
-    The certificate is exact: `max_root_count` is the largest root set
-    the scan computed (x_{1:d} != 0), `bound_satisfied` is the integer
-    test max_root_count <= d + 1, which bounds every cell by the rational
-    `bound_exact`, and the float `max_prob` is checked against
+    The certificate is exact: `max_root_count` is the largest root set of
+    a scanned (s, x) group with x_{1:d} != 0, `bound_satisfied` is the
+    integer test max_root_count <= d + 1, which bounds every cell by the
+    rational `bound_exact`, and the float `max_prob` is checked against
     (max_root_count/q)^2 up to rounding.
 
     Both modes run one scan loop over groups: a shift x, a message s and
     the clock words z of the cells that share them (every z in exhaustive
-    mode; the sampled ones, sorted, in random mode).  Per group the root
-    set is computed once, and each root adds its root-of-unity phase for
-    every z at once, in the per-cell phase sum's root order and division
-    by q.  hypot is the modulus Python's abs() takes (np.abs differs in
+    mode; the sampled ones, sorted, in random mode).  The root masks are
+    computed once per shift; per group the root set is read from its
+    message's mask in ascending order, and each root adds its
+    root-of-unity phase for every z at once, in the per-cell phase sum's
+    root order and division by q.  hypot is the modulus Python's abs() takes (np.abs differs in
     the last bit), and the array square v * v equals the scalar pow(v, 2)
     for every amplitude an admissible (q, d) can produce (a test
     enumerates them), so every probability has the per-cell route's

@@ -28,6 +28,7 @@ from .linalg import MAX_DIM, parallel_map, require_normalized, require_unitary
 from .pauli import MonomialUnitary, random_nonidentity_labels
 
 MAX_FAMILY = 10 ** 4
+MAX_SEEDS = 10 ** 4
 MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
 FIDELITY_FLOOR = 1e-12
@@ -154,6 +155,14 @@ def check_family_size(size: int, N: int = 0, dense: int = 0) -> None:
                          f"{dense * N * N * 16} bytes, over {MAX_DENSE_BYTES}")
 
 
+def check_seed_count(count: int) -> None:
+    """Refuse a run before any scheme is built: 1 to MAX_SEEDS scheme seeds."""
+    if count < 1:
+        raise OutOfRange("need at least one scheme seed")
+    if count > MAX_SEEDS:
+        raise OutOfRange(f"{count} scheme seeds exceed {MAX_SEEDS}")
+
+
 @dataclass
 class UnitaryFamily:
     """Explicit list of (label, unitary) tampering members, optionally
@@ -267,8 +276,9 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not seeds:
-        raise OutOfRange("need at least one scheme seed")
+    if not 0 < epsilon <= 1:            # false for NaN as well; inf is above 1
+        raise OutOfRange(f"epsilon must be a number in (0, 1], got {epsilon}")
+    check_seed_count(len(seeds))
     seeds = list(seeds)
 
     per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),

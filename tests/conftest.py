@@ -2,12 +2,191 @@
 
 import itertools
 from collections import deque
+from functools import lru_cache
+from math import comb
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from qtamper.errors import IdentityTampering, InvalidParams
+from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
+                            InvalidParams)
+from qtamper.field import is_prime
 from qtamper.pauli import PauliLabel, omega_powers
-from qtamper.qamd import _difference_roots, _tag_table, encode
+from qtamper.perm import Permutation, iter_tuples, num_cycles
+from qtamper.qamd import encode
+
+MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
+
+
+class FqPoly:
+    """Univariate polynomial over F_q, coefficients indexed by degree.
+
+    The coefficient tuple is normalized: trailing zeros are stripped, so
+    the zero polynomial has an empty tuple and every nonzero polynomial
+    has a nonzero leading coefficient.
+
+    Independent per-polynomial oracle for the coefficient-row arithmetic
+    of `qtamper.field` and the QAMD scan's root masks.
+    """
+
+    __slots__ = ("coeffs", "q")
+
+    def __init__(self, coeffs: Iterable[int], q: int):
+        if not is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
+        vals = [c % q for c in coeffs]
+        while vals and vals[-1] == 0:
+            vals.pop()
+        self.coeffs = tuple(vals)
+        self.q = q
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FqPoly)
+            and self.q == other.q
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs, self.q))
+
+    def __repr__(self):
+        return f"FqPoly({list(self.coeffs)}, q={self.q})"
+
+    def _padded(self, other: "FqPoly"):
+        if self.q != other.q:
+            raise ValueError(f"moduli differ: {self.q} vs {other.q}")
+        n = max(len(self.coeffs), len(other.coeffs))
+        return (list(self.coeffs) + [0] * (n - len(self.coeffs)),
+                list(other.coeffs) + [0] * (n - len(other.coeffs)))
+
+    def __add__(self, other: "FqPoly") -> "FqPoly":
+        a, b = self._padded(other)
+        return FqPoly([x + y for x, y in zip(a, b)], self.q)
+
+    def __sub__(self, other: "FqPoly") -> "FqPoly":
+        a, b = self._padded(other)
+        return FqPoly([x - y for x, y in zip(a, b)], self.q)
+
+    def __call__(self, x: int) -> int:
+        return fq_eval(self, x)
+
+    def shift(self, a: int) -> "FqPoly":
+        """Return p(y + a) as a polynomial in y (Taylor shift)."""
+        a %= self.q
+        out = FqPoly([], self.q)
+        # Horner on shifted variable: p(y+a) = c_n*(y+a)^... built degree-down.
+        for c in reversed(self.coeffs):
+            out = _mul_linear(out, a) + FqPoly([c], self.q)
+        return out
+
+
+def _mul_linear(p: FqPoly, a: int) -> FqPoly:
+    """Multiply p by (y + a)."""
+    if p.is_zero:
+        return p
+    q = p.q
+    out = [0] * (len(p.coeffs) + 1)
+    for i, c in enumerate(p.coeffs):
+        out[i] = (out[i] + c * a) % q
+        out[i + 1] = (out[i + 1] + c) % q
+    return FqPoly(out, q)
+
+
+def fq_eval(p: FqPoly, x: int) -> int:
+    """Horner evaluation of p at x in F_q, as an int in [0, q)."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc * x + c) % p.q
+    return acc
+
+
+def fq_roots(p: FqPoly) -> list[int]:
+    """Root set of a nonzero polynomial, as sorted integer representatives."""
+    if p.is_zero:
+        raise ValueError("every point of F_q is a root of the zero polynomial")
+    return [x for x in range(p.q) if fq_eval(p, x) == 0]
+
+
+def tag_poly(params, s) -> FqPoly:
+    """f(s, .) as a polynomial in r: coefficients [0, s_1..s_d, 0, 1]."""
+    return FqPoly([0] + [v % params.q for v in s] + [0, 1], params.q)
+
+
+def tag_table(params, s) -> list[int]:
+    """f(s, r) for every r in F_q, by Horner at each point."""
+    poly = tag_poly(params, s)
+    return [fq_eval(poly, r) for r in range(params.q)]
+
+
+def difference_poly(params, s, x) -> FqPoly:
+    """f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2} as an FqPoly."""
+    q, d = params.q, params.d
+    target = tuple((s[i] + x[i]) % q for i in range(d))
+    return tag_poly(params, target).shift(x[d]) - tag_poly(params, s) - FqPoly([x[d + 1]], q)
+
+
+def _difference_roots(params, s, x) -> list[int]:
+    """Root set of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}, one
+    (s, x) at a time, with the degree window [1, d+1] checked when
+    x_{1:d} != 0.
+
+    The per-(s, x) polynomial oracle for `qamd._root_masks`.
+    """
+    diff = difference_poly(params, s, x)
+    if any(x[:params.d]) and not 1 <= diff.degree <= params.d + 1:
+        raise ConsistencyError(f"difference polynomial for s={s}, x={x} has degree "
+                               f"{diff.degree}, outside [1, {params.d + 1}]")
+    if diff.is_zero:
+        return list(range(params.q))
+    return fq_roots(diff)
+
+
+def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+    """The permutation of S_n with the given disjoint cycles of 0-based points."""
+    imgs = list(range(n))
+    for cyc in cycles:
+        for i, p in enumerate(cyc):
+            imgs[p] = cyc[(i + 1) % len(cyc)]
+    return Permutation(imgs)
+
+
+def fix_move(sigma: Permutation) -> tuple[frozenset[int], frozenset[int]]:
+    """(Fix, Move) as disjoint 0-based point sets covering [n]."""
+    fixed = frozenset(i for i, j in enumerate(sigma.images) if i == j)
+    moved = frozenset(range(sigma.degree)) - fixed
+    return fixed, moved
+
+
+@lru_cache(maxsize=None)
+def _transposition_histogram(n: int) -> tuple[int, ...]:
+    """histogram[i] = #{sigma in S_n : min_transpositions(sigma) = i}."""
+    hist = [0] * n
+    for images in iter_tuples(n):
+        hist[n - num_cycles(images)] += 1
+    return tuple(hist)
+
+
+def count_by_transpositions(n: int, i: int) -> int:
+    """Exact |{sigma in S_n : T(sigma) = i}| by enumeration, n <= 9."""
+    if n > MAX_ENUM_DEGREE:
+        raise BudgetExceeded(f"S_{n} enumeration exceeds budget (n <= {MAX_ENUM_DEGREE})")
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"transposition count {i} outside [0, {n - 1}]")
+    count = _transposition_histogram(n)[i]
+    if count > comb(n, 2) ** i:
+        raise ConsistencyError(f"{count} permutations of S_{n} at distance {i} "
+                               f"exceed C({n}, 2)^{i}")
+    return count
 
 
 def bfs_transposition_distances(n: int) -> dict[tuple[int, ...], int]:
@@ -61,7 +240,7 @@ def _check_word(params, x, z):
 def phase_sum(params, s, z, roots):
     """(1/q) sum over the roots r of omega^{<z_{1:d}, s> + z_{d+1} r + z_{d+2} f(s, r)}."""
     q, d = params.q, params.d
-    tags = _tag_table(params, s)
+    tags = tag_table(params, s)
     table = omega_powers(q)
     base = sum(z[i] * s[i] for i in range(d)) % q
     total = 0j

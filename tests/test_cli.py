@@ -323,6 +323,9 @@ def test_oversized_qamd_parameters_fail_fast(tmp_path, capsys, argv):
     assert not (tmp_path / "r").exists()
 
 
+_TAMPER_N10 = ["tamper-sim", "--n", "10", "--k", "1", "--family", "paulis:100", "--mode", "weak"]
+
+
 @pytest.mark.parametrize("argv", [
     ["qamd-scan", "--q", "5", "--d", "1", "--trials", str(10 ** 13)],
     ["qamd-scan", "--q", "5", "--d", "1", "--trials", str(qamd.MAX_TRIALS + 1)],
@@ -330,10 +333,18 @@ def test_oversized_qamd_parameters_fail_fast(tmp_path, capsys, argv):
      "--trials", str(10 ** 13), "--seed", "2"],
     ["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
      "--trials", str(moments.MAX_TRIALS + 1), "--seed", "2"],
-], ids=["qamd-huge", "qamd-cap", "moments-huge", "moments-cap"])
+    [*_TAMPER_N10, "--epsilon", "0.3", "--seeds", "0..1000000000000"],
+    [*_TAMPER_N10, "--epsilon", "0.3", "--seeds", f"0..{tamper.MAX_SEEDS}"],
+    [*_TAMPER_N10, "--epsilon=0", "--seeds", "0..1"],
+    [*_TAMPER_N10, "--epsilon=-1", "--seeds", "0..1"],
+    [*_TAMPER_N10, "--epsilon=nan", "--seeds", "0..1"],
+    [*_TAMPER_N10, "--epsilon=inf", "--seeds", "0..1"],
+], ids=["qamd-huge", "qamd-cap", "moments-huge", "moments-cap", "seeds-huge", "seeds-cap",
+        "epsilon-zero", "epsilon-negative", "epsilon-nan", "epsilon-inf"])
 def test_oversized_trials_are_one_input_error(tmp_path, capsys, argv):
     # the trial count is capped where it enters, before any allocation or pool,
-    # and for moments before the N = 4096 unitary is sampled (seconds of QR)
+    # and for moments before the N = 4096 unitary is sampled (seconds of QR);
+    # tamper-sim's seed count and epsilon are checked before any scheme is built
     started = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

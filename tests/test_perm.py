@@ -2,13 +2,12 @@ import itertools
 from math import comb, factorial
 
 import pytest
-from conftest import bfs_transposition_distances
+from conftest import bfs_transposition_distances, count_by_transpositions, fix_move, from_cycles
 
 from qtamper.errors import BudgetExceeded
-from qtamper.perm import (Permutation, compose, count_by_transpositions, cycle_type_of,
-                          fix_move, invert, iter_tuples, min_transpositions, num_cycles,
-                          parity_swappers, sp_classes, valuation,
-                          verify_cycle_bound_corollary, verify_fixed_point_lemma,
+from qtamper.perm import (Permutation, compose, cycle_type_of, invert, iter_tuples,
+                          min_transpositions, num_cycles, parity_swappers, sp_classes,
+                          valuation, verify_cycle_bound_corollary, verify_fixed_point_lemma,
                           verify_lemmas)
 
 
@@ -21,11 +20,11 @@ def test_cycle_decomposition_examples():
     ident = Permutation.identity(4)
     assert ident.cycles() == [(0,), (1,), (2,), (3,)]
 
-    three_cycle = Permutation.from_cycles(3, [(0, 1, 2)])
+    three_cycle = from_cycles(3, [(0, 1, 2)])
     assert three_cycle.cycles() == [(0, 1, 2)]
 
     # (1 2)(3 4 5) in S_6, 0-based (0 1)(2 3 4); orbit-following by hand:
-    sigma = Permutation.from_cycles(6, [(0, 1), (2, 3, 4)])
+    sigma = from_cycles(6, [(0, 1), (2, 3, 4)])
     assert sigma.cycles() == [(0, 1), (2, 3, 4), (5,)]
     assert sigma.num_cycles() == 3
 
@@ -39,9 +38,9 @@ def test_cycles_partition_points():
 
 def test_valuation_examples():
     assert valuation(Permutation.identity(4)) == 4
-    assert valuation(Permutation.from_cycles(2, [(0, 1)])) == 0
+    assert valuation(from_cycles(2, [(0, 1)])) == 0
     # (1 3)(2 4): both cycles same-parity labels, |2-0| + |0-2| = 4
-    assert valuation(Permutation.from_cycles(4, [(0, 2), (1, 3)])) == 4
+    assert valuation(from_cycles(4, [(0, 2), (1, 3)])) == 4
 
 
 def test_valuation_definition_oracle():
@@ -68,7 +67,7 @@ def test_full_valuation_iff_parity_preserving():
 def test_fix_move_examples():
     fixed, moved = fix_move(Permutation.identity(5))
     assert fixed == frozenset(range(5)) and moved == frozenset()
-    fixed, moved = fix_move(Permutation.from_cycles(5, [(0, 1)]))
+    fixed, moved = fix_move(from_cycles(5, [(0, 1)]))
     assert fixed == frozenset({2, 3, 4}) and moved == frozenset({0, 1})
     for images in itertools.islice(iter_tuples(6), 100):
         f, m = fix_move(Permutation(images))
@@ -77,8 +76,8 @@ def test_fix_move_examples():
 
 def test_min_transpositions_examples():
     assert min_transpositions(Permutation.identity(6)) == 0
-    assert min_transpositions(Permutation.from_cycles(5, [tuple(range(5))])) == 4
-    assert min_transpositions(Permutation.from_cycles(5, [(0, 1), (2, 3)])) == 2
+    assert min_transpositions(from_cycles(5, [tuple(range(5))])) == 4
+    assert min_transpositions(from_cycles(5, [(0, 1), (2, 3)])) == 2
 
 
 def test_transposition_identity_against_bfs():
@@ -91,7 +90,7 @@ def test_transposition_identity_against_bfs():
 def test_cycle_count_changes_by_one_under_transposition():
     for n in range(2, 7):
         transpositions = [
-            Permutation.from_cycles(n, [(i, j)])
+            from_cycles(n, [(i, j)])
             for i, j in itertools.combinations(range(n), 2)
         ]
         for images in iter_tuples(n):

@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_overlaps, tamper_experiment, wrong_decode_prob_exact
+from conftest import (FqPoly, _difference_roots, dense_overlaps, difference_poly, fq_roots,
+                      tag_poly, tag_table, tamper_experiment, wrong_decode_prob_exact)
 
 from qtamper import qamd
 from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
                             InvalidParams, OutOfRange)
-from qtamper.field import FqPoly, fq_roots
+from qtamper.field import fq_values
 from qtamper.haar import child_generator
 from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix
-from qtamper.qamd import (QamdParams, _difference_roots, _tag_table, encode,
-                          security_scan, tag_poly)
+from qtamper.qamd import QamdParams, encode, security_scan
 from qtamper.reports import canonical_json_bytes
 
 P51 = QamdParams(q=5, d=1)
 P71 = QamdParams(q=7, d=1)
 P32 = QamdParams(q=3, d=2)
+P23 = QamdParams(q=2, d=3)
 
 
 def test_params_validation():
@@ -37,6 +38,11 @@ def test_tag_polynomial():
     poly = tag_poly(P51, (2,))
     assert poly.coeffs == (0, 2, 0, 1)        # 2r + r^3
     assert poly(3) == (2 * 3 + 27) % 5
+    # the scan's coefficient table and its values, one row per message
+    coeffs = qamd._tag_coeffs(P32, P32.messages())
+    for row, values, s in zip(coeffs, fq_values(coeffs, 3), P32.messages()):
+        assert tuple(row) == (0, *s, 0, 1)
+        assert values.tolist() == tag_table(P32, s)
 
 
 def test_encode_support_and_normalization():
@@ -181,8 +187,7 @@ def test_difference_polynomial_degree_window():
             for x2 in range(q):
                 for x3 in range(q):
                     x = (x1, x2, x3)
-                    target = ((s0 + x1) % q,)
-                    g = tag_poly(P51, target).shift(x2) - tag_poly(P51, s) - FqPoly([x3], q)
+                    g = difference_poly(P51, s, x)
                     assert 1 <= g.degree <= d + 1
                     assert len(fq_roots(g)) <= d + 1
 
@@ -243,7 +248,7 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
         if cross_check:
             dense_cells = np.zeros((len(grid), len(grid), len(messages)))
         for xi, x in enumerate(grid):
-            per_s = [(_difference_roots(params, m, x), _tag_table(params, m))
+            per_s = [(_difference_roots(params, m, x), tag_table(params, m))
                      if any(x[:d]) else None for m in messages]
             max_roots = max([max_roots] + [len(v[0]) for v in per_s if v is not None])
             for zi, z in enumerate(grid):
@@ -329,13 +334,19 @@ def _dense_kernel(params):
     return qamd._support_sum_route(params, psi)
 
 
-@pytest.mark.parametrize("params,trials", [(P71, 400), (QamdParams(q=5, d=2), 100),
-                                           (QamdParams(q=2, d=1), 500)],
-                         ids=["q7d1", "q5d2", "q2d1"])
-def test_random_scan_bytes_match_reference(params, trials):
-    # q2d1 has 126 cells, so 500 draws repeat cells: each must count
-    fast = security_scan(params, exhaustive=False, trials=trials, seed=21)
-    slow, _ = _reference_scan(params, exhaustive=False, trials=trials, seed=21)
+@pytest.mark.parametrize("params,trials,seed", [(P71, 400, 21), (QamdParams(q=5, d=2), 100, 21),
+                                                (QamdParams(q=2, d=1), 500, 21),
+                                                (QamdParams(q=5, d=2), 1, 1),
+                                                (QamdParams(q=5, d=2), 1, 40)],
+                         ids=["q7d1", "q5d2", "q2d1", "q5d2-one-cell", "q5d2-root-order"])
+def test_random_scan_bytes_match_reference(params, trials, seed):
+    # q2d1 has 126 cells, so 500 draws repeat cells: each must count; the
+    # one cell of q5d2-one-cell has 1 root where its shift's other messages
+    # have up to 3, so max_root_count must count the scanned groups only;
+    # the one cell of q5d2-root-order has 3 roots whose phases, summed in
+    # descending r, change max_prob in its last bit
+    fast = security_scan(params, exhaustive=False, trials=trials, seed=seed)
+    slow, _ = _reference_scan(params, exhaustive=False, trials=trials, seed=seed)
     # the support-sum kernel sums in another order than dense_overlaps,
     # so the worst gap moves in the last bits: every other field must match
     skip = {"max_dense_mismatch"}
@@ -344,7 +355,7 @@ def test_random_scan_bytes_match_reference(params, trials):
     assert fast["max_dense_mismatch"] <= qamd.DENSE_MATCH_TOL
     # the support-sum kernel, cell by cell, against the one-word dense route
     dense = _dense_kernel(params)
-    for s, x, z in _random_cells(params, trials, seed=21):
+    for s, x, z in _random_cells(params, trials, seed=seed):
         perm, _ = PauliLabel(params.q, x, (0,) * params.block_length).action()
         mi = params.messages().index(s)
         over = dense_overlaps(s, x, z, params)
@@ -400,10 +411,41 @@ def test_dense_mismatch_raises_consistency_error(monkeypatch, kwargs):
 
 
 def test_difference_roots_degree_check_is_not_an_assert(monkeypatch):
-    # a degenerate difference polynomial must raise even under python -O
-    monkeypatch.setattr(FqPoly, "degree", property(lambda self: 0))
-    with pytest.raises(ConsistencyError):
-        _difference_roots(P51, (0,), (1, 0, 0))
+    # a degenerate difference polynomial must raise even under python -O:
+    # a zero shift matrix leaves -f(s, .) - x_{d+2}, of degree d + 2
+    monkeypatch.setattr(qamd, "taylor_shift", lambda n, a, q: np.zeros((n, n), dtype=np.int64))
+    coeffs = qamd._tag_coeffs(P51, P51.messages())
+    with pytest.raises(ConsistencyError, match="degree 3, outside"):
+        qamd._root_masks(P51, coeffs, (1, 0, 0))
+    with pytest.raises(ConsistencyError, match="degree"):
+        security_scan(P51, exhaustive=False, trials=5, cross_check=False)
+
+
+@pytest.mark.parametrize("params", [P51, P71, P32, P23], ids=["q5d1", "q7d1", "q3d2", "q2d3"])
+def test_root_masks_match_polynomial_oracle(monkeypatch, params):
+    # every (s, x) with x_{1:d} != 0: the mask row is the oracle's root set,
+    # and the coefficient row _root_masks evaluates has the oracle's degree
+    evaluated = []
+
+    def spy(coeffs, q):
+        evaluated.append(np.array(coeffs))
+        return fq_values(coeffs, q)
+
+    monkeypatch.setattr(qamd, "fq_values", spy)
+    d, messages = params.d, params.messages()
+    coeffs = qamd._tag_coeffs(params, messages)
+    for row in kron_digits(params.q, params.block_length):
+        x = tuple(int(v) for v in row)
+        if not any(x[:d]):
+            continue
+        masks = qamd._root_masks(params, coeffs, x)
+        diff = evaluated.pop()
+        assert masks.shape == (len(messages), params.q)
+        for mi, s in enumerate(messages):
+            oracle = difference_poly(params, s, x)
+            assert np.flatnonzero(masks[mi]).tolist() == _difference_roots(params, s, x)
+            assert FqPoly(diff[mi], params.q) == oracle
+            assert np.flatnonzero(diff[mi])[-1] == oracle.degree
 
 
 def test_certificate_is_an_integer_root_count():
@@ -451,9 +493,16 @@ def test_codeword_support_other_than_q_raises(monkeypatch, edit):
 
 
 def _patch_roots(monkeypatch, edit):
-    true_roots = qamd._difference_roots
-    monkeypatch.setattr(qamd, "_difference_roots",
-                        lambda params, s, x: edit(params, true_roots(params, s, x)))
+    """Pass every root set the scan reads, as a list, through `edit`."""
+    true_masks = qamd._root_masks
+
+    def masks(params, coeffs, x):
+        edited = np.zeros((len(coeffs), params.q), dtype=bool)
+        for mi, row in enumerate(true_masks(params, coeffs, x)):
+            edited[mi, edit(params, np.flatnonzero(row).tolist())] = True
+        return edited
+
+    monkeypatch.setattr(qamd, "_root_masks", masks)
 
 
 def _one_more_root(params, roots):

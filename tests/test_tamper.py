@@ -202,6 +202,11 @@ def test_scan_requires_seeds_and_known_mode():
         family_security_scan(3, 1, fam, epsilon=0.3, seeds=[])
     with pytest.raises(ValueError):
         family_security_scan(3, 1, fam, epsilon=0.3, seeds=[0], mode="odd")
+    with pytest.raises(OutOfRange, match="scheme seeds exceed"):
+        family_security_scan(3, 1, fam, epsilon=0.3, seeds=range(tamper.MAX_SEEDS + 1))
+    for epsilon in (0.0, -1.0, 1.5, float("nan"), float("inf")):
+        with pytest.raises(OutOfRange, match="epsilon"):
+            family_security_scan(3, 1, fam, epsilon=epsilon, seeds=[0])
 
 
 def test_classical_means_match_closed_forms():
