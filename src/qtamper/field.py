@@ -33,14 +33,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _powers(n: int, q: int) -> np.ndarray:
+    """Read-only (n, q) table [i, r] = r^i mod q."""
+    powers = np.array([pow(r, i, q) for i in range(n) for r in range(q)], dtype=np.int64)
+    powers = powers.reshape(n, q)
+    powers.flags.writeable = False
+    return powers
+
+
 def fq_values(coeffs, q: int) -> np.ndarray:
     """p(r) for every coefficient row p of `coeffs` and every r in F_q:
     shape coeffs.shape[:-1] + (q,), in [0, q)."""
     coeffs = np.asarray(coeffs, dtype=np.int64) % q
-    powers = np.ones((coeffs.shape[-1], q), dtype=np.int64)       # [i, r] = r^i mod q
-    for i in range(1, len(powers)):
-        powers[i] = powers[i - 1] * np.arange(q) % q
-    return coeffs @ powers % q
+    return coeffs @ _powers(coeffs.shape[-1], q) % q
 
 
 def taylor_shift(n: int, a: int, q: int) -> np.ndarray:

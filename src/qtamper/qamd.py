@@ -24,9 +24,11 @@ otherwise), and one evaluation gives their root masks.  By the
 triangle inequality the squared amplitude is at most (|roots|/q)^2, so
 counting roots in integers certifies the bound ((d+1)/q)^2 exactly.  The
 dense cross-check never reads root sets: each codeword has q nonzero
-entries, so every amplitude is a q-term sum over the codeword's support.
-Exhaustive and random mode share one scan loop over (shift, message)
-groups of cells and differ only in the groups they hand it.
+entries, so every amplitude is a q-term sum over the codeword's support,
+and only the codewords that the shifted support meets are multiplied.
+Exhaustive and random mode share one scan loop with one vectorized pass
+per shift x over a block of cells, and differ only in the blocks they
+hand it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .linalg import MAX_DIM
 from .pauli import PauliLabel, kron_digits, omega_powers
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
-MAX_TRIALS = 10 ** 6     # random mode's (trials, 2n+d) cell array stays under 272 MB at d=10
+MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell: 8 MB at the cap
+DRAW_WINDOW = 2 ** 14    # draws per generator call in random mode
 DENSE_MATCH_TOL = 1e-9
 
 
@@ -125,17 +128,20 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
     return QamdCodeword(params=params, message=s, state=state)
 
 
-def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...]) -> np.ndarray:
+def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...],
+                taylor: Optional[np.ndarray] = None) -> np.ndarray:
     """(M, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
     for the messages s of the tag coefficient rows `coeffs`.
 
-    All M difference polynomials come from one Taylor-shift product; when
-    x_{1:d} != 0 each is checked to have degree in [1, d+1].
+    All M difference polynomials come from one product with the Taylor
+    shift by x_{d+1}: `taylor`, which the scan builds once per value, or
+    else taylor_shift(d+3, x_{d+1}, q).  When x_{1:d} != 0 each is checked
+    to have degree in [1, d+1].
     """
     q, d = params.q, params.d
     target = coeffs.copy()
     target[:, 1:d + 1] += x[:d]
-    diff = target @ taylor_shift(d + 3, x[d], q) - coeffs
+    diff = target @ (taylor_shift(d + 3, x[d], q) if taylor is None else taylor) - coeffs
     diff[:, 0] -= x[d + 1]
     diff %= q
     if any(x[:d]):
@@ -152,15 +158,20 @@ def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...]) -> n
 
 
 def _support_sum_route(params: QamdParams, psi: np.ndarray):
-    """The scan's dense cross-check: a function dense(perm, mi, zs) giving
-    sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for message s = rank mi at
-    the clock words of ranks zs (at most dim of them), from the codeword
-    columns psi alone; perm is the row map of the shift word X^x.
+    """The scan's dense cross-check: a function dense(perm, cm, cz) giving
+    sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for a block of cells, the
+    message ranks cm ((G, 1)) against the clock ranks cz ((G, n) or
+    (1, n)), from the codeword columns psi alone; perm is the row map of
+    the shift word X^x.
 
     Each codeword has exactly q nonzero entries j (checked here), so the
-    amplitude is sum_j omega^{<z, v_j>} conj(psi_{s'}[perm(j)]) psi_s[j]:
-    the phase stack P[s] (z by j) is built once, and a call gathers C
-    (j by s') for one product P[s][zs] @ C.
+    amplitude is sum_j omega^{<z, v_j>} C[j, s'] with the support matrix
+    C[j, s'] = conj(psi_{s'}[perm(j)]) psi_s[j].  The phase stack P[s]
+    (z by j) is built once; a call builds C once per message of the block
+    and keeps its receiving columns s' != s, the nonzero ones.  Slot k
+    takes each message's k-th receiving column in one stacked product
+    P[s][cz] @ C[:, s'].  A correct code has at most one receiver per
+    message; a codeword that leaks into two fills a second slot.
     """
     q = params.q
     supports = [np.flatnonzero(column) for column in psi.T]
@@ -172,18 +183,22 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
     for mi, support in enumerate(supports):     # one message at a time: no (M, dim, q) ints
         phase[mi] = w_table[(digits @ digits[support].T) % q]
     weight = np.take_along_axis(psi.T, supp, axis=1)[:, :, np.newaxis]
-    # filled in place on every call: fresh arrays of this size would be
-    # mapped and page-faulted anew each time, which costs more than the product
-    amps_buf = np.empty((params.dim, len(supports)), dtype=np.complex128)
-    power_buf, imag_buf = np.empty(amps_buf.shape), np.empty(amps_buf.shape)
 
-    def dense(perm: np.ndarray, mi: int, zs) -> np.ndarray:
-        rows = phase[mi, zs]
-        n = len(rows)
-        amps = np.matmul(rows, psi[perm[supp[mi]]].conj() * weight[mi], out=amps_buf[:n])
-        power = np.add(np.square(amps.real, out=power_buf[:n]),
-                       np.square(amps.imag, out=imag_buf[:n]), out=power_buf[:n])  # [z, s']
-        return power.sum(axis=1) - power[:, mi]
+    def dense(perm: np.ndarray, cm: np.ndarray, cz: np.ndarray) -> np.ndarray:
+        first = np.concatenate(([True], cm[1:, 0] != cm[:-1, 0]))    # cm is sorted
+        present, at = cm[first, 0], np.cumsum(first)[:, np.newaxis] - 1
+        support = psi[perm[supp[present]]].conj() * weight[present]  # C per message: (P, q, M)
+        receiving = (support != 0).any(axis=1)
+        receiving[np.arange(len(present)), present] = False          # s' = s is no wrong decode
+        slots = np.argsort(~receiving, axis=1, kind="stable")         # receivers first, ascending
+        count = receiving.sum(axis=1)[at]                             # (G, 1)
+        rows = phase[cm, cz]                                          # (G, n, q)
+        power = np.zeros(rows.shape[:2])
+        for k in range(count.max()):
+            column = support[np.arange(len(present)), :, slots[:, k]][at]     # (G, 1, q)
+            amps = np.matmul(rows, column.swapaxes(1, 2))[:, :, 0]
+            np.add(power, np.square(amps.real) + np.square(amps.imag), out=power, where=count > k)
+        return power
 
     return dense
 
@@ -192,76 +207,103 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
 # security scan
 # ---------------------------------------------------------------------------
 
-def _scan(params: QamdParams, groups, cross_check: bool):
+def _cell(messages, digits, x, cm, cz, index):
+    """(s, x, z) of the cell at flat `index` of the block (cm, cz), where cz
+    holds one row per message row or one row for all of them."""
+    g, j = divmod(int(index), cz.shape[1])
+    return messages[cm[g, 0]], x, tuple(int(v) for v in digits[cz[g % len(cz), j]])
+
+
+def _scan(params: QamdParams, blocks, cross_check: bool):
     """(max probability, witness key, worst dense mismatch, max root count,
-    cells checked) over `groups`: (x rank, s rank, z ranks) triples sorted
-    by x rank, the z ranks increasing (a slice or an index array) and at
-    most dim of them."""
+    cells checked) over `blocks`: one (x rank, cm, cz) per shift, x ranks
+    increasing, whose cells pair the message ranks cm ((G, 1), increasing)
+    with the clock ranks cz ((G, n) or (1, n)), so that the cells in
+    row-major order run in increasing (s, z)."""
     q, d = params.q, params.d
     messages = params.messages()
     digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
     w_table = omega_powers(q)
     coeffs = _tag_coeffs(params, messages)
     tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
-    base = (digits[:, :d] @ np.array(messages, dtype=np.intp).T) % q   # <z_{1:d}, s> per (z, s)
+    base = (np.array(messages, dtype=np.intp) @ digits[:, :d].T) % q   # <z_{1:d}, s> per (s, z)
+    taylor = [taylor_shift(d + 3, a, q) for a in range(q)]             # p(y) -> p(y + a)
     if cross_check:
         dense = _support_sum_route(
             params, np.column_stack([encode(m, params).state for m in messages]))
-    no_clock = (0,) * params.block_length
 
     best_prob, best_key, max_mismatch, max_roots, checked = -1.0, None, 0.0, 0, 0
-    shift = None
-    for xi, mi, zs in groups:
-        if xi != shift:
-            shift, x = xi, tuple(int(v) for v in digits[xi])
-            perm, _ = PauliLabel(q, x, no_clock).action()
-            # x_{1:d} = 0 moves no mass off s
-            masks = _root_masks(params, coeffs, x) if any(x[:d]) else None
-        s, z_rows = messages[mi], digits[zs]
-        sym = np.zeros(len(z_rows))
-        if masks is not None:
-            roots = np.flatnonzero(masks[mi])      # ascending r, as the per-cell phase sum
-            max_roots = max(max_roots, len(roots))
-            tags, s_base = tag_tables[mi], base[zs, mi]
-            amp = np.zeros(len(z_rows), dtype=np.complex128)
-            for r in roots:
-                amp += w_table[(s_base + z_rows[:, d] * r + z_rows[:, d + 1] * tags[r]) % q]
+    for xi, cm, cz in blocks:
+        x = tuple(int(v) for v in digits[xi])
+        sym = np.zeros(np.broadcast_shapes(cm.shape, cz.shape))
+        if any(x[:d]):                         # x_{1:d} = 0 moves no mass off s
+            masks = _root_masks(params, coeffs, x, taylor[x[d]])
+            count = masks.sum(axis=1)[cm]                                  # (G, 1)
+            roots = np.argsort(~masks, axis=1, kind="stable")[cm[:, 0]]    # ascending r first
+            max_roots = max(max_roots, int(count.max()))
+            head, z_clock, z_tag = base[cm, cz], digits[cz, d], digits[cz, d + 1]
+            amp = np.zeros(sym.shape, dtype=np.complex128)
+            for k in range(count.max()):       # the k-th root of each cell's message
+                r = roots[:, k:k + 1]
+                np.add(amp, w_table[(head + z_clock * r + z_tag * tag_tables[cm, r]) % q],
+                       out=amp, where=count > k)
             amp = amp / q
             sym = np.hypot(amp.real, amp.imag) ** 2
-        checked += len(z_rows)
+        checked += sym.size
         if cross_check:
-            gap = np.abs(sym - dense(perm, mi, zs))
+            perm, _ = PauliLabel(q, x, (0,) * params.block_length).action()
+            gap = np.abs(sym - dense(perm, cm, cz))
             max_mismatch = max(max_mismatch, float(gap.max()))
-            if max_mismatch > DENSE_MATCH_TOL:     # earlier groups would have raised
-                z = tuple(int(v) for v in z_rows[np.argmax(gap)])
+            if max_mismatch > DENSE_MATCH_TOL:     # earlier shifts would have raised
+                s, _, z = _cell(messages, digits, x, cm, cz, np.argmax(gap))
                 raise ConsistencyError(
                     f"symbolic/dense mismatch {max_mismatch} at s={s}, x={x}, z={z}")
-        zi = int(np.argmax(sym))            # the first maximum: the smallest z
-        p, key = float(sym[zi]), (s, x, tuple(int(v) for v in z_rows[zi]))
+        zi = np.argmax(sym)                 # the first maximum: the smallest (s, z)
+        p, key = float(sym.flat[zi]), _cell(messages, digits, x, cm, cz, zi)
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
     return best_prob, best_key, max_mismatch, max_roots, checked
 
 
 def _sampled_groups(params: QamdParams, trials: int, seed: int):
-    """The scan groups of `trials` cells drawn from the seeded stream, each
-    drawn cell kept, duplicates too."""
-    q, n, m = params.q, params.block_length, params.num_messages
+    """The scan blocks of `trials` cells drawn from the seeded stream, each
+    drawn cell kept, duplicates too: per shift, its cells sorted by (s, z)
+    as (G, 1) columns of message and clock ranks.
+
+    A draw is 2n digits (x, z), redrawn while all are 0, then d digits s.
+    Bounded integers take the generator's 32-bit words one by one, so one
+    call per window of draws yields the digits of one call per draw; the
+    window is parsed draw by draw, realigned after each zero (x, z).  A
+    cell is kept as one base-q key ((x M + s) dim + z).
+    """
+    q, n, d, m = params.q, params.block_length, params.d, params.num_messages
+    width = 2 * n + d
+    place = q ** np.r_[np.arange(width - 1, n + d - 1, -1), np.arange(n - 1, -1, -1),
+                       np.arange(n + d - 1, n - 1, -1)]              # digit weights of x, z, s
     rng = child_generator(seed, 0)
-    cells = np.empty((trials, 2 * n + params.d), dtype=np.intp)    # digits of x, s, z
-    drawn = 0
+    keys, drawn, stream = np.empty(trials, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
     while drawn < trials:
-        xz = rng.integers(0, q, size=2 * n)
-        if xz.any():
-            cells[drawn] = np.concatenate((xz[:n], rng.integers(0, q, size=params.d), xz[n:]))
-            drawn += 1
-    # one base-q number per cell: sorting it sorts the cells by (x, s, z)
-    xs, z = np.divmod(np.sort(cells @ q ** np.arange(cells.shape[1] - 1, -1, -1)), params.dim)
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    for start, stop in zip(starts, np.r_[starts[1:], trials]):
-        xi, mi = divmod(int(xs[start]), m)
-        for first in range(start, stop, params.dim):    # repeats can exceed dim rows
-            yield xi, mi, z[first:min(first + params.dim, stop)]
+        stream = np.r_[stream, rng.integers(0, q, size=min(trials - drawn, DRAW_WINDOW) * width)]
+        nonzero = np.r_[0, np.cumsum(stream != 0)]
+        redraw = nonzero[2 * n:] == nonzero[:-2 * n]   # [p]: the 2n digits from p are all 0
+        at = 0
+        while drawn < trials:
+            zero = np.flatnonzero(redraw[at::width])
+            fit = int(zero[0]) if zero.size else (len(stream) - at) // width
+            take = min(fit, trials - drawn)
+            cells = stream[at + width * np.arange(take)[:, np.newaxis] + np.arange(width)]
+            keys[drawn:drawn + take] = cells @ place
+            drawn, at = drawn + take, at + fit * width
+            if not zero.size:
+                break
+            at += 2 * n
+        stream = stream[at:]
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(params.dim + 1) * (m * params.dim))
+    for xi in np.flatnonzero(np.diff(bounds)):
+        cm, cz = np.divmod(keys[bounds[xi]:bounds[xi + 1], np.newaxis] % (m * params.dim),
+                           params.dim)
+        yield int(xi), cm, cz
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -278,36 +320,38 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     is reported (the scan raises ConsistencyError above DENSE_MATCH_TOL).
     The witness is the smallest (s, x, z) among the cells at the maximum.
     The certificate is exact: `max_root_count` is the largest root set of
-    a scanned (s, x) group with x_{1:d} != 0, `bound_satisfied` is the
+    a scanned (s, x) pair with x_{1:d} != 0, `bound_satisfied` is the
     integer test max_root_count <= d + 1, which bounds every cell by the
     rational `bound_exact`, and the float `max_prob` is checked against
     (max_root_count/q)^2 up to rounding.
 
-    Both modes run one scan loop over groups: a shift x, a message s and
-    the clock words z of the cells that share them (every z in exhaustive
-    mode; the sampled ones, sorted, in random mode).  The root masks are
-    computed once per shift; per group the root set is read from its
-    message's mask in ascending order, and each root adds its
-    root-of-unity phase for every z at once, in the per-cell phase sum's
-    root order and division by q.  hypot is the modulus Python's abs() takes (np.abs differs in
-    the last bit), and the array square v * v equals the scalar pow(v, 2)
-    for every amplitude an admissible (q, d) can produce (a test
-    enumerates them), so every probability has the per-cell route's
-    bits.  The dense route is one `_support_sum_route` product per group.
+    Both modes run one scan loop with one pass per shift x over a block of
+    cells: every message against every clock word z in exhaustive mode,
+    the shift's sampled cells sorted by (s, z) in random mode.  The root
+    masks are computed once per shift; root slot k adds, for every cell at
+    once, the root-of-unity phase of the k-th root (ascending r) of the
+    cell's message, so each cell sums the per-cell phase sum's terms in
+    its order before the division by q.  hypot is the modulus Python's
+    abs() takes (np.abs differs in the last bit), and the array square
+    v * v equals the scalar pow(v, 2) for every amplitude an admissible
+    (q, d) can produce (a test enumerates them), so every probability has
+    the per-cell route's bits.  The dense route is one `_support_sum_route`
+    call per shift, whose products read only the receiving columns.
     """
     q, d = params.q, params.d
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        groups = ((xi, mi, slice(1 if xi == 0 else 0, None))    # (x, z) = 0 is no tampering
-                  for xi in range(params.dim) for mi in range(params.num_messages))
+        every = np.arange(params.num_messages)[:, np.newaxis]
+        blocks = ((xi, every, np.arange(1 if xi == 0 else 0, params.dim)[np.newaxis])
+                  for xi in range(params.dim))              # (x, z) = 0 is no tampering
     else:
         if not trials or not 1 <= trials <= MAX_TRIALS:
             raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "
                              f"got {trials}")
-        groups = _sampled_groups(params, trials, seed)
-    best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, groups, cross_check)
+        blocks = _sampled_groups(params, trials, seed)
+    best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, blocks, cross_check)
     # each cell's amplitude is a sum of at most max_roots unit phases over q
     if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):
         raise ConsistencyError(f"max_prob {best_prob} exceeds (max_root_count/q)^2 "

@@ -424,18 +424,19 @@ def test_qamd_scan_dense_mismatch_exits_2(tmp_path, monkeypatch, mode):
 
 
 def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
-    args = ["qamd-scan", "--q", "3", "--d", "2", "--exhaustive"]
-    assert _run("--out", str(tmp_path / "plain"), *args) == 0
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(tmp_path / "opt"), *args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert ((tmp_path / "opt" / "qamd-scan.json").read_bytes()
-            == (tmp_path / "plain" / "qamd-scan.json").read_bytes())
+    for mode, flags in (("exhaustive", ["--exhaustive"]), ("random", ["--trials", "200"])):
+        args = ["qamd-scan", "--q", "3", "--d", "2", *flags]
+        assert _run("--out", str(tmp_path / mode / "plain"), *args) == 0
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(tmp_path / mode / "opt"), *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / mode / "opt" / "qamd-scan.json").read_bytes()
+                == (tmp_path / mode / "plain" / "qamd-scan.json").read_bytes())
 
 
 @pytest.mark.parametrize("content", [

@@ -308,6 +308,31 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
     return report, dense_cells
 
 
+@pytest.mark.parametrize("params,trials,seeds,window", [
+    (QamdParams(q=2, d=1), 20000, (1, 2, 3), None),
+    (QamdParams(q=2, d=1), 20000, (204, 275), None),
+    (QamdParams(q=2, d=1), 2000, (11,), 1),
+    (P32, 3000, (5,), None),
+    (QamdParams(q=5, d=2), 3000, (7,), None),
+], ids=["q2d1", "q2d1-window-edge", "q2d1-window-of-one", "q3d2", "q5d2"])
+def test_block_draw_matches_one_cell_loop(monkeypatch, params, trials, seeds, window):
+    # at (2, 1) one draw in 64 is a zero (x, z) that the loop redraws; with
+    # 20000 trials the first window holds 2^14 draws, and the zero (x, z) of
+    # seed 204 ends on its last digit while that of seed 275 crosses its end;
+    # a window of one draw puts a boundary inside nearly every redraw
+    if window is not None:
+        monkeypatch.setattr(qamd, "DRAW_WINDOW", window)
+    digits, messages = kron_digits(params.q, params.block_length), params.messages()
+    for seed in seeds:
+        cells = [(messages[mi], tuple(int(v) for v in digits[xi]), tuple(int(v) for v in digits[zi]))
+                 for xi, cm, cz in qamd._sampled_groups(params, trials, seed)
+                 for mi, zi in zip(cm[:, 0], cz[:, 0])]
+        assert sorted(cells) == sorted(_random_cells(params, trials, seed))
+        report = security_scan(params, exhaustive=False, trials=trials, seed=seed,
+                               cross_check=False)
+        assert report["pairs_checked"] == trials
+
+
 @pytest.mark.parametrize("cross_check", [True, False], ids=["dense", "symbolic"])
 @pytest.mark.parametrize("params", [P51, P32], ids=["q5d1", "q3d2"])
 def test_exhaustive_scan_bytes_match_reference(params, cross_check):
@@ -322,10 +347,11 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
         assert fast["max_dense_mismatch"] <= qamd.DENSE_MATCH_TOL
         # the support-sum kernel, cell by cell, against the per-word GEMM
         dense = _dense_kernel(params)
+        clocks = np.arange(params.dim)[np.newaxis]
         for xi, row in enumerate(kron_digits(params.q, params.block_length)):
             perm, _ = PauliLabel(params.q, row, (0,) * params.block_length).action()
             for mi in range(params.num_messages):
-                np.testing.assert_allclose(dense(perm, mi, slice(None)),
+                np.testing.assert_allclose(dense(perm, np.array([[mi]]), clocks)[0],
                                            dense_cells[xi, :, mi], rtol=0, atol=1e-13)
 
 
@@ -360,7 +386,7 @@ def test_random_scan_bytes_match_reference(params, trials, seed):
         mi = params.messages().index(s)
         over = dense_overlaps(s, x, z, params)
         expected = sum(abs(a) ** 2 for m, a in over.items() if m != s)
-        got = dense(perm, mi, [params.state_index(z)])
+        got = dense(perm, np.array([[mi]]), np.array([[params.state_index(z)]]))[0]
         np.testing.assert_allclose(got, [expected], rtol=0, atol=1e-13)
 
 
@@ -482,6 +508,41 @@ def test_perturbed_codeword_entry_fails_cross_check(monkeypatch, kwargs):
         security_scan(P51, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 200}],
+                         ids=["exhaustive", "random"])
+def test_codeword_leaking_into_another_support_fails_cross_check(monkeypatch, kwargs):
+    # message 0's entry at r = 0 moves onto (1, 0, f(1, 0)), a support entry
+    # of codeword 1: every support keeps q entries, and under some shifts
+    # message 0 reaches two codewords, which only a sum over every
+    # receiving column sees
+    leak = P51.state_index((1, 0, 0))
+
+    def move_first_entry(state):
+        first = np.flatnonzero(state)[0]
+        state[leak], state[first] = state[first], 0
+    _patch_codeword(monkeypatch, move_first_entry)
+    with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
+        security_scan(P51, **kwargs)
+    psi = np.column_stack([qamd.encode(m, P51).state for m in P51.messages()])
+    dense = qamd._support_sum_route(P51, psi)
+    clocks, two_receivers = np.arange(P51.dim)[np.newaxis], 0
+    for row in kron_digits(P51.q, P51.block_length):
+        perm, _ = PauliLabel(P51.q, row, (0,) * P51.block_length).action()
+        receivers = {int(s) for s in np.flatnonzero(psi[perm[np.flatnonzero(psi[:, 0])]].any(axis=0))}
+        if len(receivers - {0}) < 2:
+            continue
+        two_receivers += 1
+        expected = []
+        for z in kron_digits(P51.q, P51.block_length):
+            rows, phase = PauliLabel(P51.q, row, z).action()
+            tampered = np.zeros(P51.dim, dtype=np.complex128)
+            tampered[rows] = phase * psi[:, 0]
+            expected.append(sum(abs(np.vdot(psi[:, m], tampered)) ** 2 for m in range(1, P51.num_messages)))
+        np.testing.assert_allclose(dense(perm, np.array([[0]]), clocks)[0], expected,
+                                   rtol=0, atol=1e-13)
+    assert two_receivers > 0
+
+
 @pytest.mark.parametrize("edit", [
     lambda state: state.__setitem__(np.flatnonzero(state)[0], 0),
     lambda state: state.__setitem__(np.flatnonzero(state == 0)[0], 1e-3),
@@ -496,9 +557,9 @@ def _patch_roots(monkeypatch, edit):
     """Pass every root set the scan reads, as a list, through `edit`."""
     true_masks = qamd._root_masks
 
-    def masks(params, coeffs, x):
+    def masks(params, coeffs, x, *taylor):
         edited = np.zeros((len(coeffs), params.q), dtype=bool)
-        for mi, row in enumerate(true_masks(params, coeffs, x)):
+        for mi, row in enumerate(true_masks(params, coeffs, x, *taylor)):
             edited[mi, edit(params, np.flatnonzero(row).tolist())] = True
         return edited
 
