@@ -49,8 +49,11 @@ def fq_values(coeffs, q: int) -> np.ndarray:
     return coeffs @ _powers(coeffs.shape[-1], q) % q
 
 
+@lru_cache(maxsize=None)
 def taylor_shift(n: int, a: int, q: int) -> np.ndarray:
-    """The n x n matrix B with B[i, j] = C(i, j) a^(i-j) mod q, so that for
-    a coefficient row c of degree below n, c @ B (mod q) is p(y + a)."""
-    return np.array([[comb(i, j) * pow(a, i - j, q) % q if j <= i else 0
-                      for j in range(n)] for i in range(n)], dtype=np.int64)
+    """The read-only n x n matrix B with B[i, j] = C(i, j) a^(i-j) mod q, so
+    that for a coefficient row c of degree below n, c @ B (mod q) is p(y + a)."""
+    shift = np.array([[comb(i, j) * pow(a, i - j, q) % q if j <= i else 0
+                       for j in range(n)] for i in range(n)], dtype=np.int64)
+    shift.flags.writeable = False
+    return shift

@@ -128,20 +128,18 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
     return QamdCodeword(params=params, message=s, state=state)
 
 
-def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...],
-                taylor: Optional[np.ndarray] = None) -> np.ndarray:
+def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...]) -> np.ndarray:
     """(M, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
     for the messages s of the tag coefficient rows `coeffs`.
 
     All M difference polynomials come from one product with the Taylor
-    shift by x_{d+1}: `taylor`, which the scan builds once per value, or
-    else taylor_shift(d+3, x_{d+1}, q).  When x_{1:d} != 0 each is checked
-    to have degree in [1, d+1].
+    shift matrix taylor_shift(d+3, x_{d+1}, q); when x_{1:d} != 0 each is
+    checked to have degree in [1, d+1].
     """
     q, d = params.q, params.d
     target = coeffs.copy()
     target[:, 1:d + 1] += x[:d]
-    diff = target @ (taylor_shift(d + 3, x[d], q) if taylor is None else taylor) - coeffs
+    diff = target @ taylor_shift(d + 3, x[d], q) - coeffs
     diff[:, 0] -= x[d + 1]
     diff %= q
     if any(x[:d]):
@@ -171,7 +169,10 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
     and keeps its receiving columns s' != s, the nonzero ones.  Slot k
     takes each message's k-th receiving column in one stacked product
     P[s][cz] @ C[:, s'].  A correct code has at most one receiver per
-    message; a codeword that leaks into two fills a second slot.
+    message; a codeword that leaks into two fills a second slot.  The rows
+    P[s][cz] are gathered again only when the call's (cm, cz) arrays are not
+    those of the last call, so the exhaustive scan, which hands every shift
+    x != 0 the same block, gathers them once.
     """
     q = params.q
     supports = [np.flatnonzero(column) for column in psi.T]
@@ -183,6 +184,7 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
     for mi, support in enumerate(supports):     # one message at a time: no (M, dim, q) ints
         phase[mi] = w_table[(digits @ digits[support].T) % q]
     weight = np.take_along_axis(psi.T, supp, axis=1)[:, :, np.newaxis]
+    last = [None, None, None]     # the block (cm, cz) of the last call and its rows P[cm][cz]
 
     def dense(perm: np.ndarray, cm: np.ndarray, cz: np.ndarray) -> np.ndarray:
         first = np.concatenate(([True], cm[1:, 0] != cm[:-1, 0]))    # cm is sorted
@@ -192,7 +194,9 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
         receiving[np.arange(len(present)), present] = False          # s' = s is no wrong decode
         slots = np.argsort(~receiving, axis=1, kind="stable")         # receivers first, ascending
         count = receiving.sum(axis=1)[at]                             # (G, 1)
-        rows = phase[cm, cz]                                          # (G, n, q)
+        if cm is not last[0] or cz is not last[1]:
+            last[:] = cm, cz, phase[cm, cz]                           # (G, n, q)
+        rows = last[2]
         power = np.zeros(rows.shape[:2])
         for k in range(count.max()):
             column = support[np.arange(len(present)), :, slots[:, k]][at]     # (G, 1, q)
@@ -227,7 +231,6 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
     coeffs = _tag_coeffs(params, messages)
     tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
     base = (np.array(messages, dtype=np.intp) @ digits[:, :d].T) % q   # <z_{1:d}, s> per (s, z)
-    taylor = [taylor_shift(d + 3, a, q) for a in range(q)]             # p(y) -> p(y + a)
     if cross_check:
         dense = _support_sum_route(
             params, np.column_stack([encode(m, params).state for m in messages]))
@@ -237,7 +240,7 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
         x = tuple(int(v) for v in digits[xi])
         sym = np.zeros(np.broadcast_shapes(cm.shape, cz.shape))
         if any(x[:d]):                         # x_{1:d} = 0 moves no mass off s
-            masks = _root_masks(params, coeffs, x, taylor[x[d]])
+            masks = _root_masks(params, coeffs, x)
             count = masks.sum(axis=1)[cm]                                  # (G, 1)
             roots = np.argsort(~masks, axis=1, kind="stable")[cm[:, 0]]    # ascending r first
             max_roots = max(max_roots, int(count.max()))
@@ -265,16 +268,17 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
     return best_prob, best_key, max_mismatch, max_roots, checked
 
 
-def _sampled_groups(params: QamdParams, trials: int, seed: int):
+def _sampled_blocks(params: QamdParams, trials: int, seed: int):
     """The scan blocks of `trials` cells drawn from the seeded stream, each
     drawn cell kept, duplicates too: per shift, its cells sorted by (s, z)
     as (G, 1) columns of message and clock ranks.
 
     A draw is 2n digits (x, z), redrawn while all are 0, then d digits s.
     Bounded integers take the generator's 32-bit words one by one, so one
-    call per window of draws yields the digits of one call per draw; the
-    window is parsed draw by draw, realigned after each zero (x, z).  A
-    cell is kept as one base-q key ((x M + s) dim + z).
+    call per window of draws yields the digits of one call per draw; a run
+    of 2n zero digits where a draw starts is a zero (x, z), and the next
+    draw starts after it.  A cell is kept as one base-q key
+    ((x M + s) dim + z).
     """
     q, n, d, m = params.q, params.block_length, params.d, params.num_messages
     width = 2 * n + d
@@ -285,19 +289,15 @@ def _sampled_groups(params: QamdParams, trials: int, seed: int):
     while drawn < trials:
         stream = np.r_[stream, rng.integers(0, q, size=min(trials - drawn, DRAW_WINDOW) * width)]
         nonzero = np.r_[0, np.cumsum(stream != 0)]
-        redraw = nonzero[2 * n:] == nonzero[:-2 * n]   # [p]: the 2n digits from p are all 0
-        at = 0
-        while drawn < trials:
-            zero = np.flatnonzero(redraw[at::width])
-            fit = int(zero[0]) if zero.size else (len(stream) - at) // width
-            take = min(fit, trials - drawn)
-            cells = stream[at + width * np.arange(take)[:, np.newaxis] + np.arange(width)]
-            keys[drawn:drawn + take] = cells @ place
-            drawn, at = drawn + take, at + fit * width
-            if not zero.size:
-                break
-            at += 2 * n
-        stream = stream[at:]
+        starts, at = [], 0
+        for p in np.flatnonzero(nonzero[2 * n:] == nonzero[:-2 * n]):   # 2n zero digits from p
+            if p >= at and (p - at) % width == 0:
+                starts.append(np.arange(at, p, width))
+                at = p + 2 * n
+        end = at + (len(stream) - at) // width * width
+        starts = np.concatenate(starts + [np.arange(at, end, width)])[:trials - drawn]
+        keys[drawn:drawn + starts.size] = stream[starts[:, np.newaxis] + np.arange(width)] @ place
+        drawn, stream = drawn + starts.size, stream[end:]
     keys.sort()
     bounds = np.searchsorted(keys, np.arange(params.dim + 1) * (m * params.dim))
     for xi in np.flatnonzero(np.diff(bounds)):
@@ -344,13 +344,14 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
         every = np.arange(params.num_messages)[:, np.newaxis]
-        blocks = ((xi, every, np.arange(1 if xi == 0 else 0, params.dim)[np.newaxis])
+        clocks = np.arange(params.dim)[np.newaxis]          # one block object for every x != 0
+        blocks = ((xi, every, clocks[:, 1:] if xi == 0 else clocks)
                   for xi in range(params.dim))              # (x, z) = 0 is no tampering
     else:
         if not trials or not 1 <= trials <= MAX_TRIALS:
             raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "
                              f"got {trials}")
-        blocks = _sampled_groups(params, trials, seed)
+        blocks = _sampled_blocks(params, trials, seed)
     best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, blocks, cross_check)
     # each cell's amplitude is a sum of at most max_roots unit phases over q
     if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):

@@ -325,7 +325,7 @@ def test_block_draw_matches_one_cell_loop(monkeypatch, params, trials, seeds, wi
     digits, messages = kron_digits(params.q, params.block_length), params.messages()
     for seed in seeds:
         cells = [(messages[mi], tuple(int(v) for v in digits[xi]), tuple(int(v) for v in digits[zi]))
-                 for xi, cm, cz in qamd._sampled_groups(params, trials, seed)
+                 for xi, cm, cz in qamd._sampled_blocks(params, trials, seed)
                  for mi, zi in zip(cm[:, 0], cz[:, 0])]
         assert sorted(cells) == sorted(_random_cells(params, trials, seed))
         report = security_scan(params, exhaustive=False, trials=trials, seed=seed,
@@ -557,9 +557,9 @@ def _patch_roots(monkeypatch, edit):
     """Pass every root set the scan reads, as a list, through `edit`."""
     true_masks = qamd._root_masks
 
-    def masks(params, coeffs, x, *taylor):
+    def masks(params, coeffs, x):
         edited = np.zeros((len(coeffs), params.q), dtype=bool)
-        for mi, row in enumerate(true_masks(params, coeffs, x, *taylor)):
+        for mi, row in enumerate(true_masks(params, coeffs, x)):
             edited[mi, edit(params, np.flatnonzero(row).tolist())] = True
         return edited
 
