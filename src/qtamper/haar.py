@@ -5,14 +5,16 @@ Randomness contract
 -------------------
 All sampling is driven by counter-based Philox streams keyed on a 64-bit
 seed: the root stream uses key (seed, 0) and Monte Carlo trial chunk c
-uses key (seed, 1 + c).  Complex Gaussians are produced by an explicit
-Box-Muller transform on Philox uniforms, so a (seed, stream) pair pins
-the sample exactly; ``GENERATOR_VERSION`` names this scheme and is
-stamped into every report.  Versions 2 and 3 pinned the Pauli phase rule
-and the QAMD scan's certificate fields; version 4 pins the isometry
+uses key (seed, 1 + c).  Complex Gaussians are NumPy's ziggurat normals
+on those streams, so a (seed, stream) pair pins the sample exactly under
+one NumPy release; ``GENERATOR_VERSION`` names this scheme and is stamped
+into every report, next to the NumPy version (NEP 19 does not pin the
+normal stream across releases).  Versions 2 and 3 pinned the Pauli phase
+rule and the QAMD scan's certificate fields; version 4 pins the isometry
 sampler below, which moved every Monte Carlo field and tamper-sim report;
 version 5 pins the random-mode QAMD cross-check arithmetic, now the
-exhaustive scan's support sum, which moved `max_dense_mismatch` there.
+exhaustive scan's support sum, which moved `max_dense_mismatch` there;
+version 6 pins the ziggurat normals, which moved every sample.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
@@ -31,7 +33,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/box-muller/v5"
+GENERATOR_VERSION = "philox4x64/ziggurat/v6"
 
 
 def root_generator(seed: int) -> Generator:
@@ -47,20 +49,12 @@ def child_generator(seed: int, index: int) -> Generator:
 
 
 def complex_gaussian(rng: Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians, E|z|^2 = 1, via Box-Muller.
-
-    Uses u1 in (0, 1] (so log never sees 0) and u2 in [0, 1); the two
-    Box-Muller outputs become the real and imaginary parts.
-    """
-    u1 = 1.0 - rng.random(size=shape)
-    u2 = 2 * np.pi * rng.random(size=shape)
-    z = np.empty(u2.shape, dtype=np.complex128)
-    np.cos(u2, out=z.real)
-    np.sin(u2, out=z.imag)
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    z *= np.sqrt(u1, out=u1)
-    z /= np.sqrt(2.0)  # after the radius: bit-identical to r e^{i theta} / sqrt 2
+    """Standard complex Gaussians, E|z|^2 = 1: consecutive ziggurat
+    normals of the stream are the real and imaginary parts, scaled by
+    sqrt(1/2)."""
+    z = np.empty(shape, dtype=np.complex128)
+    rng.standard_normal(out=z.view(np.float64))
+    z *= np.sqrt(0.5)
     return z
 
 

@@ -67,12 +67,9 @@ class PauliLabel:
         With v the digits of j, rows[j] is the index of v + x (mod q) and
         phase[j] = omega_powers(q)[<z, v> mod q].
         """
-        q = self.q
-        digits = kron_digits(q, self.m)
-        radix = q ** np.arange(self.m - 1, -1, -1, dtype=np.intp)
-        rows = ((digits + np.array(self.x, dtype=np.intp)) % q) @ radix
-        phase = omega_powers(q)[(digits @ np.array(self.z, dtype=np.intp)) % q]
-        return rows, phase
+        z = np.array(self.z, dtype=np.intp)
+        phase = omega_powers(self.q)[(kron_digits(self.q, self.m) @ z) % self.q]
+        return shift_rows(self.q, self.x), phase
 
     def compact(self) -> str:
         """Compact text form `pauli:q:x-digits:z-digits` (q <= 7 registers)."""
@@ -112,6 +109,12 @@ def kron_digits(q: int, m: int) -> np.ndarray:
     digits = index // q ** np.arange(m - 1, -1, -1, dtype=np.intp) % q
     digits.flags.writeable = False
     return digits
+
+
+def shift_rows(q: int, x) -> np.ndarray:
+    """Row map of the shift X^x: rows[j] is the index of v_j + x (mod q)."""
+    radix = q ** np.arange(len(x) - 1, -1, -1, dtype=np.intp)
+    return ((kron_digits(q, len(x)) + np.array(x, dtype=np.intp)) % q) @ radix
 
 
 def single_pauli(q: int, a: int, b: int) -> np.ndarray:

@@ -12,6 +12,7 @@ Layout conventions (fixed here, used by every routine):
     most significant digit), and messages run in the same lexicographic
     order;
   * every tampering word X^x Z^z acts as `PauliLabel(q, x, z).action()`,
+    whose row map the dense cross-check reads as `pauli.shift_rows(q, x)`,
     and every phase omega^k is read from `pauli.omega_powers(q)`.
 
 For a tampering word X^x Z^z the only codeword that can receive mass is
@@ -44,7 +45,7 @@ from .errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
 from .field import fq_values, is_prime, taylor_shift
 from .haar import child_generator
 from .linalg import MAX_DIM
-from .pauli import PauliLabel, kron_digits, omega_powers
+from .pauli import kron_digits, omega_powers, shift_rows
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell: 8 MB at the cap
@@ -254,7 +255,7 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
             sym = np.hypot(amp.real, amp.imag) ** 2
         checked += sym.size
         if cross_check:
-            perm, _ = PauliLabel(q, x, (0,) * params.block_length).action()
+            perm = shift_rows(q, x)
             gap = np.abs(sym - dense(perm, cm, cz))
             max_mismatch = max(max_mismatch, float(gap.max()))
             if max_mismatch > DENSE_MATCH_TOL:     # earlier shifts would have raised

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .haar import GENERATOR_VERSION
 
-BUILD_ID = f"qtamper/{__version__}"
+BUILD_ID = f"qtamper/{__version__} numpy/{np.__version__}"  # the normal stream is per release
 
 
 def _emit(obj: Any, out: io.StringIO) -> None:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qtamper import cli, linalg, moments, qamd, tamper
 from qtamper.linalg import require_unitary
-from qtamper.reports import make_manifest
+from qtamper.reports import BUILD_ID, make_manifest
 
 
 def _run(*argv):
@@ -243,7 +243,9 @@ def _with(key, value, section=None):
     _with("subcommand", ["weingarten-table"]),
     _with("subcommand", "rerun"),
     _with("generator_version", "v0"),
+    _with("generator_version", "philox4x64/box-muller/v5"),
     _with("build", "qtamper/0.0.0"),
+    _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
     _with("p", "3", "parameters"),
     _with("p", 3.5, "parameters"),
@@ -253,7 +255,7 @@ def _with(key, value, section=None):
 ], ids=["empty", "not-an-object", "missing-parameter", "unknown-parameter",
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
-        "generator-version", "build",
+        "generator-version", "generator-version-v5", "build", "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
 def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):

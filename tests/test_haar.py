@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from qtamper.errors import OutOfRange, RankDeficient
 from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
@@ -44,12 +45,9 @@ def test_isometry_is_thin_qr_of_root_block():
 
 
 def _unfused_complex_gaussian(rng, shape):
-    """The Box-Muller expression the fused sampler must reproduce bit for bit."""
-    u1 = 1.0 - rng.random(size=shape)
-    u2 = rng.random(size=shape)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = radius * np.exp(2j * np.pi * u2)
-    return z / np.sqrt(2.0)
+    """The ziggurat expression the in-place sampler must reproduce bit for bit."""
+    a = rng.standard_normal(2 * int(np.prod(shape)))
+    return ((a[0::2] + 1j * a[1::2]) * np.sqrt(0.5)).reshape(shape)
 
 
 @pytest.mark.parametrize("seed", [1, 9001, 52001])
@@ -71,7 +69,7 @@ def test_stack_matches_lapack_phase_fixed_qr(K, N):
 
 
 class _RepeatedRows:
-    """Uniform source whose draws repeat row 0 along axis 1, mixed with a
+    """Normal source whose draws repeat row 0 along axis 1, mixed with a
     fraction `jitter` of fresh draws, so the Ginibre blocks it feeds have
     equal (jitter 0) or nearly parallel columns."""
 
@@ -79,10 +77,10 @@ class _RepeatedRows:
         self.rng = root_generator(seed)
         self.jitter = jitter
 
-    def random(self, size):
-        u = self.rng.random(size=size)
-        u[:, 1:, :] = (1 - self.jitter) * u[:, :1, :] + self.jitter * u[:, 1:, :]
-        return u
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        out[:, 1:, :] = (1 - self.jitter) * out[:, :1, :] + self.jitter * out[:, 1:, :]
+        return out
 
 
 def test_equal_columns_raise_rank_deficient():
@@ -121,6 +119,19 @@ def test_complex_gaussian_moments():
     mag2 = np.abs(z) ** 2
     stderr = mag2.std() / np.sqrt(len(z))
     assert abs(mag2.mean() - 1.0) <= 4 * stderr
+
+
+@pytest.mark.parametrize("seed", [1, 9001, 52001])
+def test_complex_gaussian_distribution(seed):
+    """Real and imaginary parts are N(0, 1/2) by KS at level 1e-4, E|z|^4 = 2
+    within 5 standard errors (Var |z|^4 = 20) and E z^2 = 0: n |mean z^2|^2
+    is about chi^2_2, so |mean z^2| > 5/sqrt(n) has probability e^-12.5."""
+    n = 100_000
+    z = complex_gaussian(child_generator(seed, 0), n)
+    for part in (z.real, z.imag):
+        assert stats.kstest(part, "norm", args=(0.0, np.sqrt(0.5))).pvalue >= 1e-4
+    assert abs(np.mean(np.abs(z) ** 4) - 2.0) <= 5 * np.sqrt(20 / n)
+    assert abs(np.mean(z ** 2)) <= 5 / np.sqrt(n)
 
 
 def _haar_batch(seed, count, n):
