@@ -24,9 +24,9 @@ import numpy as np
 from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import sample_haar_unitary
-from .moments import (MomentSpec, check_trials, closed_form_moment, exact_moment,
-                      mc_moment)
-from .pauli import MonomialUnitary, PauliLabel, pauli_matrix
+from .moments import (MomentSpec, check_moment_params, check_trials, closed_form_moment,
+                      exact_moment, mc_moment)
+from .pauli import MonomialUnitary, PauliLabel
 from .perm import verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
@@ -78,12 +78,13 @@ def _load_unitary_file(path: str) -> np.ndarray:
     return matrix
 
 
-def _resolve_unitary(spec: str, N: int) -> np.ndarray:
+def _resolve_unitary(spec: str, N: int):
+    """`moments --unitary`: a Pauli word as its MonomialUnitary, else dense."""
     if spec.startswith("pauli:"):
         label = PauliLabel.from_compact(spec)
         if label.q ** label.m != N:
             raise InputError(f"label dimension {label.q ** label.m} != N = {N}")
-        return pauli_matrix(label)
+        return MonomialUnitary(*label.action())
     if spec.startswith("file:"):
         matrix = _load_unitary_file(spec[len("file:"):])
         if matrix.shape[0] != N:
@@ -202,20 +203,13 @@ def _run_qamd_scan(params: dict, jobs: int):
 
 
 def _run_moments(params: dict, jobs: int):
-    check_trials(params["trials"])  # before U, whose sampling takes seconds at N = 4096
-    n_dim = params["N"]
+    # before U, whose sampling takes seconds at N = 4096, and before 1/sqrt(K)
+    check_trials(params["trials"])
+    pattern, n_dim, k = params["pattern"], params["N"], params["K"]
+    check_moment_params(pattern, params["t"], n_dim, k, params["target_index"])
     unitary = _resolve_unitary(params["unitary"], n_dim)
-    kwargs = {}
-    if params["pattern"] == "m":
-        # MomentSpec checks K too, but only after the amplitudes 1/sqrt(K) exist
-        if not 1 <= params["K"] < n_dim:
-            raise OutOfRange(f"need 1 <= K < N (K={params['K']}, N={n_dim})")
-        kwargs["message_amplitudes"] = np.full(
-            params["K"], 1.0 / np.sqrt(params["K"]), dtype=np.complex128
-        )
-        kwargs["target_index"] = params["target_index"]
-    spec = MomentSpec(pattern=params["pattern"], t=params["t"], U=unitary,
-                      K=params["K"], **kwargs)
+    amplitudes = np.full(k, 1.0 / np.sqrt(k), dtype=np.complex128) if pattern == "m" else None
+    spec = MomentSpec(pattern, params["t"], unitary, k, amplitudes, params["target_index"])
     exact = exact_moment(spec)
     estimate, stderr = mc_moment(spec, params["trials"], params["seed"], jobs=jobs)
     result = {
@@ -240,6 +234,8 @@ _CSV_COLUMNS = {
 
 
 def _run_tamper_sim(params: dict, jobs: int):
+    if not 0.0 <= params["min_pass_fraction"] <= 1.0:   # NaN too
+        raise OutOfRange(f"min_pass_fraction {params['min_pass_fraction']} outside [0, 1]")
     family = _resolve_family(params["family"], params["n"], params["family_seed"])
     report = family_security_scan(
         n=params["n"], k=params["k"], family=family,
@@ -404,17 +400,19 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     out = Path(out_dir)
     path = out / f"{subcommand}.json"
     started = time.monotonic()
+    # each report is serialized before the directory is made, so a report
+    # that cannot be written leaves no --out behind
     try:
         result, ok, csv_rows = _HANDLERS[subcommand](params, jobs)
     except (AssertionError, ConsistencyError) as exc:
-        report = {"manifest": manifest, "error": str(exc)}
+        report = canonical_json_bytes({"manifest": manifest, "error": str(exc)})
         out.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(canonical_json_bytes(report))
+        path.write_bytes(report)
         print(f"[qtamper] {subcommand}: FAILED ({exc}); report at {path}", file=sys.stderr)
         return 2
-    report = {"manifest": manifest, "result": result}
+    report = canonical_json_bytes({"manifest": manifest, "result": result})
     out.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(canonical_json_bytes(report))
+    path.write_bytes(report)
     if csv_rows is not None:
         csv_path = out / f"{subcommand}-cells.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -25,14 +25,6 @@ class SingularGram(QTamperError):
     """Weingarten Gram matrix is singular (dimension below moment order)."""
 
 
-class NonScalarMismatch(QTamperError):
-    """Two matrices expected to be proportional are not."""
-
-
-class IdentityTampering(QTamperError):
-    """Tampering word is the identity; the experiment is undefined."""
-
-
 class InvalidParams(QTamperError):
     """Code parameters violate a construction precondition."""
 

@@ -14,7 +14,10 @@ rule and the QAMD scan's certificate fields; version 4 pins the isometry
 sampler below, which moved every Monte Carlo field and tamper-sim report;
 version 5 pins the random-mode QAMD cross-check arithmetic, now the
 exhaustive scan's support sum, which moved `max_dense_mismatch` there;
-version 6 pins the ziggurat normals, which moved every sample.
+version 6 pins the ziggurat normals, which moved every sample; version 7
+pins `moments` on a Pauli word applied as its monomial action (a gather
+times a phase in place of zgemm), which moved the last digit of some
+Monte Carlo fields at q >= 3.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
@@ -33,7 +36,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/ziggurat/v6"
+GENERATOR_VERSION = "philox4x64/ziggurat/v7"
 
 
 def root_generator(seed: int) -> Generator:

@@ -24,6 +24,10 @@ beta alpha^-1, looked up through the shared S_{2t} pair-class table
 
 The Monte Carlo estimator is the independent route: sample encoding
 isometries, evaluate the realized X^t, and average.
+
+U is read only through `.trace()`, `U @ U` and `x @ U.T`, so it may be a
+dense matrix or a `pauli.MonomialUnitary`: a Pauli word is never formed
+as an N x N array.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, NotNormalized, OutOfRange
+from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator, sample_isometry_stack
-from .linalg import parallel_map, require_unitary
+from .linalg import parallel_map, require_normalized
+from .pauli import checked_unitary
 from .perm import cycles_of, parity_swapper_tuples, sp_classes
 from .weingarten import wg_table
 
@@ -52,41 +57,45 @@ MC_CHUNK = 4096
 IMAG_RESIDUE_TOL = 1e-9
 
 
+def check_moment_params(pattern: str, t: int, N: int, K: int = 2,
+                        target_index: int = 0) -> None:
+    """Refuse a moment request from its scalars alone, before U is built."""
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    if not 1 <= t <= MOMENT_ORDER_CAP:
+        raise OutOfRange(f"moment order t={t} outside [1, {MOMENT_ORDER_CAP}]")
+    if N < 2 * t:
+        raise OutOfRange(f"need N >= 2t (N={N}, t={t})")
+    if pattern == PATTERN_OFF_DIAGONAL and K < 2:
+        raise OutOfRange("off-diagonal pattern needs K >= 2")
+    if not 1 <= K < N:
+        raise OutOfRange(f"need 1 <= K < N (K={K}, N={N})")
+    if pattern == PATTERN_QUANTUM_MESSAGE and not 0 <= target_index < K:
+        raise OutOfRange("target_index outside [0, K)")
+
+
 @dataclass
 class MomentSpec:
-    """What to average: pattern, order t, tampering unitary, and (for the
-    quantum-message pattern) the message amplitudes and POVM row."""
+    """What to average: pattern, order t, tampering unitary (dense or a
+    `MonomialUnitary`), and (for the quantum-message pattern) the message
+    amplitudes and POVM row."""
 
     pattern: str
     t: int
-    U: np.ndarray
+    U: object
     K: int = 2
     message_amplitudes: Optional[np.ndarray] = None
     target_index: int = 0
 
     def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r}")
-        if not 1 <= self.t <= MOMENT_ORDER_CAP:
-            raise OutOfRange(f"moment order t={self.t} outside [1, {MOMENT_ORDER_CAP}]")
-        self.U = require_unitary(self.U)
-        n = self.U.shape[0]
-        if n < 2 * self.t:
-            raise OutOfRange(f"need N >= 2t (N={n}, t={self.t})")
-        if self.pattern == PATTERN_OFF_DIAGONAL and self.K < 2:
-            raise OutOfRange("off-diagonal pattern needs K >= 2")
-        if not 1 <= self.K < n:
-            raise OutOfRange(f"need 1 <= K < N (K={self.K}, N={n})")
+        self.U = checked_unitary(self.U)
+        check_moment_params(self.pattern, self.t, self.N, self.K, self.target_index)
         if self.pattern == PATTERN_QUANTUM_MESSAGE:
             if self.message_amplitudes is None:
                 raise ValueError("quantum-message pattern needs amplitudes")
-            amps = np.asarray(self.message_amplitudes, dtype=np.complex128)
+            amps = require_normalized(self.message_amplitudes)
             if amps.shape != (self.K,):
                 raise OutOfRange(f"amplitudes must have length K={self.K}")
-            if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-                raise NotNormalized("message amplitudes must be normalized")
-            if not 0 <= self.target_index < self.K:
-                raise OutOfRange("target_index outside [0, K)")
             self.message_amplitudes = amps
 
     @property
@@ -94,23 +103,23 @@ class MomentSpec:
         return self.U.shape[0]
 
 
-def _first_moment(pattern: str, U: np.ndarray) -> float:
+def _first_moment(pattern: str, U) -> float:
     n = U.shape[0]
     if n < 2:
         raise OutOfRange("need N >= 2")
     if pattern == PATTERN_OFF_DIAGONAL:
-        return (n ** 2 - abs(np.trace(U)) ** 2) / (n * (n ** 2 - 1))
-    return (n + abs(np.trace(U)) ** 2) / (n * (n + 1))
+        return (n ** 2 - abs(U.trace()) ** 2) / (n * (n ** 2 - 1))
+    return (n + abs(U.trace()) ** 2) / (n * (n + 1))
 
 
-def first_moment_js(U: np.ndarray) -> float:
+def first_moment_js(U) -> float:
     """E[X_js] = (N^2 - |Tr U|^2) / (N (N^2 - 1)), closed form."""
-    return _first_moment(PATTERN_OFF_DIAGONAL, require_unitary(U))
+    return _first_moment(PATTERN_OFF_DIAGONAL, checked_unitary(U))
 
 
-def first_moment_ss(U: np.ndarray) -> float:
+def first_moment_ss(U) -> float:
     """E[X_ss] = (N + |Tr U|^2) / (N (N + 1)), closed form."""
-    return _first_moment(PATTERN_DIAGONAL, require_unitary(U))
+    return _first_moment(PATTERN_DIAGONAL, checked_unitary(U))
 
 
 def closed_form_moment(spec: MomentSpec) -> Optional[float]:
@@ -120,18 +129,18 @@ def closed_form_moment(spec: MomentSpec) -> Optional[float]:
     return _first_moment(spec.pattern, spec.U)
 
 
-def _cycle_trace_products(perms, U: np.ndarray, t: int) -> np.ndarray:
+def _cycle_trace_products(perms, U, t: int) -> np.ndarray:
     """Tr-product vector over alpha: prod_c Tr(U^{odd(c)-even(c)}).
 
     Positions are 1-based in the parity convention, so 0-based even
     indices carry a U factor (+1) and odd indices a U^dag factor (-1).
     """
-    n = U.shape[0]
-    tr_pow = {0: complex(n)}
-    power = np.eye(n, dtype=np.complex128)
+    tr_pow = {0: complex(U.shape[0])}
+    power = U
     for j in range(1, t + 1):
-        power = power @ U
-        tr = complex(np.trace(power))
+        if j > 1:
+            power = power @ U
+        tr = complex(power.trace())
         tr_pow[j] = tr
         tr_pow[-j] = tr.conjugate()
     out = np.empty(len(perms), dtype=np.complex128)

@@ -13,11 +13,11 @@ that knows the digit order and the phase rule):
     digit, so `kron_digits(q, m)` lists them in lexicographic order;
   * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
     `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
-    phase[j] = omega_powers(q)[<z, v_j> mod q].  `pauli_matrix` is its dense
-    scatter; `MonomialUnitary` applies it without forming the matrix.
+    phase[j] = omega_powers(q)[<z, v_j> mod q].  `MonomialUnitary` is its
+    runtime form everywhere (tamper families and `moments` alike);
+    `pauli_matrix` is its dense scatter, kept for tests and oracles.
 
-With these choices X^a Z^b = omega^{-ab} Z^b X^a; the dense-matrix check
-`twisted_commutator_check` measures the scalar rather than assuming it.
+With these choices X^a Z^b = omega^{-ab} Z^b X^a.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator
 
-from .errors import DimMismatch, NonScalarMismatch, NotUnitary, OutOfRange
+from .errors import DimMismatch, NotUnitary, OutOfRange
 from .field import is_prime
-from .linalg import MAX_DIM, STRUCTURAL_TOL, max_abs
+from .linalg import MAX_DIM, STRUCTURAL_TOL, require_unitary
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ def shift_rows(q: int, x) -> np.ndarray:
     return ((kron_digits(q, len(x)) + np.array(x, dtype=np.intp)) % q) @ radix
 
 
-def single_pauli(q: int, a: int, b: int) -> np.ndarray:
-    """Dense q x q matrix of X^a Z^b."""
-    return pauli_matrix(PauliLabel(q=q, x=(a,), z=(b,)))
-
-
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
     rows, phase = label.action()
@@ -134,7 +129,9 @@ class MonomialUnitary:
     """N x N unitary whose column j is phase[j] at row rows[j], validated
     once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
     per column and equal the dense products; numpy defers `A @ U` to
-    `__rmatmul__`, so code written for dense matrices runs on it unchanged.
+    `__rmatmul__`.  The product of two monomials, `.T` and `.trace()` are
+    monomials and scalars again, so code written for dense matrices
+    (`moments`, the tamper decoders) runs on it unchanged.
     """
 
     __array_ufunc__ = None
@@ -156,7 +153,17 @@ class MonomialUnitary:
         fixed = self.rows == np.arange(self.rows.size)
         return complex(np.sum(np.where(fixed, self.phase, 0)))
 
+    @property
+    def T(self) -> "MonomialUnitary":
+        """The transpose: column rows[j] holds phase[j] at row j."""
+        inverse = np.argsort(self.rows)
+        return MonomialUnitary(inverse, self.phase[inverse])
+
     def __matmul__(self, x):
+        if isinstance(x, MonomialUnitary):
+            if x.shape != self.shape:
+                raise DimMismatch(f"cannot multiply {self.shape} by {x.shape}")
+            return MonomialUnitary(self.rows[x.rows], self.phase[x.rows] * x.phase)
         x = np.asarray(x)
         if x.shape[:1] != self.shape[:1]:
             raise DimMismatch(f"cannot apply {self.shape} to {x.shape}")
@@ -171,22 +178,10 @@ class MonomialUnitary:
         return np.ascontiguousarray(a[..., self.rows] * self.phase)
 
 
-def twisted_commutator_check(a: int, b: int, q: int) -> complex:
-    """Scalar lambda with X^a Z^b = lambda * Z^b X^a, measured from dense
-    matrices.  Raises NonScalarMismatch if the two products are not
-    proportional (which would signal an implementation bug); the expected
-    value is omega^{-ab}.
-    """
-    if q > MAX_DIM:
-        raise OutOfRange(f"dimension {q} exceeds {MAX_DIM}")
-    xz = single_pauli(q, a, 0) @ single_pauli(q, 0, b)
-    zx = single_pauli(q, 0, b) @ single_pauli(q, a, 0)
-    flat = np.argmax(np.abs(zx))
-    ref = zx.flat[flat]
-    lam = complex(xz.flat[flat] / ref)
-    if max_abs(xz - lam * zx) > 1e-10:
-        raise NonScalarMismatch("X^a Z^b and Z^b X^a are not proportional")
-    return lam
+def checked_unitary(u):
+    """`u` ready to act as a unitary: a `MonomialUnitary` as it is, since it
+    was validated when built, and any other matrix by `require_unitary`."""
+    return u if isinstance(u, MonomialUnitary) else require_unitary(u)
 
 
 def random_nonidentity_labels(q: int, m: int, count: int, rng: Generator) -> list[PauliLabel]:

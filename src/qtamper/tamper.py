@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
-from .linalg import MAX_DIM, parallel_map, require_normalized, require_unitary
-from .pauli import MonomialUnitary, random_nonidentity_labels
+from .linalg import MAX_DIM, parallel_map, require_normalized
+from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_labels
 
 MAX_FAMILY = 10 ** 4
 MAX_SEEDS = 10 ** 4
@@ -166,18 +166,15 @@ def check_seed_count(count: int) -> None:
 @dataclass
 class UnitaryFamily:
     """Explicit list of (label, unitary) tampering members, optionally
-    carrying a declared far-from-identity trace bound phi.  A dense member
-    is checked for unitarity here; a `MonomialUnitary` was when built."""
+    carrying a declared far-from-identity trace bound phi.  Each member
+    passes `pauli.checked_unitary` once, here."""
 
     members: list[tuple[str, object]]
     trace_bound_phi: Optional[float] = None
 
     def __post_init__(self):
         check_family_size(len(self.members))
-        self.members = [
-            (label, u if isinstance(u, MonomialUnitary) else require_unitary(u))
-            for label, u in self.members
-        ]
+        self.members = [(label, checked_unitary(u)) for label, u in self.members]
         phi = self.trace_bound_phi
         for label, u in self.members:
             if phi is not None and abs(u.trace()) > phi * u.shape[0] + 1e-9:

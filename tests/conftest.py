@@ -8,14 +8,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
-                            InvalidParams)
+from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTamperError
 from qtamper.field import is_prime
 from qtamper.pauli import PauliLabel, omega_powers
 from qtamper.perm import Permutation, iter_tuples, num_cycles
 from qtamper.qamd import encode
 
 MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
+
+
+class IdentityTampering(QTamperError):
+    """Tampering word is the identity; the per-cell experiment is undefined."""
 
 
 class FqPoly:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtamper import cli, linalg, moments, qamd, tamper
+from qtamper import cli, linalg, moments, pauli, qamd, tamper
 from qtamper.linalg import require_unitary
 from qtamper.reports import BUILD_ID, make_manifest
 
@@ -84,14 +84,17 @@ def test_moments_validates_the_unitary_once(tmp_path, monkeypatch):
         calls.append(1)
         return require_unitary(u)
 
-    monkeypatch.setattr(moments, "require_unitary", counting)
-    for pattern in ("js", "ss"):
+    # a dense U is checked once; a Pauli word is a MonomialUnitary, checked when built
+    monkeypatch.setattr(pauli, "require_unitary", counting)
+    for pattern, unitary, checks in (("js", "random:3", 1), ("ss", "random:3", 1),
+                                     ("js", "pauli:3:100:021", 0)):
         calls.clear()
-        assert _run("--out", str(tmp_path / pattern), "moments", "--pattern", pattern,
-                    "--t", "1", "--N", "64", "--unitary", "random:3",
-                    "--trials", "1000", "--seed", "4") == 0
-        assert len(calls) == 1
-        assert _load(tmp_path / pattern / "moments.json")["result"]["closed_form"] is not None
+        out = tmp_path / f"{pattern}-{checks}"
+        n_dim = "27" if unitary.startswith("pauli:") else "64"
+        assert _run("--out", str(out), "moments", "--pattern", pattern, "--t", "1",
+                    "--N", n_dim, "--unitary", unitary, "--trials", "1000", "--seed", "4") == 0
+        assert len(calls) == checks
+        assert _load(out / "moments.json")["result"]["closed_form"] is not None
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "8"])
@@ -107,6 +110,24 @@ def test_moments_bad_k_is_one_input_error(tmp_path, capsys, k):
     assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pattern", "js", "--t", "4", "--N", "4096"],
+    ["--pattern", "js", "--K", "1", "--t", "1", "--N", "4096"],
+    ["--pattern", "js", "--t", "3", "--N", "5"],
+    ["--pattern", "m", "--K", "2", "--target-index", "2", "--t", "1", "--N", "4096"],
+], ids=["t-above-cap", "js-needs-two-codewords", "N-below-2t", "target-index-outside-K"])
+def test_moments_parameters_are_checked_before_the_unitary(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    resolved = []
+    monkeypatch.setattr(cli, "_resolve_unitary", lambda *args: resolved.append(args))
+    assert _run("--out", str(tmp_path / "r"), "moments", *argv, "--unitary", "random:1",
+                "--trials", "1000", "--seed", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert resolved == []
+    assert not (tmp_path / "r").exists()
+
+
 def test_tamper_sim_writes_json_and_csv(tmp_path):
     out = tmp_path / "r"
     assert _run("--out", str(out), "tamper-sim", "--n", "4", "--k", "1",
@@ -120,12 +141,27 @@ def test_tamper_sim_writes_json_and_csv(tmp_path):
 
 
 def test_tamper_sim_threshold_exit_code(tmp_path):
+    # at epsilon 0.2 neither seed passes, so a threshold of 0.5 is missed
     out = tmp_path / "r"
     code = _run("--out", str(out), "tamper-sim", "--n", "4", "--k", "1",
-                "--family", "paulis:3", "--epsilon", "0.4",
-                "--seeds", "0..1", "--min-pass-fraction", "1.5")
+                "--family", "paulis:3", "--epsilon", "0.2",
+                "--seeds", "0..1", "--min-pass-fraction", "0.5")
     assert code == 2
     assert (out / "tamper-sim.json").exists()  # report still written
+
+
+@pytest.mark.parametrize("fraction", ["nan", "-0.1", "1.5"])
+def test_min_pass_fraction_outside_unit_interval_is_one_input_error(
+        tmp_path, capsys, monkeypatch, fraction):
+    built = []
+    monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
+    assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "4", "--k", "1",
+                "--family", "paulis:3", "--epsilon", "0.4", "--seeds", "0..1",
+                "--min-pass-fraction", fraction) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert built == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_usage_and_input_errors(tmp_path):
@@ -244,6 +280,7 @@ def _with(key, value, section=None):
     _with("subcommand", "rerun"),
     _with("generator_version", "v0"),
     _with("generator_version", "philox4x64/box-muller/v5"),
+    _with("generator_version", "philox4x64/ziggurat/v6"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -255,7 +292,7 @@ def _with(key, value, section=None):
 ], ids=["empty", "not-an-object", "missing-parameter", "unknown-parameter",
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
-        "generator-version", "generator-version-v5", "build", "build-other-numpy",
+        "generator-version", "generator-version-v5", "generator-version-v6", "build", "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
 def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):

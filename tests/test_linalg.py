@@ -9,7 +9,7 @@ from qtamper.errors import DimMismatch, NotNormalized, NotUnitary, RankDeficient
 from qtamper.haar import _phase_fixed_qr
 from qtamper.linalg import (identity, is_unitary, max_abs, parallel_map,
                             require_normalized, require_unitary)
-from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix, single_pauli
+from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
 
 RNG = np.random.default_rng(20260809)
 
@@ -65,7 +65,7 @@ def test_tensor_trace_factorizes():
     # the trace of a tensor word through its action is the product over registers
     for digits in np.ndindex(3, 3, 3, 3):
         label = PauliLabel(q=3, x=digits[:2], z=digits[2:])
-        per_register = np.prod([np.trace(single_pauli(3, a, b))
+        per_register = np.prod([np.trace(pauli_matrix(PauliLabel(3, (a,), (b,))))
                                 for a, b in zip(label.x, label.z)])
         assert abs(MonomialUnitary(*label.action()).trace() - per_register) < 1e-12
 

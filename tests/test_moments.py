@@ -5,9 +5,9 @@ import pytest
 
 from qtamper.errors import NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.moments import (MAX_TRIALS, MomentSpec, _mc_chunk, exact_moment,
-                             first_moment_js, first_moment_ss, mc_moment)
-from qtamper.pauli import PauliLabel, pauli_matrix
+from qtamper.moments import (MAX_TRIALS, MomentSpec, _mc_chunk, closed_form_moment,
+                             exact_moment, first_moment_js, first_moment_ss, mc_moment)
+from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
 from qtamper.perm import iter_tuples
 
 
@@ -211,3 +211,30 @@ def test_moment_growth_bound_zero_trace():
         for t in (1, 2, 3):
             value = exact_moment(MomentSpec("js", t, u))
             assert value <= (16 * t ** 4 / n) ** t
+
+
+def test_monomial_and_dense_pauli_moments_agree():
+    """A Pauli word gives the same moments as its monomial action and as its
+    dense matrix: exact and closed forms equal, Monte Carlo bit for bit for
+    qubit words (real phases) and within 1e-15 relative otherwise."""
+    labels = [PauliLabel(2, (1, 0, 1), (0, 1, 0)), PauliLabel(2, (0, 0, 0), (1, 1, 0)),
+              PauliLabel(2, (1, 1, 0, 1), (1, 0, 0, 1)), PauliLabel(3, (1, 2), (0, 1)),
+              PauliLabel(3, (0, 0), (1, 2)), PauliLabel(3, (2, 0), (0, 0)),
+              PauliLabel(5, (3,), (1,)), PauliLabel(5, (1, 3), (2, 4)),
+              PauliLabel(5, (0, 0), (3, 1))]
+    amps = np.array([0.6, 0.8j])
+    for label in labels:
+        pair = (MonomialUnitary(*label.action()), pauli_matrix(label))
+        n = pair[1].shape[0]
+        for pattern in ("js", "ss", "m"):
+            for t in range(1, min(3, n // 2) + 1):
+                kwargs = {"message_amplitudes": amps, "target_index": 1} if pattern == "m" else {}
+                specs = [MomentSpec(pattern, t, u, K=2, **kwargs) for u in pair]
+                assert exact_moment(specs[0]) == exact_moment(specs[1]), (label, pattern, t)
+                assert closed_form_moment(specs[0]) == closed_form_moment(specs[1])
+                mc = [mc_moment(spec, 1000, seed=7) for spec in specs]
+                if label.q == 2:
+                    assert mc[0] == mc[1], (label, pattern, t)
+                else:
+                    for got, want in zip(*mc):
+                        assert abs(got - want) <= 1e-15 * abs(want), (label, pattern, t)

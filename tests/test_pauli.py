@@ -8,15 +8,14 @@ from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
-                           pauli_matrix, random_nonidentity_labels,
-                           single_pauli, twisted_commutator_check)
+                           pauli_matrix, random_nonidentity_labels)
 
 
 def _kron_oracle(label):
     """Dense word as the Kronecker product of its register matrices."""
     out = np.array([[1.0 + 0j]])
     for a, b in zip(label.x, label.z):
-        out = np.kron(out, single_pauli(label.q, a, b))
+        out = np.kron(out, pauli_matrix(PauliLabel(label.q, (a,), (b,))))
     return out
 
 
@@ -149,13 +148,40 @@ def test_group_closure_up_to_phase():
             assert max_abs(product - ratio * target) <= 1e-10
 
 
+def _monomial(q, a, b):
+    return MonomialUnitary(*PauliLabel(q, (a,), (b,)).action())
+
+
+def _scatter(u):
+    """Dense matrix of a monomial: column j is phase[j] at row rows[j]."""
+    out = np.zeros(u.shape, dtype=np.complex128)
+    out[u.rows, np.arange(u.shape[0])] = u.phase
+    return out
+
+
+def _twist(a, b, q):
+    """Scalar lambda with X^a Z^b = lambda Z^b X^a, read from the monomial
+    products, which must move every column to the same row; the dense
+    products of `pauli_matrix` must agree with both."""
+    x, z = _monomial(q, a, 0), _monomial(q, 0, b)
+    xz, zx = x @ z, z @ x
+    assert np.array_equal(xz.rows, zx.rows)
+    dense_x = pauli_matrix(PauliLabel(q, (a,), (0,)))
+    dense_z = pauli_matrix(PauliLabel(q, (0,), (b,)))
+    assert max_abs(_scatter(xz) - dense_x @ dense_z) <= 1e-14
+    assert max_abs(_scatter(zx) - dense_z @ dense_x) <= 1e-14
+    ratio = xz.phase / zx.phase
+    assert max_abs(ratio - ratio[0]) <= 1e-12
+    return complex(ratio[0])
+
+
 def test_twisted_commutation():
-    assert abs(twisted_commutator_check(0, 3, 5) - 1) < 1e-12
-    assert abs(twisted_commutator_check(2, 0, 5) - 1) < 1e-12
-    assert abs(twisted_commutator_check(1, 1, 2) - (-1)) < 1e-12
+    assert abs(_twist(0, 3, 5) - 1) < 1e-12
+    assert abs(_twist(2, 0, 5) - 1) < 1e-12
+    assert abs(_twist(1, 1, 2) - (-1)) < 1e-12
     # q = 5, a = 2, b = 3: lambda = omega^{-6} = omega^4
     expected = cmath.exp(2j * cmath.pi / 5) ** 4
-    assert abs(twisted_commutator_check(2, 3, 5) - expected) < 1e-12
+    assert abs(_twist(2, 3, 5) - expected) < 1e-12
 
 
 def test_twisted_commutation_general_rule():
@@ -163,17 +189,17 @@ def test_twisted_commutation_general_rule():
         w = cmath.exp(2j * cmath.pi / q)
         for a in range(q):
             for b in range(q):
-                lam = twisted_commutator_check(a, b, q)
+                lam = _twist(a, b, q)
                 assert abs(lam - w ** ((-a * b) % q)) < 1e-10
 
 
 def test_single_pauli_definition():
     # X^a = sum |v+a><v| and Z^b = sum omega^{bv} |v><v| over F_7
     q = 7
-    xa = single_pauli(q, 3, 0)
+    xa = pauli_matrix(PauliLabel(q, (3,), (0,)))
     for v in range(q):
         assert xa[(v + 3) % q, v] == 1
-    zb = single_pauli(q, 0, 2)
+    zb = pauli_matrix(PauliLabel(q, (0,), (2,)))
     w = omega(q)
     for v in range(q):
         assert abs(zb[v, v] - w ** (2 * v)) < 1e-12
@@ -251,9 +277,11 @@ def test_monomial_trace_matches_dense():
 
 
 def test_monomial_products_match_dense():
-    """Qubit words: U @ x and A @ U equal the BLAS products bit for bit."""
+    """Qubit words: U @ x, A @ U, U @ V and U.T equal the BLAS products and
+    the dense transpose bit for bit; qutrit words within 1e-14."""
     rng = child_generator(23, 0)
-    for label in _sampled_labels(2, 6, 20, 24):
+    qubits = list(_sampled_labels(2, 6, 20, 24))
+    for label, other in zip(qubits, qubits[1:] + qubits[:1]):
         u = MonomialUnitary(*label.action())
         dense = pauli_matrix(label)
         vec = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -262,9 +290,21 @@ def test_monomial_products_match_dense():
             assert np.array_equal((u @ x).view(float), (dense @ x).view(float))
         left = block.conj().T
         assert np.array_equal((left @ u).view(float), (left @ dense).view(float))
-    for label in _sampled_labels(3, 3, 10, 25):
+        product = u @ MonomialUnitary(*other.action())
+        assert isinstance(product, MonomialUnitary) and isinstance(u.T, MonomialUnitary)
+        assert np.array_equal(_scatter(product).view(float),
+                              (dense @ pauli_matrix(other)).view(float))
+        assert np.array_equal(_scatter(u.T).view(float), dense.T.copy().view(float))
+    qutrits = list(_sampled_labels(3, 3, 10, 25))
+    for label, other in zip(qutrits, qutrits[1:] + qutrits[:1]):
         u = MonomialUnitary(*label.action())
         dense = pauli_matrix(label)
         x = rng.normal(size=(27, 3)) + 1j * rng.normal(size=(27, 3))
         assert max_abs(u @ x - dense @ x) <= 1e-14
         assert max_abs(x.T @ u - x.T @ dense) <= 1e-14
+        product = u @ MonomialUnitary(*other.action())
+        assert max_abs(_scatter(product) - dense @ pauli_matrix(other)) <= 1e-14
+        assert max_abs(_scatter(u.T) - dense.T) <= 1e-14
+        assert max_abs(x.T @ u.T - x.T @ dense.T) <= 1e-14
+    with pytest.raises(DimMismatch):
+        u @ MonomialUnitary(*qubits[0].action())

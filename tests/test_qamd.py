@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (FqPoly, _difference_roots, dense_overlaps, difference_poly, fq_roots,
-                      tag_poly, tag_table, tamper_experiment, wrong_decode_prob_exact)
+from conftest import (FqPoly, IdentityTampering, _difference_roots, dense_overlaps,
+                      difference_poly, fq_roots, tag_poly, tag_table, tamper_experiment,
+                      wrong_decode_prob_exact)
 
 from qtamper import qamd
-from qtamper.errors import (BudgetExceeded, ConsistencyError, IdentityTampering,
-                            InvalidParams, OutOfRange)
+from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
 from qtamper.field import fq_values
 from qtamper.haar import child_generator
 from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import dense_decoder_projectors
 
-from qtamper import tamper
+from qtamper import pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, require_unitary
@@ -256,8 +256,7 @@ def test_quantum_mean_matches_exact_moment():
     passes = np.array([row["pass_prob"] for row in rep["rows"]])
     amps = np.full(2, 1 / np.sqrt(2), dtype=complex)
     exact_by_label = {}
-    for label in fam.labels():
-        u = pauli_matrix(PauliLabel.from_compact(label))
+    for label, u in fam.members:
         exact_by_label[label] = sum(
             exact_moment(MomentSpec("m", 1, u, K=2, message_amplitudes=amps,
                                     target_index=m))
@@ -298,7 +297,8 @@ def test_members_are_validated_once(monkeypatch):
         calls.append(1)
         return require_unitary(u)
 
-    monkeypatch.setattr(tamper, "require_unitary", counting)
+    # the one unitarity rule, `pauli.checked_unitary`, runs the dense check
+    monkeypatch.setattr(pauli, "require_unitary", counting)
     paulis = pauli_family(4, 3, seed=103)
     fam = UnitaryFamily(members=paulis.members + [("id", identity(16)),
                                                   ("haar", sample_haar_unitary(16, 104))])
