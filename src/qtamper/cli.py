@@ -27,11 +27,11 @@ from .haar import sample_haar_unitary
 from .moments import (MomentSpec, check_moment_params, check_trials, closed_form_moment,
                       exact_moment, mc_moment)
 from .pauli import MonomialUnitary, PauliLabel
-from .perm import verify_lemmas
+from .perm import sp_classes, verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
-from .tamper import (UnitaryFamily, check_family_size, check_seed_count, family_security_scan,
-                     pauli_family)
+from .tamper import (UnitaryFamily, check_family_size, check_scheme_size, check_seed_count,
+                     family_security_scan, pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
 DEFAULT_OUT = "reports"
@@ -136,8 +136,9 @@ def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
             entries = data.get("members", [])
         if not isinstance(entries, list):
             raise InputError(f"family file {path!r} holds no member list")
-        if phi is not None and (isinstance(phi, bool) or not isinstance(phi, (int, float))):
-            raise InputError(f"trace_bound_phi {phi!r} is neither a number nor null")
+        if phi is not None and (isinstance(phi, bool) or not isinstance(phi, (int, float))
+                                or not 0 <= phi <= 1):   # NaN too
+            raise InputError(f"trace_bound_phi {phi!r} is neither a number in [0, 1] nor null")
         kinds = [_entry_kind(entry) for entry in entries]
         check_family_size(len(entries), N, dense=kinds.count("file"))
         members = []
@@ -171,14 +172,17 @@ def _cycle_type_key(cycle_type) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_weingarten_table(params: dict, jobs: int):
-    table = wg_table(params["p"], params["N"])
+    p, n_dim = params["p"], params["N"]
+    values = wg_table(p, n_dim)   # checks p before sp_classes sees it
+    sp = sp_classes(p)
+    keys = [_cycle_type_key(ct) for ct in sp.types]
     result = {
-        "p": table.p,
-        "N": table.N,
-        "table": {_cycle_type_key(ct): v for ct, v in table.items()},
-        "class_sizes": {_cycle_type_key(ct): n for ct, n in table.class_sizes.items()},
-        "sum": wg_sum(table.p, table.N),
-        "abs_sum": wg_abs_sum(table.p, table.N),
+        "p": p,
+        "N": n_dim,
+        "table": dict(zip(keys, values)),
+        "class_sizes": dict(zip(keys, sp.sizes)),
+        "sum": wg_sum(p, n_dim),
+        "abs_sum": wg_abs_sum(p, n_dim),
     }
     return result, True, None
 
@@ -236,6 +240,7 @@ _CSV_COLUMNS = {
 def _run_tamper_sim(params: dict, jobs: int):
     if not 0.0 <= params["min_pass_fraction"] <= 1.0:   # NaN too
         raise OutOfRange(f"min_pass_fraction {params['min_pass_fraction']} outside [0, 1]")
+    check_scheme_size(params["n"], params["k"])   # before 2^n and 2n digits per label
     family = _resolve_family(params["family"], params["n"], params["family_seed"])
     report = family_security_scan(
         n=params["n"], k=params["k"], family=family,

@@ -42,7 +42,7 @@ from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator, sample_isometry_stack
 from .linalg import parallel_map, require_normalized
 from .pauli import checked_unitary
-from .perm import cycles_of, parity_swapper_tuples, sp_classes
+from .perm import cycles_of, parity_swappers, sp_classes
 from .weingarten import wg_table
 
 PATTERN_OFF_DIAGONAL = "js"
@@ -158,7 +158,7 @@ def _beta_weights(spec: MomentSpec, perms) -> np.ndarray:
     if spec.pattern == PATTERN_DIAGONAL:
         return np.ones(len(perms))
     if spec.pattern == PATTERN_OFF_DIAGONAL:
-        swappers = set(parity_swapper_tuples(spec.t))
+        swappers = set(parity_swappers(spec.t))
         return np.array([1.0 if b in swappers else 0.0 for b in perms])
     # quantum message: weight |a_m|^{2 l(beta)}, l = #(odd 1-based
     # positions fixed to odd ones), i.e. 0-based even -> even.
@@ -174,8 +174,7 @@ def exact_moment(spec: MomentSpec) -> float:
     """Exact E[X^t] over the Haar measure for the spec's pattern."""
     p = 2 * spec.t
     sp = sp_classes(p)
-    table = wg_table(p, spec.N)
-    wg_float = np.array([float(table[ct]) for ct in sp.types])
+    wg_float = np.array(wg_table(p, spec.N), dtype=float)
     tp = _cycle_trace_products(sp.perms, spec.U, spec.t)
     weights = _beta_weights(spec, sp.perms)
     total = complex(tp @ wg_float[sp.pair] @ weights)

@@ -6,6 +6,10 @@ parity-swapping set used by the off-diagonal moment patterns.
 N-independent table pair[a, b] = class of perms[b] o perms[a]^-1 that the
 Weingarten solve and the exact moments share.
 
+A permutation is its image tuple: sigma(x) = images[x], composed, inverted
+and cut into cycles by the module functions.  `Permutation` is that tuple
+and only checks, when built, that it is a bijection.
+
 Points are stored 0-based; the valuation map and the parity-swapper set
 are defined on 1-based labels (label = point + 1), since oddness of a
 label is what the combinatorics keys on.  Reports render 1-based.
@@ -134,81 +138,45 @@ def sp_classes(p: int) -> SpClasses:
 # Permutation
 # ---------------------------------------------------------------------------
 
-class Permutation:
-    """A bijection on {0, ..., n-1} stored as its image tuple."""
+class Permutation(tuple):
+    """An image tuple checked to be a bijection on {0, ..., n-1}."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
-        imgs = tuple(images)
+    def __new__(cls, images: Iterable[int]):
+        imgs = super().__new__(cls, images)
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a bijection on [{len(imgs)}]: {imgs}")
-        self.images = imgs
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """(self * other)(x) = self(other(x))."""
-        return Permutation(compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert(self.images))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        return cycles_of(self.images)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return cycle_type_of(self.images)
-
-    def num_cycles(self) -> int:
-        return num_cycles(self.images)
+        return imgs
 
 
 # ---------------------------------------------------------------------------
 # valuation, transposition distance
 # ---------------------------------------------------------------------------
 
-def valuation(sigma: Permutation) -> int:
+def valuation(sigma: Sequence[int]) -> int:
     """Sum over cycles of |#odd - #even| counted on 1-based labels.
 
     Equals the degree exactly when sigma maps odd labels to odd labels
     and even labels to even labels.
     """
     total = 0
-    for cyc in sigma.cycles():
+    for cyc in cycles_of(sigma):
         odd = sum(1 for p in cyc if (p + 1) % 2 == 1)
         total += abs(odd - (len(cyc) - odd))
     return total
 
 
-def min_transpositions(sigma: Permutation) -> int:
+def min_transpositions(sigma: Sequence[int]) -> int:
     """Minimum number of transpositions composing to sigma: n - |C(sigma)|."""
-    return sigma.degree - sigma.num_cycles()
+    return len(sigma) - num_cycles(sigma)
 
 
 # ---------------------------------------------------------------------------
 # parity swappers
 # ---------------------------------------------------------------------------
 
-def parity_swappers(t: int) -> list[Permutation]:
+def parity_swappers(t: int) -> list[tuple[int, ...]]:
     """All beta in S_{2t} sending every odd 1-based label to an even one
     and vice versa; there are exactly (t!)^2 of them.
 
@@ -226,15 +194,11 @@ def parity_swappers(t: int) -> list[Permutation]:
             for a in range(t):
                 images[2 * a] = 2 * f[a] + 1      # odd label 2a+1 -> even label
                 images[2 * a + 1] = 2 * g[a]      # even label 2a+2 -> odd label
-            out.append(Permutation(images))
+            out.append(tuple(images))
     if len(out) != factorial(t) ** 2:
         raise ConsistencyError(f"{len(out)} parity swappers for t = {t}, "
                                f"expected (t!)^2 = {factorial(t) ** 2}")
     return out
-
-
-def parity_swapper_tuples(t: int) -> list[tuple[int, ...]]:
-    return [b.images for b in parity_swappers(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +229,7 @@ def verify_cycle_bound_corollary(t: int) -> dict:
     S_{2t} x B_{2t}; composes directly, a route independent of `sp_classes`."""
     if 2 * t > MAX_COROLLARY_2T:
         raise BudgetExceeded(f"cycle-bound corollary check capped at 2t <= {MAX_COROLLARY_2T}")
-    swappers = parity_swapper_tuples(t)
+    swappers = parity_swappers(t)
     counterexamples = []
     checked = 0
     for alpha in iter_tuples(2 * t):

@@ -29,6 +29,7 @@ from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_labels
 
 MAX_FAMILY = 10 ** 4
 MAX_SEEDS = 10 ** 4
+MAX_CELLS = 10 ** 6         # seeds x members x (K for classical/relaxed, else 1)
 MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
 FIDELITY_FLOOR = 1e-12
@@ -57,15 +58,20 @@ class EncodingScheme:
         return self.isometry[:, s]
 
 
+def check_scheme_size(n: int, k: int) -> None:
+    """Refuse a scheme before anything is built for it: N = 2^n <= MAX_DIM,
+    compared by exponent so that a huge n builds no huge 2^n, and 1 <= K = 2^k < N."""
+    if n >= MAX_DIM.bit_length():
+        raise OutOfRange(f"N = 2^{n} exceeds {MAX_DIM}")
+    if not 0 <= k < n:
+        raise OutOfRange(f"need 1 <= K < N (K=2^{k}, N=2^{n})")
+
+
 def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
     """Scheme with N = 2^n codeword space and K = 2^k messages."""
-    N, K = 2 ** n, 2 ** k
-    if N > MAX_DIM:
-        raise OutOfRange(f"N = {N} exceeds {MAX_DIM}")
-    if not 1 <= K < N:
-        raise OutOfRange(f"need 1 <= K < N (K={K}, N={N})")
+    check_scheme_size(n, k)
     return EncodingScheme(n=n, k=k, seed=seed,
-                          isometry=sample_encoding_isometry(N, K, seed))
+                          isometry=sample_encoding_isometry(2 ** n, 2 ** k, seed))
 
 
 def _check_dim(scheme: EncodingScheme, U) -> None:
@@ -276,6 +282,10 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     if not 0 < epsilon <= 1:            # false for NaN as well; inf is above 1
         raise OutOfRange(f"epsilon must be a number in (0, 1], got {epsilon}")
     check_seed_count(len(seeds))
+    check_scheme_size(n, k)
+    cells = len(seeds) * family.size * (2 ** k if mode in ("classical", "relaxed") else 1)
+    if cells > MAX_CELLS:
+        raise OutOfRange(f"{cells} cells (seeds x members x messages) exceed {MAX_CELLS}")
     seeds = list(seeds)
 
     per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),

@@ -13,6 +13,8 @@ would blow the runtime budget without adding information.
 
 The collapsed counts are read off the N-independent pair table of
 `perm.sp_classes`; the exact p!-row check runs on every table build.
+`wg_table(p, N)` is a vector: a tuple of Fractions indexed like
+`sp_classes(p).types`, whose class sizes are `sp_classes(p).sizes`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OutOfRange, SingularGram
-from .perm import sp_classes
+from .perm import MAX_PAIR_DEGREE, sp_classes
 
-CycleType = tuple[int, ...]
-
-TABLE_ORDER_CAP = 6        # 720 x 720 permutation-level system at most
 HAAR_MOMENT_CAP = 5
 
 
@@ -50,36 +49,18 @@ def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[r][n] for r in range(n)]
 
 
-class WeingartenTable:
-    """Exact Weingarten values for all cycle types of S_p at dimension N."""
-
-    __slots__ = ("p", "N", "values", "class_sizes")
-
-    def __init__(self, p: int, N: int, values: dict[CycleType, Fraction],
-                 class_sizes: dict[CycleType, int]):
-        self.p = p
-        self.N = N
-        self.values = values
-        self.class_sizes = class_sizes
-
-    def __getitem__(self, cycle_type: CycleType) -> Fraction:
-        return self.values[tuple(sorted(cycle_type, reverse=True))]
-
-    def items(self):
-        return self.values.items()
-
-
 @lru_cache(maxsize=None)
-def wg_table(p: int, N: int) -> WeingartenTable:
-    """Build the exact table for S_p at dimension N (1 <= p <= 6, N >= p).
+def wg_table(p: int, N: int) -> tuple[Fraction, ...]:
+    """Exact Wg values of S_p at dimension N (1 <= p <= 6, N >= p), indexed
+    like `sp_classes(p).types`.
 
     The candidate from the collapsed solve is verified against the full
     permutation-level system: for every sigma in S_p,
         sum_tau N^{|C(sigma tau^-1)|} Wg(tau) = [sigma == e],
     exactly over the rationals.
     """
-    if not 1 <= p <= TABLE_ORDER_CAP:
-        raise OutOfRange(f"moment order p={p} outside [1, {TABLE_ORDER_CAP}]")
+    if not 1 <= p <= MAX_PAIR_DEGREE:
+        raise OutOfRange(f"moment order p={p} outside [1, {MAX_PAIR_DEGREE}]")
     if N < p:
         raise SingularGram(f"need N >= p for an invertible Gram system (N={N}, p={p})")
 
@@ -111,30 +92,26 @@ def wg_table(p: int, N: int) -> WeingartenTable:
                 f"class-function candidate fails permutation-level equation {s_i}"
             )
 
-    values = dict(zip(sp.types, solution))
-    sizes = dict(zip(sp.types, sp.sizes))
-    return WeingartenTable(p, N, values, sizes)
+    return tuple(solution)
 
 
-def wg_value(cycle_type: CycleType, N: int) -> Fraction:
+def wg_value(cycle_type: Sequence[int], N: int) -> Fraction:
+    """Wg of the class with this cycle type, its parts in any order."""
     p = sum(cycle_type)
-    return wg_table(p, N)[cycle_type]
+    values = wg_table(p, N)
+    return values[sp_classes(p).types.index(tuple(sorted(cycle_type, reverse=True)))]
 
 
 def wg_sum(t: int, N: int) -> Fraction:
     """Sum of Wg over all of S_t (counted with class sizes)."""
-    table = wg_table(t, N)
-    return sum(
-        (table.class_sizes[ct] * v for ct, v in table.items()), Fraction(0)
-    )
+    values = wg_table(t, N)
+    return sum((v * n for v, n in zip(values, sp_classes(t).sizes)), Fraction(0))
 
 
 def wg_abs_sum(t: int, N: int) -> Fraction:
     """Sum of |Wg| over all of S_t."""
-    table = wg_table(t, N)
-    return sum(
-        (table.class_sizes[ct] * abs(v) for ct, v in table.items()), Fraction(0)
-    )
+    values = wg_table(t, N)
+    return sum((abs(v) * n for v, n in zip(values, sp_classes(t).sizes)), Fraction(0))
 
 
 def haar_moment(i: Sequence[int], i2: Sequence[int], j: Sequence[int],
@@ -156,10 +133,10 @@ def haar_moment(i: Sequence[int], i2: Sequence[int], j: Sequence[int],
         if not 0 <= idx < N:
             raise OutOfRange(f"index {idx} outside [0, {N})")
 
-    table = wg_table(p, N)
+    values = wg_table(p, N)
     sp = sp_classes(p)
     rows = [a for a, s in enumerate(sp.perms) if all(i[x] == i2[s[x]] for x in range(p))]
     cols = [b for b, t in enumerate(sp.perms) if all(j[x] == j2[t[x]] for x in range(p))]
     # pair[sigma, tau] is the class of tau sigma^-1
     hits = np.bincount(sp.pair[np.ix_(rows, cols)].ravel(), minlength=len(sp.types))
-    return sum((table[ct] * int(n) for ct, n in zip(sp.types, hits)), Fraction(0))
+    return sum((v * int(n) for v, n in zip(values, hits)), Fraction(0))

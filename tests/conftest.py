@@ -163,10 +163,10 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     return Permutation(imgs)
 
 
-def fix_move(sigma: Permutation) -> tuple[frozenset[int], frozenset[int]]:
+def fix_move(sigma: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(Fix, Move) as disjoint 0-based point sets covering [n]."""
-    fixed = frozenset(i for i, j in enumerate(sigma.images) if i == j)
-    moved = frozenset(range(sigma.degree)) - fixed
+    fixed = frozenset(i for i, j in enumerate(sigma) if i == j)
+    moved = frozenset(range(len(sigma))) - fixed
     return fixed, moved
 
 

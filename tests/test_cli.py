@@ -5,6 +5,8 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,34 @@ def test_weingarten_table_golden(tmp_path):
     assert report["result"]["sum"] == "1/720"
     assert report["result"]["abs_sum"] == "1/336"
     assert report["manifest"]["parameters"] == {"p": 3, "N": 8}
+
+
+def _partitions(p, largest=None):
+    """The partitions of p as descending tuples."""
+    if p == 0:
+        return [()]
+    largest = p if largest is None else largest
+    return [(part, *rest) for part in range(min(p, largest), 0, -1)
+            for rest in _partitions(p - part, part)]
+
+
+@pytest.mark.parametrize("p", range(1, 7), ids=lambda p: f"p={p}")
+def test_weingarten_table_report_is_consistent(tmp_path, p):
+    out = tmp_path / "r"
+    assert _run("--out", str(out), "weingarten-table", "--p", str(p), "--N", "8") == 0
+    result = _load(out / "weingarten-table.json")["result"]
+    keys = {"[" + ",".join(map(str, part)) + "]" for part in _partitions(p)}
+    assert set(result["table"]) == set(result["class_sizes"]) == keys
+    sizes = result["class_sizes"]
+    assert sum(sizes.values()) == factorial(p)
+    rising = falling = 1
+    for i in range(p):
+        rising, falling = rising * (8 + i), falling * (8 - i)
+    values = {key: Fraction(v) for key, v in result["table"].items()}
+    assert sum(sizes[key] * v for key, v in values.items()) == Fraction(result["sum"])
+    assert Fraction(result["sum"]) == Fraction(1, rising)
+    assert sum(sizes[key] * abs(v) for key, v in values.items()) == Fraction(result["abs_sum"])
+    assert Fraction(result["abs_sum"]) == Fraction(1, falling)
 
 
 def test_perm_verify_clean(tmp_path):
@@ -158,6 +188,38 @@ def test_min_pass_fraction_outside_unit_interval_is_one_input_error(
     assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "4", "--k", "1",
                 "--family", "paulis:3", "--epsilon", "0.4", "--seeds", "0..1",
                 "--min-pass-fraction", fraction) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert built == []
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "13", "--k", "1"],
+    ["--n", "10000000", "--k", "1"],
+    ["--n", "4", "--k", "4"],
+    ["--n", "4", "--k", "-1"],
+], ids=["n-13", "n-huge", "k-equals-n", "k-negative"])
+def test_tamper_sim_scheme_size_is_checked_before_the_family(tmp_path, capsys, monkeypatch,
+                                                             argv):
+    drawn = []
+    monkeypatch.setattr(cli, "pauli_family", lambda *args: drawn.append(args))
+    started = time.monotonic()
+    assert _run("--out", str(tmp_path / "r"), "tamper-sim", *argv, "--family", "paulis:3",
+                "--epsilon", "0.4", "--seeds", "0") == 1
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert drawn == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_tamper_sim_cell_count_is_capped(tmp_path, capsys, monkeypatch):
+    # 10 seeds x 10^4 members x K = 128 messages is over MAX_CELLS
+    built = []
+    monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
+    assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "8", "--k", "7",
+                "--family", "paulis:10000", "--epsilon", "0.4", "--seeds", "0..9") == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
     assert built == []
@@ -488,10 +550,17 @@ def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
     [{"pauli": {"q": 2, "x": [1, 0], "z": [0, 1]}, "label": 3}],
     [7],
     ["pauli:1000000000000000003:1:1"],
+    {"trace_bound_phi": float("nan"), "members": ["pauli:2:10:01"]},
+    {"trace_bound_phi": float("inf"), "members": ["pauli:2:10:01"]},
+    {"trace_bound_phi": -0.5, "members": ["pauli:2:10:01"]},
+    {"trace_bound_phi": 7, "members": ["pauli:2:10:01"]},
 ], ids=["file-not-a-string", "pauli-not-an-object", "exponents-not-lists",
         "phi-not-a-number", "phi-bool", "bool-exponent", "label-not-a-string",
-        "entry-not-a-string-or-object", "huge-register-dimension"])
-def test_malformed_family_file_is_an_input_error(tmp_path, capsys, content):
+        "entry-not-a-string-or-object", "huge-register-dimension", "phi-nan", "phi-inf",
+        "phi-negative", "phi-above-one"])
+def test_malformed_family_file_is_an_input_error(tmp_path, capsys, monkeypatch, content):
+    built = []
+    monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))
     out = tmp_path / "r"
@@ -499,6 +568,7 @@ def test_malformed_family_file_is_an_input_error(tmp_path, capsys, content):
                 "--seeds", "1", "--family", f"file:{path}") == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert built == []
     assert not out.exists()
 
 
