@@ -30,8 +30,8 @@ from .pauli import MonomialUnitary, PauliLabel
 from .perm import sp_classes, verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
-from .tamper import (UnitaryFamily, check_family_size, check_scheme_size, check_seed_count,
-                     family_security_scan, pauli_family)
+from .tamper import (UnitaryFamily, check_cell_count, check_family_size, check_scheme_size,
+                     check_seed_count, family_security_scan, pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
 DEFAULT_OUT = "reports"
@@ -118,10 +118,14 @@ def _entry_kind(entry) -> str | None:
     return "file" if isinstance(entry.get("file"), str) else None
 
 
-def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
+def _resolve_family(spec: str, n: int, family_seed: int, admit) -> UnitaryFamily:
+    """The family of `spec`; `admit` is called with its member count before
+    any member is built."""
     N = 2 ** n
     if spec.startswith("paulis:"):
-        return pauli_family(n, int(spec[len("paulis:"):]), family_seed)
+        count = int(spec[len("paulis:"):])
+        admit(count)
+        return pauli_family(n, count, family_seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
@@ -141,6 +145,7 @@ def _resolve_family(spec: str, n: int, family_seed: int) -> UnitaryFamily:
             raise InputError(f"trace_bound_phi {phi!r} is neither a number in [0, 1] nor null")
         kinds = [_entry_kind(entry) for entry in entries]
         check_family_size(len(entries), N, dense=kinds.count("file"))
+        admit(len(entries))
         members = []
         base = Path(path).parent
         for i, (entry, kind) in enumerate(zip(entries, kinds)):
@@ -241,7 +246,9 @@ def _run_tamper_sim(params: dict, jobs: int):
     if not 0.0 <= params["min_pass_fraction"] <= 1.0:   # NaN too
         raise OutOfRange(f"min_pass_fraction {params['min_pass_fraction']} outside [0, 1]")
     check_scheme_size(params["n"], params["k"])   # before 2^n and 2n digits per label
-    family = _resolve_family(params["family"], params["n"], params["family_seed"])
+    family = _resolve_family(
+        params["family"], params["n"], params["family_seed"],
+        lambda size: check_cell_count(len(params["seeds"]), size, params["k"], params["mode"]))
     report = family_security_scan(
         n=params["n"], k=params["k"], family=family,
         epsilon=params["epsilon"], seeds=params["seeds"],

@@ -111,10 +111,15 @@ def kron_digits(q: int, m: int) -> np.ndarray:
     return digits
 
 
-def shift_rows(q: int, x) -> np.ndarray:
-    """Row map of the shift X^x: rows[j] is the index of v_j + x (mod q)."""
-    radix = q ** np.arange(len(x) - 1, -1, -1, dtype=np.intp)
-    return ((kron_digits(q, len(x)) + np.array(x, dtype=np.intp)) % q) @ radix
+def shift_rows(q: int, x, digits=None) -> np.ndarray:
+    """Row map of the shift X^x: the index of v + x (mod q) for every digit
+    row v of `digits`, by default all of `kron_digits`, so that rows[j] is
+    the index of v_j + x.  Leading axes of x broadcast against those of
+    `digits`, so one call can shift each group of rows by its own x."""
+    x = np.asarray(x, dtype=np.intp)
+    digits = kron_digits(q, x.shape[-1]) if digits is None else digits
+    radix = q ** np.arange(x.shape[-1] - 1, -1, -1, dtype=np.intp)
+    return ((digits + x) % q) @ radix
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:

@@ -12,24 +12,22 @@ Layout conventions (fixed here, used by every routine):
     most significant digit), and messages run in the same lexicographic
     order;
   * every tampering word X^x Z^z acts as `PauliLabel(q, x, z).action()`,
-    whose row map the dense cross-check reads as `pauli.shift_rows(q, x)`,
+    whose row map the dense cross-check reads through `pauli.shift_rows`,
     and every phase omega^k is read from `pauli.omega_powers(q)`.
 
 For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
 difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
-which has degree between 1 and d+1 whenever x_{1:d} != 0.  Per shift x,
-one `field.taylor_shift` product gives the coefficients of all M
-difference polynomials, their degrees are checked (ConsistencyError
-otherwise), and one evaluation gives their root masks.  By the
-triangle inequality the squared amplitude is at most (|roots|/q)^2, so
-counting roots in integers certifies the bound ((d+1)/q)^2 exactly.  The
-dense cross-check never reads root sets: each codeword has q nonzero
-entries, so every amplitude is a q-term sum over the codeword's support,
-and only the codewords that the shifted support meets are multiplied.
-Exhaustive and random mode share one scan loop with one vectorized pass
-per shift x over a block of cells, and differ only in the blocks they
-hand it.
+which has degree between 1 and d+1 whenever x_{1:d} != 0.  One batched
+`field.taylor_shift` product gives the coefficients of these polynomials
+for every (x, s) pair of a block of cells, their degrees are checked
+(ConsistencyError otherwise), and one evaluation gives their root masks.
+By the triangle inequality the squared amplitude is at most (|roots|/q)^2,
+so counting roots in integers certifies the bound ((d+1)/q)^2 exactly.
+The dense cross-check never reads root sets: each codeword has q nonzero
+entries, so every amplitude is a q-term sum over its support, and only
+the codewords that the shifted support meets are multiplied.  Exhaustive
+mode hands the scan loop one block per shift, random mode sorted windows.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ from .linalg import MAX_DIM
 from .pauli import kron_digits, omega_powers, shift_rows
 
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
-MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell: 8 MB at the cap
-DRAW_WINDOW = 2 ** 14    # draws per generator call in random mode
+MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell (8 MB at the cap) and
+DRAW_WINDOW = 2 ** 14    # draws them in windows of this many per generator call, then
+SCAN_WINDOW = 2 ** 14    # scans them in windows of SCAN_WINDOW // q cells (of q root slots)
 DENSE_MATCH_TOL = 1e-9
 
 
@@ -129,80 +128,78 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
     return QamdCodeword(params=params, message=s, state=state)
 
 
-def _root_masks(params: QamdParams, coeffs: np.ndarray, x: tuple[int, ...]) -> np.ndarray:
-    """(M, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
-    for the messages s of the tag coefficient rows `coeffs`.
-
-    All M difference polynomials come from one product with the Taylor
-    shift matrix taylor_shift(d+3, x_{d+1}, q); when x_{1:d} != 0 each is
-    checked to have degree in [1, d+1].
-    """
+def _root_masks(params: QamdParams, coeffs: np.ndarray, x) -> np.ndarray:
+    """(P, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
+    for the tag coefficient rows `coeffs` of P messages s and the shift
+    digit rows x ((P, d+2), or one row for all), all with x_{1:d} != 0: one
+    batched product with the matrices taylor_shift(d+3, a, q) gathered by
+    a = x_{d+1}.  Each difference is checked to have degree in [1, d+1]."""
     q, d = params.q, params.d
+    x = np.asarray(x, dtype=np.int64).reshape(-1, d + 2)
+    shifts = np.array([taylor_shift(d + 3, a, q) for a in range(q)])
     target = coeffs.copy()
-    target[:, 1:d + 1] += x[:d]
-    diff = target @ taylor_shift(d + 3, x[d], q) - coeffs
-    diff[:, 0] -= x[d + 1]
+    target[:, 1:d + 1] += x[:, :d]
+    diff = np.matmul(target[:, np.newaxis], shifts[x[:, d]])[:, 0] - coeffs
+    diff[:, 0] -= x[:, d + 1]
     diff %= q
-    if any(x[:d]):
-        nonzero = diff != 0
-        degree = np.where(nonzero.any(axis=1), d + 2 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-        bad = np.flatnonzero((degree < 1) | (degree > d + 1))
-        if bad.size:
-            s = tuple(int(v) for v in coeffs[bad[0], 1:d + 1])
-            raise ConsistencyError(
-                f"difference polynomial for s={s}, x={x} has degree {degree[bad[0]]}, "
-                f"outside [1, {d + 1}]"
-            )
+    nonzero = diff != 0
+    degree = np.where(nonzero.any(axis=1), d + 2 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    bad = np.flatnonzero((degree < 1) | (degree > d + 1))
+    if bad.size:
+        s, shift = coeffs[bad[0], 1:d + 1].tolist(), x[bad[0] % len(x)].tolist()
+        raise ConsistencyError(f"difference polynomial for s={tuple(s)}, x={tuple(shift)} has "
+                               f"degree {degree[bad[0]]}, outside [1, {d + 1}]")
     return fq_values(diff, q) == 0
 
 
 def _support_sum_route(params: QamdParams, psi: np.ndarray):
-    """The scan's dense cross-check: a function dense(perm, cm, cz) giving
-    sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for a block of cells, the
-    message ranks cm ((G, 1)) against the clock ranks cz ((G, n) or
-    (1, n)), from the codeword columns psi alone; perm is the row map of
-    the shift word X^x.
+    """The scan's dense cross-check: a function dense(px, ps, at, cz) giving
+    sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for a block of cells (see
+    `_scan`) from the codeword columns psi alone.
 
     Each codeword has exactly q nonzero entries j (checked here), so the
-    amplitude is sum_j omega^{<z, v_j>} C[j, s'] with the support matrix
-    C[j, s'] = conj(psi_{s'}[perm(j)]) psi_s[j].  The phase stack P[s]
-    (z by j) is built once; a call builds C once per message of the block
-    and keeps its receiving columns s' != s, the nonzero ones.  Slot k
-    takes each message's k-th receiving column in one stacked product
-    P[s][cz] @ C[:, s'].  A correct code has at most one receiver per
-    message; a codeword that leaks into two fills a second slot.  The rows
-    P[s][cz] are gathered again only when the call's (cm, cz) arrays are not
-    those of the last call, so the exhaustive scan, which hands every shift
-    x != 0 the same block, gathers them once.
+    amplitude is sum_j omega^{<z, v_j>} C[j, s'] with the support column
+    C[j, s'] = conj(psi_{s'}[v_j + x]) psi_s[j], nonzero only for the
+    receivers s' whose support the shifted support of s meets.  The phase
+    stack P[s] (z by j) and the codewords nonzero at each basis index are
+    built once; a call shifts the q support rows of each (x, s) pair by
+    `pauli.shift_rows`, and slot k multiplies each pair's k-th receiver
+    s' != s (ascending) in one stacked product P[s][cz] @ C[:, s']: a
+    codeword that leaks into two receivers fills a second slot.  P[s][cz]
+    is gathered again only when (ps, at, cz) are not the last call's, so
+    the exhaustive scan, which repeats them, gathers it once.
     """
-    q = params.q
+    q, m = params.q, psi.shape[1]
     supports = [np.flatnonzero(column) for column in psi.T]
     if any(support.size != q for support in supports):
         raise ConsistencyError(f"codeword support sizes {[v.size for v in supports]} != {q}")
     supp = np.array(supports)                                       # (M, q)
     digits, w_table = kron_digits(q, params.block_length), omega_powers(q)
-    phase = np.empty((len(supports), params.dim, q), dtype=np.complex128)
+    phase = np.empty((m, params.dim, q), dtype=np.complex128)
     for mi, support in enumerate(supports):     # one message at a time: no (M, dim, q) ints
         phase[mi] = w_table[(digits @ digits[support].T) % q]
-    weight = np.take_along_axis(psi.T, supp, axis=1)[:, :, np.newaxis]
-    last = [None, None, None]     # the block (cm, cz) of the last call and its rows P[cm][cz]
+    weight = np.take_along_axis(psi.T, supp, axis=1)                # psi_s[j] on the support
+    index, owner = np.nonzero(psi)                                  # by index, then message
+    slot = np.arange(index.size) - np.searchsorted(index, index)    # among the index's codewords
+    owners = np.full((params.dim, slot.max() + 1), m)               # m: no codeword
+    owners[index, slot] = owner
+    last = [None, None, None, None]     # the (ps, at, cz) of the last call and its rows P[s][cz]
 
-    def dense(perm: np.ndarray, cm: np.ndarray, cz: np.ndarray) -> np.ndarray:
-        first = np.concatenate(([True], cm[1:, 0] != cm[:-1, 0]))    # cm is sorted
-        present, at = cm[first, 0], np.cumsum(first)[:, np.newaxis] - 1
-        support = psi[perm[supp[present]]].conj() * weight[present]  # C per message: (P, q, M)
-        receiving = (support != 0).any(axis=1)
-        receiving[np.arange(len(present)), present] = False          # s' = s is no wrong decode
-        slots = np.argsort(~receiving, axis=1, kind="stable")         # receivers first, ascending
-        count = receiving.sum(axis=1)[at]                             # (G, 1)
-        if cm is not last[0] or cz is not last[1]:
-            last[:] = cm, cz, phase[cm, cz]                           # (G, n, q)
-        rows = last[2]
-        power = np.zeros(rows.shape[:2])
-        for k in range(count.max()):
-            column = support[np.arange(len(present)), :, slots[:, k]][at]     # (G, 1, q)
-            amps = np.matmul(rows, column.swapaxes(1, 2))[:, :, 0]
-            np.add(power, np.square(amps.real) + np.square(amps.imag), out=power, where=count > k)
+    def dense(px: np.ndarray, ps: np.ndarray, at: np.ndarray, cz: np.ndarray) -> np.ndarray:
+        shifted = shift_rows(q, digits[px][:, np.newaxis], digits[supp[ps]])    # (P, q)
+        owned = owners[shifted].reshape(len(ps), -1)
+        owned[owned == ps[:, np.newaxis]] = m                       # s' = s is no wrong decode
+        receivers = [owned.min(axis=1)]                             # each once, ascending
+        while (receivers[-1] < m).any():
+            receivers.append(np.where(owned > receivers[-1][:, np.newaxis], owned, m).min(axis=1))
+        if ps is not last[0] or at is not last[1] or cz is not last[2]:
+            last[:] = ps, at, cz, phase[ps[at], cz]                 # (G, n, q)
+        power = np.zeros(last[3].shape[:2])
+        for receiver in receivers[:-1]:                             # m: no k-th receiver, masked
+            column = psi[shifted, np.minimum(receiver, m - 1)[:, np.newaxis]].conj() * weight[ps]
+            amps = np.matmul(last[3], column[at].swapaxes(1, 2))[:, :, 0]     # (G, 1, q) columns
+            np.add(power, np.square(amps.real) + np.square(amps.imag), out=power,
+                   where=(receiver < m)[at])
         return power
 
     return dense
@@ -212,19 +209,19 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
 # security scan
 # ---------------------------------------------------------------------------
 
-def _cell(messages, digits, x, cm, cz, index):
-    """(s, x, z) of the cell at flat `index` of the block (cm, cz), where cz
-    holds one row per message row or one row for all of them."""
+def _cell(messages, digits, px, ps, at, cz, index):
+    """(s, x, z) of the cell at flat `index` of the block (px, ps, at, cz)."""
     g, j = divmod(int(index), cz.shape[1])
-    return messages[cm[g, 0]], x, tuple(int(v) for v in digits[cz[g % len(cz), j]])
+    return (messages[ps[at[g, 0]]], tuple(int(v) for v in digits[px[at[g, 0]]]),
+            tuple(int(v) for v in digits[cz[g % len(cz), j]]))
 
 
 def _scan(params: QamdParams, blocks, cross_check: bool):
     """(max probability, witness key, worst dense mismatch, max root count,
-    cells checked) over `blocks`: one (x rank, cm, cz) per shift, x ranks
-    increasing, whose cells pair the message ranks cm ((G, 1), increasing)
-    with the clock ranks cz ((G, n) or (1, n)), so that the cells in
-    row-major order run in increasing (s, z)."""
+    cells checked) over `blocks`.  A block (px, ps, at, cz) holds the shift
+    and message ranks px, ps ((P,)) of its (x, s) pairs, each row's pair
+    at ((G, 1)) and the clock ranks cz ((G, n), or (1, n) for every row),
+    so ordered that the cells in row-major order run in increasing (x, s, z)."""
     q, d = params.q, params.d
     messages = params.messages()
     digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
@@ -232,19 +229,22 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
     coeffs = _tag_coeffs(params, messages)
     tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
     base = (np.array(messages, dtype=np.intp) @ digits[:, :d].T) % q   # <z_{1:d}, s> per (s, z)
+    moves = digits[:, :d].any(axis=1)          # x_{1:d} = 0 moves no mass off s
     if cross_check:
         dense = _support_sum_route(
             params, np.column_stack([encode(m, params).state for m in messages]))
 
     best_prob, best_key, max_mismatch, max_roots, checked = -1.0, None, 0.0, 0, 0
-    for xi, cm, cz in blocks:
-        x = tuple(int(v) for v in digits[xi])
-        sym = np.zeros(np.broadcast_shapes(cm.shape, cz.shape))
-        if any(x[:d]):                         # x_{1:d} = 0 moves no mass off s
-            masks = _root_masks(params, coeffs, x)
-            count = masks.sum(axis=1)[cm]                                  # (G, 1)
-            roots = np.argsort(~masks, axis=1, kind="stable")[cm[:, 0]]    # ascending r first
+    for px, ps, at, cz in blocks:
+        cm, moving = ps[at], np.flatnonzero(moves[px])
+        sym = np.zeros((len(at), cz.shape[1]))
+        if moving.size:
+            masks = _root_masks(params, coeffs[ps[moving]], digits[px[moving]])
+            count, roots = np.zeros(len(ps), dtype=np.intp), np.zeros((len(ps), q), dtype=np.intp)
+            count[moving] = masks.sum(axis=1)
+            roots[moving] = np.argsort(~masks, axis=1, kind="stable")      # ascending r first
             max_roots = max(max_roots, int(count.max()))
+            count, roots = count[at], roots[at[:, 0]]                       # per row
             head, z_clock, z_tag = base[cm, cz], digits[cz, d], digits[cz, d + 1]
             amp = np.zeros(sym.shape, dtype=np.complex128)
             for k in range(count.max()):       # the k-th root of each cell's message
@@ -255,15 +255,17 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
             sym = np.hypot(amp.real, amp.imag) ** 2
         checked += sym.size
         if cross_check:
-            perm = shift_rows(q, x)
-            gap = np.abs(sym - dense(perm, cm, cz))
+            gap = np.abs(sym - dense(px, ps, at, cz))
             max_mismatch = max(max_mismatch, float(gap.max()))
-            if max_mismatch > DENSE_MATCH_TOL:     # earlier shifts would have raised
-                s, _, z = _cell(messages, digits, x, cm, cz, np.argmax(gap))
+            if max_mismatch > DENSE_MATCH_TOL:     # earlier blocks would have raised
+                s, x, z = _cell(messages, digits, px, ps, at, cz, np.argmax(gap))
                 raise ConsistencyError(
                     f"symbolic/dense mismatch {max_mismatch} at s={s}, x={x}, z={z}")
-        zi = np.argmax(sym)                 # the first maximum: the smallest (s, z)
-        p, key = float(sym.flat[zi]), _cell(messages, digits, x, cm, cz, zi)
+        zi = np.argmax(sym)           # first in (x, s, z); a later shift may hold a smaller s
+        p = float(sym.flat[zi])
+        if p >= best_prob and px[0] != px[-1] and cm.flat[zi // sym.shape[1]]:
+            zi = np.argmin(np.where(sym == p, cm, len(messages)))     # the least s, then first
+        key = _cell(messages, digits, px, ps, at, cz, zi)
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
     return best_prob, best_key, max_mismatch, max_roots, checked
@@ -271,15 +273,15 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
 
 def _sampled_blocks(params: QamdParams, trials: int, seed: int):
     """The scan blocks of `trials` cells drawn from the seeded stream, each
-    drawn cell kept, duplicates too: per shift, its cells sorted by (s, z)
-    as (G, 1) columns of message and clock ranks.
+    drawn cell kept, duplicates too, one row per cell.
 
     A draw is 2n digits (x, z), redrawn while all are 0, then d digits s.
     Bounded integers take the generator's 32-bit words one by one, so one
     call per window of draws yields the digits of one call per draw; a run
     of 2n zero digits where a draw starts is a zero (x, z), and the next
     draw starts after it.  A cell is kept as one base-q key
-    ((x M + s) dim + z).
+    ((x M + s) dim + z); a window of SCAN_WINDOW // q of the sorted keys
+    is one block, so that no scan array grows with `trials`.
     """
     q, n, d, m = params.q, params.block_length, params.d, params.num_messages
     width = 2 * n + d
@@ -299,12 +301,15 @@ def _sampled_blocks(params: QamdParams, trials: int, seed: int):
         starts = np.concatenate(starts + [np.arange(at, end, width)])[:trials - drawn]
         keys[drawn:drawn + starts.size] = stream[starts[:, np.newaxis] + np.arange(width)] @ place
         drawn, stream = drawn + starts.size, stream[end:]
+    del stream, nonzero, starts      # the draw buffers, before the windows are scanned
     keys.sort()
-    bounds = np.searchsorted(keys, np.arange(params.dim + 1) * (m * params.dim))
-    for xi in np.flatnonzero(np.diff(bounds)):
-        cm, cz = np.divmod(keys[bounds[xi]:bounds[xi + 1], np.newaxis] % (m * params.dim),
-                           params.dim)
-        yield int(xi), cm, cz
+    cells = max(1, SCAN_WINDOW // q)
+    for lo in range(0, trials, cells):
+        window = keys[lo:lo + cells, np.newaxis]
+        pair = window // params.dim                                    # x M + s per cell
+        starts = np.flatnonzero(np.concatenate(([True], pair[1:, 0] != pair[:-1, 0])))
+        at = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(window))))
+        yield (*np.divmod(pair[starts, 0], m), at[:, np.newaxis], window - pair * params.dim)
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -314,40 +319,35 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     aggregate wrong-decode probability, its witness, and the theorem
     bound ((d+1)/q)^2.
 
-    In exhaustive mode every ((x, z) != 0, s) cell is visited; random
-    mode visits `trials` cells drawn from the seeded stream, duplicates
-    included.  With cross_check each cell's symbolic probability is
-    compared to the dense state-vector simulation and the worst mismatch
-    is reported (the scan raises ConsistencyError above DENSE_MATCH_TOL).
-    The witness is the smallest (s, x, z) among the cells at the maximum.
-    The certificate is exact: `max_root_count` is the largest root set of
-    a scanned (s, x) pair with x_{1:d} != 0, `bound_satisfied` is the
-    integer test max_root_count <= d + 1, which bounds every cell by the
-    rational `bound_exact`, and the float `max_prob` is checked against
-    (max_root_count/q)^2 up to rounding.
-
-    Both modes run one scan loop with one pass per shift x over a block of
-    cells: every message against every clock word z in exhaustive mode,
-    the shift's sampled cells sorted by (s, z) in random mode.  The root
-    masks are computed once per shift; root slot k adds, for every cell at
-    once, the root-of-unity phase of the k-th root (ascending r) of the
-    cell's message, so each cell sums the per-cell phase sum's terms in
-    its order before the division by q.  hypot is the modulus Python's
-    abs() takes (np.abs differs in the last bit), and the array square
-    v * v equals the scalar pow(v, 2) for every amplitude an admissible
-    (q, d) can produce (a test enumerates them), so every probability has
-    the per-cell route's bits.  The dense route is one `_support_sum_route`
-    call per shift, whose products read only the receiving columns.
+    Exhaustive mode visits every ((x, z) != 0, s) cell, one block per
+    shift x; random mode visits `trials` cells drawn from the seeded
+    stream, duplicates included, in windows sorted by (x, s, z).  With
+    cross_check each cell's symbolic probability is compared to the dense
+    state-vector simulation and the worst mismatch is reported (the scan
+    raises ConsistencyError above DENSE_MATCH_TOL).  The witness is the
+    smallest (s, x, z) among the cells at the maximum.  The certificate is
+    exact: `max_root_count` is the largest root set of a scanned (s, x)
+    pair with x_{1:d} != 0, `bound_satisfied` is the integer test
+    max_root_count <= d + 1, which bounds every cell by the rational
+    `bound_exact`, and `max_prob` is checked against (max_root_count/q)^2
+    up to rounding.  Root slot k adds, for every cell of a block at once,
+    the phase of the k-th root (ascending r) of the cell's (x, s) pair, so
+    each cell sums its phase sum's terms in their per-cell order before
+    the division by q; hypot is the modulus abs() takes (np.abs differs in
+    the last bit), and the array square v * v equals pow(v, 2) for every
+    amplitude an admissible (q, d) can produce (a test enumerates them),
+    so every probability has the per-cell route's bits.
     """
     q, d = params.q, params.d
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        every = np.arange(params.num_messages)[:, np.newaxis]
-        clocks = np.arange(params.dim)[np.newaxis]          # one block object for every x != 0
-        blocks = ((xi, every, clocks[:, 1:] if xi == 0 else clocks)
-                  for xi in range(params.dim))              # (x, z) = 0 is no tampering
+        every = np.arange(params.num_messages)      # one (ps, at, cz) for every x != 0
+        rows, clocks = every[:, np.newaxis], np.arange(params.dim)[np.newaxis]
+        shifts = np.broadcast_to(clocks.T, (params.dim, params.num_messages))
+        blocks = ((shifts[xi], every, rows, clocks[:, 1:] if xi == 0 else clocks)
+                  for xi in range(params.dim))      # (x, z) = 0 is no tampering
     else:
         if not trials or not 1 <= trials <= MAX_TRIALS:
             raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "

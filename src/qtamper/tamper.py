@@ -161,6 +161,14 @@ def check_family_size(size: int, N: int = 0, dense: int = 0) -> None:
                          f"{dense * N * N * 16} bytes, over {MAX_DENSE_BYTES}")
 
 
+def check_cell_count(seeds: int, members: int, k: int, mode: str) -> None:
+    """Refuse a run before any member or scheme is built: seeds x members x
+    (K = 2^k messages for classical/relaxed, else 1) cells, at most MAX_CELLS."""
+    cells = seeds * members * (2 ** k if mode in ("classical", "relaxed") else 1)
+    if cells > MAX_CELLS:
+        raise OutOfRange(f"{cells} cells (seeds x members x messages) exceed {MAX_CELLS}")
+
+
 def check_seed_count(count: int) -> None:
     """Refuse a run before any scheme is built: 1 to MAX_SEEDS scheme seeds."""
     if count < 1:
@@ -283,9 +291,7 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         raise OutOfRange(f"epsilon must be a number in (0, 1], got {epsilon}")
     check_seed_count(len(seeds))
     check_scheme_size(n, k)
-    cells = len(seeds) * family.size * (2 ** k if mode in ("classical", "relaxed") else 1)
-    if cells > MAX_CELLS:
-        raise OutOfRange(f"{cells} cells (seeds x members x messages) exceed {MAX_CELLS}")
+    check_cell_count(len(seeds), family.size, k, mode)
     seeds = list(seeds)
 
     per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),

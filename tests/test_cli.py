@@ -215,15 +215,22 @@ def test_tamper_sim_scheme_size_is_checked_before_the_family(tmp_path, capsys, m
 
 
 def test_tamper_sim_cell_count_is_capped(tmp_path, capsys, monkeypatch):
-    # 10 seeds x 10^4 members x K = 128 messages is over MAX_CELLS
-    built = []
+    # 10 seeds x 10^4 members x K = 128 messages is over MAX_CELLS, drawn
+    # or listed in a file; no member may be built before the count is refused
+    members = [f"pauli:2:{i % 256:08b}:{i // 256:08b}" for i in range(1, 10001)]
+    (tmp_path / "family.json").write_text(json.dumps({"members": members}))
+    built, drawn, members_built = [], [], []
     monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
-    assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "8", "--k", "7",
-                "--family", "paulis:10000", "--epsilon", "0.4", "--seeds", "0..9") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and err.count("\n") == 1, err
-    assert built == []
-    assert not (tmp_path / "r").exists()
+    monkeypatch.setattr(cli, "pauli_family", lambda *args: drawn.append(args))
+    monkeypatch.setattr(cli, "MonomialUnitary", lambda *args: members_built.append(args))
+    for family in ("paulis:10000", f"file:{tmp_path / 'family.json'}"):
+        assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "8", "--k", "7",
+                    "--family", family, "--epsilon", "0.4", "--seeds", "0..9") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert "12800000 cells" in err
+        assert built == [] and drawn == [] and members_built == []
+        assert not (tmp_path / "r").exists()
 
 
 def test_usage_and_input_errors(tmp_path):

@@ -8,7 +8,7 @@ from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
-                           pauli_matrix, random_nonidentity_labels)
+                           pauli_matrix, random_nonidentity_labels, shift_rows)
 
 
 def _kron_oracle(label):
@@ -239,6 +239,20 @@ def test_action_matches_kron_oracle_bitwise():
         columns = np.arange(rows.size)
         assert np.array_equal(np.flatnonzero(dense.T), columns * rows.size + rows)
         assert max_abs(phase - dense[rows, columns]) <= 1e-13
+
+
+def test_shift_rows_of_chosen_digit_rows():
+    # the rows of a few digit rows, one x per group of rows, are those
+    # entries of each x's full row map, which the loop oracle gives
+    for q, m in ((2, 3), (3, 2), (5, 2)):
+        digits = kron_digits(q, m)
+        xs = digits[[1, len(digits) // 2, len(digits) - 1]]
+        picks = np.array([[0, 1, 2], [len(digits) - 1, 0, 3], [2, 2, 1]])
+        got = shift_rows(q, xs[:, np.newaxis], digits[picks])
+        for x, pick, rows in zip(xs, picks, got):
+            full, _ = _loop_oracle(PauliLabel(q, tuple(x), (0,) * m))
+            assert np.array_equal(rows, full[pick])
+            assert np.array_equal(shift_rows(q, tuple(x)), full)
 
 
 def test_digit_and_phase_tables():

@@ -324,9 +324,10 @@ def test_block_draw_matches_one_cell_loop(monkeypatch, params, trials, seeds, wi
         monkeypatch.setattr(qamd, "DRAW_WINDOW", window)
     digits, messages = kron_digits(params.q, params.block_length), params.messages()
     for seed in seeds:
-        cells = [(messages[mi], tuple(int(v) for v in digits[xi]), tuple(int(v) for v in digits[zi]))
-                 for xi, cm, cz in qamd._sampled_blocks(params, trials, seed)
-                 for mi, zi in zip(cm[:, 0], cz[:, 0])]
+        cells = [(messages[ps[g]], tuple(int(v) for v in digits[px[g]]),
+                  tuple(int(v) for v in digits[zi]))
+                 for px, ps, at, cz in qamd._sampled_blocks(params, trials, seed)
+                 for g, zi in zip(at[:, 0], cz[:, 0])]
         assert sorted(cells) == sorted(_random_cells(params, trials, seed))
         report = security_scan(params, exhaustive=False, trials=trials, seed=seed,
                                cross_check=False)
@@ -348,16 +349,21 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
         # the support-sum kernel, cell by cell, against the per-word GEMM
         dense = _dense_kernel(params)
         clocks = np.arange(params.dim)[np.newaxis]
-        for xi, row in enumerate(kron_digits(params.q, params.block_length)):
-            perm, _ = PauliLabel(params.q, row, (0,) * params.block_length).action()
+        for xi in range(params.dim):
             for mi in range(params.num_messages):
-                np.testing.assert_allclose(dense(perm, np.array([[mi]]), clocks)[0],
+                np.testing.assert_allclose(_one_pair(dense, xi, mi, clocks),
                                            dense_cells[xi, :, mi], rtol=0, atol=1e-13)
 
 
 def _dense_kernel(params):
     psi = np.column_stack([encode(m, params).state for m in params.messages()])
     return qamd._support_sum_route(params, psi)
+
+
+def _one_pair(dense, xi, mi, clocks):
+    """The dense kernel's row for shift rank xi and message rank mi against
+    the clock ranks `clocks` ((1, n)): a block of one (x, s) pair."""
+    return dense(np.array([xi]), np.array([mi]), np.zeros((1, 1), dtype=np.intp), clocks)[0]
 
 
 @pytest.mark.parametrize("params,trials,seed", [(P71, 400, 21), (QamdParams(q=5, d=2), 100, 21),
@@ -382,12 +388,50 @@ def test_random_scan_bytes_match_reference(params, trials, seed):
     # the support-sum kernel, cell by cell, against the one-word dense route
     dense = _dense_kernel(params)
     for s, x, z in _random_cells(params, trials, seed=seed):
-        perm, _ = PauliLabel(params.q, x, (0,) * params.block_length).action()
         mi = params.messages().index(s)
         over = dense_overlaps(s, x, z, params)
         expected = sum(abs(a) ** 2 for m, a in over.items() if m != s)
-        got = dense(perm, np.array([[mi]]), np.array([[params.state_index(z)]]))[0]
+        got = _one_pair(dense, params.state_index(x), mi, np.array([[params.state_index(z)]]))
         np.testing.assert_allclose(got, [expected], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("params,trials,seeds", [
+    (QamdParams(q=2, d=1), 20000, (204, 275)),
+    (QamdParams(q=5, d=2), 3000, (7,)),
+    (P71, 5000, (1,)),
+], ids=["q2d1", "q5d2", "q7d1"])
+def test_random_scan_does_not_depend_on_the_window(monkeypatch, params, trials, seeds):
+    # windows of one cell, of a prime count of entries (whose cell count
+    # q divides into no power of two) and of the default: every field,
+    # max_dense_mismatch included, keeps its bytes
+    default = qamd.SCAN_WINDOW
+    for seed in seeds:
+        reports = []
+        for window in (default, 1, 31):
+            monkeypatch.setattr(qamd, "SCAN_WINDOW", window)
+            reports.append(canonical_json_bytes(
+                security_scan(params, exhaustive=False, trials=trials, seed=seed)))
+        assert reports[1] == reports[0] and reports[2] == reports[0], seed
+
+
+def test_witness_in_a_later_window_than_the_first_maximum(monkeypatch):
+    # two cells of (7, 1), 400 trials, seed 21 reach the maximum: in key
+    # order (x, s, z) the first is at position 146, the smallest (s, x, z)
+    # at 186, so windows of 150 cells find the witness one window later
+    params, trials, seed, cells_per_window = P71, 400, 21, 150
+    cells = sorted(_random_cells(params, trials, seed), key=lambda c: (c[1], c[0], c[2]))
+    probs = [wrong_decode_prob_exact(s, None, x, z, params) for s, x, z in cells]
+    hits = [i for i, p in enumerate(probs) if p == max(probs)]
+    witness = min(hits, key=lambda i: cells[i])
+    assert hits[0] // cells_per_window < witness // cells_per_window
+    monkeypatch.setattr(qamd, "SCAN_WINDOW", cells_per_window * params.q)
+    fast = security_scan(params, exhaustive=False, trials=trials, seed=seed)
+    slow, _ = _reference_scan(params, exhaustive=False, trials=trials, seed=seed)
+    skip = {"max_dense_mismatch"}     # summed in another order by the reference
+    assert (canonical_json_bytes({k: v for k, v in fast.items() if k not in skip})
+            == canonical_json_bytes({k: v for k, v in slow.items() if k not in skip}))
+    s, x, z = cells[witness]
+    assert fast["witness"] == {"s": list(s), "x": list(x), "z": list(z)}
 
 
 def test_witness_is_the_smallest_key_at_the_maximum():
@@ -460,18 +504,18 @@ def test_root_masks_match_polynomial_oracle(monkeypatch, params):
     monkeypatch.setattr(qamd, "fq_values", spy)
     d, messages = params.d, params.messages()
     coeffs = qamd._tag_coeffs(params, messages)
-    for row in kron_digits(params.q, params.block_length):
-        x = tuple(int(v) for v in row)
-        if not any(x[:d]):
-            continue
-        masks = qamd._root_masks(params, coeffs, x)
-        diff = evaluated.pop()
-        assert masks.shape == (len(messages), params.q)
-        for mi, s in enumerate(messages):
-            oracle = difference_poly(params, s, x)
-            assert np.flatnonzero(masks[mi]).tolist() == _difference_roots(params, s, x)
-            assert FqPoly(diff[mi], params.q) == oracle
-            assert np.flatnonzero(diff[mi])[-1] == oracle.degree
+    # one call for every pair, each row with its own shift
+    pairs = [(mi, tuple(int(v) for v in row))
+             for row in kron_digits(params.q, params.block_length) if row[:d].any()
+             for mi in range(len(messages))]
+    masks = qamd._root_masks(params, coeffs[[mi for mi, _ in pairs]], [x for _, x in pairs])
+    diff = evaluated.pop()
+    assert masks.shape == (len(pairs), params.q)
+    for row, (mi, x) in enumerate(pairs):
+        oracle = difference_poly(params, messages[mi], x)
+        assert np.flatnonzero(masks[row]).tolist() == _difference_roots(params, messages[mi], x)
+        assert FqPoly(diff[row], params.q) == oracle
+        assert np.flatnonzero(diff[row])[-1] == oracle.degree
 
 
 def test_certificate_is_an_integer_root_count():
@@ -526,7 +570,7 @@ def test_codeword_leaking_into_another_support_fails_cross_check(monkeypatch, kw
     psi = np.column_stack([qamd.encode(m, P51).state for m in P51.messages()])
     dense = qamd._support_sum_route(P51, psi)
     clocks, two_receivers = np.arange(P51.dim)[np.newaxis], 0
-    for row in kron_digits(P51.q, P51.block_length):
+    for xi, row in enumerate(kron_digits(P51.q, P51.block_length)):
         perm, _ = PauliLabel(P51.q, row, (0,) * P51.block_length).action()
         receivers = {int(s) for s in np.flatnonzero(psi[perm[np.flatnonzero(psi[:, 0])]].any(axis=0))}
         if len(receivers - {0}) < 2:
@@ -538,8 +582,7 @@ def test_codeword_leaking_into_another_support_fails_cross_check(monkeypatch, kw
             tampered = np.zeros(P51.dim, dtype=np.complex128)
             tampered[rows] = phase * psi[:, 0]
             expected.append(sum(abs(np.vdot(psi[:, m], tampered)) ** 2 for m in range(1, P51.num_messages)))
-        np.testing.assert_allclose(dense(perm, np.array([[0]]), clocks)[0], expected,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_one_pair(dense, xi, 0, clocks), expected, rtol=0, atol=1e-13)
     assert two_receivers > 0
 
 
