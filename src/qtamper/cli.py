@@ -30,7 +30,7 @@ from .pauli import MonomialUnitary, PauliLabel
 from .perm import sp_classes, verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, format_float, make_manifest
-from .tamper import (UnitaryFamily, check_cell_count, check_family_size, check_scheme_size,
+from .tamper import (UnitaryFamily, check_cell_count, check_family_size, check_scan_params,
                      check_seed_count, family_security_scan, pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
@@ -245,7 +245,9 @@ _CSV_COLUMNS = {
 def _run_tamper_sim(params: dict, jobs: int):
     if not 0.0 <= params["min_pass_fraction"] <= 1.0:   # NaN too
         raise OutOfRange(f"min_pass_fraction {params['min_pass_fraction']} outside [0, 1]")
-    check_scheme_size(params["n"], params["k"])   # before 2^n and 2n digits per label
+    # before 2^n and 2n digits per label, and before any member is drawn
+    check_scan_params(params["n"], params["k"], params["epsilon"], len(params["seeds"]),
+                      params["mode"])
     family = _resolve_family(
         params["family"], params["n"], params["family_seed"],
         lambda size: check_cell_count(len(params["seeds"]), size, params["k"], params["mode"]))

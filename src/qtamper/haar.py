@@ -17,7 +17,10 @@ exhaustive scan's support sum, which moved `max_dense_mismatch` there;
 version 6 pins the ziggurat normals, which moved every sample; version 7
 pins `moments` on a Pauli word applied as its monomial action (a gather
 times a phase in place of zgemm), which moved the last digit of some
-Monte Carlo fields at q >= 3.
+Monte Carlo fields at q >= 3; version 8 pins the tamper decoders on one
+overlap block per member (zgemm over the K codewords in place of zgemv
+per message), which moved the last bits of classical, relaxed and weak
+tamper-sim fields.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
@@ -36,7 +39,7 @@ from numpy.random import Generator, Philox
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/ziggurat/v7"
+GENERATOR_VERSION = "philox4x64/ziggurat/v8"
 
 
 def root_generator(seed: int) -> Generator:

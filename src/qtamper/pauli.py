@@ -14,8 +14,7 @@ that knows the digit order and the phase rule):
   * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
     `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
     phase[j] = omega_powers(q)[<z, v_j> mod q].  `MonomialUnitary` is its
-    runtime form everywhere (tamper families and `moments` alike);
-    `pauli_matrix` is its dense scatter, kept for tests and oracles.
+    runtime form everywhere (tamper families and `moments` alike).
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a.
 """
@@ -120,14 +119,6 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
     digits = kron_digits(q, x.shape[-1]) if digits is None else digits
     radix = q ** np.arange(x.shape[-1] - 1, -1, -1, dtype=np.intp)
     return ((digits + x) % q) @ radix
-
-
-def pauli_matrix(label: PauliLabel) -> np.ndarray:
-    """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
-    rows, phase = label.action()
-    out = np.zeros((rows.size, rows.size), dtype=np.complex128)
-    out[rows, np.arange(rows.size)] = phase
-    return out
 
 
 class MonomialUnitary:

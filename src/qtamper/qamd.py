@@ -160,14 +160,15 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
     Each codeword has exactly q nonzero entries j (checked here), so the
     amplitude is sum_j omega^{<z, v_j>} C[j, s'] with the support column
     C[j, s'] = conj(psi_{s'}[v_j + x]) psi_s[j], nonzero only for the
-    receivers s' whose support the shifted support of s meets.  The phase
-    stack P[s] (z by j) and the codewords nonzero at each basis index are
-    built once; a call shifts the q support rows of each (x, s) pair by
-    `pauli.shift_rows`, and slot k multiplies each pair's k-th receiver
-    s' != s (ascending) in one stacked product P[s][cz] @ C[:, s']: a
-    codeword that leaks into two receivers fills a second slot.  P[s][cz]
-    is gathered again only when (ps, at, cz) are not the last call's, so
-    the exhaustive scan, which repeats them, gathers it once.
+    receivers s' whose support the shifted support of s meets.  The
+    codewords nonzero at each basis index are listed once; a call shifts
+    the q support rows of each (x, s) pair by `pauli.shift_rows`, and slot
+    k multiplies each pair's k-th receiver s' != s (ascending) in one
+    stacked product P[s][cz] @ C[:, s'], with phase rows P[s][z, j] =
+    omega^{<z, v_j>}: a codeword that leaks into two receivers fills a
+    second slot.  P[s][cz] is built again only when (ps, at, cz) are not
+    the last call's, so the exhaustive scan, which repeats them, builds it
+    once, and no stack over every message is held.
     """
     q, m = params.q, psi.shape[1]
     supports = [np.flatnonzero(column) for column in psi.T]
@@ -175,9 +176,6 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
         raise ConsistencyError(f"codeword support sizes {[v.size for v in supports]} != {q}")
     supp = np.array(supports)                                       # (M, q)
     digits, w_table = kron_digits(q, params.block_length), omega_powers(q)
-    phase = np.empty((m, params.dim, q), dtype=np.complex128)
-    for mi, support in enumerate(supports):     # one message at a time: no (M, dim, q) ints
-        phase[mi] = w_table[(digits @ digits[support].T) % q]
     weight = np.take_along_axis(psi.T, supp, axis=1)                # psi_s[j] on the support
     index, owner = np.nonzero(psi)                                  # by index, then message
     slot = np.arange(index.size) - np.searchsorted(index, index)    # among the index's codewords
@@ -193,7 +191,8 @@ def _support_sum_route(params: QamdParams, psi: np.ndarray):
         while (receivers[-1] < m).any():
             receivers.append(np.where(owned > receivers[-1][:, np.newaxis], owned, m).min(axis=1))
         if ps is not last[0] or at is not last[1] or cz is not last[2]:
-            last[:] = ps, at, cz, phase[ps[at], cz]                 # (G, n, q)
+            rows = digits[cz] @ digits[supp[ps[at[:, 0]]]].swapaxes(1, 2)
+            last[:] = ps, at, cz, w_table[rows % q]                 # (G, n, q)
         power = np.zeros(last[3].shape[:2])
         for receiver in receivers[:-1]:                             # m: no k-th receiver, masked
             column = psi[shifted, np.minimum(receiver, m - 1)[:, np.newaxis]].conj() * weight[ps]

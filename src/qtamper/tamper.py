@@ -2,21 +2,21 @@
 four decoders (classical, relaxed, weak, quantum-message), and empirical
 security scans over explicit unitary families.
 
-A scheme holds only its seeded Haar isometry V.  Decoder probabilities
-are computed from codeword overlaps V^dag U psi; P_perp is always
-computed independently (never as 1 minus the rest), so P_same + P_diff +
-P_perp = 1 is a real numerical check.  Family members (dense, or a
-`MonomialUnitary` for every Pauli word) are validated once, when the
-family is built.  The weak decoder runs two routes on every call and
-compares them: the Gram double sum over V^dag U V, and
-Tr(Pi . U Pi U^dag) / K = Tr(W^dag Pi W) / K with W = U V and the N x N
-Pi = V V^dag (built once per seed in a scan), O(N^2 K) with no N x N
-array beyond Pi.
+A scheme holds its seeded Haar isometry V and V^dag, formed once.  Every
+decoder reads one kernel, `_decode_overlaps`: the overlaps V^dag U states
+of one encoded state or an N x m block, and each column's squared norm.
+Classical, relaxed and weak read the K x K block of all K codewords once
+per member, quantum its one message state.  P_perp is computed on its own
+(never as 1 minus the rest), so P_same + P_diff + P_perp = 1 is a real
+check; weak compares the block's ||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2.
+No array larger than V is built.  Family members (dense, or a
+`MonomialUnitary` for every Pauli word) are validated once, when built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2, sqrt
 from typing import Optional, Sequence
 
@@ -54,8 +54,10 @@ class EncodingScheme:
     def K(self) -> int:
         return 2 ** self.k
 
-    def codeword(self, s: int) -> np.ndarray:
-        return self.isometry[:, s]
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """V^dag, formed once per scheme."""
+        return self.isometry.conj().T
 
 
 def check_scheme_size(n: int, k: int) -> None:
@@ -74,15 +76,26 @@ def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
                           isometry=sample_encoding_isometry(2 ** n, 2 ** k, seed))
 
 
-def _check_dim(scheme: EncodingScheme, U) -> None:
+def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
+    """(V^dag U states, squared norm of each tampered state) for one encoded
+    state or an N x m block of them: the one decoding kernel."""
     if U.shape[0] != scheme.N:
         raise OutOfRange(f"unitary dimension {U.shape[0]} != N = {scheme.N}")
+    w = U @ states
+    if w.ndim == 1:
+        return scheme.adjoint @ w, float(np.vdot(w, w).real)
+    return scheme.adjoint @ w, np.einsum("ij,ij->j", w.conj(), w).real
 
 
-def _decode_overlaps(scheme: EncodingScheme, U, state: np.ndarray):
-    """(overlaps with each codeword, squared norm of the tampered state)."""
-    w = U @ state
-    return scheme.isometry.conj().T @ w, float(np.vdot(w, w).real)
+def _classical_rows(scheme: EncodingScheme, U, messages: slice = slice(None)) -> list[dict]:
+    """`detect_classical` of each stored message in the slice `messages`,
+    all K by default, read off one overlap block."""
+    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry[:, messages])
+    weights = np.abs(overlaps) ** 2
+    same = weights[range(scheme.K)[messages], range(weights.shape[1])]   # own codeword
+    in_code = np.sum(weights, axis=0)
+    return [{"P_same": float(a), "P_diff": float(b - a), "P_perp": float(c - b)}
+            for a, b, c in zip(same, in_code, norm_sq)]
 
 
 def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
@@ -91,15 +104,9 @@ def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
     P_same is the weight on codeword s, P_diff the weight on the other
     codewords, P_perp the weight outside the code subspace.
     """
-    _check_dim(scheme, U)
     if not 0 <= s < scheme.K:
         raise OutOfRange(f"message index {s} outside [0, {scheme.K})")
-    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.codeword(s))
-    weights = np.abs(overlaps) ** 2
-    p_same = float(weights[s])
-    p_diff = float(np.sum(weights) - weights[s])
-    p_perp = norm_sq - float(np.sum(weights))
-    return {"P_same": p_same, "P_diff": p_diff, "P_perp": p_perp}
+    return _classical_rows(scheme, U, slice(s, s + 1))[0]
 
 
 def detect_quantum(scheme: EncodingScheme, U,
@@ -111,7 +118,6 @@ def detect_quantum(scheme: EncodingScheme, U,
     (None when the pass probability is below 1e-12: the conditional
     state is undefined there, not zero).
     """
-    _check_dim(scheme, U)
     amps = require_normalized(np.asarray(message_amplitudes, dtype=np.complex128))
     if amps.shape != (scheme.K,):
         raise OutOfRange(f"need {scheme.K} amplitudes")
@@ -128,24 +134,16 @@ def detect_quantum(scheme: EncodingScheme, U,
 def detect_weak(scheme: EncodingScheme, U) -> float:
     """X = Tr(Pi U Enc(1_K / K) U^dag), the average-message pass weight.
 
-    Computed twice and checked equal: as the overlap double sum
-    (1/K) sum_ij |<psi_i| U |psi_j>|^2, which is returned, and as
-    Tr(Pi . U Pi U^dag) / K = Tr(W^dag Pi W) / K with Pi = V V^dag and W = U V.
+    Computed twice and checked equal: as (1/K) sum_ij |<psi_i| U |psi_j>|^2
+    over the kernel's block V^dag (U V), which is returned, and as
+    ||(V^dag U) V||_F^2 / K, with U applied to V^dag from the right: both are
+    Tr(W^dag Pi W) / K for W = U V and Pi = V V^dag, and neither forms Pi.
     """
-    return _detect_weak(scheme, U, scheme.isometry @ scheme.isometry.conj().T)
-
-
-def _detect_weak(scheme: EncodingScheme, U, pi: np.ndarray) -> float:
-    """`detect_weak` given the scheme's Pi = V V^dag, built once per seed."""
-    _check_dim(scheme, U)
-    gram = scheme.isometry.conj().T @ U @ scheme.isometry
+    gram, _ = _decode_overlaps(scheme, U, scheme.isometry)
     double_sum = float(np.sum(np.abs(gram) ** 2)) / scheme.K
-    w = U @ scheme.isometry
-    direct = float(np.vdot(w, pi @ w).real) / scheme.K
-    if abs(direct - double_sum) > CONSERVATION_TOL:
-        raise ConsistencyError(
-            f"weak-detection routes disagree: {direct} vs {double_sum}"
-        )
+    other = float(np.sum(np.abs((scheme.adjoint @ U) @ scheme.isometry) ** 2)) / scheme.K
+    if abs(other - double_sum) > CONSERVATION_TOL:
+        raise ConsistencyError(f"weak-detection routes disagree: {other} vs {double_sum}")
     return double_sum
 
 
@@ -175,6 +173,17 @@ def check_seed_count(count: int) -> None:
         raise OutOfRange("need at least one scheme seed")
     if count > MAX_SEEDS:
         raise OutOfRange(f"{count} scheme seeds exceed {MAX_SEEDS}")
+
+
+def check_scan_params(n: int, k: int, epsilon: float, seeds: int, mode: str) -> None:
+    """Refuse a scan's scalar parameters before any member or scheme is
+    built: a known mode, epsilon in (0, 1], the seed count, the scheme size."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if not 0 < epsilon <= 1:            # false for NaN as well; inf is above 1
+        raise OutOfRange(f"epsilon must be a number in (0, 1], got {epsilon}")
+    check_seed_count(seeds)
+    check_scheme_size(n, k)
 
 
 @dataclass
@@ -242,20 +251,16 @@ def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
     worst_violation = 0.0
     if mode in ("classical", "relaxed"):
         for label, u in family.members:
-            for s in range(scheme.K):
-                probs = detect_classical(scheme, u, s)
-                total = probs["P_same"] + probs["P_diff"] + probs["P_perp"]
-                worst_violation = max(worst_violation, abs(total - 1.0))
+            for s, probs in enumerate(_classical_rows(scheme, u)):
+                worst_violation = max(worst_violation, abs(sum(probs.values()) - 1.0))
                 rows.append({"seed": scheme_seed, "label": label, "s": s, **probs})
         if mode == "classical":
             metric = min(r["P_perp"] for r in rows)
         else:
             metric = min(r["P_same"] + r["P_perp"] for r in rows)
     elif mode == "weak":
-        pi = scheme.isometry @ scheme.isometry.conj().T
         for label, u in family.members:
-            x = _detect_weak(scheme, u, pi)
-            rows.append({"seed": scheme_seed, "label": label, "X": x})
+            rows.append({"seed": scheme_seed, "label": label, "X": detect_weak(scheme, u)})
         metric = min(1.0 - r["X"] for r in rows)
     else:
         amps = np.full(scheme.K, 1.0 / sqrt(scheme.K), dtype=np.complex128)
@@ -285,12 +290,7 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     run on `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs)
     threads, with OpenBLAS held at one thread while it runs.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if not 0 < epsilon <= 1:            # false for NaN as well; inf is above 1
-        raise OutOfRange(f"epsilon must be a number in (0, 1], got {epsilon}")
-    check_seed_count(len(seeds))
-    check_scheme_size(n, k)
+    check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
     seeds = list(seeds)
 
@@ -298,7 +298,6 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
                             seeds, jobs)
 
     rows = [row for entry in per_seed for row in entry["rows"]]
-    metrics = [entry["detection_metric"] for entry in per_seed]
     numeric_keys = [k for k, v in rows[0].items() if isinstance(v, float)]
     extrema = {}
     for key in numeric_keys:
@@ -317,7 +316,7 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         "per_seed": [{key: e[key] for key in ("seed", "detection_metric", "pass")}
                      for e in per_seed],
         "pass_fraction": sum(1 for e in per_seed if e["pass"]) / len(per_seed),
-        "min_detection_metric": min(metrics),
+        "min_detection_metric": min(e["detection_metric"] for e in per_seed),
         "extrema": extrema,
         "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
         "rows": rows,

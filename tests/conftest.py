@@ -217,6 +217,14 @@ def bfs_transposition_distances(n: int) -> dict[tuple[int, ...], int]:
     return dist
 
 
+def pauli_matrix(label: PauliLabel) -> np.ndarray:
+    """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
+    rows, phase = label.action()
+    out = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    out[rows, np.arange(rows.size)] = phase
+    return out
+
+
 def dense_decoder_projectors(scheme):
     """The decoder POVM of a scheme as dense N x N matrices, built from its
     isometry V: the codeword projectors |psi_s><psi_s|, Pi = V V^dag and

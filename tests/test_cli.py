@@ -199,14 +199,20 @@ def test_min_pass_fraction_outside_unit_interval_is_one_input_error(
     ["--n", "10000000", "--k", "1"],
     ["--n", "4", "--k", "4"],
     ["--n", "4", "--k", "-1"],
-], ids=["n-13", "n-huge", "k-equals-n", "k-negative"])
+    ["--epsilon=0"],
+    ["--epsilon=nan"],
+    ["--seeds", ",".join(map(str, range(tamper.MAX_SEEDS + 1)))],
+], ids=["n-13", "n-huge", "k-equals-n", "k-negative", "epsilon-zero", "epsilon-nan",
+        "seed-list-over-cap"])
 def test_tamper_sim_scheme_size_is_checked_before_the_family(tmp_path, capsys, monkeypatch,
                                                              argv):
+    # every scalar of the scan (n, k, epsilon, seed count) is checked before
+    # the family is drawn; later flags override the defaults before them
     drawn = []
     monkeypatch.setattr(cli, "pauli_family", lambda *args: drawn.append(args))
     started = time.monotonic()
-    assert _run("--out", str(tmp_path / "r"), "tamper-sim", *argv, "--family", "paulis:3",
-                "--epsilon", "0.4", "--seeds", "0") == 1
+    assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "4", "--k", "1",
+                "--family", "paulis:3", "--epsilon", "0.4", "--seeds", "0", *argv) == 1
     assert time.monotonic() - started < 1.0
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
@@ -297,10 +303,11 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert report["manifest"]["parameters"]["seed"] == 321
 
 
-def test_manifest_round_trip_bytes(tmp_path):
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_manifest_round_trip_bytes(tmp_path, mode):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    args = ["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:4",
+    args = ["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:4", "--mode", mode,
             "--epsilon", "0.4", "--seeds", "0..2", "--min-pass-fraction", "0.0"]
     assert _run("--out", str(out1), *args) == 0
     assert _run("--out", str(out2), "rerun", str(out1 / "tamper-sim.json")) == 0
@@ -350,6 +357,7 @@ def _with(key, value, section=None):
     _with("generator_version", "v0"),
     _with("generator_version", "philox4x64/box-muller/v5"),
     _with("generator_version", "philox4x64/ziggurat/v6"),
+    _with("generator_version", "philox4x64/ziggurat/v7"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -361,7 +369,8 @@ def _with(key, value, section=None):
 ], ids=["empty", "not-an-object", "missing-parameter", "unknown-parameter",
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
-        "generator-version", "generator-version-v5", "generator-version-v6", "build", "build-other-numpy",
+        "generator-version", "generator-version-v5", "generator-version-v6",
+        "generator-version-v7", "build", "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
 def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):

@@ -2,14 +2,14 @@ import types
 
 import numpy as np
 import pytest
-from conftest import dense_decoder_projectors
+from conftest import dense_decoder_projectors, pauli_matrix
 
 from qtamper import linalg
 from qtamper.errors import DimMismatch, NotNormalized, NotUnitary, RankDeficient
 from qtamper.haar import _phase_fixed_qr
 from qtamper.linalg import (identity, is_unitary, max_abs, parallel_map,
                             require_normalized, require_unitary)
-from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
+from qtamper.pauli import MonomialUnitary, PauliLabel
 
 RNG = np.random.default_rng(20260809)
 

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import pauli_matrix
 
 from qtamper.errors import NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.moments import (MAX_TRIALS, MomentSpec, _mc_chunk, closed_form_moment,
                              exact_moment, first_moment_js, first_moment_ss, mc_moment)
-from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
+from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.perm import iter_tuples
 
 

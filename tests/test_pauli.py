@@ -3,12 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import pauli_matrix
 
 from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
-                           pauli_matrix, random_nonidentity_labels, shift_rows)
+                           random_nonidentity_labels, shift_rows)
 
 
 def _kron_oracle(label):

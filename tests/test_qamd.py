@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (FqPoly, IdentityTampering, _difference_roots, dense_overlaps,
-                      difference_poly, fq_roots, tag_poly, tag_table, tamper_experiment,
-                      wrong_decode_prob_exact)
+                      difference_poly, fq_roots, pauli_matrix, tag_poly, tag_table,
+                      tamper_experiment, wrong_decode_prob_exact)
 
 from qtamper import qamd
 from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
 from qtamper.field import fq_values
 from qtamper.haar import child_generator
-from qtamper.pauli import PauliLabel, kron_digits, omega_powers, pauli_matrix
+from qtamper.pauli import PauliLabel, kron_digits, omega_powers
 from qtamper.qamd import QamdParams, encode, security_scan
 from qtamper.reports import canonical_json_bytes
 

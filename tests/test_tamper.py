@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import dense_decoder_projectors
+from conftest import dense_decoder_projectors, pauli_matrix
 
 from qtamper import pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, require_unitary
 from qtamper.moments import MomentSpec, exact_moment, first_moment_js, first_moment_ss
-from qtamper.pauli import MonomialUnitary, PauliLabel, pauli_matrix
+from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.reports import canonical_json_bytes
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,
                             detect_quantum, detect_weak,
@@ -128,7 +130,7 @@ def test_detect_weak_identity_and_k1_reduction():
     assert abs(detect_weak(scheme, identity(8)) - 1.0) <= 1e-10
     single = build_scheme(3, 0, seed=52)
     u = sample_haar_unitary(8, seed=53)
-    psi = single.codeword(0)
+    psi = single.isometry[:, 0]
     x_ss = abs(np.vdot(psi, u @ psi)) ** 2
     assert abs(detect_weak(single, u) - x_ss) <= 1e-10
 
@@ -140,7 +142,7 @@ def test_detect_weak_double_sum_route():
     total = 0.0
     for i in range(scheme.K):
         for j in range(scheme.K):
-            total += abs(np.vdot(scheme.codeword(i), u @ scheme.codeword(j))) ** 2
+            total += abs(np.vdot(scheme.isometry[:, i], u @ scheme.isometry[:, j])) ** 2
     assert abs(x - total / scheme.K) <= 1e-9
 
 
@@ -308,15 +310,45 @@ def test_members_are_validated_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_detect_weak_route_mismatch_raises(monkeypatch):
+@pytest.mark.parametrize("method", ["__matmul__", "__rmatmul__"])
+def test_detect_weak_route_mismatch_raises(monkeypatch, method):
     scheme = build_scheme(4, 1, seed=105)
     u = MonomialUnitary(*PauliLabel(q=2, x=(1, 0, 0, 1), z=(0, 1, 1, 0)).action())
     detect_weak(scheme, u)
-    applied = MonomialUnitary.__matmul__
-    # a wrong U @ x breaks the Tr(Pi . U Pi U^dag) route only
-    monkeypatch.setattr(MonomialUnitary, "__matmul__", lambda self, x: 1.01 * applied(self, x))
+    applied = getattr(MonomialUnitary, method)
+    # a wrong U @ V breaks the block route only, a wrong V^dag @ U the other
+    monkeypatch.setattr(MonomialUnitary, method, lambda self, x: 1.01 * applied(self, x))
     with pytest.raises(ConsistencyError):
         detect_weak(scheme, u)
+
+
+def test_weak_mode_builds_no_n_by_n_array():
+    """n = 12, one seed, two Pauli members: the whole run stays below
+    32 MiB of traced allocations, where one N x N complex array is 256 MiB."""
+    tracemalloc.start()
+    try:
+        fam = pauli_family(12, 2, seed=106)
+        family_security_scan(12, 1, fam, epsilon=0.5, seeds=[0], mode="weak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("u", [sample_haar_unitary(16, 108),
+                               MonomialUnitary(*PauliLabel(2, (1, 1, 0, 1), (0, 1, 1, 1)).action())],
+                         ids=["dense", "monomial"])
+def test_scan_rows_match_the_public_decoders(u):
+    """The scan reads one K x K block per member; each row equals the
+    per-message decoder within 1e-12, and quantum rows are its bytes."""
+    fam = UnitaryFamily(members=[("u", u)])
+    scheme = build_scheme(4, 2, seed=7)
+    rows = family_security_scan(4, 2, fam, epsilon=0.3, seeds=[7])["rows"]
+    for s, row in enumerate(rows):
+        probs = detect_classical(scheme, u, s)
+        assert all(abs(row[key] - probs[key]) <= 1e-12 for key in probs)
+    (row,) = family_security_scan(4, 2, fam, epsilon=0.3, seeds=[7], mode="quantum")["rows"]
+    assert row == {"seed": 7, "label": "u", **detect_quantum(scheme, u, np.full(4, 0.5))}
 
 
 def test_family_size_is_checked_before_sampling(monkeypatch):
