@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
-from .haar import sample_haar_unitary
+from .haar import check_seed, sample_haar_unitary
 from .moments import (MomentSpec, check_moment_params, check_trials, closed_form_moment,
                       exact_moment, mc_moment)
 from .pauli import MonomialUnitary, PauliLabel
@@ -54,13 +54,12 @@ def _env_seed() -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (check_seed(int(end)) for end in text.split("..", 1))
         if hi < lo:
             raise InputError(f"empty seed range {text!r}")
         check_seed_count(hi - lo + 1)
         return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
+    return [check_seed(int(part)) for part in text.split(",")]
 
 
 def _load_unitary_file(path: str) -> np.ndarray:
@@ -341,11 +340,11 @@ def _build_parser() -> _Parser:
 
 def _params_from_args(args) -> dict:
     """The manifest parameters of a parsed command line: its subcommand's
-    options, with seeds resolved and the qamd-scan flags named."""
+    options, with seeds resolved and checked and the qamd-scan flags named."""
     params = {k: v for k, v in vars(args).items() if k not in ("out", "jobs", "subcommand")}
     for key in ("seed", "family_seed"):
-        if key in params and params[key] is None:
-            params[key] = _env_seed()
+        if key in params:
+            params[key] = check_seed(_env_seed() if params[key] is None else params[key])
     if args.subcommand == "qamd-scan":
         params["mode"] = "exhaustive" if params.pop("exhaustive") else "random"
         params["cross_check"] = not params.pop("skip_dense_check")

@@ -3,55 +3,64 @@ isometries.
 
 Randomness contract
 -------------------
-All sampling is driven by counter-based Philox streams keyed on a 64-bit
-seed: the root stream uses key (seed, 0) and Monte Carlo trial chunk c
-uses key (seed, 1 + c).  Complex Gaussians are NumPy's ziggurat normals
-on those streams, so a (seed, stream) pair pins the sample exactly under
-one NumPy release; ``GENERATOR_VERSION`` names this scheme and is stamped
-into every report, next to the NumPy version (NEP 19 does not pin the
-normal stream across releases).  Versions 2 and 3 pinned the Pauli phase
-rule and the QAMD scan's certificate fields; version 4 pins the isometry
-sampler below, which moved every Monte Carlo field and tamper-sim report;
-version 5 pins the random-mode QAMD cross-check arithmetic, now the
-exhaustive scan's support sum, which moved `max_dense_mismatch` there;
-version 6 pins the ziggurat normals, which moved every sample; version 7
-pins `moments` on a Pauli word applied as its monomial action (a gather
-times a phase in place of zgemm), which moved the last digit of some
-Monte Carlo fields at q >= 3; version 8 pins the tamper decoders on one
-overlap block per member (zgemm over the K codewords in place of zgemv
-per message), which moved the last bits of classical, relaxed and weak
-tamper-sim fields.
+A seed is an int in [0, 2^64) (`check_seed`).  Stream s of a seed is SFC64
+on `SeedSequence(seed, spawn_key=(s,))`: stream 0 for single-shot draws,
+stream 1 + c for Monte Carlo chunk c.  The spawn key is mixed in after the
+seed's entropy is padded to the pool size, so no two (seed, stream) pairs
+alias, as an entropy list [seed, s] would (the root stream of 2^32 + 5
+would be chunk 0 of seed 5).  Complex Gaussians are NumPy's ziggurat
+normals on those streams, so a (seed, stream) pair pins the sample exactly
+under one NumPy release; ``GENERATOR_VERSION`` names this scheme and is
+stamped into every report, next to the NumPy version (NEP 19 does not pin
+the normal stream across releases).  Versions 2 to 8 pinned, in turn, the
+Pauli phase rule, the QAMD certificate fields, the isometry sampler, the
+QAMD cross-check arithmetic, the ziggurat normals, `moments` on a Pauli
+word's monomial action and the one-block tamper decoders; version 9 pins
+SFC64 streams (Philox4x64 keyed on (seed, stream) before) and the K-major
+block below, which moved every sampled bit.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
 convention).  A square unitary is LAPACK's Q times diag(R_jj / |R_jj|).
 An isometry stack -- Monte Carlo draws and encoding isometries alike --
-is a (count, K, N) Ginibre block (row k is column k) orthonormalized by
-classical Gram-Schmidt with one re-orthogonalization pass (CGS2), whose
-R diagonal is the real positive norm: O(N K^2) per draw.
+is a K-major (K, count, N) Ginibre block, row k holding column k of every
+draw, orthonormalized by classical Gram-Schmidt with one
+re-orthogonalization pass (CGS2), whose R diagonal is the real positive
+norm: O(N K^2) per draw, each column one contiguous (count, N) row.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "philox4x64/ziggurat/v8"
+GENERATOR_VERSION = "sfc64/ziggurat/v9"
+
+
+def check_seed(seed) -> int:
+    """The seed as an int if it is an integer in [0, 2^64), else OutOfRange."""
+    if isinstance(seed, bool) or not isinstance(seed, int | np.integer) or not 0 <= seed < 2 ** 64:
+        raise OutOfRange(f"seed {seed!r} is not an integer in [0, 2^64)")
+    return int(seed)
+
+
+def _stream(seed: int, stream: int) -> Generator:
+    return Generator(SFC64(SeedSequence(check_seed(seed), spawn_key=(stream,))))
 
 
 def root_generator(seed: int) -> Generator:
-    """Stream used for single-shot sampling under the given seed."""
-    return Generator(Philox(key=[seed, 0]))
+    """Stream 0 of the seed, used for single-shot sampling."""
+    return _stream(seed, 0)
 
 
 def child_generator(seed: int, index: int) -> Generator:
-    """Disjoint stream for Monte Carlo chunk `index` (counter rule)."""
+    """Stream 1 + index of the seed, for Monte Carlo chunk `index`."""
     if index < 0:
         raise OutOfRange("child stream index must be >= 0")
-    return Generator(Philox(key=[seed, 1 + index]))
+    return _stream(seed, 1 + index)
 
 
 def complex_gaussian(rng: Generator, shape) -> np.ndarray:
@@ -99,18 +108,16 @@ def sample_encoding_isometry(N: int, K: int, seed: int) -> np.ndarray:
 
 def sample_isometry_stack(rng: Generator, count: int, N: int, K: int) -> np.ndarray:
     """`count` independent Haar isometries as a (count, N, K) stack: the
-    transposed view of a CGS2-orthonormalized (count, K, N) Ginibre block."""
+    transposed view of a CGS2-orthonormalized (K, count, N) Ginibre block."""
     if not 1 <= K <= N or N > MAX_DIM:
         raise OutOfRange(f"bad isometry shape N={N}, K={K}")
-    g = complex_gaussian(rng, (count, K, N))
-    for j in range(K):
-        v = g[:, j, :]
-        if j:  # project out the earlier rows, then once more (CGS2)
-            prev = g[:, :j, :]
-            for _ in range(2):
-                v -= np.matvec(prev.transpose(0, 2, 1), np.vecdot(prev, v[:, np.newaxis, :]))
+    g = complex_gaussian(rng, (K, count, N))
+    for j, v in enumerate(g):
+        prev = g[:j]
+        for _ in range(2 if j else 0):   # project out the earlier rows, twice (CGS2)
+            v -= np.matvec(prev.transpose(1, 2, 0), np.vecdot(prev, v).T)
         norm = np.sqrt(np.vecdot(v, v).real)
         if np.min(norm) < RANK_TOL:
             raise RankDeficient("Gram-Schmidt pivot below tolerance")
-        v /= norm[:, np.newaxis]
-    return g.transpose(0, 2, 1)
+        v.view(np.float64)[...] *= (1 / norm)[:, np.newaxis]   # = v / norm, bit for bit
+    return g.transpose(1, 2, 0)

@@ -112,9 +112,8 @@ class SpClasses(NamedTuple):
 
 @lru_cache(maxsize=None)
 def sp_classes(p: int) -> SpClasses:
-    """Class data of S_p, built once per p.  Base-p digit codes sort like
-    the lexicographic perms, so each row perms[:] o perms[a]^-1 of `pair` is
-    located with one searchsorted, in O(p! * p) temporaries."""
+    """Class data of S_p, built once per p.  Base-p digit codes index a p^p
+    table of classes, so row perms[:] o perms[a]^-1 of `pair` is one gather."""
     if not 0 <= p <= MAX_PAIR_DEGREE:
         raise BudgetExceeded(f"S_{p} pair table capped at p <= {MAX_PAIR_DEGREE}")
     perms = tuple(iter_tuples(p))
@@ -123,12 +122,13 @@ def sp_classes(p: int) -> SpClasses:
                          for images in perms], dtype=np.uint8)
     table = np.array(perms, dtype=np.intp).reshape(len(perms), p)
     place = p ** np.arange(p - 1, -1, -1, dtype=np.intp)
-    codes = table @ place
+    class_at = np.zeros(p ** p, dtype=np.uint8)
+    class_at[table @ place] = class_of
     inverse = np.argsort(table, axis=1)
     pair = np.empty((len(perms), len(perms)), dtype=np.uint8)
     for a in range(len(perms)):
         # row b of table[:, inverse[a]] is perms[b] o perms[a]^-1
-        pair[a] = class_of[np.searchsorted(codes, table[:, inverse[a]] @ place)]
+        pair[a] = class_at[table[:, inverse[a]] @ place]
     class_of.flags.writeable = pair.flags.writeable = False   # shared via the cache
     return SpClasses(perms, tuple(lookup), class_of, tuple(np.bincount(class_of).tolist()),
                      pair)

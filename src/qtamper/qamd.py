@@ -275,12 +275,12 @@ def _sampled_blocks(params: QamdParams, trials: int, seed: int):
     drawn cell kept, duplicates too, one row per cell.
 
     A draw is 2n digits (x, z), redrawn while all are 0, then d digits s.
-    Bounded integers take the generator's 32-bit words one by one, so one
-    call per window of draws yields the digits of one call per draw; a run
-    of 2n zero digits where a draw starts is a zero (x, z), and the next
-    draw starts after it.  A cell is kept as one base-q key
-    ((x M + s) dim + z); a window of SCAN_WINDOW // q of the sorted keys
-    is one block, so that no scan array grows with `trials`.
+    Bounded integers take SFC64's 32-bit half words one by one, an unused
+    half kept for the next call, so one call per window of draws yields the
+    digits of one call per draw; a run of 2n zero digits where a draw starts
+    is a zero (x, z), and the next draw starts after it.  A cell is kept as
+    one base-q key ((x M + s) dim + z); a window of SCAN_WINDOW // q of the
+    sorted keys is one block, so that no scan array grows with `trials`.
     """
     q, n, d, m = params.q, params.block_length, params.d, params.num_messages
     width = 2 * n + d

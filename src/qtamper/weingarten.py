@@ -6,13 +6,15 @@ tau^-1)|} over S_p, the Weingarten function is the identity row of G^-1.
 Because G commutes with conjugation, its inverse row is a class function;
 we therefore solve the class-collapsed system exactly (fraction Gaussian
 elimination on an (#cycle types)^2 matrix) and then verify the candidate
-against *every one of the p! permutation-level equations* exactly.  That
-verification both certifies the solution and doubles as the
-class-function check: a full p! x p! rational inversion in pure Python
-would blow the runtime budget without adding information.
+against the permutation-level system exactly.  Its row sigma depends only
+on conjugation invariants of sigma, so the p! equations are one per class
+(11 at p = 6), and each distinct one is checked.  That verification both
+certifies the solution and doubles as the class-function check: a full
+p! x p! rational inversion in pure Python would blow the runtime budget
+without adding information.
 
-The collapsed counts are read off the N-independent pair table of
-`perm.sp_classes`; the exact p!-row check runs on every table build.
+The count rows are read off the N-independent pair table of
+`perm.sp_classes` once per p; the exact check runs on every table build.
 `wg_table(p, N)` is a vector: a tuple of Fractions indexed like
 `sp_classes(p).types`, whose class sizes are `sp_classes(p).sizes`.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +53,26 @@ def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list
 
 
 @lru_cache(maxsize=None)
+def _class_counts(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N-independent count rows of the S_p system, row[j, k] = #{tau in
+    class j : sigma tau^-1 in class k}: the distinct rows over all p!
+    sigmas, their [sigma = e] flags, and the index of each class's row."""
+    sp = sp_classes(p)
+    n_perms, n_types = len(sp.perms), len(sp.types)
+    # one bincount over pair[tau, sigma], keyed by (sigma, class of tau, class)
+    key = (np.arange(n_perms)[:, None] * n_types + sp.class_of) * n_types + sp.pair.T
+    counts = np.bincount(key.ravel(), minlength=n_perms * n_types ** 2).reshape(n_perms, -1)
+    distinct, row_of = np.unique(np.column_stack([counts, sp.class_of == 0]), axis=0,
+                                 return_inverse=True)                      # e is class 0
+    reps = np.unique(sp.class_of, return_index=True)[1]
+    cached = (distinct[:, :-1].reshape(-1, n_types, n_types), distinct[:, -1].astype(object),
+              row_of.ravel()[reps])
+    for array in cached:
+        array.flags.writeable = False
+    return cached
+
+
+@lru_cache(maxsize=None)
 def wg_table(p: int, N: int) -> tuple[Fraction, ...]:
     """Exact Wg values of S_p at dimension N (1 <= p <= 6, N >= p), indexed
     like `sp_classes(p).types`.
@@ -57,41 +80,26 @@ def wg_table(p: int, N: int) -> tuple[Fraction, ...]:
     The candidate from the collapsed solve is verified against the full
     permutation-level system: for every sigma in S_p,
         sum_tau N^{|C(sigma tau^-1)|} Wg(tau) = [sigma == e],
-    exactly over the rationals.
+    exactly, on each distinct equation times the LCM D of the candidate's
+    denominators, in integers.
     """
     if not 1 <= p <= MAX_PAIR_DEGREE:
         raise OutOfRange(f"moment order p={p} outside [1, {MAX_PAIR_DEGREE}]")
     if N < p:
         raise SingularGram(f"need N >= p for an invertible Gram system (N={N}, p={p})")
 
-    sp = sp_classes(p)
-    n_perms = len(sp.perms)
-    n_types = len(sp.types)
+    types = sp_classes(p).types
+    rows, is_identity, class_row = _class_counts(p)
+    gram = rows.astype(object) @ np.array([N ** len(ct) for ct in types], dtype=object)
+    matrix = [[Fraction(g) for g in gram[r]] for r in class_row]
+    solution = _solve_fraction_system(matrix, [Fraction(int(j == 0)) for j in range(len(types))])
 
-    # counts[s, j, k] = #{tau in class j : sigma_s tau^-1 in class k}, read
-    # off pair[tau, sigma_s] with one bincount.  Class-representative rows
-    # feed the solve, all rows feed the verification.
-    key = sp.pair.T.astype(np.intp)
-    key += sp.class_of.astype(np.intp) * n_types
-    key += (np.arange(n_perms) * n_types * n_types)[:, None]
-    counts = np.bincount(key.ravel(), minlength=n_perms * n_types * n_types)
-    n_pow = np.array([N ** len(ct) for ct in sp.types], dtype=object)
-    gram = counts.reshape(n_perms, n_types, n_types).astype(object) @ n_pow
-
-    reps = np.unique(sp.class_of, return_index=True)[1]
-    identity_type = sp.class_of[0]  # perms[0] is the identity
-    matrix = [[Fraction(g) for g in gram[s_i]] for s_i in reps]
-    rhs = [Fraction(1 if ti == identity_type else 0) for ti in range(n_types)]
-    solution = _solve_fraction_system(matrix, rhs)
-
-    for s_i in range(n_perms):
-        total = sum((w * g for w, g in zip(solution, gram[s_i])), Fraction(0))
-        expected = 1 if sp.class_of[s_i] == identity_type else 0
-        if total != expected:
-            raise SingularGram(
-                f"class-function candidate fails permutation-level equation {s_i}"
-            )
-
+    scale = lcm(*(w.denominator for w in solution))
+    scaled = np.array([w.numerator * (scale // w.denominator) for w in solution], dtype=object)
+    failed = np.flatnonzero(gram @ scaled != scale * is_identity)
+    if failed.size:
+        raise SingularGram(f"class-function candidate fails permutation-level equation "
+                           f"{failed[0]} of the {len(is_identity)} distinct ones")
     return tuple(solution)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtamper import cli, linalg, moments, pauli, qamd, tamper
+from qtamper import cli, haar, linalg, moments, pauli, qamd, tamper
 from qtamper.linalg import require_unitary
 from qtamper.reports import BUILD_ID, make_manifest
 
@@ -171,10 +171,11 @@ def test_tamper_sim_writes_json_and_csv(tmp_path):
 
 
 def test_tamper_sim_threshold_exit_code(tmp_path):
-    # at epsilon 0.2 neither seed passes, so a threshold of 0.5 is missed
+    # at epsilon 0.01 neither seed passes (a Pauli word leaves about 12% of a
+    # codeword on the code space at N = 16, K = 2), so a threshold of 0.5 is missed
     out = tmp_path / "r"
     code = _run("--out", str(out), "tamper-sim", "--n", "4", "--k", "1",
-                "--family", "paulis:3", "--epsilon", "0.2",
+                "--family", "paulis:3", "--epsilon", "0.01",
                 "--seeds", "0..1", "--min-pass-fraction", "0.5")
     assert code == 2
     assert (out / "tamper-sim.json").exists()  # report still written
@@ -237,6 +238,38 @@ def test_tamper_sim_cell_count_is_capped(tmp_path, capsys, monkeypatch):
         assert "12800000 cells" in err
         assert built == [] and drawn == [] and members_built == []
         assert not (tmp_path / "r").exists()
+
+
+_MOMENTS = ["moments", "--pattern", "js", "--t", "1", "--N", "8", "--trials", "2000"]
+_TAMPER = ["tamper-sim", "--n", "3", "--k", "1", "--family", "paulis:2", "--epsilon", "0.4"]
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 64], ids=["negative", "2^64"])
+@pytest.mark.parametrize("entry", [
+    "moments-seed", "qamd-seed", "family-seed", "seed-list", "range-start", "range-end",
+    "random-unitary", "env-seed"])
+def test_seed_outside_uint64_is_one_input_error(tmp_path, capsys, monkeypatch, entry, bad):
+    argv = {
+        "moments-seed": [*_MOMENTS, "--unitary", "random:0", f"--seed={bad}"],
+        "qamd-seed": ["qamd-scan", "--q", "3", "--d", "1", "--trials", "50", f"--seed={bad}"],
+        "family-seed": [*_TAMPER, "--seeds", "0", f"--family-seed={bad}"],
+        "seed-list": [*_TAMPER, f"--seeds=0,{bad}"],
+        "range-start": [*_TAMPER, f"--seeds={bad}..3"],
+        "range-end": [*_TAMPER, f"--seeds=0..{bad}"],
+        "random-unitary": [*_MOMENTS, "--unitary", f"random:{bad}", "--seed", "0"],
+        "env-seed": [*_MOMENTS, "--unitary", "random:0"],
+    }[entry]
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    if entry == "env-seed":
+        monkeypatch.setenv(cli.SEED_ENV, str(bad))
+    streams = []   # every stream is made from a SeedSequence
+    monkeypatch.setattr(haar, "SeedSequence", lambda *args, **kw: streams.append(args))
+    assert _run("--out", str(tmp_path / "r"), *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "[0, 2^64)" in err
+    assert streams == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_usage_and_input_errors(tmp_path):
@@ -358,6 +391,7 @@ def _with(key, value, section=None):
     _with("generator_version", "philox4x64/box-muller/v5"),
     _with("generator_version", "philox4x64/ziggurat/v6"),
     _with("generator_version", "philox4x64/ziggurat/v7"),
+    _with("generator_version", "philox4x64/ziggurat/v8"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -370,7 +404,7 @@ def _with(key, value, section=None):
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
         "generator-version", "generator-version-v5", "generator-version-v6",
-        "generator-version-v7", "build", "build-other-numpy",
+        "generator-version-v7", "generator-version-v8", "build", "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
 def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):
@@ -389,8 +423,10 @@ def test_rerun_refuses_manifest_it_cannot_reproduce(tmp_path, capsys, edit):
 @pytest.mark.parametrize("key, value", [
     ("seeds", "0..2"), ("seeds", [0, "x"]), ("seeds", [0.5]), ("seeds", []),
     ("seeds", 3), ("seeds", [0, True]), ("epsilon", "0.4"), ("mode", "odd"),
+    ("seeds", [0, -1]), ("seeds", [2 ** 64]), ("family_seed", -1),
 ], ids=["range-string", "string-seed", "float-seed", "no-seeds", "seeds-not-a-list",
-        "bool-seed", "string-for-float", "unknown-choice"])
+        "bool-seed", "string-for-float", "unknown-choice", "negative-seed", "seed-2^64",
+        "negative-family-seed"])
 def test_rerun_refuses_malformed_parameter_values(tmp_path, capsys, key, value):
     out = tmp_path / "a"
     assert _run("--out", str(out), "tamper-sim", "--n", "3", "--k", "1", "--family",

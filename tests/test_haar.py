@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from qtamper.errors import OutOfRange, RankDeficient
-from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
+from qtamper.haar import (_phase_fixed_qr, check_seed, child_generator, complex_gaussian,
                           root_generator, sample_encoding_isometry,
                           sample_haar_unitary, sample_isometry_stack)
 from qtamper.linalg import identity, max_abs
@@ -39,8 +39,8 @@ def test_dimension_bounds():
 
 def test_isometry_is_thin_qr_of_root_block():
     v = sample_encoding_isometry(8, 2, seed=77)
-    block = complex_gaussian(root_generator(77), (1, 2, 8))
-    assert max_abs(v - _phase_fixed_qr(block.transpose(0, 2, 1))[0]) <= 1e-13
+    block = complex_gaussian(root_generator(77), (2, 1, 8))   # K-major: (K, count, N)
+    assert max_abs(v - _phase_fixed_qr(block.transpose(1, 2, 0))[0]) <= 1e-13
     assert max_abs(v.conj().T @ v - identity(2)) <= 1e-10
 
 
@@ -62,16 +62,26 @@ def test_complex_gaussian_matches_unfused_oracle(seed):
                                  for n in (2, 16, 64, 4096) if k <= n])
 def test_stack_matches_lapack_phase_fixed_qr(K, N):
     count = 4 if N == 4096 else 64
-    block = complex_gaussian(child_generator(13, 0), (count, K, N))
+    block = complex_gaussian(child_generator(13, 0), (K, count, N))
     stack = sample_isometry_stack(child_generator(13, 0), count, N, K)
     assert stack.shape == (count, N, K)
-    assert max_abs(stack - _phase_fixed_qr(block.transpose(0, 2, 1))) <= 1e-13
+    assert max_abs(stack - _phase_fixed_qr(block.transpose(1, 2, 0))) <= 1e-13
+
+
+def test_real_view_scaling_is_complex_division():
+    """Scaling the float64 view by 1/|v| gives the bits of complex v / |v|."""
+    block = complex_gaussian(child_generator(21, 0), (4, 4096, 64))
+    norm = np.sqrt(np.vecdot(block, block).real)[..., np.newaxis]
+    scaled = block.copy()
+    scaled.view(np.float64)[...] *= 1 / norm
+    assert np.array_equal(scaled.view(np.uint64), (block / norm).view(np.uint64))
 
 
 class _RepeatedRows:
-    """Normal source whose draws repeat row 0 along axis 1, mixed with a
-    fraction `jitter` of fresh draws, so the Ginibre blocks it feeds have
-    equal (jitter 0) or nearly parallel columns."""
+    """Normal source whose draws repeat row 0 along the K axis (axis 0 of
+    the K-major block), mixed with a fraction `jitter` of fresh draws, so
+    the Ginibre blocks it feeds have equal (jitter 0) or nearly parallel
+    columns."""
 
     def __init__(self, seed, jitter=0.0):
         self.rng = root_generator(seed)
@@ -79,7 +89,7 @@ class _RepeatedRows:
 
     def standard_normal(self, out):
         self.rng.standard_normal(out=out)
-        out[:, 1:, :] = (1 - self.jitter) * out[:, :1, :] + self.jitter * out[:, 1:, :]
+        out[1:] = (1 - self.jitter) * out[:1] + self.jitter * out[1:]
         return out
 
 
@@ -110,6 +120,32 @@ def test_child_streams_are_disjoint_and_stable():
     assert np.array_equal(a, a_again)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, root_generator(9).random(4))
+
+
+def test_streams_do_not_alias_across_seeds():
+    """Every (seed, stream) pair draws its own first words, also for seeds
+    2^32 apart; an entropy list [seed, stream] would make the root stream
+    of 2^32 + 5 chunk 0 of seed 5."""
+    assert not np.array_equal(root_generator(2 ** 32 + 5).random(4),
+                              child_generator(5, 0).random(4))
+    pairs = [(seed, stream) for seed in (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                                         2 ** 32 + 5, 2 ** 33, 2 ** 64 - 1)
+             for stream in (0, 1, 2, 2 ** 32)]
+    firsts = {(root_generator(seed) if stream == 0 else child_generator(seed, stream - 1))
+              .integers(0, 2 ** 63, size=2).tobytes() for seed, stream in pairs}
+    assert len(firsts) == len(pairs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "1"],
+                         ids=["negative", "2^64", "bool", "float", "string"])
+def test_seed_outside_uint64_is_refused_before_a_stream(seed):
+    with pytest.raises(OutOfRange):
+        check_seed(seed)
+    with pytest.raises(OutOfRange):
+        root_generator(seed)
+    with pytest.raises(OutOfRange):
+        child_generator(seed, 0)
+    assert check_seed(2 ** 64 - 1) == 2 ** 64 - 1 and check_seed(np.uint64(7)) == 7
 
 
 def test_complex_gaussian_moments():

@@ -101,6 +101,48 @@ def test_certificate_rejects_a_wrong_solution(monkeypatch):
         wg_table.cache_clear()
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_integer_check_rejects_each_perturbed_class(monkeypatch, p):
+    """Perturbing any one class value of the solve, by a new denominator or
+    by a step of its own, fails the check scaled by the LCM of the
+    denominators."""
+    solve = weingarten._solve_fraction_system
+    for index in range(len(sp_classes(p).types)):
+        for own_step in (False, True):
+            def perturbed(matrix, rhs, index=index, own_step=own_step):
+                solution = solve(matrix, rhs)
+                step = solution[index].denominator if own_step else 10 ** 12
+                solution[index] += Fraction(1, step)
+                return solution
+
+            monkeypatch.setattr(weingarten, "_solve_fraction_system", perturbed)
+            with pytest.raises(SingularGram, match="permutation-level equation"):
+                wg_table.__wrapped__(p, 8)
+
+
+def test_distinct_equations_are_the_permutation_equations():
+    """The distinct count rows are one per class, as a set they are the p!
+    rows of the permutation-level system, and each class indexes the row of
+    its sigmas, recounted with test-local composition code."""
+    for p in range(1, 7):
+        sp = sp_classes(p)
+        n_types = len(sp.types)
+        rows, is_identity, class_row = weingarten._class_counts(p)
+        assert rows.shape == (n_types, n_types, n_types)
+        full, of_class = set(), {}
+        for s, sigma in enumerate(sp.perms):
+            counts = np.zeros((n_types, n_types), dtype=np.int64)
+            for b, tau in enumerate(sp.perms):
+                k = sp.types.index(cycle_type_of(compose(sigma, invert(tau))))
+                counts[sp.class_of[b], k] += 1
+            full.add((counts.tobytes(), s == 0))
+            of_class.setdefault(int(sp.class_of[s]), counts.tobytes())
+        assert full == {(row.astype(np.int64).tobytes(), bool(flag))
+                        for row, flag in zip(rows, is_identity)}
+        assert [rows[r].astype(np.int64).tobytes() for r in class_row] == \
+            [of_class[j] for j in range(n_types)]
+
+
 def test_errors():
     with pytest.raises(OutOfRange):
         wg_table(7, 64)
