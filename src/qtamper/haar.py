@@ -12,21 +12,16 @@ would be chunk 0 of seed 5).  Complex Gaussians are NumPy's ziggurat
 normals on those streams, so a (seed, stream) pair pins the sample exactly
 under one NumPy release; ``GENERATOR_VERSION`` names this scheme and is
 stamped into every report, next to the NumPy version (NEP 19 does not pin
-the normal stream across releases).  Versions 2 to 8 pinned, in turn, the
-Pauli phase rule, the QAMD certificate fields, the isometry sampler, the
-QAMD cross-check arithmetic, the ziggurat normals, `moments` on a Pauli
-word's monomial action and the one-block tamper decoders; version 9 pins
-SFC64 streams (Philox4x64 keyed on (seed, stream) before) and the K-major
-block below, which moved every sampled bit.
+the normal stream across releases).  README's "Randomness" bullet says
+what each version pinned and which fields it moved.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
 complex Ginibre matrix (plain Householder QR is biased by LAPACK's sign
 convention).  A square unitary is LAPACK's Q times diag(R_jj / |R_jj|).
-An isometry stack -- Monte Carlo draws and encoding isometries alike --
-is a K-major (K, count, N) Ginibre block, row k holding column k of every
-draw, orthonormalized by classical Gram-Schmidt with one
+An encoding isometry is a K-major (K, N) Ginibre block, row k holding
+column k, orthonormalized by classical Gram-Schmidt with one
 re-orthogonalization pass (CGS2), whose R diagonal is the real positive
-norm: O(N K^2) per draw, each column one contiguous (count, N) row.
+norm: O(N K^2), each column one contiguous row.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "sfc64/ziggurat/v9"
+GENERATOR_VERSION = "sfc64/ziggurat/v10"
 
 
 def check_seed(seed) -> int:
@@ -100,24 +95,17 @@ def sample_haar_unitary(N: int, seed: int) -> np.ndarray:
 
 
 def sample_encoding_isometry(N: int, K: int, seed: int) -> np.ndarray:
-    """The N x K Haar isometry of the seed's root stream."""
-    if not 1 <= K < N:
-        raise OutOfRange(f"need 1 <= K < N, got K={K}, N={N}")
-    return sample_isometry_stack(root_generator(seed), 1, N, K)[0]
-
-
-def sample_isometry_stack(rng: Generator, count: int, N: int, K: int) -> np.ndarray:
-    """`count` independent Haar isometries as a (count, N, K) stack: the
-    transposed view of a CGS2-orthonormalized (K, count, N) Ginibre block."""
-    if not 1 <= K <= N or N > MAX_DIM:
-        raise OutOfRange(f"bad isometry shape N={N}, K={K}")
-    g = complex_gaussian(rng, (K, count, N))
+    """The N x K Haar isometry of the seed's root stream: the transposed
+    view of a CGS2-orthonormalized (K, N) Ginibre block."""
+    if not 1 <= K < N or N > MAX_DIM:
+        raise OutOfRange(f"need 1 <= K < N <= {MAX_DIM}, got K={K}, N={N}")
+    g = complex_gaussian(root_generator(seed), (K, N))
     for j, v in enumerate(g):
         prev = g[:j]
         for _ in range(2 if j else 0):   # project out the earlier rows, twice (CGS2)
-            v -= np.matvec(prev.transpose(1, 2, 0), np.vecdot(prev, v).T)
+            v -= np.matvec(prev.T, np.vecdot(prev, v))
         norm = np.sqrt(np.vecdot(v, v).real)
-        if np.min(norm) < RANK_TOL:
+        if norm < RANK_TOL:
             raise RankDeficient("Gram-Schmidt pivot below tolerance")
-        v.view(np.float64)[...] *= (1 / norm)[:, np.newaxis]   # = v / norm, bit for bit
-    return g.transpose(1, 2, 0)
+        v.view(np.float64)[...] *= 1 / norm   # = v / norm, bit for bit
+    return g.T

@@ -22,8 +22,14 @@ indices).  Each pair is weighted by the exact Weingarten value of
 beta alpha^-1, looked up through the shared S_{2t} pair-class table
 `perm.sp_classes(2t).pair`, so the sum is one (p!, p!) matrix sandwich.
 
-The Monte Carlo estimator is the independent route: sample encoding
-isometries, evaluate the realized X^t, and average.
+The Monte Carlo estimator is the independent route.  A draw reads a Haar
+2-frame (psi1, psi2) only through A = psi1^dag U psi1 and B = psi2^dag U
+psi1, as X = |alpha A + beta B|^2 (`_frame_coefficients`).  For "m",
+psi1 = V a and v_m = conj(a_m) psi1 + r phi with phi a unit vector
+orthogonal to psi1; (V a, phi) are the first two columns of V Q for a fixed
+unitary Q, and Haar isometries are invariant under V -> V Q, so this is
+exact at every K.  No frame is formed: `_frame_x` reads A and B off the
+Gram scalars of two Gaussian rows.
 
 U is read only through `.trace()`, `U @ U` and `x @ U.T`, so it may be a
 dense matrix or a `pauli.MonomialUnitary`: a Pauli word is never formed
@@ -38,9 +44,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, OutOfRange
-from .haar import child_generator, sample_isometry_stack
-from .linalg import parallel_map, require_normalized
+from .errors import ConsistencyError, OutOfRange, RankDeficient
+from .haar import child_generator, complex_gaussian
+from .linalg import RANK_TOL, parallel_map, require_normalized
 from .pauli import checked_unitary
 from .perm import cycles_of, parity_swappers, sp_classes
 from .weingarten import wg_table
@@ -183,20 +189,40 @@ def exact_moment(spec: MomentSpec) -> float:
     return total.real
 
 
+def _frame_coefficients(spec: MomentSpec) -> tuple[complex, float]:
+    """(alpha, beta) of the spec's pattern in X = |alpha A + beta B|^2."""
+    if spec.pattern != PATTERN_QUANTUM_MESSAGE:
+        return (0.0, 1.0) if spec.pattern == PATTERN_OFF_DIAGONAL else (1.0, 0.0)
+    a_m = complex(spec.message_amplitudes[spec.target_index])
+    return a_m, sqrt(max(1.0 - abs(a_m) ** 2, 0.0))
+
+
+def _frame_x(g: np.ndarray, U, alpha: complex, beta: float) -> np.ndarray:
+    """X of each draw of a (cols, count, N) Gaussian block: A = s/n0 and
+    B = (t1 - conj(c) A) / sqrt(n0 perp), where n0 = |g0|^2, s = g0^dag U g0,
+    c = g0^dag g1, t1 = g1^dag U g0 and n0 perp = n0 |g1|^2 - |c|^2, which is
+    exactly 0 when g1 repeats g0.  g1 is read only when beta is nonzero."""
+    g0 = g[0]
+    u = g0 @ U.T
+    n0 = np.vecdot(g0, g0).real
+    if np.min(n0) < RANK_TOL ** 2:
+        raise RankDeficient("Gaussian column below tolerance")
+    a = np.vecdot(g0, u) / n0
+    amp = alpha * a
+    if beta:
+        g1 = g[1]
+        c = np.vecdot(g0, g1)
+        n0_perp = n0 * np.vecdot(g1, g1).real - (c.real ** 2 + c.imag ** 2)
+        if np.min(n0_perp / n0) < RANK_TOL ** 2:
+            raise RankDeficient("Gram-Schmidt pivot below tolerance")
+        amp = amp + beta * (np.vecdot(g1, u) - c.conj() * a) / np.sqrt(n0_perp)
+    return np.abs(amp) ** 2
+
+
 def _mc_chunk(spec: MomentSpec, seed: int, chunk_index: int, count: int):
-    rng = child_generator(seed, chunk_index)
-    # the first k columns of a Haar isometry are a Haar k-frame: draw only those read
-    columns = {PATTERN_DIAGONAL: 1, PATTERN_OFF_DIAGONAL: 2}.get(spec.pattern, spec.K)
-    stack = sample_isometry_stack(rng, count, spec.N, columns)
-    if spec.pattern == PATTERN_QUANTUM_MESSAGE:
-        moved = (stack @ spec.message_amplitudes) @ spec.U.T
-        read = stack[:, :, spec.target_index]
-    else:
-        moved = stack[:, :, 0] @ spec.U.T
-        read = stack[:, :, columns - 1]
-    amps = np.vecdot(read, moved)
-    x = np.abs(amps) ** 2
-    y = x ** spec.t
+    alpha, beta = _frame_coefficients(spec)
+    g = complex_gaussian(child_generator(seed, chunk_index), (2 if beta else 1, count, spec.N))
+    y = _frame_x(g, spec.U, alpha, beta) ** spec.t
     return float(np.sum(y)), float(np.sum(y * y))
 
 

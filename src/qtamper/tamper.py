@@ -84,7 +84,8 @@ def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
     w = U @ states
     if w.ndim == 1:
         return scheme.adjoint @ w, float(np.vdot(w, w).real)
-    return scheme.adjoint @ w, np.einsum("ij,ij->j", w.conj(), w).real
+    sq = np.einsum("ij,ij->j", w.view(np.float64), w.view(np.float64))   # no conjugated copy
+    return scheme.adjoint @ w, sq[0::2] + sq[1::2]
 
 
 def _classical_rows(scheme: EncodingScheme, U, messages: slice = slice(None)) -> list[dict]:

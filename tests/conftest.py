@@ -10,6 +10,7 @@ import numpy as np
 
 from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTamperError
 from qtamper.field import is_prime
+from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
 from qtamper.pauli import PauliLabel, omega_powers
 from qtamper.perm import Permutation, iter_tuples, num_cycles
 from qtamper.qamd import encode
@@ -223,6 +224,28 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     out = np.zeros((rows.size, rows.size), dtype=np.complex128)
     out[rows, np.arange(rows.size)] = phase
     return out
+
+
+def haar_unitary_stack(rng, count: int, n: int) -> np.ndarray:
+    """`count` Haar n x n unitaries as a (count, n, n) stack: the batched
+    phase-fixed LAPACK QR of a Ginibre stack."""
+    return _phase_fixed_qr(complex_gaussian(rng, (count, n, n)))
+
+
+class RepeatedRows:
+    """Normal source whose draws repeat row 0 along axis 0 (the column axis
+    of a K-major Ginibre block), mixed with a fraction `jitter` of fresh
+    draws, so the blocks it feeds have equal (jitter 0) or nearly parallel
+    columns."""
+
+    def __init__(self, seed, jitter=0.0):
+        self.rng = root_generator(seed)
+        self.jitter = jitter
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        out[1:] = (1 - self.jitter) * out[:1] + self.jitter * out[1:]
+        return out
 
 
 def dense_decoder_projectors(scheme):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from conftest import RepeatedRows, haar_unitary_stack
 from scipy import stats
 
+from qtamper import haar
 from qtamper.errors import OutOfRange, RankDeficient
 from qtamper.haar import (_phase_fixed_qr, check_seed, child_generator, complex_gaussian,
-                          root_generator, sample_encoding_isometry,
-                          sample_haar_unitary, sample_isometry_stack)
+                          root_generator, sample_encoding_isometry, sample_haar_unitary)
 from qtamper.linalg import identity, max_abs
 
 
@@ -39,8 +40,8 @@ def test_dimension_bounds():
 
 def test_isometry_is_thin_qr_of_root_block():
     v = sample_encoding_isometry(8, 2, seed=77)
-    block = complex_gaussian(root_generator(77), (2, 1, 8))   # K-major: (K, count, N)
-    assert max_abs(v - _phase_fixed_qr(block.transpose(1, 2, 0))[0]) <= 1e-13
+    block = complex_gaussian(root_generator(77), (2, 8))   # K-major: row k is column k
+    assert max_abs(v - _phase_fixed_qr(block.T)) <= 1e-13
     assert max_abs(v.conj().T @ v - identity(2)) <= 1e-10
 
 
@@ -61,11 +62,14 @@ def test_complex_gaussian_matches_unfused_oracle(seed):
 @pytest.mark.parametrize("K,N", [(k, n) for k in (1, 2, 4, 16)
                                  for n in (2, 16, 64, 4096) if k <= n])
 def test_stack_matches_lapack_phase_fixed_qr(K, N):
-    count = 4 if N == 4096 else 64
-    block = complex_gaussian(child_generator(13, 0), (K, count, N))
-    stack = sample_isometry_stack(child_generator(13, 0), count, N, K)
-    assert stack.shape == (count, N, K)
-    assert max_abs(stack - _phase_fixed_qr(block.transpose(1, 2, 0))) <= 1e-13
+    """The CGS2 isometry is the phase-fixed LAPACK QR of its root stream's
+    K-major block.  At K = N, where an encoding needs K < N, the N x (N-1)
+    isometry is the leading columns of the square block's unitary."""
+    k = min(K, N - 1)
+    v = sample_encoding_isometry(N, k, 13)
+    block = complex_gaussian(root_generator(13), (K, N))
+    assert v.shape == (N, k)
+    assert max_abs(v - _phase_fixed_qr(block.T)[:, :k]) <= 1e-13
 
 
 def test_real_view_scaling_is_complex_division():
@@ -77,39 +81,24 @@ def test_real_view_scaling_is_complex_division():
     assert np.array_equal(scaled.view(np.uint64), (block / norm).view(np.uint64))
 
 
-class _RepeatedRows:
-    """Normal source whose draws repeat row 0 along the K axis (axis 0 of
-    the K-major block), mixed with a fraction `jitter` of fresh draws, so
-    the Ginibre blocks it feeds have equal (jitter 0) or nearly parallel
-    columns."""
-
-    def __init__(self, seed, jitter=0.0):
-        self.rng = root_generator(seed)
-        self.jitter = jitter
-
-    def standard_normal(self, out):
-        self.rng.standard_normal(out=out)
-        out[1:] = (1 - self.jitter) * out[:1] + self.jitter * out[1:]
-        return out
-
-
-def test_equal_columns_raise_rank_deficient():
+def test_equal_columns_raise_rank_deficient(monkeypatch):
+    monkeypatch.setattr(haar, "root_generator", RepeatedRows)
     with pytest.raises(RankDeficient):
-        sample_isometry_stack(_RepeatedRows(3), 4, 16, 2)
+        sample_encoding_isometry(16, 2, 3)
 
 
-def test_nearly_parallel_columns_stay_orthonormal():
+def test_nearly_parallel_columns_stay_orthonormal(monkeypatch):
     """Columns about 1e-6 apart: a single Gram-Schmidt pass leaves ~1e-4 of
     overlap there, the re-orthogonalization pass brings it to rounding."""
-    stack = sample_isometry_stack(_RepeatedRows(5, jitter=1e-6), 64, 16, 4)
-    gram = np.einsum("tni,tnj->tij", stack.conj(), stack)
-    assert max_abs(gram - identity(4)) <= 1e-13
+    monkeypatch.setattr(haar, "root_generator", lambda seed: RepeatedRows(seed, jitter=1e-6))
+    for seed in range(16):
+        v = sample_encoding_isometry(16, 4, seed)
+        assert max_abs(v.conj().T @ v - identity(4)) <= 1e-13
 
 
 def test_isometry_columns_orthogonal():
-    rng = child_generator(5, 0)
-    stack = sample_isometry_stack(rng, 10_000, 16, 4)
-    overlaps = np.einsum("tn,tn->t", stack[:, :, 0].conj(), stack[:, :, 1])
+    overlaps = [np.vdot(v[:, 0], v[:, 1])
+                for v in (sample_encoding_isometry(16, 4, seed) for seed in range(2000))]
     assert float(np.mean(np.abs(overlaps) ** 2)) <= 1e-25
 
 
@@ -170,14 +159,10 @@ def test_complex_gaussian_distribution(seed):
     assert abs(np.mean(z ** 2)) <= 5 / np.sqrt(n)
 
 
-def _haar_batch(seed, count, n):
-    return sample_isometry_stack(child_generator(seed, 0), count, n, n)
-
-
 def test_first_entry_second_moment():
     # E|U_00|^2 = 1/N at N = 8, 1e5 samples, 3 standard errors
     n, samples = 8, 100_000
-    stack = _haar_batch(41, samples, n)
+    stack = haar_unitary_stack(child_generator(41, 0), samples, n)
     mag2 = np.abs(stack[:, 0, 0]) ** 2
     stderr = mag2.std() / np.sqrt(samples)
     assert abs(mag2.mean() - 1 / n) <= 3 * stderr
@@ -194,7 +179,7 @@ def test_phase_fix_necessity():
     raw_stderr = q_raw[:, 0, 0].real.std() / np.sqrt(samples)
     assert abs(raw_mean) > 4 * raw_stderr
 
-    fixed = sample_isometry_stack(child_generator(57, 1), samples, n, n)
+    fixed = haar_unitary_stack(child_generator(57, 1), samples, n)
     entries = fixed[:, 0, 0]
     stderr = entries.real.std() / np.sqrt(samples)
     assert abs(entries.mean().real) <= 4 * stderr
@@ -206,7 +191,7 @@ def test_left_invariance_statistic():
     for a fixed unitary W (translation invariance of the measure)."""
     n, samples = 8, 10_000
     w = sample_haar_unitary(n, seed=99)
-    stack = _haar_batch(100, samples, n)
+    stack = haar_unitary_stack(child_generator(100, 0), samples, n)
     plain = np.einsum("tii->t", stack).real
     rotated = np.einsum("ij,tji->t", w, stack).real
     se_mean = np.sqrt(plain.var() / samples + rotated.var() / samples)
@@ -217,10 +202,8 @@ def test_left_invariance_statistic():
 
 
 def test_stack_reproducible_and_unitary():
-    rng1 = child_generator(8, 3)
-    rng2 = child_generator(8, 3)
-    s1 = sample_isometry_stack(rng1, 32, 16, 2)
-    s2 = sample_isometry_stack(rng2, 32, 16, 2)
-    assert np.array_equal(s1, s2)
-    gram = np.einsum("tni,tnj->tij", s1.conj(), s1)
-    assert max_abs(gram - identity(2)) <= 1e-10
+    v1 = sample_encoding_isometry(16, 2, 8)
+    v2 = sample_encoding_isometry(16, 2, 8)
+    assert np.array_equal(v1, v2)
+    assert not np.array_equal(v1, sample_encoding_isometry(16, 2, 9))
+    assert max_abs(v1.conj().T @ v1 - identity(2)) <= 1e-10

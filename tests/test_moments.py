@@ -1,13 +1,17 @@
 import itertools
+from math import sqrt
 
 import numpy as np
 import pytest
-from conftest import pauli_matrix
+from conftest import RepeatedRows, pauli_matrix
 
-from qtamper.errors import NotNormalized, NotUnitary, OutOfRange
-from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.moments import (MAX_TRIALS, MomentSpec, _mc_chunk, closed_form_moment,
-                             exact_moment, first_moment_js, first_moment_ss, mc_moment)
+from qtamper import moments
+from qtamper.errors import NotNormalized, NotUnitary, OutOfRange, RankDeficient
+from qtamper.haar import (child_generator, complex_gaussian, sample_encoding_isometry,
+                          sample_haar_unitary)
+from qtamper.moments import (MAX_TRIALS, MomentSpec, _frame_coefficients, _frame_x, _mc_chunk,
+                             closed_form_moment, exact_moment, first_moment_js,
+                             first_moment_ss, mc_moment)
 from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.perm import iter_tuples
 
@@ -61,13 +65,127 @@ def test_first_moment_ss_monotone_in_trace():
     assert moments == sorted(moments)
 
 
+def _message(k, target, a_m):
+    """Unit amplitudes over k messages with a_m at `target` and the rest of
+    the weight spread evenly over the other entries."""
+    amps = np.full(k, sqrt((1 - abs(a_m) ** 2) / max(k - 1, 1)), dtype=complex)
+    amps[target] = a_m
+    return amps
+
+
 def test_mc_chunk_draws_only_the_columns_it_reads():
-    """js reads two isometry columns and ss one, so their Monte Carlo
-    chunks are bit-identical for every message count K."""
+    """js reads two Gaussian rows and ss one, and m reads two rows (one when
+    |a_m| = 1) whose values depend on a_m alone, so each pattern's Monte
+    Carlo chunks are bit-identical for every message count K."""
     u = sample_haar_unitary(16, 61)
     for pattern, ks in (("ss", (2, 8)), ("js", (2, 5))):
         results = [_mc_chunk(MomentSpec(pattern, 2, u, K=k), 62, 3, 1000) for k in ks]
         assert results[0] == results[1]
+    for a_m, cases in ((0.6 - 0.48j, ((2, 1), (3, 2), (8, 5), (15, 0))),
+                       (1j, ((1, 0), (4, 2), (9, 8)))):
+        results = [_mc_chunk(MomentSpec("m", 2, u, K=k, message_amplitudes=_message(k, m, a_m),
+                                        target_index=m), 62, 3, 1000) for k, m in cases]
+        assert all(r == results[0] for r in results), (a_m, results)
+
+
+def _cgs2_frame(g):
+    """The orthonormal frame of the rows g[0], g[1] of a (2, count, N) block,
+    formed explicitly: normalize, project twice, normalize."""
+    q0 = g[0] / np.linalg.norm(g[0], axis=-1, keepdims=True)
+    v = g[1].copy()
+    for _ in range(2):
+        v -= np.vecdot(q0, v)[:, np.newaxis] * q0
+    return q0, v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 16, 64, 4096])
+def test_gram_scalars_match_the_orthonormalized_frame(n):
+    """Per draw, X read off the Gram scalars of a Gaussian block equals X of
+    its explicit frame within 1e-13 of max(X, 1/N), for js and ss, on a
+    dense unitary and on a Pauli word's monomial action."""
+    count = 64 if n == 4096 else 4096
+    unitaries = [sample_haar_unitary(n, 70 + n)] if n <= 64 else []
+    if n in (16, 4096):
+        m = n.bit_length() - 1
+        word = PauliLabel(2, (1,) + (0,) * (m - 1), (0, 1) + (1,) * (m - 2))
+        unitaries.append(MonomialUnitary(*word.action()))
+    for i, u in enumerate(unitaries):
+        g = complex_gaussian(child_generator(80 + n, i), (2, count, n))
+        q0, q1 = _cgs2_frame(g)
+        moved = q0 @ u.T
+        for pattern, read in (("js", q1), ("ss", q0)):
+            x = _frame_x(g, u, *_frame_coefficients(MomentSpec(pattern, 1, u)))
+            want = np.abs(np.vecdot(read, moved)) ** 2
+            assert np.all(np.abs(x - want) <= 1e-13 * np.maximum(want, 1 / n)), (n, i, pattern)
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (16, 5), (64, 7)])
+def test_m_two_frame_matches_the_k_frame(n, k):
+    """For a K-frame V and complex amplitudes a, the 2-frame psi1 = V a,
+    psi2 = (psi_m - conj(a_m) psi1) / r gives X = |psi_m^dag U V a|^2
+    within 1e-13, for every POVM row m."""
+    v = sample_encoding_isometry(n, k, 90 + n)
+    u = sample_haar_unitary(n, 91 + n)
+    rng = child_generator(92 + n, 0)
+    amps = complex_gaussian(rng, k)
+    amps /= np.linalg.norm(amps)
+    psi1 = v @ amps
+    for m in range(k):
+        a_m = amps[m]
+        psi2 = (v[:, m] - a_m.conjugate() * psi1) / sqrt(1 - abs(a_m) ** 2)
+        spec = MomentSpec("m", 1, u, K=k, message_amplitudes=amps, target_index=m)
+        x = _frame_x(np.stack([psi1, psi2])[:, np.newaxis], u, *_frame_coefficients(spec))
+        want = abs(np.vdot(v[:, m], u @ psi1)) ** 2
+        assert abs(x[0] - want) <= 1e-13, (m, x[0], want)
+
+
+def test_mc_quantum_message_matches_exact():
+    """m against `exact` within 4 standard errors: complex amplitudes, a
+    POVM row other than 0 where K > 1, and K = 1, where |a_m| = 1 and one
+    Gaussian row is read."""
+    u = np.diag(np.exp(0.7j * np.arange(16) / 16))   # |Tr U| near N: X depends on |a_m|
+    for k, m, seed in ((1, 0, 101), (3, 2, 103), (7, 4, 107)):
+        rng = child_generator(seed, 0)
+        amps = complex_gaussian(rng, k)
+        amps /= np.linalg.norm(amps)
+        for t in (1, 2):
+            spec = MomentSpec("m", t, u, K=k, message_amplitudes=amps, target_index=m)
+            exact = exact_moment(spec)
+            est, se = mc_moment(spec, 50_000, seed=seed + t)
+            assert abs(est - exact) <= 4 * se, (k, m, t, est, exact, se)
+
+
+def test_js_kernel_at_n2_matches_the_closed_form():
+    """At N = 2 (below the smallest js spec, which needs 2 <= K < N) the
+    2-frame is a whole unitary and g1 comes nearer to parallel with g0 than
+    at any larger N; the kernel's mean of X still meets E[X_js] within 4
+    standard errors."""
+    u = sample_haar_unitary(2, 111)
+    x = np.concatenate([_frame_x(complex_gaussian(child_generator(112, c), (2, 4096, 2)),
+                                 u, 0.0, 1.0) for c in range(25)])
+    assert abs(x.mean() - first_moment_js(u)) <= 4 * x.std() / sqrt(x.size)
+
+
+def test_rank_deficient_gaussian_rows_raise_in_the_chunk(monkeypatch):
+    """Equal rows (perp = 0) fail js and m; zero rows (n0 = 0) fail ss."""
+    u = sample_haar_unitary(8, 113)
+    specs = [MomentSpec("js", 1, u),
+             MomentSpec("m", 1, u, K=3, message_amplitudes=_message(3, 1, 0.6j), target_index=1)]
+    monkeypatch.setattr(moments, "child_generator", lambda seed, index: RepeatedRows(seed))
+    for spec in specs:
+        with pytest.raises(RankDeficient):
+            _mc_chunk(spec, 5, 0, 64)
+    monkeypatch.setattr(moments, "child_generator", lambda seed, index: RepeatedRows(seed, 1.0))
+    _mc_chunk(specs[0], 5, 0, 64)   # jitter 1: the source's own fresh draws pass
+
+    class ZeroRows:
+        def standard_normal(self, out):
+            out[...] = 0.0
+            return out
+
+    monkeypatch.setattr(moments, "child_generator", lambda seed, index: ZeroRows())
+    with pytest.raises(RankDeficient):
+        _mc_chunk(MomentSpec("ss", 1, u), 5, 0, 64)
 
 
 def test_not_unitary_rejected():

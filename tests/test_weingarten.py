@@ -4,10 +4,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+from conftest import haar_unitary_stack
 
 from qtamper import weingarten
 from qtamper.errors import OutOfRange, SingularGram
-from qtamper.haar import child_generator, sample_isometry_stack
+from qtamper.haar import child_generator
 from qtamper.perm import compose, cycle_type_of, invert, iter_tuples, num_cycles, sp_classes
 from qtamper.weingarten import haar_moment, wg_abs_sum, wg_sum, wg_table, wg_value
 
@@ -198,7 +199,7 @@ def test_haar_moment_against_monte_carlo():
     while done < samples:
         count = min(chunk, samples - done)
         rng = child_generator(777, chunk_index)
-        stack = sample_isometry_stack(rng, count, n, n)
+        stack = haar_unitary_stack(rng, count, n)
         for b, (i, i2, j, j2) in enumerate(battery):
             vals = np.ones(count, dtype=np.complex128)
             for a in range(len(i)):
