@@ -9,10 +9,12 @@ stream 1 + c for Monte Carlo chunk c.  The spawn key is mixed in after the
 seed's entropy is padded to the pool size, so no two (seed, stream) pairs
 alias, as an entropy list [seed, s] would (the root stream of 2^32 + 5
 would be chunk 0 of seed 5).  Complex Gaussians are NumPy's ziggurat
-normals on those streams, so a (seed, stream) pair pins the sample exactly
-under one NumPy release; ``GENERATOR_VERSION`` names this scheme and is
-stamped into every report, next to the NumPy version (NEP 19 does not pin
-the normal stream across releases).  README's "Randomness" bullet says
+normals on those streams, and Monte Carlo moments draw its ziggurat
+exponentials and its uniforms from them (`moments._mc_chunk`), so a
+(seed, stream) pair pins the sample exactly under one NumPy release;
+``GENERATOR_VERSION`` names this scheme and is stamped into every report,
+next to the NumPy version (NEP 19 does not pin the normal or exponential
+streams across releases).  README's "Randomness" bullet says
 what each version pinned and which fields it moved.
 
 A Haar sample is the unique QR factor with positive-real R diagonal of a
@@ -32,7 +34,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from .errors import OutOfRange, RankDeficient
 from .linalg import MAX_DIM, RANK_TOL
 
-GENERATOR_VERSION = "sfc64/ziggurat/v10"
+GENERATOR_VERSION = "sfc64/ziggurat/v11"
 
 
 def check_seed(seed) -> int:

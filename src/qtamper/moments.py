@@ -22,32 +22,41 @@ indices).  Each pair is weighted by the exact Weingarten value of
 beta alpha^-1, looked up through the shared S_{2t} pair-class table
 `perm.sp_classes(2t).pair`, so the sum is one (p!, p!) matrix sandwich.
 
-The Monte Carlo estimator is the independent route.  A draw reads a Haar
-2-frame (psi1, psi2) only through A = psi1^dag U psi1 and B = psi2^dag U
-psi1, as X = |alpha A + beta B|^2 (`_frame_coefficients`).  For "m",
-psi1 = V a and v_m = conj(a_m) psi1 + r phi with phi a unit vector
-orthogonal to psi1; (V a, phi) are the first two columns of V Q for a fixed
-unitary Q, and Haar isometries are invariant under V -> V Q, so this is
-exact at every K.  No frame is formed: `_frame_x` reads A and B off the
-Gram scalars of two Gaussian rows.
+The Monte Carlo estimator is the independent route.  It reads U through
+its spectrum lambda, U = W diag(lambda) W^dag, drawn once per run and
+checked against the trace profile Tr(U^j), j <= t, that the exact route
+reads.  Haar encodings are invariant under V -> W^dag V, so
+A = psi1^dag U psi1 has the law of sum_k lambda_k w_k, where
+w = e / sum(e) for N iid standard exponentials e: the Dirichlet(1, ..., 1)
+law of |psi1_k|^2.  Given psi1, a second frame vector phi is uniform on
+the unit sphere of psi1-perp = C^{N-1}, and ||U psi1|| = 1, so
+B = phi^dag U psi1 has |B|^2 = (1 - |A|^2) b with b ~ Beta(1, N - 2) and a
+uniform phase theta independent of A.  Every pattern is
+X = |alpha A + beta B|^2 (`_frame_coefficients`): "js" is (1 - |A|^2) b,
+"ss" is |A|^2, and "m" the full form.  For "m", psi1 = V a and
+v_m = conj(a_m) psi1 + r phi with phi a unit vector orthogonal to psi1;
+(V a, phi) are the first two columns of V Q for a fixed unitary Q, and
+Haar isometries are invariant under V -> V Q, so this is exact at every K.
+As a check, E[X_js] = (1 - E|A|^2) / (N - 1), the closed form.
 
-U is read only through `.trace()`, `U @ U` and `x @ U.T`, so it may be a
-dense matrix or a `pauli.MonomialUnitary`: a Pauli word is never formed
-as an N x N array.
+U is read only through `.trace()`, `U @ U` and its eigenvalues, so it may
+be a dense matrix or a `pauli.MonomialUnitary`, whose spectrum comes from
+its cycles in O(N): a Pauli word is never formed as an N x N array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import cached_property
+from math import pi, sqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, OutOfRange, RankDeficient
-from .haar import child_generator, complex_gaussian
-from .linalg import RANK_TOL, parallel_map, require_normalized
-from .pauli import checked_unitary
+from .errors import ConsistencyError, OutOfRange
+from .haar import child_generator
+from .linalg import parallel_map, require_normalized
+from .pauli import MonomialUnitary, checked_unitary
 from .perm import cycles_of, parity_swappers, sp_classes
 from .weingarten import wg_table
 
@@ -61,6 +70,7 @@ MIN_TRIALS = 1000
 MAX_TRIALS = 10 ** 8    # 24415 chunks: the chunk list and the pool's futures stay small
 MC_CHUNK = 4096
 IMAG_RESIDUE_TOL = 1e-9
+SPECTRUM_TOL = 1e-9     # per unit of N: |sum lambda^j - Tr U^j| bound
 
 
 def check_moment_params(pattern: str, t: int, N: int, K: int = 2,
@@ -108,6 +118,17 @@ class MomentSpec:
     def N(self) -> int:
         return self.U.shape[0]
 
+    @cached_property
+    def trace_profile(self) -> tuple[complex, ...]:
+        """(Tr U, Tr U^2, ..., Tr U^t), formed once and read by both routes."""
+        profile = []
+        power = self.U
+        for j in range(1, self.t + 1):
+            if j > 1:
+                power = power @ self.U
+            profile.append(complex(power.trace()))
+        return tuple(profile)
+
 
 def _first_moment(pattern: str, U) -> float:
     n = U.shape[0]
@@ -135,18 +156,14 @@ def closed_form_moment(spec: MomentSpec) -> Optional[float]:
     return _first_moment(spec.pattern, spec.U)
 
 
-def _cycle_trace_products(perms, U, t: int) -> np.ndarray:
+def _cycle_trace_products(perms, spec: MomentSpec) -> np.ndarray:
     """Tr-product vector over alpha: prod_c Tr(U^{odd(c)-even(c)}).
 
     Positions are 1-based in the parity convention, so 0-based even
     indices carry a U factor (+1) and odd indices a U^dag factor (-1).
     """
-    tr_pow = {0: complex(U.shape[0])}
-    power = U
-    for j in range(1, t + 1):
-        if j > 1:
-            power = power @ U
-        tr = complex(power.trace())
+    tr_pow = {0: complex(spec.N)}
+    for j, tr in enumerate(spec.trace_profile, 1):
         tr_pow[j] = tr
         tr_pow[-j] = tr.conjugate()
     out = np.empty(len(perms), dtype=np.complex128)
@@ -181,7 +198,7 @@ def exact_moment(spec: MomentSpec) -> float:
     p = 2 * spec.t
     sp = sp_classes(p)
     wg_float = np.array(wg_table(p, spec.N), dtype=float)
-    tp = _cycle_trace_products(sp.perms, spec.U, spec.t)
+    tp = _cycle_trace_products(sp.perms, spec)
     weights = _beta_weights(spec, sp.perms)
     total = complex(tp @ wg_float[sp.pair] @ weights)
     if abs(total.imag) > IMAG_RESIDUE_TOL:
@@ -190,39 +207,53 @@ def exact_moment(spec: MomentSpec) -> float:
 
 
 def _frame_coefficients(spec: MomentSpec) -> tuple[complex, float]:
-    """(alpha, beta) of the spec's pattern in X = |alpha A + beta B|^2."""
+    """(alpha, beta) of the spec's pattern in X = |alpha A + beta B|^2.
+    With K = 1 there is no second codeword, so beta is 0."""
     if spec.pattern != PATTERN_QUANTUM_MESSAGE:
         return (0.0, 1.0) if spec.pattern == PATTERN_OFF_DIAGONAL else (1.0, 0.0)
     a_m = complex(spec.message_amplitudes[spec.target_index])
-    return a_m, sqrt(max(1.0 - abs(a_m) ** 2, 0.0))
+    return a_m, (sqrt(max(1.0 - abs(a_m) ** 2, 0.0)) if spec.K > 1 else 0.0)
 
 
-def _frame_x(g: np.ndarray, U, alpha: complex, beta: float) -> np.ndarray:
-    """X of each draw of a (cols, count, N) Gaussian block: A = s/n0 and
-    B = (t1 - conj(c) A) / sqrt(n0 perp), where n0 = |g0|^2, s = g0^dag U g0,
-    c = g0^dag g1, t1 = g1^dag U g0 and n0 perp = n0 |g1|^2 - |c|^2, which is
-    exactly 0 when g1 repeats g0.  g1 is read only when beta is nonzero."""
-    g0 = g[0]
-    u = g0 @ U.T
-    n0 = np.vecdot(g0, g0).real
-    if np.min(n0) < RANK_TOL ** 2:
-        raise RankDeficient("Gaussian column below tolerance")
-    a = np.vecdot(g0, u) / n0
-    amp = alpha * a
-    if beta:
-        g1 = g[1]
-        c = np.vecdot(g0, g1)
-        n0_perp = n0 * np.vecdot(g1, g1).real - (c.real ** 2 + c.imag ** 2)
-        if np.min(n0_perp / n0) < RANK_TOL ** 2:
-            raise RankDeficient("Gram-Schmidt pivot below tolerance")
-        amp = amp + beta * (np.vecdot(g1, u) - c.conj() * a) / np.sqrt(n0_perp)
-    return np.abs(amp) ** 2
+def _checked_spectrum(spec: MomentSpec) -> np.ndarray:
+    """U's eigenvalues: a monomial's from its cycles, a dense U's from LAPACK
+    (U is normal, so they are perfectly conditioned).  They are sorted by
+    (Re, Im) rounded to 1e-9, so a Pauli word draws the same sample, to
+    rounding, as a monomial or as a dense matrix.  Their power sums must
+    meet the trace profile within SPECTRUM_TOL * N for every j <= t."""
+    U = spec.U
+    lam = U.eigenvalues() if isinstance(U, MonomialUnitary) else np.linalg.eigvals(U)
+    lam = lam[np.lexsort((np.round(lam.imag, 9), np.round(lam.real, 9)))]
+    power = np.ones(spec.N, dtype=np.complex128)
+    for j, tr in enumerate(spec.trace_profile, 1):
+        power *= lam
+        gap = abs(complex(np.sum(power)) - tr)
+        if not gap <= SPECTRUM_TOL * spec.N:
+            raise ConsistencyError(f"sum of lambda^{j} is {gap:.3g} from Tr U^{j}")
+    return lam
 
 
-def _mc_chunk(spec: MomentSpec, seed: int, chunk_index: int, count: int):
+def _mc_chunk(spec: MomentSpec, lam: np.ndarray, seed: int, chunk_index: int, count: int):
+    """Sums of X^t and X^2t over `count` draws of the chunk's stream: an
+    exponential (count, N) block e for A, then count uniforms for b when
+    beta != 0 and count for theta when alpha beta != 0.  One product with
+    the columns Re lambda, Im lambda and 1 gives sum(e lambda) and sum(e)."""
     alpha, beta = _frame_coefficients(spec)
-    g = complex_gaussian(child_generator(seed, chunk_index), (2 if beta else 1, count, spec.N))
-    y = _frame_x(g, spec.U, alpha, beta) ** spec.t
+    rng = child_generator(seed, chunk_index)
+    columns = np.stack([lam.real, lam.imag, np.ones(spec.N)], axis=1)
+    re, im, total = (rng.standard_exponential((count, spec.N)) @ columns).T
+    a = re / total + 1j * (im / total)    # not complex / real: A = 1 exactly when U = 1
+    if not beta:
+        x = np.abs(alpha * a) ** 2
+    else:
+        b = -np.expm1(np.log1p(-rng.random(count)) / (spec.N - 2))
+        b_sq = np.maximum(1.0 - np.abs(a) ** 2, 0.0) * b      # |B|^2
+        if alpha:
+            phase = np.exp(2j * pi * rng.random(count))
+            x = np.abs(alpha * a + beta * np.sqrt(b_sq) * phase) ** 2
+        else:
+            x = beta ** 2 * b_sq
+    y = x ** spec.t
     return float(np.sum(y)), float(np.sum(y * y))
 
 
@@ -239,13 +270,17 @@ def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
     child stream (seed, c), so the estimate is independent of the worker
     count and bit-stable for a fixed seed.  The chunks run on
     `linalg.parallel_map`'s pool of at most min(jobs, chunks, CPUs)
-    threads, with OpenBLAS held at one thread while it runs.
+    threads, with OpenBLAS held at one thread while it runs.  U's spectrum
+    is taken and checked once, before the first chunk.
     """
     check_trials(trials)
+    if _frame_coefficients(spec)[1] and spec.N < 3:
+        raise ConsistencyError("the second codeword's Beta(1, N - 2) law needs N >= 3")
+    lam = _checked_spectrum(spec)
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
         sizes.append(trials % MC_CHUNK)
-    results = parallel_map(lambda c: _mc_chunk(spec, seed, c, sizes[c]),
+    results = parallel_map(lambda c: _mc_chunk(spec, lam, seed, c, sizes[c]),
                            range(len(sizes)), jobs)
 
     total = 0.0

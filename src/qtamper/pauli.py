@@ -128,6 +128,7 @@ class MonomialUnitary:
     `__rmatmul__`.  The product of two monomials, `.T` and `.trace()` are
     monomials and scalars again, so code written for dense matrices
     (`moments`, the tamper decoders) runs on it unchanged.
+    `.eigenvalues()` reads the spectrum off the cycles of rows in O(N).
     """
 
     __array_ufunc__ = None
@@ -155,6 +156,27 @@ class MonomialUnitary:
         inverse = np.argsort(self.rows)
         return MonomialUnitary(inverse, self.phase[inverse])
 
+    def eigenvalues(self) -> np.ndarray:
+        """The N eigenvalues: a cycle j -> rows[j] -> ... of length L whose
+        phases multiply to p contributes the L L-th roots of p."""
+        rows, phase = self.rows.tolist(), self.phase.tolist()
+        seen = [False] * len(rows)
+        lengths, products = [], []
+        for start in range(len(rows)):
+            j, length, product = start, 0, 1 + 0j
+            while not seen[j]:
+                seen[j] = True
+                product *= phase[j]
+                length += 1
+                j = rows[j]
+            if length:
+                lengths.append(length)
+                products.append(product)
+        lengths, products = np.array(lengths), np.array(products)
+        root = np.abs(products) ** (1 / lengths) * np.exp(1j * np.angle(products) / lengths)
+        k = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return np.repeat(root, lengths) * np.exp(2j * np.pi * k / np.repeat(lengths, lengths))
+
     def __matmul__(self, x):
         if isinstance(x, MonomialUnitary):
             if x.shape != self.shape:
@@ -164,8 +186,10 @@ class MonomialUnitary:
         if x.shape[:1] != self.shape[:1]:
             raise DimMismatch(f"cannot apply {self.shape} to {x.shape}")
         out = np.empty(x.shape, dtype=np.complex128)
-        out[self.rows] = self.phase.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-        return out
+        out[self.rows] = x           # moved, then scaled in place: no temporary the size of x
+        phase = np.empty_like(self.phase)
+        phase[self.rows] = self.phase
+        return np.multiply(phase.reshape((-1,) + (1,) * (x.ndim - 1)), out, out=out)
 
     def __rmatmul__(self, a):
         a = np.asarray(a)

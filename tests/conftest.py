@@ -11,7 +11,7 @@ import numpy as np
 from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTamperError
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
-from qtamper.pauli import PauliLabel, omega_powers
+from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers
 from qtamper.perm import Permutation, iter_tuples, num_cycles
 from qtamper.qamd import encode
 
@@ -226,10 +226,41 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     return out
 
 
+def mixed_cycle_monomial(rng) -> MonomialUnitary:
+    """A 12 x 12 monomial with random phases whose permutation has cycles of
+    lengths 1, 1, 2, 3 and 5: fixed points next to longer cycles."""
+    order = rng.permutation(12)
+    rows = np.empty(12, dtype=np.intp)
+    start = 0
+    for length in (1, 1, 2, 3, 5):
+        cycle = order[start:start + length]
+        rows[cycle] = np.roll(cycle, -1)
+        start += length
+    return MonomialUnitary(rows, np.exp(2j * np.pi * rng.random(12)))
+
+
 def haar_unitary_stack(rng, count: int, n: int) -> np.ndarray:
     """`count` Haar n x n unitaries as a (count, n, n) stack: the batched
     phase-fixed LAPACK QR of a Ginibre stack."""
     return _phase_fixed_qr(complex_gaussian(rng, (count, n, n)))
+
+
+def literal_moment_samples(u, k: int, count: int, rng, amplitudes, target_index: int) -> dict:
+    """X of `count` Haar encodings per pattern, formed from its definition:
+    each N x K isometry V is the phase-fixed QR of a Ginibre block, the dense
+    U is applied to it, and X is |psi_1^dag U psi_0|^2 ("js"),
+    |psi_0^dag U psi_0|^2 ("ss") and |psi_m^dag U V a|^2 ("m").  The three
+    patterns read the same frames, drawn in blocks of 10^4."""
+    u = np.asarray(u)
+    out = {"js": [], "ss": [], "m": []}
+    block = 10_000
+    for start in range(0, count, block):
+        v = _phase_fixed_qr(complex_gaussian(rng, (min(block, count - start), u.shape[0], k)))
+        moved = u @ v
+        out["js"].append(np.vecdot(v[..., 1], moved[..., 0]))
+        out["ss"].append(np.vecdot(v[..., 0], moved[..., 0]))
+        out["m"].append(np.vecdot(v[..., target_index], moved @ amplitudes))
+    return {pattern: np.abs(np.concatenate(parts)) ** 2 for pattern, parts in out.items()}
 
 
 class RepeatedRows:

@@ -393,6 +393,7 @@ def _with(key, value, section=None):
     _with("generator_version", "philox4x64/ziggurat/v7"),
     _with("generator_version", "philox4x64/ziggurat/v8"),
     _with("generator_version", "sfc64/ziggurat/v9"),
+    _with("generator_version", "sfc64/ziggurat/v10"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -405,7 +406,8 @@ def _with(key, value, section=None):
         "parameters-not-an-object", "unknown-subcommand", "subcommand-not-a-string",
         "rerun-subcommand",
         "generator-version", "generator-version-v5", "generator-version-v6",
-        "generator-version-v7", "generator-version-v8", "generator-version-v9", "build",
+        "generator-version-v7", "generator-version-v8", "generator-version-v9",
+        "generator-version-v10", "build",
         "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])

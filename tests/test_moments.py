@@ -3,14 +3,15 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from conftest import RepeatedRows, pauli_matrix
+from conftest import literal_moment_samples, mixed_cycle_monomial, pauli_matrix
+from scipy.linalg import schur
 
 from qtamper import moments
-from qtamper.errors import NotNormalized, NotUnitary, OutOfRange, RankDeficient
-from qtamper.haar import (child_generator, complex_gaussian, sample_encoding_isometry,
-                          sample_haar_unitary)
-from qtamper.moments import (MAX_TRIALS, MomentSpec, _frame_coefficients, _frame_x, _mc_chunk,
-                             closed_form_moment, exact_moment, first_moment_js,
+from qtamper.errors import ConsistencyError, NotNormalized, NotUnitary, OutOfRange
+from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
+                          sample_encoding_isometry, sample_haar_unitary)
+from qtamper.moments import (MAX_TRIALS, MomentSpec, _checked_spectrum, _frame_coefficients,
+                             _mc_chunk, closed_form_moment, exact_moment, first_moment_js,
                              first_moment_ss, mc_moment)
 from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.perm import iter_tuples
@@ -74,75 +75,133 @@ def _message(k, target, a_m):
 
 
 def test_mc_chunk_draws_only_the_columns_it_reads():
-    """js reads two Gaussian rows and ss one, and m reads two rows (one when
-    |a_m| = 1) whose values depend on a_m alone, so each pattern's Monte
-    Carlo chunks are bit-identical for every message count K."""
+    """ss reads the exponential block alone, js that block and the b
+    uniforms, and m those and the phase uniforms (the block alone when
+    |a_m| = 1), all through (alpha, beta), which depend on a_m alone; so
+    each pattern's Monte Carlo chunks are bit-identical for every message
+    count K."""
     u = sample_haar_unitary(16, 61)
+    lam = _checked_spectrum(MomentSpec("ss", 2, u))
     for pattern, ks in (("ss", (2, 8)), ("js", (2, 5))):
-        results = [_mc_chunk(MomentSpec(pattern, 2, u, K=k), 62, 3, 1000) for k in ks]
+        results = [_mc_chunk(MomentSpec(pattern, 2, u, K=k), lam, 62, 3, 1000) for k in ks]
         assert results[0] == results[1]
     for a_m, cases in ((0.6 - 0.48j, ((2, 1), (3, 2), (8, 5), (15, 0))),
                        (1j, ((1, 0), (4, 2), (9, 8)))):
         results = [_mc_chunk(MomentSpec("m", 2, u, K=k, message_amplitudes=_message(k, m, a_m),
-                                        target_index=m), 62, 3, 1000) for k, m in cases]
+                                        target_index=m), lam, 62, 3, 1000) for k, m in cases]
         assert all(r == results[0] for r in results), (a_m, results)
 
 
-def _cgs2_frame(g):
-    """The orthonormal frame of the rows g[0], g[1] of a (2, count, N) block,
-    formed explicitly: normalize, project twice, normalize."""
-    q0 = g[0] / np.linalg.norm(g[0], axis=-1, keepdims=True)
-    v = g[1].copy()
-    for _ in range(2):
-        v -= np.vecdot(q0, v)[:, np.newaxis] * q0
-    return q0, v / np.linalg.norm(v, axis=-1, keepdims=True)
+class FrameScalars:
+    """Stream stand-in that feeds `_mc_chunk` one explicit frame's scalars:
+    the weights |W^dag psi1|^2 as its exponential block, then the uniforms
+    whose transforms are b = |B|^2 / (1 - |A|^2) and theta = arg B."""
+
+    def __init__(self, weights, b, theta, n):
+        self.weights = weights
+        self.uniforms = iter([-np.expm1((n - 2) * np.log1p(-b)), theta / (2 * np.pi) % 1.0])
+
+    def standard_exponential(self, shape):
+        return self.weights.reshape(shape)
+
+    def random(self, count):
+        return np.full(count, next(self.uniforms))
 
 
 @pytest.mark.parametrize("n", [3, 16, 64, 4096])
-def test_gram_scalars_match_the_orthonormalized_frame(n):
-    """Per draw, X read off the Gram scalars of a Gaussian block equals X of
-    its explicit frame within 1e-13 of max(X, 1/N), for js and ss, on a
-    dense unitary and on a Pauli word's monomial action."""
-    count = 64 if n == 4096 else 4096
-    unitaries = [sample_haar_unitary(n, 70 + n)] if n <= 64 else []
-    if n in (16, 4096):
-        m = n.bit_length() - 1
-        word = PauliLabel(2, (1,) + (0,) * (m - 1), (0, 1) + (1,) * (m - 2))
-        unitaries.append(MonomialUnitary(*word.action()))
-    for i, u in enumerate(unitaries):
-        g = complex_gaussian(child_generator(80 + n, i), (2, count, n))
-        q0, q1 = _cgs2_frame(g)
-        moved = q0 @ u.T
-        for pattern, read in (("js", q1), ("ss", q0)):
-            x = _frame_x(g, u, *_frame_coefficients(MomentSpec(pattern, 1, u)))
-            want = np.abs(np.vecdot(read, moved)) ** 2
-            assert np.all(np.abs(x - want) <= 1e-13 * np.maximum(want, 1 / n)), (n, i, pattern)
+def test_spectral_scalars_match_the_orthonormalized_frame(n, monkeypatch):
+    """Per draw, the kernel fed an explicit Haar frame's own scalars (the
+    Dirichlet weights of psi1 in U's eigenbasis, b and arg B) returns X of
+    that frame within 1e-13 of max(X, 1/N), for js, ss and m, on a dense
+    unitary and on Pauli words (a diagonal one at N = 4096, whose
+    eigenbasis is the standard one)."""
+    unitaries = []
+    if n <= 64:
+        u = sample_haar_unitary(n, 70 + n)
+        t, w = schur(u, output="complex")
+        unitaries.append((u, np.diagonal(t), w.conj().T))
+    if n == 16:
+        label = PauliLabel(2, (1, 0, 0, 0), (0, 1, 1, 1))
+        t, w = schur(pauli_matrix(label), output="complex")
+        unitaries.append((MonomialUnitary(*label.action()), np.diagonal(t), w.conj().T))
+    if n == 4096:
+        word = MonomialUnitary(*PauliLabel(2, (0,) * 12, (1, 0) * 6).action())
+        unitaries.append((word, word.phase, None))
+    specs = [MomentSpec("js", 1, unitaries[0][0]), MomentSpec("ss", 1, unitaries[0][0]),
+             MomentSpec("m", 1, unitaries[0][0], K=2, message_amplitudes=_message(2, 1, 0.6 - 0.48j),
+                        target_index=1)]
+    for i, (u, lam, w_dag) in enumerate(unitaries):
+        frames = _phase_fixed_qr(complex_gaussian(child_generator(80 + n, i), (64, n, 2)))
+        for q0, q1 in zip(frames[..., 0], frames[..., 1]):
+            moved = u @ q0
+            a, b = np.vdot(q0, moved), np.vdot(q1, moved)
+            weights = np.abs(q0 if w_dag is None else w_dag @ q0) ** 2
+            b_ratio = min(abs(b) ** 2 / (1 - abs(a) ** 2), 1.0)
+            for spec in specs:
+                alpha, beta = _frame_coefficients(spec)
+                want = abs(alpha * a + beta * b) ** 2
+                monkeypatch.setattr(moments, "child_generator", lambda seed, index: FrameScalars(
+                    weights, b_ratio, np.angle(b), n))
+                x = _mc_chunk(spec, lam, 0, 0, 1)[0]
+                assert abs(x - want) <= 1e-13 * max(want, 1 / n), (n, i, spec.pattern, x, want)
 
 
 @pytest.mark.parametrize("n, k", [(8, 2), (16, 5), (64, 7)])
 def test_m_two_frame_matches_the_k_frame(n, k):
     """For a K-frame V and complex amplitudes a, the 2-frame psi1 = V a,
-    psi2 = (psi_m - conj(a_m) psi1) / r gives X = |psi_m^dag U V a|^2
-    within 1e-13, for every POVM row m."""
+    psi2 = (psi_m - conj(a_m) psi1) / r gives X = |alpha A + beta B|^2 =
+    |psi_m^dag U V a|^2 within 1e-13, for every POVM row m."""
     v = sample_encoding_isometry(n, k, 90 + n)
     u = sample_haar_unitary(n, 91 + n)
     rng = child_generator(92 + n, 0)
     amps = complex_gaussian(rng, k)
     amps /= np.linalg.norm(amps)
     psi1 = v @ amps
+    moved = u @ psi1
     for m in range(k):
         a_m = amps[m]
         psi2 = (v[:, m] - a_m.conjugate() * psi1) / sqrt(1 - abs(a_m) ** 2)
         spec = MomentSpec("m", 1, u, K=k, message_amplitudes=amps, target_index=m)
-        x = _frame_x(np.stack([psi1, psi2])[:, np.newaxis], u, *_frame_coefficients(spec))
-        want = abs(np.vdot(v[:, m], u @ psi1)) ** 2
-        assert abs(x[0] - want) <= 1e-13, (m, x[0], want)
+        alpha, beta = _frame_coefficients(spec)
+        x = abs(alpha * np.vdot(psi1, moved) + beta * np.vdot(psi2, moved)) ** 2
+        want = abs(np.vdot(v[:, m], moved)) ** 2
+        assert abs(x - want) <= 1e-13, (m, x, want)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+@pytest.mark.parametrize("kind", ["haar", "pauli", "diagonal"])
+def test_kernel_matches_the_literal_simulation(kind, n):
+    """The kernel against `conftest.literal_moment_samples` at 10^5 trials
+    each, within 4 combined standard errors, for js, ss and m at every
+    t <= min(3, N/2): on a dense Haar U, on a Pauli word (its monomial
+    action in the kernel, its dense matrix in the oracle) and on a dense
+    diagonal U with |Tr U| >= N/2, where m's cross term does not vanish."""
+    trials = 100_000
+    if kind == "pauli":
+        label = {3: PauliLabel(3, (1,), (1,)), 8: PauliLabel(2, (1, 0, 1), (0, 1, 1)),
+                 16: PauliLabel(2, (1, 1, 0, 0), (0, 1, 1, 1))}[n]
+        u, dense = MonomialUnitary(*label.action()), pauli_matrix(label)
+    elif kind == "haar":
+        u = dense = sample_haar_unitary(n, 140 + n)
+    else:
+        u = dense = np.diag(np.exp(0.7j * np.arange(n) / n))
+        assert abs(np.trace(u)) >= n / 2
+    k = min(3, n - 1)
+    amps = _message(k, 1, 0.6 - 0.48j)
+    samples = literal_moment_samples(dense, k, trials, child_generator(150 + n, 0), amps, 1)
+    for pattern, x in samples.items():
+        extra = {"message_amplitudes": amps, "target_index": 1} if pattern == "m" else {}
+        for t in range(1, min(3, n // 2) + 1):
+            est, se = mc_moment(MomentSpec(pattern, t, u, K=k, **extra), trials, seed=160 + n + t)
+            y = x ** t
+            z = (est - y.mean()) / sqrt(se ** 2 + y.var(ddof=1) / trials)
+            assert abs(z) <= 4, (kind, n, pattern, t, est, y.mean(), z)
 
 
 def test_mc_quantum_message_matches_exact():
     """m against `exact` within 4 standard errors: complex amplitudes, a
-    POVM row other than 0 where K > 1, and K = 1, where |a_m| = 1 and one
-    Gaussian row is read."""
+    POVM row other than 0 where K > 1, and K = 1, where |a_m| = 1 and only
+    the exponential block is read."""
     u = np.diag(np.exp(0.7j * np.arange(16) / 16))   # |Tr U| near N: X depends on |a_m|
     for k, m, seed in ((1, 0, 101), (3, 2, 103), (7, 4, 107)):
         rng = child_generator(seed, 0)
@@ -155,37 +214,17 @@ def test_mc_quantum_message_matches_exact():
             assert abs(est - exact) <= 4 * se, (k, m, t, est, exact, se)
 
 
-def test_js_kernel_at_n2_matches_the_closed_form():
-    """At N = 2 (below the smallest js spec, which needs 2 <= K < N) the
-    2-frame is a whole unitary and g1 comes nearer to parallel with g0 than
-    at any larger N; the kernel's mean of X still meets E[X_js] within 4
-    standard errors."""
-    u = sample_haar_unitary(2, 111)
-    x = np.concatenate([_frame_x(complex_gaussian(child_generator(112, c), (2, 4096, 2)),
-                                 u, 0.0, 1.0) for c in range(25)])
-    assert abs(x.mean() - first_moment_js(u)) <= 4 * x.std() / sqrt(x.size)
-
-
-def test_rank_deficient_gaussian_rows_raise_in_the_chunk(monkeypatch):
-    """Equal rows (perp = 0) fail js and m; zero rows (n0 = 0) fail ss."""
-    u = sample_haar_unitary(8, 113)
-    specs = [MomentSpec("js", 1, u),
-             MomentSpec("m", 1, u, K=3, message_amplitudes=_message(3, 1, 0.6j), target_index=1)]
-    monkeypatch.setattr(moments, "child_generator", lambda seed, index: RepeatedRows(seed))
-    for spec in specs:
-        with pytest.raises(RankDeficient):
-            _mc_chunk(spec, 5, 0, 64)
-    monkeypatch.setattr(moments, "child_generator", lambda seed, index: RepeatedRows(seed, 1.0))
-    _mc_chunk(specs[0], 5, 0, 64)   # jitter 1: the source's own fresh draws pass
-
-    class ZeroRows:
-        def standard_normal(self, out):
-            out[...] = 0.0
-            return out
-
-    monkeypatch.setattr(moments, "child_generator", lambda seed, index: ZeroRows())
-    with pytest.raises(RankDeficient):
-        _mc_chunk(MomentSpec("ss", 1, u), 5, 0, 64)
+def test_a_spectrum_off_the_trace_profile_is_refused(monkeypatch):
+    """A conjugated spectrum has power sums conj(Tr U^j): on a monomial with
+    complex traces, mc_moment refuses it before drawing a chunk."""
+    u = mixed_cycle_monomial(child_generator(115, 0))
+    spec = MomentSpec("js", 3, u)
+    assert abs(spec.trace_profile[0].imag) > 1e-3
+    mc_moment(spec, 1000, seed=5)
+    honest = MonomialUnitary.eigenvalues
+    monkeypatch.setattr(MonomialUnitary, "eigenvalues", lambda self: honest(self).conj())
+    with pytest.raises(ConsistencyError):
+        mc_moment(spec, 1000, seed=5)
 
 
 def test_not_unitary_rejected():
@@ -334,8 +373,9 @@ def test_moment_growth_bound_zero_trace():
 
 def test_monomial_and_dense_pauli_moments_agree():
     """A Pauli word gives the same moments as its monomial action and as its
-    dense matrix: exact and closed forms equal, Monte Carlo bit for bit for
-    qubit words (real phases) and within 1e-15 relative otherwise."""
+    dense matrix: exact and closed forms equal, and Monte Carlo within 1e-13
+    relative, since both read the same sorted spectrum, one from the word's
+    cycles and one from LAPACK."""
     labels = [PauliLabel(2, (1, 0, 1), (0, 1, 0)), PauliLabel(2, (0, 0, 0), (1, 1, 0)),
               PauliLabel(2, (1, 1, 0, 1), (1, 0, 0, 1)), PauliLabel(3, (1, 2), (0, 1)),
               PauliLabel(3, (0, 0), (1, 2)), PauliLabel(3, (2, 0), (0, 0)),
@@ -352,8 +392,5 @@ def test_monomial_and_dense_pauli_moments_agree():
                 assert exact_moment(specs[0]) == exact_moment(specs[1]), (label, pattern, t)
                 assert closed_form_moment(specs[0]) == closed_form_moment(specs[1])
                 mc = [mc_moment(spec, 1000, seed=7) for spec in specs]
-                if label.q == 2:
-                    assert mc[0] == mc[1], (label, pattern, t)
-                else:
-                    for got, want in zip(*mc):
-                        assert abs(got - want) <= 1e-15 * abs(want), (label, pattern, t)
+                for got, want in zip(*mc):
+                    assert abs(got - want) <= 1e-13 * abs(want), (label, pattern, t)

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import pauli_matrix
+from conftest import mixed_cycle_monomial, pauli_matrix
 
 from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
@@ -323,3 +323,33 @@ def test_monomial_products_match_dense():
         assert max_abs(x.T @ u.T - x.T @ dense.T) <= 1e-14
     with pytest.raises(DimMismatch):
         u @ MonomialUnitary(*qubits[0].action())
+
+
+def _same_multiset(got, want, tol):
+    """Whether each value of `got` pairs off with its own value of `want`
+    within tol (nearest unmatched value first)."""
+    left = list(want)
+    for value in got:
+        gaps = np.abs(np.array(left) - value)
+        i = int(np.argmin(gaps))
+        if gaps[i] > tol:
+            return False
+        left.pop(i)
+    return not left
+
+
+@pytest.mark.parametrize("label", [PauliLabel(2, (1, 0, 1), (0, 1, 1)),
+                                   PauliLabel(2, (0, 1, 1, 0), (1, 1, 0, 1)),
+                                   PauliLabel(3, (1, 2), (0, 1)), PauliLabel(3, (0, 0, 1), (2, 1, 0)),
+                                   PauliLabel(5, (3,), (1,)), PauliLabel(5, (1, 3), (2, 4))],
+                         ids=["q2-xzz", "q2-mixed", "q3-xz", "q3-three", "q5-xz", "q5-two"])
+def test_monomial_spectrum_matches_dense_eigvals(label):
+    u = MonomialUnitary(*label.action())
+    assert _same_multiset(u.eigenvalues(), np.linalg.eigvals(pauli_matrix(label)), 1e-12)
+
+
+def test_mixed_cycle_monomial_spectrum_matches_dense_eigvals():
+    """Random phases on cycles of lengths 1, 1, 2, 3 and 5."""
+    u = mixed_cycle_monomial(child_generator(26, 0))
+    assert _same_multiset(u.eigenvalues(), np.linalg.eigvals(_scatter(u)), 1e-12)
+    assert not _same_multiset(u.eigenvalues().conj(), np.linalg.eigvals(_scatter(u)), 1e-12)
