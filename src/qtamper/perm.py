@@ -1,18 +1,28 @@
-"""Symmetric-group machinery: cycle decomposition, the S_p pair-class
-table, the odd/even valuation map, transposition distance, and the
-parity-swapping set used by the off-diagonal moment patterns.
+"""Symmetric-group machinery: S_n as an image array, one cycle-count
+kernel over such arrays, the S_p pair-class table, the parity-swapping set
+used by the off-diagonal moment patterns, and the two permutation lemmas.
+
+`perm_table(n)` is S_n as an (n!, n) array whose row r is the image tuple
+of the r-th permutation in lexicographic order (row 0 = identity), built
+once per n.  `cycle_counts` takes any (M, n) image array and returns the
+number of cycles of each row: pointer doubling labels each point with the
+smallest point of its orbit, and a cycle is counted at the one point that
+is its own label.  Both lemmas are checked by whole-table kernels over
+`perm_table`.
 
 `sp_classes(p)` alone builds the class data of S_p, including the
 N-independent table pair[a, b] = class of perms[b] o perms[a]^-1 that the
-Weingarten solve and the exact moments share.
+Weingarten solve and the exact moments share.  The cycle-bound corollary
+reads none of it: it composes beta o alpha^-1 itself and counts cycles
+with `cycle_counts`, so it stays a route independent of that table.
 
-A permutation is its image tuple: sigma(x) = images[x], composed, inverted
-and cut into cycles by the module functions.  `Permutation` is that tuple
-and only checks, when built, that it is a bijection.
+A permutation is its image tuple: sigma(x) = images[x], cut into cycles by
+`cycles_of`.  `Permutation` is that tuple and only checks, when built,
+that it is a bijection.
 
-Points are stored 0-based; the valuation map and the parity-swapper set
-are defined on 1-based labels (label = point + 1), since oddness of a
-label is what the combinatorics keys on.  Reports render 1-based.
+Points are stored 0-based; the parity-swapper set is defined on 1-based
+labels (label = point + 1), since oddness of a label is what the
+combinatorics keys on.  Reports render 1-based.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConsistencyError
+from .errors import BudgetExceeded, ConsistencyError, OutOfRange
 
 MAX_SWAPPER_DEGREE = 10       # parity swappers live in S_{2t}, 2t <= 10
 MAX_LEMMA_DEGREE = 7          # fixed-point lemma checked on S_n, n <= 7
@@ -33,7 +43,7 @@ MAX_PAIR_DEGREE = 6           # (p!)^2 pair-class table: 720 x 720 bytes at most
 
 
 # ---------------------------------------------------------------------------
-# tuple-level helpers (hot paths elsewhere use these directly)
+# image tuples and image arrays
 # ---------------------------------------------------------------------------
 
 def iter_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -41,16 +51,43 @@ def iter_tuples(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(n))
 
 
-def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[b[i]] for i in range(len(a)))
+@lru_cache(maxsize=None)
+def perm_table(n: int) -> np.ndarray:
+    """S_n as an (n!, n) image array, rows in lexicographic order.
+
+    Block f of (n-1)! rows sends 0 to f and the rest through the
+    rows of S_{n-1}, relabelled onto [0, n) without f.
+    """
+    if not 0 <= n <= MAX_LEMMA_DEGREE:
+        raise BudgetExceeded(f"S_{n} table capped at 0 <= n <= {MAX_LEMMA_DEGREE}")
+    table = np.zeros((1, 0), dtype=np.intp)
+    if n:
+        smaller = perm_table(n - 1)
+        rest = np.arange(n - 1)
+        rest = rest + (rest >= np.arange(n)[:, None])          # row f: [0, n) without f
+        table = np.column_stack([np.repeat(np.arange(n), len(smaller)),
+                                 rest[:, smaller].reshape(n * len(smaller), n - 1)])
+    table.flags.writeable = False   # shared via the cache
+    return table
 
 
-def invert(a: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
+def cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Number of cycles of each row of an (M, n) image array.
+
+    After k rounds of label = min(label, label[step]); step = step[step],
+    label[x] is the smallest of x, sigma(x), ..., sigma^(2^k - 1)(x), so
+    ceil(log2 n) rounds cover every cycle; each cycle then has one
+    point that is its own label.  Points are numbered across the rows, so
+    the whole array is one flat gather per round.
+    """
+    m, n = images.shape
+    points = np.arange(m * n).reshape(m, n)
+    step = (images + points[:, :1]).ravel()
+    label = points.ravel()
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    return np.count_nonzero(label.reshape(m, n) == points, axis=1)
 
 
 def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -76,21 +113,6 @@ def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def num_cycles(images: Sequence[int]) -> int:
-    n = len(images)
-    seen = bytearray(n)
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = 1
-            j = images[j]
-    return count
-
-
 def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths sorted descending; sums to the degree."""
     return tuple(sorted((len(c) for c in cycles_of(images)), reverse=True))
@@ -113,22 +135,22 @@ class SpClasses(NamedTuple):
 @lru_cache(maxsize=None)
 def sp_classes(p: int) -> SpClasses:
     """Class data of S_p, built once per p.  Base-p digit codes index a p^p
-    table of classes, so row perms[:] o perms[a]^-1 of `pair` is one gather."""
+    table of classes, and the code of b o a^-1 is
+    sum_y place[a(y)] * b(y), so every pair's code is one integer product."""
     if not 0 <= p <= MAX_PAIR_DEGREE:
         raise BudgetExceeded(f"S_{p} pair table capped at p <= {MAX_PAIR_DEGREE}")
-    perms = tuple(iter_tuples(p))
+    table = perm_table(p)
+    perms = tuple(map(tuple, table.tolist()))
     lookup: dict[tuple[int, ...], int] = {}   # cycle type -> class, first seen
     class_of = np.array([lookup.setdefault(cycle_type_of(images), len(lookup))
                          for images in perms], dtype=np.uint8)
-    table = np.array(perms, dtype=np.intp).reshape(len(perms), p)
-    place = p ** np.arange(p - 1, -1, -1, dtype=np.intp)
+    # uint16 holds every code and partial sum (below p^p <= 6^6 < 2^16) and
+    # keeps the (p!)^2 product at 1 MB
+    digits = table.astype(np.uint16)
+    place = p ** np.arange(p - 1, -1, -1, dtype=np.uint16)
     class_at = np.zeros(p ** p, dtype=np.uint8)
-    class_at[table @ place] = class_of
-    inverse = np.argsort(table, axis=1)
-    pair = np.empty((len(perms), len(perms)), dtype=np.uint8)
-    for a in range(len(perms)):
-        # row b of table[:, inverse[a]] is perms[b] o perms[a]^-1
-        pair[a] = class_at[table[:, inverse[a]] @ place]
+    class_at[digits @ place] = class_of
+    pair = class_at[place[digits] @ digits.T]
     class_of.flags.writeable = pair.flags.writeable = False   # shared via the cache
     return SpClasses(perms, tuple(lookup), class_of, tuple(np.bincount(class_of).tolist()),
                      pair)
@@ -148,28 +170,6 @@ class Permutation(tuple):
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a bijection on [{len(imgs)}]: {imgs}")
         return imgs
-
-
-# ---------------------------------------------------------------------------
-# valuation, transposition distance
-# ---------------------------------------------------------------------------
-
-def valuation(sigma: Sequence[int]) -> int:
-    """Sum over cycles of |#odd - #even| counted on 1-based labels.
-
-    Equals the degree exactly when sigma maps odd labels to odd labels
-    and even labels to even labels.
-    """
-    total = 0
-    for cyc in cycles_of(sigma):
-        odd = sum(1 for p in cyc if (p + 1) % 2 == 1)
-        total += abs(odd - (len(cyc) - odd))
-    return total
-
-
-def min_transpositions(sigma: Sequence[int]) -> int:
-    """Minimum number of transpositions composing to sigma: n - |C(sigma)|."""
-    return len(sigma) - num_cycles(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -206,58 +206,51 @@ def parity_swappers(t: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def verify_fixed_point_lemma(n: int) -> dict:
-    """Exhaustively check |Fix(sigma)| >= 2|C(sigma)| - n over S_n."""
+    """Exhaustively check |Fix(sigma)| >= 2|C(sigma)| - n over S_n;
+    counterexamples in lexicographic order."""
     if n > MAX_LEMMA_DEGREE:
         raise BudgetExceeded(f"fixed-point lemma check capped at n <= {MAX_LEMMA_DEGREE}")
-    counterexamples = []
-    checked = 0
-    for images in iter_tuples(n):
-        checked += 1
-        fixed = sum(1 for i in range(n) if images[i] == i)
-        if fixed < 2 * num_cycles(images) - n:
-            counterexamples.append([p + 1 for p in images])
+    table = perm_table(n)
+    fixed = np.count_nonzero(table == np.arange(n), axis=1)
+    bad = table[fixed < 2 * cycle_counts(table) - n]
     return {
         "lemma_name": "fixed_points_lower_bound",
         "n_or_t": n,
-        "checked_count": checked,
-        "counterexamples": counterexamples,
+        "checked_count": len(table),
+        "counterexamples": (bad + 1).tolist(),
     }
 
 
 def verify_cycle_bound_corollary(t: int) -> dict:
     """Exhaustively check |C(alpha)| + |C(beta alpha^-1)| <= 3t over
-    S_{2t} x B_{2t}; composes directly, a route independent of `sp_classes`."""
+    S_{2t} x B_{2t}, alpha-major and beta in `parity_swappers` order; every
+    beta o alpha^-1 is one gather, independent of `sp_classes`."""
     if 2 * t > MAX_COROLLARY_2T:
         raise BudgetExceeded(f"cycle-bound corollary check capped at 2t <= {MAX_COROLLARY_2T}")
-    swappers = parity_swappers(t)
-    counterexamples = []
-    checked = 0
-    for alpha in iter_tuples(2 * t):
-        alpha_inv = invert(alpha)
-        c_alpha = num_cycles(alpha)
-        for beta in swappers:
-            checked += 1
-            if c_alpha + num_cycles(compose(beta, alpha_inv)) > 3 * t:
-                counterexamples.append(
-                    {"alpha": [p + 1 for p in alpha], "beta": [p + 1 for p in beta]}
-                )
+    betas = np.array(parity_swappers(t), dtype=np.intp)
+    alphas = perm_table(2 * t)
+    # composed[a, b, x] = beta_b(alpha_a^-1(x))
+    composed = betas[:, np.argsort(alphas, axis=1)].swapaxes(0, 1).reshape(-1, 2 * t)
+    total = (cycle_counts(alphas)[:, None]
+             + cycle_counts(composed).reshape(len(alphas), len(betas)))
+    a, b = np.nonzero(total > 3 * t)
     return {
         "lemma_name": "cycle_count_corollary",
         "n_or_t": t,
-        "checked_count": checked,
-        "counterexamples": counterexamples,
+        "checked_count": total.size,
+        "counterexamples": [{"alpha": alpha, "beta": beta}
+                            for alpha, beta in zip((alphas[a] + 1).tolist(),
+                                                   (betas[b] + 1).tolist())],
     }
 
 
 def verify_lemmas(n_max: int, t_max: int = MAX_COROLLARY_2T // 2) -> list[dict]:
-    """Run both exhaustive checks for all n <= n_max and t <= t_max.
-
-    Returns one report record per (lemma, size); expected zero
-    counterexamples everywhere.
-    """
-    reports = []
-    for n in range(1, n_max + 1):
-        reports.append(verify_fixed_point_lemma(n))
-    for t in range(1, t_max + 1):
-        reports.append(verify_cycle_bound_corollary(t))
-    return reports
+    """One report record per (lemma, size) for all n <= n_max and t <= t_max,
+    each expected to list no counterexample; sizes outside
+    [1, MAX_LEMMA_DEGREE] and [1, MAX_COROLLARY_2T // 2] are refused first."""
+    if not 1 <= n_max <= MAX_LEMMA_DEGREE:
+        raise OutOfRange(f"n_max={n_max} outside [1, {MAX_LEMMA_DEGREE}]")
+    if not 1 <= t_max <= MAX_COROLLARY_2T // 2:
+        raise OutOfRange(f"t_max={t_max} outside [1, {MAX_COROLLARY_2T // 2}]")
+    return ([verify_fixed_point_lemma(n) for n in range(1, n_max + 1)]
+            + [verify_cycle_bound_corollary(t) for t in range(1, t_max + 1)])

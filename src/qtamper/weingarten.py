@@ -14,7 +14,8 @@ p! x p! rational inversion in pure Python would blow the runtime budget
 without adding information.
 
 The count rows are read off the N-independent pair table of
-`perm.sp_classes` once per p; the exact check runs on every table build.
+`perm.sp_classes` once per p, and the distinct ones found by one sort; the
+exact check runs on every table build.
 `wg_table(p, N)` is a vector: a tuple of Fractions indexed like
 `sp_classes(p).types`, whose class sizes are `sp_classes(p).sizes`.
 """
@@ -62,11 +63,15 @@ def _class_counts(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # one bincount over pair[tau, sigma], keyed by (sigma, class of tau, class)
     key = (np.arange(n_perms)[:, None] * n_types + sp.class_of) * n_types + sp.pair.T
     counts = np.bincount(key.ravel(), minlength=n_perms * n_types ** 2).reshape(n_perms, -1)
-    distinct, row_of = np.unique(np.column_stack([counts, sp.class_of == 0]), axis=0,
-                                 return_inverse=True)                      # e is class 0
+    rows = np.column_stack([counts, sp.class_of == 0])                     # e is class 0
+    # sorted lexicographically, a row starts a new distinct row where it
+    # differs from the one before it
+    order = np.lexsort(rows.T[::-1])
+    starts = np.r_[True, np.any(rows[order[1:]] != rows[order[:-1]], axis=1)]
+    distinct, row_of = rows[order[starts]], (np.cumsum(starts) - 1)[np.argsort(order)]
     reps = np.unique(sp.class_of, return_index=True)[1]
     cached = (distinct[:, :-1].reshape(-1, n_types, n_types), distinct[:, -1].astype(object),
-              row_of.ravel()[reps])
+              row_of[reps])
     for array in cached:
         array.flags.writeable = False
     return cached

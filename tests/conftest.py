@@ -12,7 +12,7 @@ from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTam
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
 from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers
-from qtamper.perm import Permutation, iter_tuples, num_cycles
+from qtamper.perm import Permutation, cycles_of, iter_tuples
 from qtamper.qamd import encode
 
 MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
@@ -153,6 +153,55 @@ def _difference_roots(params, s, x) -> list[int]:
     if diff.is_zero:
         return list(range(params.q))
     return fq_roots(diff)
+
+
+def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """(a o b)(x) = a(b(x))."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def invert(a: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def num_cycles(images: Sequence[int]) -> int:
+    """Cycle count of one image tuple by walking each unseen point's orbit.
+
+    Independent per-permutation oracle for `perm.cycle_counts`.
+    """
+    n = len(images)
+    seen = bytearray(n)
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = 1
+            j = images[j]
+    return count
+
+
+def valuation(sigma: Sequence[int]) -> int:
+    """Sum over cycles of |#odd - #even| counted on 1-based labels.
+
+    Equals the degree exactly when sigma maps odd labels to odd labels
+    and even labels to even labels.
+    """
+    total = 0
+    for cyc in cycles_of(sigma):
+        odd = sum(1 for p in cyc if (p + 1) % 2 == 1)
+        total += abs(odd - (len(cyc) - odd))
+    return total
+
+
+def min_transpositions(sigma: Sequence[int]) -> int:
+    """Minimum number of transpositions composing to sigma: n - |C(sigma)|."""
+    return len(sigma) - num_cycles(sigma)
 
 
 def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:

@@ -13,14 +13,15 @@ from math import ceil
 
 import numpy as np
 import pytest
-from conftest import bfs_transposition_distances, pauli_matrix, tamper_experiment
+from conftest import (bfs_transposition_distances, min_transpositions, pauli_matrix,
+                      tamper_experiment)
 
 from qtamper import cli
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.moments import (MomentSpec, exact_moment, first_moment_js,
                              first_moment_ss, mc_moment)
 from qtamper.pauli import random_nonidentity_labels
-from qtamper.perm import Permutation, min_transpositions, verify_lemmas
+from qtamper.perm import Permutation, verify_lemmas
 from qtamper.qamd import QamdParams, security_scan
 from qtamper.tamper import family_security_scan, pauli_family
 from qtamper.weingarten import wg_abs_sum, wg_sum, wg_value

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtamper import cli, haar, linalg, moments, pauli, qamd, tamper
+from qtamper import cli, haar, linalg, moments, pauli, perm, qamd, tamper
 from qtamper.linalg import require_unitary
 from qtamper.reports import BUILD_ID, make_manifest
 
@@ -75,6 +75,24 @@ def test_perm_verify_clean(tmp_path):
     assert _run("--out", str(out), "perm-verify", "--n-max", "6") == 0
     report = _load(out / "perm-verify.json")
     assert report["result"]["total_counterexamples"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-max", "0", "--t-max", "0"],
+    ["--n-max", "-3"],
+    ["--n-max", str(perm.MAX_LEMMA_DEGREE + 1)],
+    ["--n-max", "3", "--t-max", "0"],
+    ["--n-max", "7", "--t-max", str(perm.MAX_COROLLARY_2T // 2 + 1)],
+], ids=["both-zero", "negative-n", "n-above-cap", "t-zero", "t-above-cap"])
+def test_perm_verify_sizes_are_checked_before_any_check(tmp_path, capsys, monkeypatch, argv):
+    ran = []
+    monkeypatch.setattr(perm, "verify_fixed_point_lemma", ran.append)
+    monkeypatch.setattr(perm, "verify_cycle_bound_corollary", ran.append)
+    assert _run("--out", str(tmp_path / "r"), "perm-verify", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert ran == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_qamd_scan_exhaustive(tmp_path):
@@ -580,20 +598,33 @@ def test_qamd_scan_dense_mismatch_exits_2(tmp_path, monkeypatch, mode):
     assert report["error"].startswith("symbolic/dense mismatch")
 
 
-def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
+def _assert_same_bytes_under_optimize(out, args):
+    """`args` writes the same report under `python -O` as without it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert _run("--out", str(out / "plain"), *args) == 0
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(out / "opt"), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    name = f"{args[0]}.json"
+    assert (out / "opt" / name).read_bytes() == (out / "plain" / name).read_bytes()
+
+
+def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
     for mode, flags in (("exhaustive", ["--exhaustive"]), ("random", ["--trials", "200"])):
-        args = ["qamd-scan", "--q", "3", "--d", "2", *flags]
-        assert _run("--out", str(tmp_path / mode / "plain"), *args) == 0
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(tmp_path / mode / "opt"), *args],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert ((tmp_path / mode / "opt" / "qamd-scan.json").read_bytes()
-                == (tmp_path / mode / "plain" / "qamd-scan.json").read_bytes())
+        _assert_same_bytes_under_optimize(tmp_path / mode,
+                                          ["qamd-scan", "--q", "3", "--d", "2", *flags])
+
+
+@pytest.mark.parametrize("args", [
+    ["perm-verify", "--n-max", "7"],
+    ["weingarten-table", "--p", "6", "--N", "8"],
+], ids=lambda args: args[0])
+def test_combinatorics_checks_survive_optimize_flag(tmp_path, args):
+    _assert_same_bytes_under_optimize(tmp_path, args)
 
 
 @pytest.mark.parametrize("content", [

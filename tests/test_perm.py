@@ -1,14 +1,18 @@
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
-from conftest import bfs_transposition_distances, count_by_transpositions, fix_move, from_cycles
+from conftest import (bfs_transposition_distances, compose, count_by_transpositions, fix_move,
+                      from_cycles, invert, min_transpositions, num_cycles, valuation)
 
+from qtamper import perm
 from qtamper.errors import BudgetExceeded
-from qtamper.perm import (Permutation, compose, cycle_type_of, cycles_of, invert, iter_tuples,
-                          min_transpositions, num_cycles, parity_swappers, sp_classes,
-                          valuation, verify_cycle_bound_corollary, verify_fixed_point_lemma,
-                          verify_lemmas)
+from qtamper.perm import (MAX_COROLLARY_2T, MAX_LEMMA_DEGREE, MAX_PAIR_DEGREE, Permutation,
+                          cycle_counts, cycle_type_of, cycles_of, iter_tuples, parity_swappers,
+                          perm_table, sp_classes, verify_cycle_bound_corollary,
+                          verify_fixed_point_lemma, verify_lemmas)
+from qtamper.reports import canonical_json_bytes
 
 
 def test_not_a_bijection_rejected():
@@ -203,3 +207,79 @@ def test_sp_classes_match_tuple_helpers():
             ], (p, perms[a])
     with pytest.raises(BudgetExceeded):
         sp_classes(7)
+
+
+def test_sp_classes_pair_matches_the_row_by_row_gather():
+    """The one-product pair table equals the row-by-row route: each row
+    perms[:] o perms[a]^-1 composed by an index gather, then base-p coded."""
+    for p in range(1, MAX_PAIR_DEGREE + 1):
+        sp = sp_classes(p)
+        table = np.array(sp.perms, dtype=np.intp)
+        place = p ** np.arange(p - 1, -1, -1)
+        class_at = np.zeros(p ** p, dtype=np.uint8)
+        class_at[table @ place] = sp.class_of
+        inverse = np.argsort(table, axis=1)
+        rows = [class_at[table[:, inverse[a]] @ place] for a in range(len(table))]
+        np.testing.assert_array_equal(sp.pair, np.array(rows), err_msg=f"p={p}")
+
+
+def test_perm_table_is_itertools_order():
+    for n in range(MAX_LEMMA_DEGREE + 1):
+        table = perm_table(n)
+        assert table.shape == (factorial(n), n)
+        assert list(map(tuple, table.tolist())) == list(iter_tuples(n))
+    for n in (-1, MAX_LEMMA_DEGREE + 1):
+        with pytest.raises(BudgetExceeded):
+            perm_table(n)
+
+
+def test_cycle_counts_match_the_tuple_oracle():
+    for n in range(MAX_LEMMA_DEGREE + 1):
+        table = perm_table(n)
+        assert cycle_counts(table).tolist() == [num_cycles(row) for row in table.tolist()]
+    # degrees on both sides of a power of two, each with its longest cycle
+    rng = np.random.default_rng(20)
+    for n in (8, 9, 16, 17, 33):
+        rows = np.array([np.roll(np.arange(n), 1), *(rng.permutation(n) for _ in range(50))])
+        assert cycle_counts(rows).tolist() == [num_cycles(row) for row in rows.tolist()]
+
+
+def test_corollary_composes_beta_after_alpha_inverse(monkeypatch):
+    seen = []
+
+    def spy(images):
+        seen.append(images.tolist())
+        return cycle_counts(images)
+
+    monkeypatch.setattr(perm, "cycle_counts", spy)
+    for t in range(1, MAX_COROLLARY_2T // 2 + 1):
+        seen.clear()
+        verify_cycle_bound_corollary(t)
+        composed = [list(compose(beta, invert(alpha)))
+                    for alpha in iter_tuples(2 * t) for beta in parity_swappers(t)]
+        assert composed in seen, t
+
+
+def test_counterexamples_match_the_tuple_route(monkeypatch):
+    """With one cycle too many counted everywhere, both lemmas fail often;
+    the kernels must list the same counterexamples as the tuple route with
+    the same miscount, in the same order and the same JSON form."""
+    counts = perm.cycle_counts
+    monkeypatch.setattr(perm, "cycle_counts", lambda images: counts(images) + 1)
+
+    def miscount(images):
+        return num_cycles(images) + 1
+
+    for n in range(1, MAX_LEMMA_DEGREE + 1):
+        expected = [[x + 1 for x in sigma] for sigma in iter_tuples(n)
+                    if sum(sigma[x] == x for x in range(n)) < 2 * miscount(sigma) - n]
+        report = verify_fixed_point_lemma(n)
+        assert expected and report["checked_count"] == factorial(n)
+        assert canonical_json_bytes(report["counterexamples"]) == canonical_json_bytes(expected)
+    for t in range(1, MAX_COROLLARY_2T // 2 + 1):
+        expected = [{"alpha": [x + 1 for x in alpha], "beta": [x + 1 for x in beta]}
+                    for alpha in iter_tuples(2 * t) for beta in parity_swappers(t)
+                    if miscount(alpha) + miscount(compose(beta, invert(alpha))) > 3 * t]
+        report = verify_cycle_bound_corollary(t)
+        assert expected and report["checked_count"] == factorial(2 * t) * factorial(t) ** 2
+        assert canonical_json_bytes(report["counterexamples"]) == canonical_json_bytes(expected)

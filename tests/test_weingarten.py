@@ -4,12 +4,12 @@ from math import factorial
 
 import numpy as np
 import pytest
-from conftest import haar_unitary_stack
+from conftest import compose, haar_unitary_stack, invert, num_cycles
 
 from qtamper import weingarten
 from qtamper.errors import OutOfRange, SingularGram
 from qtamper.haar import child_generator
-from qtamper.perm import compose, cycle_type_of, invert, iter_tuples, num_cycles, sp_classes
+from qtamper.perm import cycle_type_of, iter_tuples, sp_classes
 from qtamper.weingarten import haar_moment, wg_abs_sum, wg_sum, wg_table, wg_value
 
 
@@ -217,3 +217,21 @@ def test_haar_moment_against_monte_carlo():
         var = max(sums_sq[b] / samples - mean ** 2, 0.0)
         stderr = (var / samples) ** 0.5
         assert abs(mean - exact) <= 4 * stderr + 1e-12, (pattern, mean, exact, stderr)
+
+
+def test_class_counts_match_np_unique():
+    """The sorted distinct count rows, their identity flags and each class's
+    row index equal those of `np.unique(axis=0)` over the same p! rows."""
+    for p in range(1, 7):
+        sp = sp_classes(p)
+        n_perms, n_types = len(sp.perms), len(sp.types)
+        counts = np.zeros((n_perms, n_types, n_types), dtype=np.int64)
+        np.add.at(counts, (np.arange(n_perms)[None, :], sp.class_of[:, None], sp.pair), 1)
+        distinct, row_of = np.unique(np.column_stack([counts.reshape(n_perms, -1),
+                                                      sp.class_of == 0]),
+                                     axis=0, return_inverse=True)
+        rows, is_identity, class_row = weingarten._class_counts(p)
+        np.testing.assert_array_equal(rows.reshape(len(rows), -1), distinct[:, :-1])
+        assert is_identity.tolist() == distinct[:, -1].tolist()
+        first = [list(sp.class_of).index(j) for j in range(n_types)]
+        assert class_row.tolist() == row_of.ravel()[first].tolist()
