@@ -257,20 +257,15 @@ def _run_tamper_sim(params: dict, jobs: int):
     )
     rows = report.pop("rows")
     ok = report["pass_fraction"] >= params["min_pass_fraction"]
-    csv_rows = [_CSV_COLUMNS[params["mode"]]]
-    for row in rows:
-        csv_rows.append([
-            _csv_cell(row.get(col)) for col in _CSV_COLUMNS[params["mode"]]
-        ])
-    return report, ok, csv_rows
+    header = _CSV_COLUMNS[params["mode"]]
+    columns = [_csv_column([row.get(col) for row in rows]) for col in header]
+    return report, ok, [header, *zip(*columns)]
 
 
-def _csv_cell(value):
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+def _csv_column(values: list) -> list[str]:
+    """One CSV column: floats by `format_float`, None as "undefined", the rest by str."""
+    return ["undefined" if value is None else format_float(value) if isinstance(value, float)
+            else str(value) for value in values]
 
 
 _HANDLERS = {

@@ -13,8 +13,9 @@ that knows the digit order and the phase rule):
     digit, so `kron_digits(q, m)` lists them in lexicographic order;
   * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
     `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
-    phase[j] = omega_powers(q)[<z, v_j> mod q].  `MonomialUnitary` is its
-    runtime form everywhere (tamper families and `moments` alike).
+    phase[j] = omega_powers(q)[<z, v_j> mod q], and `word_actions` gives
+    many words at once.  `MonomialUnitary` is its runtime form everywhere
+    (tamper families and `moments` alike), one word or a stack of them.
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a.
 """
@@ -66,9 +67,7 @@ class PauliLabel:
         With v the digits of j, rows[j] is the index of v + x (mod q) and
         phase[j] = omega_powers(q)[<z, v> mod q].
         """
-        z = np.array(self.z, dtype=np.intp)
-        phase = omega_powers(self.q)[(kron_digits(self.q, self.m) @ z) % self.q]
-        return shift_rows(self.q, self.x), phase
+        return word_actions(self.q, self.x, self.z)
 
     def compact(self) -> str:
         """Compact text form `pauli:q:x-digits:z-digits` (q <= 7 registers)."""
@@ -121,6 +120,16 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
     return ((digits + x) % q) @ radix
 
 
+def word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, phase) of the words X^x Z^z for exponent rows x and z of shape
+    (..., m): one `shift_rows` broadcast and one `omega_powers` gather, with
+    the words' leading axes in front of the column axis of rows and phase."""
+    x, z = np.asarray(x, dtype=np.intp), np.asarray(z, dtype=np.intp)
+    digits = kron_digits(q, x.shape[-1])
+    phase = omega_powers(q)[np.matmul(digits, z[..., np.newaxis])[..., 0] % q]
+    return shift_rows(q, x[..., np.newaxis, :], digits), phase
+
+
 class MonomialUnitary:
     """N x N unitary whose column j is phase[j] at row rows[j], validated
     once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
@@ -129,6 +138,12 @@ class MonomialUnitary:
     monomials and scalars again, so code written for dense matrices
     (`moments`, the tamper decoders) runs on it unchanged.
     `.eigenvalues()` reads the spectrum off the cycles of rows in O(N).
+
+    Rows and phase of shape (m, N) make a stack of m unitaries, of shape
+    (m, N, N): `U @ x` and `A @ U` then carry the member axis in front, as
+    numpy's stacked matmul does, `U[i]` is member i and `stack` joins
+    members.  Products of two monomials, `.T`, `.trace()` and
+    `.eigenvalues()` take one member.
     """
 
     __array_ufunc__ = None
@@ -136,14 +151,30 @@ class MonomialUnitary:
     def __init__(self, rows, phase):
         rows = np.asarray(rows, dtype=np.intp)
         phase = np.asarray(phase, dtype=np.complex128)
-        if rows.ndim != 1 or phase.shape != rows.shape:
-            raise DimMismatch("rows and phase must be vectors of one length")
-        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+        if rows.ndim not in (1, 2) or phase.shape != rows.shape:
+            raise DimMismatch("rows and phase must be vectors of one length, or stacks of them")
+        if not np.all(np.sort(rows, axis=-1) == np.arange(rows.shape[-1])):
             raise NotUnitary("rows is not a permutation of range(N)")
         if not np.all(np.abs(np.abs(phase) - 1.0) <= STRUCTURAL_TOL):
             raise NotUnitary(f"a phase is not within {STRUCTURAL_TOL} of modulus 1")
+        self._set(rows, phase)
+
+    def _set(self, rows: np.ndarray, phase: np.ndarray) -> "MonomialUnitary":
         self.rows, self.phase = rows, phase
-        self.shape = (rows.size, rows.size)
+        self.shape = rows.shape + rows.shape[-1:]
+        return self
+
+    @classmethod
+    def stack(cls, members) -> "MonomialUnitary":
+        """The members, unitaries of one N validated when built, as one stack."""
+        return cls.__new__(cls)._set(np.array([u.rows for u in members]),
+                                     np.array([u.phase for u in members]))
+
+    def __getitem__(self, index) -> "MonomialUnitary":
+        """Member `index` of a stack (a sub-stack for a slice), as views."""
+        if self.rows.ndim == 1:
+            raise TypeError("only a stack of unitaries has members")
+        return type(self).__new__(type(self))._set(self.rows[index], self.phase[index])
 
     def trace(self) -> complex:
         """Sum of the phases on the fixed points of rows."""
@@ -179,23 +210,27 @@ class MonomialUnitary:
 
     def __matmul__(self, x):
         if isinstance(x, MonomialUnitary):
-            if x.shape != self.shape:
+            if x.shape != self.shape or self.rows.ndim > 1:
                 raise DimMismatch(f"cannot multiply {self.shape} by {x.shape}")
             return MonomialUnitary(self.rows[x.rows], self.phase[x.rows] * x.phase)
         x = np.asarray(x)
-        if x.shape[:1] != self.shape[:1]:
+        if x.shape[:1] != self.shape[-1:]:
             raise DimMismatch(f"cannot apply {self.shape} to {x.shape}")
-        out = np.empty(x.shape, dtype=np.complex128)
-        out[self.rows] = x           # moved, then scaled in place: no temporary the size of x
+        at = self.rows                # a stack's member i moves by rows[i]
+        if self.rows.ndim > 1:
+            at = (np.arange(len(self.rows))[:, np.newaxis], self.rows)
+        out = np.empty(self.rows.shape[:-1] + x.shape, dtype=np.complex128)
+        out[at] = x                  # moved, then scaled in place: no temporary the size of out
         phase = np.empty_like(self.phase)
-        phase[self.rows] = self.phase
-        return np.multiply(phase.reshape((-1,) + (1,) * (x.ndim - 1)), out, out=out)
+        phase[at] = self.phase
+        return np.multiply(phase.reshape(phase.shape + (1,) * (x.ndim - 1)), out, out=out)
 
     def __rmatmul__(self, a):
         a = np.asarray(a)
-        if a.shape[-1:] != self.shape[:1]:
+        if a.shape[-1:] != self.shape[-1:] or (self.rows.ndim > 1 and a.ndim > 2):
             raise DimMismatch(f"cannot multiply {a.shape} by {self.shape}")
-        return np.ascontiguousarray(a[..., self.rows] * self.phase)
+        out = a[..., self.rows] * self.phase           # a stack's member axis is a.ndim - 1
+        return np.ascontiguousarray(np.moveaxis(out, a.ndim - 1, 0) if self.rows.ndim > 1 else out)
 
 
 def checked_unitary(u):

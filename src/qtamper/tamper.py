@@ -4,12 +4,18 @@ security scans over explicit unitary families.
 
 A scheme holds its seeded Haar isometry V and V^dag, formed once.  Every
 decoder reads one kernel, `_decode_overlaps`: the overlaps V^dag U states
-of one encoded state or an N x m block, and each column's squared norm.
-Classical, relaxed and weak read the K x K block of all K codewords once
-per member, quantum its one message state.  P_perp is computed on its own
-(never as 1 minus the rest), so P_same + P_diff + P_perp = 1 is a real
-check; weak compares the block's ||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2.
-No array larger than V is built.  Family members (dense, or a
+of one encoded state or an N x c block, and each column's squared norm,
+for one unitary U or a stack of them.  A scan decodes a family in blocks:
+each run of Pauli members is one stacked `MonomialUnitary` of at most
+BLOCK_ENTRIES tampered entries (m x N x K, quantum m x N, and one member
+when a member alone is larger), each dense member a block of its own, so
+no N x N stack is ever copied.  Classical, relaxed and weak read the
+K x K overlaps of all K codewords, quantum its one message state; the
+metrics, extrema and rows are reductions over the blocks' columns, and
+the public decoders are one-member calls of the same code.  P_perp is
+computed on its own (never as 1 minus the rest), so P_same + P_diff +
+P_perp = 1 is a real check; weak compares ||V^dag (U V)||_F^2 with
+||(V^dag U) V||_F^2 for every member.  Family members (dense, or a
 `MonomialUnitary` for every Pauli word) are validated once, when built.
 """
 
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import log2, sqrt
+from itertools import groupby
+from math import isnan, log2, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,13 +32,14 @@ import numpy as np
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
 from .linalg import MAX_DIM, parallel_map, require_normalized
-from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_labels
+from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_labels, word_actions
 
 MAX_FAMILY = 10 ** 4
 MAX_SEEDS = 10 ** 4
 MAX_CELLS = 10 ** 6         # seeds x members x (K for classical/relaxed, else 1)
 MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
+BLOCK_ENTRIES = 2 ** 12     # tampered entries in one block of members: 64 KiB of complex128
 FIDELITY_FLOOR = 1e-12
 
 MODES = ("classical", "relaxed", "weak", "quantum")
@@ -78,25 +86,28 @@ def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
 
 def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
     """(V^dag U states, squared norm of each tampered state) for one encoded
-    state or an N x m block of them: the one decoding kernel."""
-    if U.shape[0] != scheme.N:
-        raise OutOfRange(f"unitary dimension {U.shape[0]} != N = {scheme.N}")
+    state or an N x c block of them: the one decoding kernel.  U is one
+    N x N unitary or a stack of m; a stack's member axis leads both results."""
+    if U.shape[-1] != scheme.N:
+        raise OutOfRange(f"unitary dimension {U.shape[-1]} != N = {scheme.N}")
     w = U @ states
-    if w.ndim == 1:
-        return scheme.adjoint @ w, float(np.vdot(w, w).real)
-    sq = np.einsum("ij,ij->j", w.view(np.float64), w.view(np.float64))   # no conjugated copy
-    return scheme.adjoint @ w, sq[0::2] + sq[1::2]
+    if states.ndim == 1:
+        return (scheme.adjoint @ w[..., np.newaxis])[..., 0], np.vecdot(w, w).real
+    wf = w.view(np.float64)
+    sq = np.einsum("...ij,...ij->...j", wf, wf)    # no conjugated copy
+    return scheme.adjoint @ w, sq[..., 0::2] + sq[..., 1::2]
 
 
-def _classical_rows(scheme: EncodingScheme, U, messages: slice = slice(None)) -> list[dict]:
-    """`detect_classical` of each stored message in the slice `messages`,
-    all K by default, read off one overlap block."""
+def _classical_probs(scheme: EncodingScheme, U, messages: slice = slice(None)):
+    """(P_same, P_diff, P_perp) of each stored message in the slice
+    `messages`, all K by default, read off one overlap block: arrays over
+    the messages, behind a stack's member axis."""
     overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry[:, messages])
     weights = np.abs(overlaps) ** 2
-    same = weights[range(scheme.K)[messages], range(weights.shape[1])]   # own codeword
-    in_code = np.sum(weights, axis=0)
-    return [{"P_same": float(a), "P_diff": float(b - a), "P_perp": float(c - b)}
-            for a, b, c in zip(same, in_code, norm_sq)]
+    own = np.arange(scheme.K)[messages]                                  # own codeword
+    same = weights[..., own, np.arange(own.size)]
+    in_code = np.sum(weights, axis=-2)
+    return same, in_code - same, norm_sq - in_code
 
 
 def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
@@ -107,7 +118,22 @@ def detect_classical(scheme: EncodingScheme, U, s: int) -> dict:
     """
     if not 0 <= s < scheme.K:
         raise OutOfRange(f"message index {s} outside [0, {scheme.K})")
-    return _classical_rows(scheme, U, slice(s, s + 1))[0]
+    probs = _classical_probs(scheme, U, slice(s, s + 1))
+    return {key: float(p[0]) for key, p in zip(("P_same", "P_diff", "P_perp"), probs)}
+
+
+def _quantum_outcomes(scheme: EncodingScheme, U, amps: np.ndarray):
+    """(P_perp, pass probability, fidelity given a pass) of the message
+    sum_i a_i |i> under U, or under each member of a stack.  The fidelity
+    is NaN where the pass probability is below FIDELITY_FLOOR.  |<a|o>|^2
+    is hypot, then pow: the rounding of abs(z) ** 2 on a scalar z, where
+    numpy's array abs and square can differ in the last bit."""
+    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry @ amps)
+    pass_prob = np.sum(np.abs(overlaps) ** 2, axis=-1)
+    inner = np.vecdot(amps, overlaps)
+    fidelity = (np.float_power(np.hypot(inner.real, inner.imag), 2.0)
+                / np.where(pass_prob < FIDELITY_FLOOR, np.nan, pass_prob))
+    return norm_sq - pass_prob, pass_prob, fidelity
 
 
 def detect_quantum(scheme: EncodingScheme, U,
@@ -122,14 +148,22 @@ def detect_quantum(scheme: EncodingScheme, U,
     amps = require_normalized(np.asarray(message_amplitudes, dtype=np.complex128))
     if amps.shape != (scheme.K,):
         raise OutOfRange(f"need {scheme.K} amplitudes")
-    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry @ amps)
-    pass_prob = float(np.sum(np.abs(overlaps) ** 2))
-    p_perp = norm_sq - pass_prob
-    if pass_prob < FIDELITY_FLOOR:
-        fidelity = None
-    else:
-        fidelity = float(abs(np.vdot(amps, overlaps)) ** 2 / pass_prob)
-    return {"P_perp": p_perp, "pass_prob": pass_prob, "fidelity_given_pass": fidelity}
+    p_perp, pass_prob, fidelity = map(float, _quantum_outcomes(scheme, U, amps))
+    return {"P_perp": p_perp, "pass_prob": pass_prob,
+            "fidelity_given_pass": None if isnan(fidelity) else fidelity}
+
+
+def _weak_x(scheme: EncodingScheme, U) -> np.ndarray:
+    """X of U, or of each member of a stack, by both routes of `detect_weak`."""
+    gram, _ = _decode_overlaps(scheme, U, scheme.isometry)
+    weights = np.abs(gram) ** 2
+    double_sum = np.sum(weights.reshape(weights.shape[:-2] + (-1,)), axis=-1) / scheme.K
+    other = np.sum(np.abs((scheme.adjoint @ U) @ scheme.isometry) ** 2, axis=(-2, -1)) / scheme.K
+    bad = np.flatnonzero(np.abs(other - double_sum) > CONSERVATION_TOL)
+    if bad.size:
+        raise ConsistencyError(f"weak-detection routes disagree: "
+                               f"{float(other.flat[bad[0]])} vs {float(double_sum.flat[bad[0]])}")
+    return double_sum
 
 
 def detect_weak(scheme: EncodingScheme, U) -> float:
@@ -140,12 +174,7 @@ def detect_weak(scheme: EncodingScheme, U) -> float:
     ||(V^dag U) V||_F^2 / K, with U applied to V^dag from the right: both are
     Tr(W^dag Pi W) / K for W = U V and Pi = V V^dag, and neither forms Pi.
     """
-    gram, _ = _decode_overlaps(scheme, U, scheme.isometry)
-    double_sum = float(np.sum(np.abs(gram) ** 2)) / scheme.K
-    other = float(np.sum(np.abs((scheme.adjoint @ U) @ scheme.isometry) ** 2)) / scheme.K
-    if abs(other - double_sum) > CONSERVATION_TOL:
-        raise ConsistencyError(f"weak-detection routes disagree: {other} vs {double_sum}")
-    return double_sum
+    return float(_weak_x(scheme, U))
 
 
 def check_family_size(size: int, N: int = 0, dense: int = 0) -> None:
@@ -216,12 +245,19 @@ class UnitaryFamily:
 def pauli_family(n: int, count: int, seed: int) -> UnitaryFamily:
     """`count` distinct non-identity qubit Pauli words on n qubits.
 
-    Every member is traceless, so the family carries phi = 0.
+    Every member is traceless, so the family carries phi = 0.  The words
+    are built and validated in stacks whose digit tables (words x N x n)
+    hold at most BLOCK_ENTRIES entries, and members are views of them.
     """
     check_family_size(count)
     labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
-    members = [(lab.compact(), MonomialUnitary(*lab.action())) for lab in labels]
-    return UnitaryFamily(members=members, trace_bound_phi=0.0)
+    x = np.array([lab.x for lab in labels], dtype=np.intp)
+    z = np.array([lab.z for lab in labels], dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // (n * 2 ** n))
+    words = [u for i in range(0, count, step)
+             for u in MonomialUnitary(*word_actions(2, x[i:i + step], z[i:i + step]))]
+    return UnitaryFamily(members=[(lab.compact(), u) for lab, u in zip(labels, words)],
+                         trace_bound_phi=0.0)
 
 
 def parameter_warnings(n: int, k: int, epsilon: float,
@@ -245,38 +281,56 @@ def parameter_warnings(n: int, k: int, epsilon: float,
     return warnings
 
 
+def _blocks(unitaries: list, width: int):
+    """The members as decode blocks, in order: each run of monomials in
+    stacks of at most `width`, each dense member alone as a one-member view,
+    so that no N x N stack is ever copied."""
+    for monomial, run in groupby(unitaries, lambda u: isinstance(u, MonomialUnitary)):
+        run = list(run)
+        if monomial:
+            yield from (MonomialUnitary.stack(run[i:i + width]) for i in range(0, len(run), width))
+        else:
+            yield from (u[np.newaxis] for u in run)
+
+
 def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
                    epsilon: float, mode: str) -> dict:
+    """One scheme's columns over every (member, message) cell, member-major,
+    with its detection metric and worst conservation violation."""
     scheme = build_scheme(n, k, scheme_seed)
-    rows = []
-    worst_violation = 0.0
+    width = max(1, BLOCK_ENTRIES // (scheme.N * (1 if mode == "quantum" else scheme.K)))
+    blocks = _blocks([u for _, u in family.members], width)
+    violation = 0.0
     if mode in ("classical", "relaxed"):
-        for label, u in family.members:
-            for s, probs in enumerate(_classical_rows(scheme, u)):
-                worst_violation = max(worst_violation, abs(sum(probs.values()) - 1.0))
-                rows.append({"seed": scheme_seed, "label": label, "s": s, **probs})
-        if mode == "classical":
-            metric = min(r["P_perp"] for r in rows)
-        else:
-            metric = min(r["P_same"] + r["P_perp"] for r in rows)
+        same, diff, perp = (np.concatenate(col, axis=None) for col in
+                            zip(*(_classical_probs(scheme, U) for U in blocks)))
+        columns = {"P_same": same, "P_diff": diff, "P_perp": perp}
+        violation = np.max(np.abs(same + diff + perp - 1.0))
+        metric = np.min(perp if mode == "classical" else same + perp)
     elif mode == "weak":
-        for label, u in family.members:
-            rows.append({"seed": scheme_seed, "label": label, "X": detect_weak(scheme, u)})
-        metric = min(1.0 - r["X"] for r in rows)
+        x = np.concatenate([_weak_x(scheme, U) for U in blocks])
+        columns = {"X": x}
+        metric = np.min(1.0 - x)
     else:
         amps = np.full(scheme.K, 1.0 / sqrt(scheme.K), dtype=np.complex128)
-        for label, u in family.members:
-            out = detect_quantum(scheme, u, amps)
-            worst_violation = max(worst_violation, abs(out["pass_prob"] + out["P_perp"] - 1.0))
-            rows.append({"seed": scheme_seed, "label": label, **out})
-        metric = min(r["P_perp"] for r in rows)
+        perp, passed, fidelity = (np.concatenate(col) for col in
+                                  zip(*(_quantum_outcomes(scheme, U, amps) for U in blocks)))
+        columns = {"P_perp": perp, "pass_prob": passed, "fidelity_given_pass": fidelity}
+        violation = np.max(np.abs(passed + perp - 1.0))
+        metric = np.min(perp)
     return {
         "seed": scheme_seed,
-        "rows": rows,
-        "detection_metric": metric,
+        "columns": columns,
+        "detection_metric": float(metric),
         "pass": bool(metric >= 1.0 - epsilon),
-        "max_conservation_violation": worst_violation,
+        "max_conservation_violation": float(violation),
     }
+
+
+def _defined(values: np.ndarray) -> list:
+    """A column as Python floats, with None where it is undefined (NaN)."""
+    cells = values.tolist()
+    return [None if isnan(v) else v for v in cells] if np.isnan(values).any() else cells
 
 
 def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
@@ -298,20 +352,28 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),
                             seeds, jobs)
 
-    rows = [row for entry in per_seed for row in entry["rows"]]
-    numeric_keys = [k for k, v in rows[0].items() if isinstance(v, float)]
+    columns = {key: np.concatenate([e["columns"][key] for e in per_seed])
+               for key in per_seed[0]["columns"]}
     extrema = {}
-    for key in numeric_keys:
-        values = [r[key] for r in rows if r[key] is not None]
-        if values:
-            extrema[key] = {"min": min(values), "max": max(values)}
+    for key, values in columns.items():
+        values = values[~np.isnan(values)]       # every defined value, whichever row is first
+        if values.size:
+            extrema[key] = {"min": float(np.min(values)), "max": float(np.max(values))}
+    labels = family.labels()
+    messages = 2 ** k if mode in ("classical", "relaxed") else 1
+    index = {"seed": [sd for sd in seeds for _ in range(len(labels) * messages)],
+             "label": [lab for lab in labels for _ in range(messages)] * len(seeds)}
+    if mode in ("classical", "relaxed"):
+        index["s"] = list(range(messages)) * (len(seeds) * len(labels))
+    cells = {**index, **{key: _defined(values) for key, values in columns.items()}}
+    rows = [dict(zip(cells, row)) for row in zip(*cells.values())]
     phi = family.trace_bound_phi
     return {
         "mode": mode,
         "n": n,
         "k": k,
         "epsilon": epsilon,
-        "family": {"size": family.size, "trace_bound_phi": phi, "labels": family.labels()},
+        "family": {"size": family.size, "trace_bound_phi": phi, "labels": labels},
         "seeds": seeds,
         "warnings": parameter_warnings(n, k, epsilon, phi),
         "per_seed": [{key: e[key] for key in ("seed", "detection_metric", "pass")}

@@ -1,6 +1,9 @@
 """Shared test oracles."""
 
+import csv
+import io
 import itertools
+import json
 from collections import deque
 from functools import lru_cache
 from math import comb
@@ -11,9 +14,11 @@ import numpy as np
 from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTamperError
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
-from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers
+from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers, random_nonidentity_labels
 from qtamper.perm import Permutation, cycles_of, iter_tuples
 from qtamper.qamd import encode
+from qtamper.tamper import (CONSERVATION_TOL, FIDELITY_FLOOR, build_scheme,
+                            parameter_warnings)
 
 MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
 
@@ -339,6 +344,125 @@ def dense_decoder_projectors(scheme):
     codewords = [np.outer(v[:, s], v[:, s].conj()) for s in range(v.shape[1])]
     pi = v @ v.conj().T
     return codewords, pi, np.eye(v.shape[0], dtype=np.complex128) - pi
+
+
+def _per_member_overlaps(scheme, u, states):
+    """V^dag u states and each tampered state's squared norm, for one member."""
+    w = u @ states
+    if w.ndim == 1:
+        return scheme.adjoint @ w, float(np.vdot(w, w).real)
+    sq = np.einsum("ij,ij->j", w.view(np.float64), w.view(np.float64))
+    return scheme.adjoint @ w, sq[0::2] + sq[1::2]
+
+
+def _per_member_seed(scheme_seed, n, k, family, epsilon, mode):
+    """One scheme's rows, member by member and cell by cell, with Python
+    scalars: one overlap block and one dict per member and message."""
+    scheme = build_scheme(n, k, scheme_seed)
+    v, K = scheme.isometry, scheme.K
+    rows = []
+    worst = 0.0
+    if mode in ("classical", "relaxed"):
+        for label, u in family.members:
+            overlaps, norm_sq = _per_member_overlaps(scheme, u, v)
+            weights = np.abs(overlaps) ** 2
+            in_code = np.sum(weights, axis=0)
+            for s in range(K):
+                probs = {"P_same": float(weights[s, s]),
+                         "P_diff": float(in_code[s] - weights[s, s]),
+                         "P_perp": float(norm_sq[s] - in_code[s])}
+                worst = max(worst, abs(sum(probs.values()) - 1.0))
+                rows.append({"seed": scheme_seed, "label": label, "s": s, **probs})
+        if mode == "classical":
+            metric = min(r["P_perp"] for r in rows)
+        else:
+            metric = min(r["P_same"] + r["P_perp"] for r in rows)
+    elif mode == "weak":
+        for label, u in family.members:
+            gram, _ = _per_member_overlaps(scheme, u, v)
+            x = float(np.sum(np.abs(gram) ** 2)) / K
+            other = float(np.sum(np.abs((scheme.adjoint @ u) @ v) ** 2)) / K
+            if abs(other - x) > CONSERVATION_TOL:
+                raise ConsistencyError(f"weak-detection routes disagree: {other} vs {x}")
+            rows.append({"seed": scheme_seed, "label": label, "X": x})
+        metric = min(1.0 - r["X"] for r in rows)
+    else:
+        amps = np.full(K, 1.0 / np.sqrt(K), dtype=np.complex128)
+        for label, u in family.members:
+            overlaps, norm_sq = _per_member_overlaps(scheme, u, v @ amps)
+            pass_prob = float(np.sum(np.abs(overlaps) ** 2))
+            p_perp = norm_sq - pass_prob
+            fidelity = (None if pass_prob < FIDELITY_FLOOR
+                        else float(abs(np.vdot(amps, overlaps)) ** 2 / pass_prob))
+            worst = max(worst, abs(pass_prob + p_perp - 1.0))
+            rows.append({"seed": scheme_seed, "label": label, "P_perp": p_perp,
+                         "pass_prob": pass_prob, "fidelity_given_pass": fidelity})
+        metric = min(r["P_perp"] for r in rows)
+    return {"seed": scheme_seed, "rows": rows, "detection_metric": metric,
+            "pass": bool(metric >= 1.0 - epsilon), "max_conservation_violation": worst}
+
+
+def per_member_scan(n, k, family, epsilon, seeds, mode):
+    """`tamper.family_security_scan`'s report, one member at a time: the
+    oracle for its stacked blocks.  Extrema run over every float-valued key
+    of every row."""
+    seeds = list(seeds)
+    per_seed = [_per_member_seed(sd, n, k, family, epsilon, mode) for sd in seeds]
+    rows = [row for entry in per_seed for row in entry["rows"]]
+    extrema = {}
+    for key in dict.fromkeys(key for row in rows for key in row):
+        values = [row[key] for row in rows if isinstance(row[key], float)]
+        if values:
+            extrema[key] = {"min": min(values), "max": max(values)}
+    phi = family.trace_bound_phi
+    return {
+        "mode": mode, "n": n, "k": k, "epsilon": epsilon,
+        "family": {"size": family.size, "trace_bound_phi": phi, "labels": family.labels()},
+        "seeds": seeds,
+        "warnings": parameter_warnings(n, k, epsilon, phi),
+        "per_seed": [{key: e[key] for key in ("seed", "detection_metric", "pass")}
+                     for e in per_seed],
+        "pass_fraction": sum(1 for e in per_seed if e["pass"]) / len(per_seed),
+        "min_detection_metric": min(e["detection_metric"] for e in per_seed),
+        "extrema": extrema,
+        "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
+        "rows": rows,
+    }
+
+
+def per_cell_csv(rows, columns) -> bytes:
+    """The CSV file of scan rows, formatted one cell at a time: floats at
+    17 significant digits, None as "undefined", the rest by str."""
+    def cell(value):
+        if value is None:
+            return "undefined"
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns] + [[cell(row[c]) for c in columns] for row in rows])
+    return buf.getvalue().encode("utf-8")
+
+
+def write_family_file(folder, n: int, kind: str):
+    """A `file:` family on n qubits, written into `folder`: "monomial" lists
+    Pauli words (compact labels and `pauli` objects), "dense" unitary files
+    (Haar unitaries and one dense Pauli matrix), "mixed" both, interleaved."""
+    rng = np.random.default_rng(1000 * n + len(kind))
+    words = random_nonidentity_labels(2, n, 4, rng)
+    labels = [words[0].compact(), {"pauli": {"q": 2, "x": list(words[1].x), "z": list(words[1].z)}},
+              words[2].compact(), {"pauli": {"q": 2, "x": list(words[3].x), "z": list(words[3].z)},
+                                   "label": "named-word"}]
+    matrices = [haar_unitary_stack(rng, 1, 2 ** n)[0], pauli_matrix(words[0]),
+                haar_unitary_stack(rng, 1, 2 ** n)[0]]
+    files = []
+    for i, u in enumerate(matrices):
+        (folder / f"u{i}.json").write_text(json.dumps(np.stack([u.real, u.imag], -1).tolist()))
+        files.append({"file": f"u{i}.json", **({} if i % 2 else {"label": f"haar{i}"})})
+    members = {"monomial": labels, "dense": files,
+               "mixed": [labels[0], files[0], labels[1], labels[2], files[1], files[2], labels[3]]}
+    path = folder / f"{kind}.json"
+    path.write_text(json.dumps({"members": members[kind]}))
+    return path
 
 
 def _check_word(params, x, z):

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import per_cell_csv, per_member_scan, write_family_file
 
 from qtamper import cli, haar, linalg, moments, pauli, perm, qamd, tamper
 from qtamper.linalg import require_unitary
-from qtamper.reports import BUILD_ID, make_manifest
+from qtamper.reports import BUILD_ID, canonical_json_bytes, make_manifest
 
 
 def _run(*argv):
@@ -598,19 +599,26 @@ def test_qamd_scan_dense_mismatch_exits_2(tmp_path, monkeypatch, mode):
     assert report["error"].startswith("symbolic/dense mismatch")
 
 
-def _assert_same_bytes_under_optimize(out, args):
-    """`args` writes the same report under `python -O` as without it."""
+def _optimized_python(*args, timeout=300):
+    """`python -O` with `args` and this package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def _assert_same_bytes_under_optimize(out, args):
+    """`args` writes the same report, and CSV if any, under `python -O` as
+    without it."""
     assert _run("--out", str(out / "plain"), *args) == 0
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "qtamper.cli", "--out", str(out / "opt"), *args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _optimized_python("-m", "qtamper.cli", "--out", str(out / "opt"), *args)
     assert proc.returncode == 0, proc.stderr
-    name = f"{args[0]}.json"
-    assert (out / "opt" / name).read_bytes() == (out / "plain" / name).read_bytes()
+    names = sorted(path.name for path in (out / "plain").iterdir())
+    assert names == sorted(path.name for path in (out / "opt").iterdir())
+    assert f"{args[0]}.json" in names
+    for name in names:
+        assert (out / "opt" / name).read_bytes() == (out / "plain" / name).read_bytes()
 
 
 def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
@@ -625,6 +633,60 @@ def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
 ], ids=lambda args: args[0])
 def test_combinatorics_checks_survive_optimize_flag(tmp_path, args):
     _assert_same_bytes_under_optimize(tmp_path, args)
+
+
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_tamper_sim_checks_survive_optimize_flag(tmp_path, mode):
+    _assert_same_bytes_under_optimize(tmp_path, [
+        "tamper-sim", "--n", "5", "--k", "2", "--family", "paulis:40", "--epsilon", "0.3",
+        "--mode", mode, "--seeds", "0..2", "--min-pass-fraction", "0"])
+
+
+_BROKEN_ACTION = """
+import sys
+from qtamper import cli
+from qtamper.pauli import MonomialUnitary
+
+out = sys.argv[1]
+print(sys.flags.optimize)
+for method, mode in (("__rmatmul__", "weak"), ("__matmul__", "classical")):
+    honest = getattr(MonomialUnitary, method)
+    setattr(MonomialUnitary, method, lambda self, x, honest=honest: 1.01 * honest(self, x))
+    print(cli.run(["--out", f"{out}/{mode}", "tamper-sim", "--n", "4", "--k", "1",
+                   "--family", "paulis:20", "--epsilon", "0.5", "--mode", mode,
+                   "--seeds", "0..1", "--min-pass-fraction", "0"]))
+    setattr(MonomialUnitary, method, honest)
+"""
+
+
+def test_tamper_checks_fire_under_optimize_flag(tmp_path):
+    """Under `python -O`, a wrong V^dag U fails weak mode's two-route check,
+    and a wrong U V shows in classical mode's conservation violation."""
+    proc = _optimized_python("-c", _BROKEN_ACTION, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2", "0"]
+    assert "weak-detection routes disagree" in _load(tmp_path / "weak" / "tamper-sim.json")["error"]
+    result = _load(tmp_path / "classical" / "tamper-sim.json")["result"]
+    assert abs(result["max_conservation_violation"] - (1.01 ** 2 - 1)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 2], ids=["K1", "K4"])
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_tamper_sim_files_match_the_per_member_oracle(tmp_path, mode, k):
+    """The report and the CSV of a mixed `file:` family are the bytes of
+    one decode per member and one formatted cell at a time."""
+    path = write_family_file(tmp_path, 4, "mixed")
+    out = tmp_path / "r"
+    assert _run("--out", str(out), "tamper-sim", "--n", "4", "--k", str(k), "--family",
+                f"file:{path}", "--epsilon", "0.3", "--mode", mode, "--seeds", "0..3",
+                "--min-pass-fraction", "0") == 0
+    family = cli._resolve_family(f"file:{path}", 4, 0, lambda size: None)
+    oracle = per_member_scan(4, k, family, 0.3, range(4), mode)
+    rows = oracle.pop("rows")
+    manifest = _load(out / "tamper-sim.json")["manifest"]
+    assert (out / "tamper-sim.json").read_bytes() == canonical_json_bytes(
+        {"manifest": manifest, "result": oracle})
+    assert (out / "tamper-sim-cells.csv").read_bytes() == per_cell_csv(rows, cli._CSV_COLUMNS[mode])
 
 
 @pytest.mark.parametrize("content", [

@@ -9,7 +9,7 @@ from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
-                           random_nonidentity_labels, shift_rows)
+                           random_nonidentity_labels, shift_rows, word_actions)
 
 
 def _kron_oracle(label):
@@ -323,6 +323,46 @@ def test_monomial_products_match_dense():
         assert max_abs(x.T @ u.T - x.T @ dense.T) <= 1e-14
     with pytest.raises(DimMismatch):
         u @ MonomialUnitary(*qubits[0].action())
+
+
+@pytest.mark.parametrize("q, m", [(2, 6), (3, 3), (5, 2)])
+def test_word_actions_stack_the_per_word_actions(q, m):
+    labels = list(_sampled_labels(q, m, 7, 27))
+    rows, phase = word_actions(q, [label.x for label in labels], [label.z for label in labels])
+    assert rows.shape == phase.shape == (7, q ** m)
+    for label, word_rows, word_phase in zip(labels, rows, phase):
+        want_rows, want_phase = _loop_oracle(label)
+        assert np.array_equal(word_rows, want_rows) and np.array_equal(word_phase, want_phase)
+
+
+def test_monomial_stack_products_match_dense_stacks():
+    """A stack of qubit words: U @ x and A @ U carry the member axis in
+    front and equal numpy's stacked dense products bit for bit, and the
+    members of a stack are views of it."""
+    rng = child_generator(28, 0)
+    labels = list(_sampled_labels(2, 5, 6, 29))
+    words = [MonomialUnitary(*label.action()) for label in labels]
+    stack = MonomialUnitary.stack(words)
+    dense = np.stack([pauli_matrix(label) for label in labels])
+    assert stack.shape == dense.shape == (6, 32, 32)
+    vec = rng.normal(size=32) + 1j * rng.normal(size=32)
+    block = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+    for x in (vec, block):
+        assert np.array_equal((stack @ x).view(float), (dense @ x).view(float))
+        assert np.array_equal((x.T @ stack).view(float), (x.T @ dense).view(float))
+    for word, member in zip(words, stack):
+        assert np.array_equal(member.rows, word.rows) and np.array_equal(member.phase, word.phase)
+        assert np.shares_memory(member.rows, stack.rows)
+    with pytest.raises(DimMismatch):
+        stack @ words[0]
+    with pytest.raises(DimMismatch):
+        np.ones((2, 3, 32)) @ stack
+    with pytest.raises(TypeError):
+        words[0][0]
+    with pytest.raises(NotUnitary):
+        MonomialUnitary([[0, 1, 2], [0, 0, 1]], np.ones((2, 3)))
+    with pytest.raises(DimMismatch):
+        MonomialUnitary(np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
 
 
 def _same_multiset(got, want, tol):

@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_decoder_projectors, pauli_matrix
+from conftest import dense_decoder_projectors, pauli_matrix, per_member_scan, write_family_file
 
-from qtamper import pauli, tamper
+from qtamper import cli, pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, require_unitary
@@ -363,3 +363,69 @@ def test_family_size_is_checked_before_sampling(monkeypatch):
     with pytest.raises(OutOfRange):
         tamper.check_family_size(5, 4096, dense=5)   # 1.25 GiB of dense members
     tamper.check_family_size(5, 4096, dense=4)
+
+
+def _file_family(folder, n, kind):
+    path = write_family_file(folder, n, kind)
+    return cli._resolve_family(f"file:{path}", n, 0, lambda size: None)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["K1", "K2", "K4"])
+@pytest.mark.parametrize("kind", ["monomial", "dense", "mixed"])
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_scan_matches_the_per_member_oracle(tmp_path, mode, kind, k):
+    """Stacked blocks give the rows and report bytes of one decode per
+    member, on `file:` families of Pauli words, unitary files and both."""
+    family = _file_family(tmp_path, 4, kind)
+    report = family_security_scan(4, k, family, epsilon=0.3, seeds=[0, 1, 2], mode=mode, jobs=2)
+    oracle = per_member_scan(4, k, family, 0.3, [0, 1, 2], mode)
+    assert report["rows"] == oracle["rows"]
+    assert canonical_json_bytes(report) == canonical_json_bytes(oracle)
+
+
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_scan_over_many_blocks_matches_the_per_member_oracle(mode):
+    n, k = 6, 1
+    family = pauli_family(n, 150, seed=109)
+    members = UnitaryFamily(members=family.members[:70] + [("haar", sample_haar_unitary(64, 110))]
+                            + family.members[70:], trace_bound_phi=None)
+    width = tamper.BLOCK_ENTRIES // (2 ** n * (1 if mode == "quantum" else 2 ** k))
+    assert family.size > 2 * width          # more than two blocks on each side of the dense one
+    report = family_security_scan(n, k, members, epsilon=0.3, seeds=[5, 6], mode=mode)
+    oracle = per_member_scan(n, k, members, 0.3, [5, 6], mode)
+    assert report["rows"] == oracle["rows"]
+    assert canonical_json_bytes(report) == canonical_json_bytes(oracle)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["undefined-first", "undefined-last"])
+def test_extrema_take_every_defined_value(order):
+    """A member that moves the codeword off the code space leaves the
+    fidelity undefined; its row's place in the family changes no extremum."""
+    scheme = build_scheme(2, 0, seed=3)
+    v = scheme.isometry[:, 0]
+    w = identity(4)[0] - v.conj()[0] * v
+    w /= np.linalg.norm(w)
+    d = (v - w) / np.linalg.norm(v - w)
+    away = identity(4) - 2 * np.outer(d, d.conj())          # the reflection swapping v and w
+    members = [("away", away), ("id", identity(4))][::order]
+    report = family_security_scan(2, 0, UnitaryFamily(members=members), epsilon=0.5, seeds=[3],
+                                  mode="quantum")
+    fidelity = {row["label"]: row["fidelity_given_pass"] for row in report["rows"]}
+    assert fidelity["away"] is None and abs(fidelity["id"] - 1.0) <= 1e-12
+    assert report["extrema"]["fidelity_given_pass"] == {"min": fidelity["id"],
+                                                        "max": fidelity["id"]}
+    assert set(report["extrema"]) == {"P_perp", "pass_prob", "fidelity_given_pass"}
+
+
+def test_classical_scan_decodes_blocks_not_the_whole_family():
+    """n = 10, K = 8, 300 Pauli members, one seed: one member's tampered
+    block U V is 128 KiB and the whole family's 37.5 MiB; the scan stays
+    below 8 MiB of traced allocations."""
+    family = pauli_family(10, 300, seed=111)
+    tracemalloc.start()
+    try:
+        family_security_scan(10, 3, family, epsilon=0.5, seeds=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
