@@ -20,7 +20,9 @@ indicator for "js", the constant 1 for "ss", and |a_m|^{2 l(beta)} for
 weight obtained by executing the delta constraints over the amplitude
 indices).  Each pair is weighted by the exact Weingarten value of
 beta alpha^-1, looked up through the shared S_{2t} pair-class table
-`perm.sp_classes(2t).pair`, so the sum is one (p!, p!) matrix sandwich.
+`perm.sp_classes(2t).pair`, so the sum is tp @ Wg @ weights over the rows
+of `perm.perm_table(2t)`, with Wg gathered and contracted
+PAIR_BLOCK_COLUMNS columns at a time: no (p!, p!) block is formed.
 
 The Monte Carlo estimator is the independent route.  It reads U through
 its spectrum lambda, U = W diag(lambda) W^dag, drawn once per run and
@@ -57,7 +59,7 @@ from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator
 from .linalg import parallel_map, require_normalized
 from .pauli import MonomialUnitary, checked_unitary
-from .perm import cycles_of, parity_swappers, sp_classes
+from .perm import orbit_labels, perm_table, sp_classes
 from .weingarten import wg_table
 
 PATTERN_OFF_DIAGONAL = "js"
@@ -70,6 +72,7 @@ MIN_TRIALS = 1000
 MAX_TRIALS = 10 ** 8    # 24415 chunks: the chunk list and the pool's futures stay small
 MC_CHUNK = 4096
 IMAG_RESIDUE_TOL = 1e-9
+PAIR_BLOCK_COLUMNS = 64  # Wg columns gathered per block of `exact_moment`
 SPECTRUM_TOL = 1e-9     # per unit of N: |sum lambda^j - Tr U^j| bound
 
 
@@ -139,16 +142,6 @@ def _first_moment(pattern: str, U) -> float:
     return (n + abs(U.trace()) ** 2) / (n * (n + 1))
 
 
-def first_moment_js(U) -> float:
-    """E[X_js] = (N^2 - |Tr U|^2) / (N (N^2 - 1)), closed form."""
-    return _first_moment(PATTERN_OFF_DIAGONAL, checked_unitary(U))
-
-
-def first_moment_ss(U) -> float:
-    """E[X_ss] = (N + |Tr U|^2) / (N (N + 1)), closed form."""
-    return _first_moment(PATTERN_DIAGONAL, checked_unitary(U))
-
-
 def closed_form_moment(spec: MomentSpec) -> Optional[float]:
     """First-moment closed form of a js or ss spec (t = 1), else None."""
     if spec.t != 1 or spec.pattern == PATTERN_QUANTUM_MESSAGE:
@@ -156,51 +149,61 @@ def closed_form_moment(spec: MomentSpec) -> Optional[float]:
     return _first_moment(spec.pattern, spec.U)
 
 
-def _cycle_trace_products(perms, spec: MomentSpec) -> np.ndarray:
+def _cycle_trace_products(spec: MomentSpec) -> np.ndarray:
     """Tr-product vector over alpha: prod_c Tr(U^{odd(c)-even(c)}).
 
     Positions are 1-based in the parity convention, so 0-based even
     indices carry a U factor (+1) and odd indices a U^dag factor (-1).
+    Cycles come from `perm.orbit_labels`.  A row's factors are multiplied
+    from 1 + 0j over its cycle heads in ascending order, in float64 products
+    and sums as Python's complex product forms them: numpy's complex
+    multiply may fuse a product into a sum, which moves bits.
     """
-    tr_pow = {0: complex(spec.N)}
-    for j, tr in enumerate(spec.trace_profile, 1):
-        tr_pow[j] = tr
-        tr_pow[-j] = tr.conjugate()
-    out = np.empty(len(perms), dtype=np.complex128)
-    for ai, alpha in enumerate(perms):
-        prod = 1.0 + 0j
-        for cyc in cycles_of(alpha):
-            exponent = sum(1 if i % 2 == 0 else -1 for i in cyc)
-            prod *= tr_pow[exponent]
-        out[ai] = prod
+    table = perm_table(2 * spec.t)
+    m, p = table.shape
+    labels = orbit_labels(table).ravel()
+    heads = (labels == np.arange(m * p)).reshape(m, p)
+    signs = np.tile([1.0, -1.0], m * p // 2)
+    exponents = np.bincount(labels, weights=signs, minlength=m * p).astype(np.intp)
+    profile = np.array(spec.trace_profile, dtype=np.complex128)
+    powers = np.concatenate([profile[::-1].conj(), [spec.N], profile])   # [e + t] = Tr U^e
+    factors = powers[exponents.reshape(m, p) + spec.t]
+    re, im = np.ones(m), np.zeros(m)
+    for x in range(p):
+        rows = heads[:, x]
+        fr, fi = factors[rows, x].real, factors[rows, x].imag
+        pr, pi = re[rows], im[rows]
+        re[rows], im[rows] = pr * fr - pi * fi, pr * fi + pi * fr
+    out = np.empty(m, dtype=np.complex128)
+    out.real, out.imag = re, im
     return out
 
 
-def _beta_weights(spec: MomentSpec, perms) -> np.ndarray:
-    p = 2 * spec.t
+def _beta_weights(spec: MomentSpec) -> np.ndarray:
+    """Delta weight of each beta over the rows of `perm_table(2t)`."""
+    table = perm_table(2 * spec.t)
     if spec.pattern == PATTERN_DIAGONAL:
-        return np.ones(len(perms))
+        return np.ones(len(table))
     if spec.pattern == PATTERN_OFF_DIAGONAL:
-        swappers = set(parity_swappers(spec.t))
-        return np.array([1.0 if b in swappers else 0.0 for b in perms])
+        # parity swappers: every 1-based label changes parity
+        return np.all((table + np.arange(2 * spec.t)) % 2 == 1, axis=1).astype(float)
     # quantum message: weight |a_m|^{2 l(beta)}, l = #(odd 1-based
     # positions fixed to odd ones), i.e. 0-based even -> even.
     a_m2 = abs(spec.message_amplitudes[spec.target_index]) ** 2
-    weights = np.empty(len(perms))
-    for bi, beta in enumerate(perms):
-        ell = sum(1 for i in range(0, p, 2) if beta[i] % 2 == 0)
-        weights[bi] = a_m2 ** ell
-    return weights
+    ell = np.count_nonzero(table[:, 0::2] % 2 == 0, axis=1)
+    return np.array([a_m2 ** k for k in range(spec.t + 1)])[ell]
 
 
 def exact_moment(spec: MomentSpec) -> float:
     """Exact E[X^t] over the Haar measure for the spec's pattern."""
-    p = 2 * spec.t
-    sp = sp_classes(p)
-    wg_float = np.array(wg_table(p, spec.N), dtype=float)
-    tp = _cycle_trace_products(sp.perms, spec)
-    weights = _beta_weights(spec, sp.perms)
-    total = complex(tp @ wg_float[sp.pair] @ weights)
+    pair = sp_classes(2 * spec.t).pair
+    wg_float = np.array(wg_table(2 * spec.t, spec.N), dtype=float)
+    tp = _cycle_trace_products(spec)
+    row = np.empty(len(pair), dtype=np.complex128)    # tp @ Wg, PAIR_BLOCK_COLUMNS at a time
+    for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
+        block = slice(start, start + PAIR_BLOCK_COLUMNS)
+        row[block] = tp @ wg_float[pair[:, block]]
+    total = complex(row @ _beta_weights(spec))
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {total.imag} in exact moment")
     return total.real

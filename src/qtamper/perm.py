@@ -1,24 +1,23 @@
-"""Symmetric-group machinery: S_n as an image array, one cycle-count
-kernel over such arrays, the S_p pair-class table, the parity-swapping set
-used by the off-diagonal moment patterns, and the two permutation lemmas.
+"""Symmetric-group machinery: S_n as an image array, the orbit-label and
+cycle-count kernels over such arrays, the S_p pair-class table, the
+parity-swapping set used by the off-diagonal moment patterns, and the two
+permutation lemmas.
 
-`perm_table(n)` is S_n as an (n!, n) array whose row r is the image tuple
-of the r-th permutation in lexicographic order (row 0 = identity), built
-once per n.  `cycle_counts` takes any (M, n) image array and returns the
-number of cycles of each row: pointer doubling labels each point with the
-smallest point of its orbit, and a cycle is counted at the one point that
-is its own label.  Both lemmas are checked by whole-table kernels over
-`perm_table`.
+A permutation is its image tuple: sigma(x) = images[x].  `perm_table(n)`
+is S_n as an (n!, n) array whose row r is the image tuple of the r-th
+permutation in lexicographic order (row 0 = identity), built once per n.
+`orbit_labels` takes any (M, n) image array and labels each point with the
+smallest point of its orbit, by pointer doubling; a cycle is headed by the
+one point that is its own label.  `cycle_counts` counts those heads, taking
+its rows in blocks of `CYCLE_BLOCK_ROWS` so its transients stay bounded.
+Both lemmas are checked by whole-table kernels over `perm_table`.
 
 `sp_classes(p)` alone builds the class data of S_p, including the
-N-independent table pair[a, b] = class of perms[b] o perms[a]^-1 that the
-Weingarten solve and the exact moments share.  The cycle-bound corollary
-reads none of it: it composes beta o alpha^-1 itself and counts cycles
-with `cycle_counts`, so it stays a route independent of that table.
-
-A permutation is its image tuple: sigma(x) = images[x], cut into cycles by
-`cycles_of`.  `Permutation` is that tuple and only checks, when built,
-that it is a bijection.
+N-independent table pair[a, b] = class of b o a^-1 (rows a, b of
+`perm_table(p)`) that the Weingarten solve and the exact moments share.
+The cycle-bound corollary reads none of it: it composes beta o alpha^-1
+itself and counts cycles with `cycle_counts`, so it stays a route
+independent of that table.
 
 Points are stored 0-based; the parity-swapper set is defined on 1-based
 labels (label = point + 1), since oddness of a label is what the
@@ -27,29 +26,23 @@ combinatorics keys on.  Reports render 1-based.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConsistencyError, OutOfRange
+from .errors import BudgetExceeded, OutOfRange
 
 MAX_SWAPPER_DEGREE = 10       # parity swappers live in S_{2t}, 2t <= 10
 MAX_LEMMA_DEGREE = 7          # fixed-point lemma checked on S_n, n <= 7
 MAX_COROLLARY_2T = 6          # cycle-bound corollary checked on S_{2t} x B_{2t}
 MAX_PAIR_DEGREE = 6           # (p!)^2 pair-class table: 720 x 720 bytes at most
+CYCLE_BLOCK_ROWS = 1024       # rows per block of `cycle_counts`
 
 
 # ---------------------------------------------------------------------------
-# image tuples and image arrays
+# image arrays
 # ---------------------------------------------------------------------------
-
-def iter_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """All of S_n as image tuples, in lexicographic order."""
-    return itertools.permutations(range(n))
-
 
 @lru_cache(maxsize=None)
 def perm_table(n: int) -> np.ndarray:
@@ -71,14 +64,14 @@ def perm_table(n: int) -> np.ndarray:
     return table
 
 
-def cycle_counts(images: np.ndarray) -> np.ndarray:
-    """Number of cycles of each row of an (M, n) image array.
+def orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Orbit labels of an (M, n) image array, with points numbered across
+    the rows: entry [r, x] is r * n plus the smallest point of x's orbit
+    under row r, so it equals r * n + x exactly where x heads its cycle.
 
     After k rounds of label = min(label, label[step]); step = step[step],
     label[x] is the smallest of x, sigma(x), ..., sigma^(2^k - 1)(x), so
-    ceil(log2 n) rounds cover every cycle; each cycle then has one
-    point that is its own label.  Points are numbered across the rows, so
-    the whole array is one flat gather per round.
+    ceil(log2 n) rounds cover every cycle.  Each round is one flat gather.
     """
     m, n = images.shape
     points = np.arange(m * n).reshape(m, n)
@@ -87,35 +80,18 @@ def cycle_counts(images: np.ndarray) -> np.ndarray:
     for _ in range((n - 1).bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    return np.count_nonzero(label.reshape(m, n) == points, axis=1)
+    return label.reshape(m, n)
 
 
-def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
-    """Disjoint cycles covering [n]; fixed points appear as 1-cycles.
-
-    Each cycle starts at its smallest point and follows the permutation;
-    cycles are ordered by their smallest point.
-    """
-    n = len(images)
-    seen = bytearray(n)
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = 1
-        j = images[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = 1
-            j = images[j]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths sorted descending; sums to the degree."""
-    return tuple(sorted((len(c) for c in cycles_of(images)), reverse=True))
+def cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Number of cycles of each row of an (M, n) image array: the heads of
+    `orbit_labels`, counted over blocks of CYCLE_BLOCK_ROWS rows."""
+    counts = np.empty(len(images), dtype=np.intp)
+    for start in range(0, len(images), CYCLE_BLOCK_ROWS):
+        labels = orbit_labels(images[start:start + CYCLE_BLOCK_ROWS])
+        counts[start:start + len(labels)] = np.count_nonzero(
+            labels == np.arange(labels.size).reshape(labels.shape), axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +99,32 @@ def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class SpClasses(NamedTuple):
-    """Conjugacy-class data of S_p; see `sp_classes`."""
+    """Conjugacy-class data of S_p over the rows of `perm_table(p)`; see
+    `sp_classes`."""
 
-    perms: tuple[tuple[int, ...], ...]   # lexicographic; perms[0] = identity
     types: tuple[tuple[int, ...], ...]   # cycle types in first-seen order
-    class_of: np.ndarray                 # (p!,) class index of each perm
+    class_of: np.ndarray                 # (p!,) class index of each row
     sizes: tuple[int, ...]               # class sizes, indexed like types
-    pair: np.ndarray                     # (p!, p!) class of perms[b] o perms[a]^-1
+    pair: np.ndarray                     # (p!, p!) class of row b o row a^-1
 
 
 @lru_cache(maxsize=None)
 def sp_classes(p: int) -> SpClasses:
-    """Class data of S_p, built once per p.  Base-p digit codes index a p^p
-    table of classes, and the code of b o a^-1 is
+    """Class data of S_p, built once per p.  A row's cycle type is its
+    cycle lengths (orbit sizes at the heads) sorted descending, and classes
+    are numbered in the order their types first appear.  Base-p digit codes
+    index a p^p table of classes, and the code of b o a^-1 is
     sum_y place[a(y)] * b(y), so every pair's code is one integer product."""
     if not 0 <= p <= MAX_PAIR_DEGREE:
         raise BudgetExceeded(f"S_{p} pair table capped at p <= {MAX_PAIR_DEGREE}")
     table = perm_table(p)
-    perms = tuple(map(tuple, table.tolist()))
-    lookup: dict[tuple[int, ...], int] = {}   # cycle type -> class, first seen
-    class_of = np.array([lookup.setdefault(cycle_type_of(images), len(lookup))
-                         for images in perms], dtype=np.uint8)
+    labels = orbit_labels(table).ravel()
+    lengths = np.bincount(labels, minlength=labels.size).reshape(table.shape)
+    shapes = -np.sort(-lengths, axis=1)             # zero-padded cycle types
+    _, first, inverse = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)                       # classes in first-seen order
+    class_of = np.argsort(order)[inverse.ravel()].astype(np.uint8)
+    types = tuple(tuple(n for n in row if n) for row in shapes[first[order]].tolist())
     # uint16 holds every code and partial sum (below p^p <= 6^6 < 2^16) and
     # keeps the (p!)^2 product at 1 MB
     digits = table.astype(np.uint16)
@@ -152,52 +133,29 @@ def sp_classes(p: int) -> SpClasses:
     class_at[digits @ place] = class_of
     pair = class_at[place[digits] @ digits.T]
     class_of.flags.writeable = pair.flags.writeable = False   # shared via the cache
-    return SpClasses(perms, tuple(lookup), class_of, tuple(np.bincount(class_of).tolist()),
-                     pair)
-
-
-# ---------------------------------------------------------------------------
-# Permutation
-# ---------------------------------------------------------------------------
-
-class Permutation(tuple):
-    """An image tuple checked to be a bijection on {0, ..., n-1}."""
-
-    __slots__ = ()
-
-    def __new__(cls, images: Iterable[int]):
-        imgs = super().__new__(cls, images)
-        if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError(f"not a bijection on [{len(imgs)}]: {imgs}")
-        return imgs
+    return SpClasses(types, class_of, tuple(np.bincount(class_of).tolist()), pair)
 
 
 # ---------------------------------------------------------------------------
 # parity swappers
 # ---------------------------------------------------------------------------
 
-def parity_swappers(t: int) -> list[tuple[int, ...]]:
+def parity_swappers(t: int) -> np.ndarray:
     """All beta in S_{2t} sending every odd 1-based label to an even one
-    and vice versa; there are exactly (t!)^2 of them.
+    and vice versa, as a ((t!)^2, 2t) image array.
 
-    Construction is direct: a bijection odd->even crossed with a
-    bijection even->odd, enumerated in lexicographic order.
+    Row f * t! + g is built from rows f and g of `perm_table(t)`: odd label
+    2a+1 goes to even label 2 f(a) + 2, and even label 2a+2 to odd label
+    2 g(a) + 1.
     """
     if 2 * t > MAX_SWAPPER_DEGREE:
         raise BudgetExceeded(f"parity swappers need 2t <= {MAX_SWAPPER_DEGREE}")
     if t < 1:
         raise ValueError("t must be >= 1")
-    out = []
-    for f in itertools.permutations(range(t)):
-        for g in itertools.permutations(range(t)):
-            images = [0] * (2 * t)
-            for a in range(t):
-                images[2 * a] = 2 * f[a] + 1      # odd label 2a+1 -> even label
-                images[2 * a + 1] = 2 * g[a]      # even label 2a+2 -> odd label
-            out.append(tuple(images))
-    if len(out) != factorial(t) ** 2:
-        raise ConsistencyError(f"{len(out)} parity swappers for t = {t}, "
-                               f"expected (t!)^2 = {factorial(t) ** 2}")
+    half = perm_table(t)
+    out = np.empty((len(half) ** 2, 2 * t), dtype=np.intp)
+    out[:, 0::2] = 2 * np.repeat(half, len(half), axis=0) + 1
+    out[:, 1::2] = 2 * np.tile(half, (len(half), 1))
     return out
 
 
@@ -227,12 +185,12 @@ def verify_cycle_bound_corollary(t: int) -> dict:
     beta o alpha^-1 is one gather, independent of `sp_classes`."""
     if 2 * t > MAX_COROLLARY_2T:
         raise BudgetExceeded(f"cycle-bound corollary check capped at 2t <= {MAX_COROLLARY_2T}")
-    betas = np.array(parity_swappers(t), dtype=np.intp)
+    betas = parity_swappers(t)
     alphas = perm_table(2 * t)
-    # composed[a, b, x] = beta_b(alpha_a^-1(x))
-    composed = betas[:, np.argsort(alphas, axis=1)].swapaxes(0, 1).reshape(-1, 2 * t)
+    # composed[a, b, x] = beta_b(alpha_a^-1(x)), gathered alpha-major
+    composed = betas[np.arange(len(betas))[:, None], np.argsort(alphas, axis=1)[:, None, :]]
     total = (cycle_counts(alphas)[:, None]
-             + cycle_counts(composed).reshape(len(alphas), len(betas)))
+             + cycle_counts(composed.reshape(-1, 2 * t)).reshape(len(alphas), len(betas)))
     a, b = np.nonzero(total > 3 * t)
     return {
         "lemma_name": "cycle_count_corollary",

@@ -1,5 +1,5 @@
-"""Exact unitary Weingarten function over the rationals, plus the general
-Haar moment formula for products of matrix entries.
+"""Exact unitary Weingarten function over the rationals, and its sum and
+absolute-sum identities.
 
 The defining linear system is Gram-type: with G[sigma, tau] = N^{|C(sigma
 tau^-1)|} over S_p, the Weingarten function is the identity row of G^-1.
@@ -14,8 +14,9 @@ p! x p! rational inversion in pure Python would blow the runtime budget
 without adding information.
 
 The count rows are read off the N-independent pair table of
-`perm.sp_classes` once per p, and the distinct ones found by one sort; the
-exact check runs on every table build.
+`perm.sp_classes` once per p, in blocks of CLASS_COUNT_BLOCK_ROWS sigmas,
+and the distinct ones found by one sort; the exact check runs on every
+table build.
 `wg_table(p, N)` is a vector: a tuple of Fractions indexed like
 `sp_classes(p).types`, whose class sizes are `sp_classes(p).sizes`.
 """
@@ -25,14 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRange, SingularGram
 from .perm import MAX_PAIR_DEGREE, sp_classes
 
-HAAR_MOMENT_CAP = 5
+CLASS_COUNT_BLOCK_ROWS = 64   # sigmas per bincount of `_class_counts`
 
 
 def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -59,10 +59,17 @@ def _class_counts(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     class j : sigma tau^-1 in class k}: the distinct rows over all p!
     sigmas, their [sigma = e] flags, and the index of each class's row."""
     sp = sp_classes(p)
-    n_perms, n_types = len(sp.perms), len(sp.types)
-    # one bincount over pair[tau, sigma], keyed by (sigma, class of tau, class)
-    key = (np.arange(n_perms)[:, None] * n_types + sp.class_of) * n_types + sp.pair.T
-    counts = np.bincount(key.ravel(), minlength=n_perms * n_types ** 2).reshape(n_perms, -1)
+    n_perms, n_types = len(sp.class_of), len(sp.types)
+    width = n_types ** 2
+    counts = np.empty((n_perms, width), dtype=np.intp)
+    tau_key = sp.class_of.astype(np.intp) * n_types
+    # one bincount per block of sigmas over pair[tau, sigma], keyed by
+    # (sigma in the block, class of tau, class)
+    for start in range(0, n_perms, CLASS_COUNT_BLOCK_ROWS):
+        block = sp.pair[:, start:start + CLASS_COUNT_BLOCK_ROWS].T
+        key = np.arange(len(block))[:, None] * width + tau_key + block
+        counts[start:start + len(block)] = np.bincount(
+            key.ravel(), minlength=len(block) * width).reshape(len(block), width)
     rows = np.column_stack([counts, sp.class_of == 0])                     # e is class 0
     # sorted lexicographically, a row starts a new distinct row where it
     # differs from the one before it
@@ -108,13 +115,6 @@ def wg_table(p: int, N: int) -> tuple[Fraction, ...]:
     return tuple(solution)
 
 
-def wg_value(cycle_type: Sequence[int], N: int) -> Fraction:
-    """Wg of the class with this cycle type, its parts in any order."""
-    p = sum(cycle_type)
-    values = wg_table(p, N)
-    return values[sp_classes(p).types.index(tuple(sorted(cycle_type, reverse=True)))]
-
-
 def wg_sum(t: int, N: int) -> Fraction:
     """Sum of Wg over all of S_t (counted with class sizes)."""
     values = wg_table(t, N)
@@ -126,30 +126,3 @@ def wg_abs_sum(t: int, N: int) -> Fraction:
     values = wg_table(t, N)
     return sum((abs(v) * n for v, n in zip(values, sp_classes(t).sizes)), Fraction(0))
 
-
-def haar_moment(i: Sequence[int], i2: Sequence[int], j: Sequence[int],
-                j2: Sequence[int], N: int) -> Fraction:
-    """Exact Haar average of U_{i1 j1} ... U_{ip jp} conj(U_{i2_1 j2_1}) ...
-
-    Indices are 0-based rows/columns in [0, N).  Evaluates the delta-sum
-    over S_p x S_p directly; returns 0 when no permutation pair matches
-    the index pattern.
-    """
-    p = len(i)
-    if not (len(i2) == len(j) == len(j2) == p):
-        raise ValueError("index tuples must share one length p")
-    if p == 0:
-        return Fraction(1)
-    if p > HAAR_MOMENT_CAP:
-        raise OutOfRange(f"haar_moment capped at p <= {HAAR_MOMENT_CAP}")
-    for idx in (*i, *i2, *j, *j2):
-        if not 0 <= idx < N:
-            raise OutOfRange(f"index {idx} outside [0, {N})")
-
-    values = wg_table(p, N)
-    sp = sp_classes(p)
-    rows = [a for a, s in enumerate(sp.perms) if all(i[x] == i2[s[x]] for x in range(p))]
-    cols = [b for b, t in enumerate(sp.perms) if all(j[x] == j2[t[x]] for x in range(p))]
-    # pair[sigma, tau] is the class of tau sigma^-1
-    hits = np.bincount(sp.pair[np.ix_(rows, cols)].ravel(), minlength=len(sp.types))
-    return sum((v * int(n) for v, n in zip(values, hits)), Fraction(0))

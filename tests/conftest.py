@@ -4,23 +4,30 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 from collections import deque
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Sequence
+from fractions import Fraction
+from math import comb, factorial
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, QTamperError
+from qtamper.errors import (BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange,
+                            QTamperError)
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
 from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers, random_nonidentity_labels
-from qtamper.perm import Permutation, cycles_of, iter_tuples
+from qtamper.moments import (PATTERN_DIAGONAL, PATTERN_OFF_DIAGONAL, MomentSpec,
+                             closed_form_moment)
+from qtamper.perm import MAX_SWAPPER_DEGREE, sp_classes
 from qtamper.qamd import encode
 from qtamper.tamper import (CONSERVATION_TOL, FIDELITY_FLOOR, build_scheme,
                             parameter_warnings)
+from qtamper.weingarten import wg_table
 
 MAX_ENUM_DEGREE = 9           # exhaustive S_n enumeration budget
+HAAR_MOMENT_CAP = 5
 
 
 class IdentityTampering(QTamperError):
@@ -160,6 +167,52 @@ def _difference_roots(params, s, x) -> list[int]:
     return fq_roots(diff)
 
 
+def iter_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """All of S_n as image tuples, in lexicographic order."""
+    return itertools.permutations(range(n))
+
+
+class Permutation(tuple):
+    """An image tuple checked to be a bijection on {0, ..., n-1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]):
+        imgs = super().__new__(cls, images)
+        if sorted(imgs) != list(range(len(imgs))):
+            raise ValueError(f"not a bijection on [{len(imgs)}]: {imgs}")
+        return imgs
+
+
+def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Disjoint cycles covering [n]; fixed points appear as 1-cycles.
+
+    Each cycle starts at its smallest point and follows the permutation;
+    cycles are ordered by their smallest point.  Per-tuple oracle for
+    `perm.orbit_labels`.
+    """
+    n = len(images)
+    seen = bytearray(n)
+    cycles = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = 1
+        j = images[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = 1
+            j = images[j]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths sorted descending; sums to the degree."""
+    return tuple(sorted((len(c) for c in cycles_of(images)), reverse=True))
+
+
 def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """(a o b)(x) = a(b(x))."""
     return tuple(a[b[i]] for i in range(len(a)))
@@ -270,6 +323,125 @@ def bfs_transposition_distances(n: int) -> dict[tuple[int, ...], int]:
                 dist[nxt] = dist[current] + 1
                 queue.append(nxt)
     return dist
+
+
+def loop_parity_swappers(t: int) -> list[tuple[int, ...]]:
+    """`perm.parity_swappers` one tuple at a time: a bijection odd->even
+    crossed with a bijection even->odd, in lexicographic (f, g) order."""
+    if 2 * t > MAX_SWAPPER_DEGREE:
+        raise BudgetExceeded(f"parity swappers need 2t <= {MAX_SWAPPER_DEGREE}")
+    out = []
+    for f in itertools.permutations(range(t)):
+        for g in itertools.permutations(range(t)):
+            images = [0] * (2 * t)
+            for a in range(t):
+                images[2 * a] = 2 * f[a] + 1      # odd label 2a+1 -> even label
+                images[2 * a + 1] = 2 * g[a]      # even label 2a+2 -> odd label
+            out.append(tuple(images))
+    if len(out) != factorial(t) ** 2:
+        raise ConsistencyError(f"{len(out)} parity swappers for t = {t}")
+    return out
+
+
+def wg_value(cycle_type: Sequence[int], N: int) -> Fraction:
+    """Wg of the class with this cycle type, its parts in any order."""
+    p = sum(cycle_type)
+    values = wg_table(p, N)
+    return values[sp_classes(p).types.index(tuple(sorted(cycle_type, reverse=True)))]
+
+
+def haar_moment(i: Sequence[int], i2: Sequence[int], j: Sequence[int],
+                j2: Sequence[int], N: int) -> Fraction:
+    """Exact Haar average of U_{i1 j1} ... U_{ip jp} conj(U_{i2_1 j2_1}) ...
+
+    Indices are 0-based rows/columns in [0, N).  Evaluates the delta-sum
+    over S_p x S_p directly; returns 0 when no permutation pair matches
+    the index pattern.
+    """
+    p = len(i)
+    if not (len(i2) == len(j) == len(j2) == p):
+        raise ValueError("index tuples must share one length p")
+    if p == 0:
+        return Fraction(1)
+    if p > HAAR_MOMENT_CAP:
+        raise OutOfRange(f"haar_moment capped at p <= {HAAR_MOMENT_CAP}")
+    for idx in (*i, *i2, *j, *j2):
+        if not 0 <= idx < N:
+            raise OutOfRange(f"index {idx} outside [0, {N})")
+
+    values = wg_table(p, N)
+    sp = sp_classes(p)
+    perms = list(iter_tuples(p))
+    rows = [a for a, s in enumerate(perms) if all(i[x] == i2[s[x]] for x in range(p))]
+    cols = [b for b, t in enumerate(perms) if all(j[x] == j2[t[x]] for x in range(p))]
+    # pair[sigma, tau] is the class of tau sigma^-1
+    hits = np.bincount(sp.pair[np.ix_(rows, cols)].ravel(), minlength=len(sp.types))
+    return sum((v * int(n) for v, n in zip(values, hits)), Fraction(0))
+
+
+def first_moment_js(U) -> float:
+    """E[X_js] = (N^2 - |Tr U|^2) / (N (N^2 - 1)): the closed form of the
+    t = 1 off-diagonal spec."""
+    return closed_form_moment(MomentSpec(PATTERN_OFF_DIAGONAL, 1, U))
+
+
+def first_moment_ss(U) -> float:
+    """E[X_ss] = (N + |Tr U|^2) / (N (N + 1)): the closed form of the t = 1
+    diagonal spec."""
+    return closed_form_moment(MomentSpec(PATTERN_DIAGONAL, 1, U, K=1))
+
+
+def loop_cycle_trace_products(perms, spec) -> np.ndarray:
+    """`moments._cycle_trace_products` one alpha at a time: the Python
+    complex product of Tr(U^{odd(c)-even(c)}) over `cycles_of(alpha)`."""
+    tr_pow = {0: complex(spec.N)}
+    for j, tr in enumerate(spec.trace_profile, 1):
+        tr_pow[j] = tr
+        tr_pow[-j] = tr.conjugate()
+    out = np.empty(len(perms), dtype=np.complex128)
+    for ai, alpha in enumerate(perms):
+        prod = 1.0 + 0j
+        for cyc in cycles_of(alpha):
+            exponent = sum(1 if i % 2 == 0 else -1 for i in cyc)
+            prod *= tr_pow[exponent]
+        out[ai] = prod
+    return out
+
+
+def loop_beta_weights(spec, perms) -> np.ndarray:
+    """`moments._beta_weights` one beta at a time."""
+    p = 2 * spec.t
+    if spec.pattern == PATTERN_DIAGONAL:
+        return np.ones(len(perms))
+    if spec.pattern == PATTERN_OFF_DIAGONAL:
+        swappers = set(loop_parity_swappers(spec.t))
+        return np.array([1.0 if b in swappers else 0.0 for b in perms])
+    a_m2 = abs(spec.message_amplitudes[spec.target_index]) ** 2
+    weights = np.empty(len(perms))
+    for bi, beta in enumerate(perms):
+        ell = sum(1 for i in range(0, p, 2) if beta[i] % 2 == 0)
+        weights[bi] = a_m2 ** ell
+    return weights
+
+
+def full_block_exact_moment(spec) -> float:
+    """`moments.exact_moment` as one (p!, p!) sandwich tp @ Wg @ weights,
+    with the loop trace products and weights."""
+    p = 2 * spec.t
+    perms = list(iter_tuples(p))
+    wg_float = np.array(wg_table(p, spec.N), dtype=float)
+    tp = loop_cycle_trace_products(perms, spec)
+    return complex(tp @ wg_float[sp_classes(p).pair] @ loop_beta_weights(spec, perms)).real
+
+
+def traced_peak(call, *args) -> int:
+    """Peak traced allocation, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:

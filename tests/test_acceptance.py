@@ -13,18 +13,17 @@ from math import ceil
 
 import numpy as np
 import pytest
-from conftest import (bfs_transposition_distances, min_transpositions, pauli_matrix,
-                      tamper_experiment)
+from conftest import (Permutation, bfs_transposition_distances, first_moment_js, first_moment_ss,
+                      min_transpositions, pauli_matrix, tamper_experiment, wg_value)
 
 from qtamper import cli
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.moments import (MomentSpec, exact_moment, first_moment_js,
-                             first_moment_ss, mc_moment)
+from qtamper.moments import MomentSpec, exact_moment, mc_moment
 from qtamper.pauli import random_nonidentity_labels
-from qtamper.perm import Permutation, verify_lemmas
+from qtamper.perm import verify_lemmas
 from qtamper.qamd import QamdParams, security_scan
 from qtamper.tamper import family_security_scan, pauli_family
-from qtamper.weingarten import wg_abs_sum, wg_sum, wg_value
+from qtamper.weingarten import wg_abs_sum, wg_sum
 
 TAMPER_SCAN_SEEDS = list(range(50))
 

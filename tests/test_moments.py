@@ -3,18 +3,19 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from conftest import literal_moment_samples, mixed_cycle_monomial, pauli_matrix
+from conftest import (first_moment_js, first_moment_ss, full_block_exact_moment, iter_tuples,
+                      literal_moment_samples, loop_beta_weights, loop_cycle_trace_products,
+                      mixed_cycle_monomial, pauli_matrix, traced_peak)
 from scipy.linalg import schur
 
 from qtamper import moments
 from qtamper.errors import ConsistencyError, NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
                           sample_encoding_isometry, sample_haar_unitary)
-from qtamper.moments import (MAX_TRIALS, MomentSpec, _checked_spectrum, _frame_coefficients,
-                             _mc_chunk, closed_form_moment, exact_moment, first_moment_js,
-                             first_moment_ss, mc_moment)
+from qtamper.moments import (MAX_TRIALS, MomentSpec, _beta_weights, _checked_spectrum,
+                             _cycle_trace_products, _frame_coefficients, _mc_chunk,
+                             closed_form_moment, exact_moment, mc_moment)
 from qtamper.pauli import MonomialUnitary, PauliLabel
-from qtamper.perm import iter_tuples
 
 
 def _pauli(n_qubits, x, z):
@@ -265,6 +266,64 @@ def test_exact_matches_closed_forms_battery():
             assert abs(ss - first_moment_ss(u)) <= 1e-12 * max(abs(ss), 1e-300)
             count += 1
     assert count >= 20
+
+
+def _kernel_specs(u):
+    """Every spec the exact route takes at U: t <= 3 (p = 2t <= 6) where
+    N >= 2t; js, ss, and m at K = 2 and K = 4 with complex amplitudes."""
+    specs = []
+    for t in range(1, 4):
+        if u.shape[0] < 2 * t:
+            continue
+        specs += [MomentSpec("js", t, u), MomentSpec("ss", t, u)]
+        for k in (2, 4):
+            amps = np.arange(1, k + 1) * (1 + 0.5j)
+            specs.append(MomentSpec("m", t, u, K=k, message_amplitudes=amps / np.linalg.norm(amps),
+                                    target_index=1))
+    return specs
+
+
+KERNEL_UNITARIES = {
+    "haar6": sample_haar_unitary(6, 90),
+    "haar16": sample_haar_unitary(16, 91),
+    "haar64": sample_haar_unitary(64, 92),
+    "pauli16": MonomialUnitary(*PauliLabel(2, (1, 0, 1, 1), (0, 1, 1, 0)).action()),
+    "pauli9": MonomialUnitary(*PauliLabel(3, (1, 2), (2, 1)).action()),
+    "diag8": np.diag([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]).astype(complex),
+    "diag32": np.diag(np.where(np.arange(32) % 3, 1.0, -1.0)).astype(complex),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_UNITARIES)
+def test_trace_products_and_weights_match_the_loops(name):
+    """The array kernels equal the per-permutation loops bit for bit: trace
+    products multiplied over the cycle heads in ascending order, and the
+    delta weights of every pattern."""
+    for spec in _kernel_specs(KERNEL_UNITARIES[name]):
+        perms = list(iter_tuples(2 * spec.t))
+        assert (_cycle_trace_products(spec).tobytes()
+                == loop_cycle_trace_products(perms, spec).tobytes()), (spec.pattern, spec.t)
+        assert (_beta_weights(spec).tobytes()
+                == loop_beta_weights(spec, perms).tobytes()), (spec.pattern, spec.t, spec.K)
+
+
+@pytest.mark.parametrize("name", KERNEL_UNITARIES)
+def test_exact_moment_matches_the_full_block_sandwich(name):
+    """Contracting the Wg matrix in column blocks, 720 = 11 x 64 + 16 at
+    t = 3, gives every bit of the one (p!, p!) sandwich over the loops."""
+    for spec in _kernel_specs(KERNEL_UNITARIES[name]):
+        assert exact_moment(spec).hex() == full_block_exact_moment(spec).hex(), \
+            (spec.pattern, spec.t, spec.K)
+
+
+def test_exact_moment_peak_memory_is_bounded():
+    """Warm js t = 3 at N = 16 gathers Wg 64 columns at a time and forms no
+    (720, 720) block, float or complex: its traced peak stays below 2 MiB."""
+    u = sample_haar_unitary(16, 93)
+    exact_moment(MomentSpec("js", 3, u))    # tables built once per process
+    spec = MomentSpec("js", 3, u)
+    peak = traced_peak(exact_moment, spec)
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_quantum_message_weights_against_brute_force():

@@ -3,13 +3,15 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from conftest import (bfs_transposition_distances, compose, count_by_transpositions, fix_move,
-                      from_cycles, invert, min_transpositions, num_cycles, valuation)
+from conftest import (Permutation, bfs_transposition_distances, compose,
+                      count_by_transpositions, cycle_type_of, cycles_of, fix_move, from_cycles,
+                      invert, iter_tuples, loop_parity_swappers, min_transpositions, num_cycles,
+                      traced_peak, valuation)
 
 from qtamper import perm
 from qtamper.errors import BudgetExceeded
-from qtamper.perm import (MAX_COROLLARY_2T, MAX_LEMMA_DEGREE, MAX_PAIR_DEGREE, Permutation,
-                          cycle_counts, cycle_type_of, cycles_of, iter_tuples, parity_swappers,
+from qtamper.perm import (MAX_COROLLARY_2T, MAX_LEMMA_DEGREE, MAX_PAIR_DEGREE,
+                          MAX_SWAPPER_DEGREE, cycle_counts, orbit_labels, parity_swappers,
                           perm_table, sp_classes, verify_cycle_bound_corollary,
                           verify_fixed_point_lemma, verify_lemmas)
 from qtamper.reports import canonical_json_bytes
@@ -126,11 +128,10 @@ def test_count_by_transpositions_bound_and_total():
 
 
 def test_parity_swappers_examples():
-    only = parity_swappers(1)
-    assert len(only) == 1 and only[0] == (1, 0)
+    assert parity_swappers(1).tolist() == [[1, 0]]
     assert len(parity_swappers(2)) == 4
     for t in range(1, 5):
-        swappers = parity_swappers(t)
+        swappers = list(map(tuple, parity_swappers(t).tolist()))
         assert len(swappers) == factorial(t) ** 2
         assert len(set(swappers)) == len(swappers)
         for beta in swappers:
@@ -149,7 +150,12 @@ def test_parity_swappers_match_filter_oracle():
             for images in iter_tuples(2 * t)
             if all((x + images[x]) % 2 == 1 for x in range(2 * t))
         }
-        assert set(parity_swappers(t)) == brute
+        assert set(map(tuple, parity_swappers(t).tolist())) == brute
+
+
+def test_parity_swappers_match_the_loop_oracle():
+    for t in range(1, MAX_SWAPPER_DEGREE // 2 + 1):
+        assert list(map(tuple, parity_swappers(t).tolist())) == loop_parity_swappers(t), t
 
 
 def test_verify_fixed_point_lemma():
@@ -195,7 +201,6 @@ def test_sp_classes_match_tuple_helpers():
         sp = sp_classes(p)
         perms = list(iter_tuples(p))
         types = [cycle_type_of(a) for a in perms]
-        assert sp.perms == tuple(perms)
         assert sp.types == tuple(dict.fromkeys(types))
         assert [sp.types[c] for c in sp.class_of] == types
         assert list(sp.sizes) == [types.count(ct) for ct in sp.types]
@@ -214,7 +219,7 @@ def test_sp_classes_pair_matches_the_row_by_row_gather():
     perms[:] o perms[a]^-1 composed by an index gather, then base-p coded."""
     for p in range(1, MAX_PAIR_DEGREE + 1):
         sp = sp_classes(p)
-        table = np.array(sp.perms, dtype=np.intp)
+        table = perm_table(p)
         place = p ** np.arange(p - 1, -1, -1)
         class_at = np.zeros(p ** p, dtype=np.uint8)
         class_at[table @ place] = sp.class_of
@@ -244,6 +249,39 @@ def test_cycle_counts_match_the_tuple_oracle():
         assert cycle_counts(rows).tolist() == [num_cycles(row) for row in rows.tolist()]
 
 
+def test_orbit_labels_match_cycles_of():
+    """Each point is labelled with its row's offset plus the first point of
+    its cycle in `cycles_of`, which is the cycle's smallest."""
+    for n in range(MAX_LEMMA_DEGREE + 1):
+        table = perm_table(n)
+        expected = []
+        for r, row in enumerate(table.tolist()):
+            labels = [0] * n
+            for cyc in cycles_of(row):
+                for x in cyc:
+                    labels[x] = r * n + cyc[0]
+            expected.append(labels)
+        assert orbit_labels(table).tolist() == expected, n
+
+
+def test_cycle_counts_take_rows_in_blocks(monkeypatch):
+    """Block sizes that split the rows unevenly, or into one row each,
+    count the same cycles as one block."""
+    table = perm_table(5)
+    whole = cycle_counts(table)
+    for rows in (1, 7, 119, 120, 121):
+        monkeypatch.setattr(perm, "CYCLE_BLOCK_ROWS", rows)
+        assert cycle_counts(table).tolist() == whole.tolist(), rows
+
+
+def test_corollary_peak_memory_is_bounded():
+    """t = 3 composes 25 920 rows, whose cycle counts are taken in blocks:
+    the check's traced peak stays below 3 MiB."""
+    verify_cycle_bound_corollary(3)    # tables built once per process
+    peak = traced_peak(verify_cycle_bound_corollary, 3)
+    assert peak < 3 * 2 ** 20, peak
+
+
 def test_corollary_composes_beta_after_alpha_inverse(monkeypatch):
     seen = []
 
@@ -256,7 +294,7 @@ def test_corollary_composes_beta_after_alpha_inverse(monkeypatch):
         seen.clear()
         verify_cycle_bound_corollary(t)
         composed = [list(compose(beta, invert(alpha)))
-                    for alpha in iter_tuples(2 * t) for beta in parity_swappers(t)]
+                    for alpha in iter_tuples(2 * t) for beta in loop_parity_swappers(t)]
         assert composed in seen, t
 
 
@@ -278,7 +316,7 @@ def test_counterexamples_match_the_tuple_route(monkeypatch):
         assert canonical_json_bytes(report["counterexamples"]) == canonical_json_bytes(expected)
     for t in range(1, MAX_COROLLARY_2T // 2 + 1):
         expected = [{"alpha": [x + 1 for x in alpha], "beta": [x + 1 for x in beta]}
-                    for alpha in iter_tuples(2 * t) for beta in parity_swappers(t)
+                    for alpha in iter_tuples(2 * t) for beta in loop_parity_swappers(t)
                     if miscount(alpha) + miscount(compose(beta, invert(alpha))) > 3 * t]
         report = verify_cycle_bound_corollary(t)
         assert expected and report["checked_count"] == factorial(2 * t) * factorial(t) ** 2

@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_decoder_projectors, pauli_matrix, per_member_scan, write_family_file
+from conftest import (dense_decoder_projectors, first_moment_js, first_moment_ss, pauli_matrix,
+                      per_member_scan, write_family_file)
 
 from qtamper import cli, pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, require_unitary
-from qtamper.moments import MomentSpec, exact_moment, first_moment_js, first_moment_ss
+from qtamper.moments import MomentSpec, exact_moment
 from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.reports import canonical_json_bytes
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,

@@ -4,13 +4,14 @@ from math import factorial
 
 import numpy as np
 import pytest
-from conftest import compose, haar_unitary_stack, invert, num_cycles
+from conftest import (compose, cycle_type_of, haar_moment, haar_unitary_stack, invert,
+                      iter_tuples, num_cycles, traced_peak, wg_value)
 
 from qtamper import weingarten
 from qtamper.errors import OutOfRange, SingularGram
 from qtamper.haar import child_generator
-from qtamper.perm import cycle_type_of, iter_tuples, sp_classes
-from qtamper.weingarten import haar_moment, wg_abs_sum, wg_sum, wg_table, wg_value
+from qtamper.perm import perm_table, sp_classes
+from qtamper.weingarten import wg_abs_sum, wg_sum, wg_table
 
 
 def _rising(n, t):
@@ -130,10 +131,11 @@ def test_distinct_equations_are_the_permutation_equations():
         n_types = len(sp.types)
         rows, is_identity, class_row = weingarten._class_counts(p)
         assert rows.shape == (n_types, n_types, n_types)
+        perms = perm_table(p).tolist()
         full, of_class = set(), {}
-        for s, sigma in enumerate(sp.perms):
+        for s, sigma in enumerate(perms):
             counts = np.zeros((n_types, n_types), dtype=np.int64)
-            for b, tau in enumerate(sp.perms):
+            for b, tau in enumerate(perms):
                 k = sp.types.index(cycle_type_of(compose(sigma, invert(tau))))
                 counts[sp.class_of[b], k] += 1
             full.add((counts.tobytes(), s == 0))
@@ -224,7 +226,7 @@ def test_class_counts_match_np_unique():
     row index equal those of `np.unique(axis=0)` over the same p! rows."""
     for p in range(1, 7):
         sp = sp_classes(p)
-        n_perms, n_types = len(sp.perms), len(sp.types)
+        n_perms, n_types = len(perm_table(p)), len(sp.types)
         counts = np.zeros((n_perms, n_types, n_types), dtype=np.int64)
         np.add.at(counts, (np.arange(n_perms)[None, :], sp.class_of[:, None], sp.pair), 1)
         distinct, row_of = np.unique(np.column_stack([counts.reshape(n_perms, -1),
@@ -235,3 +237,22 @@ def test_class_counts_match_np_unique():
         assert is_identity.tolist() == distinct[:, -1].tolist()
         first = [list(sp.class_of).index(j) for j in range(n_types)]
         assert class_row.tolist() == row_of.ravel()[first].tolist()
+
+
+def test_class_counts_take_sigmas_in_blocks(monkeypatch):
+    """Blocks that split the 720 sigmas of S_6 unevenly, or one sigma each,
+    give the same count rows as one block."""
+    whole = weingarten._class_counts(6)
+    for rows in (1, 100, 720):
+        monkeypatch.setattr(weingarten, "CLASS_COUNT_BLOCK_ROWS", rows)
+        for got, want in zip(weingarten._class_counts.__wrapped__(6), whole):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), rows
+
+
+def test_class_counts_peak_memory_is_bounded():
+    """Cold `_class_counts(6)` keys its bincount by blocks of sigmas, so no
+    (720, 720) key array forms: its traced peak stays below 4 MiB."""
+    sp_classes(6)
+    weingarten._class_counts.cache_clear()
+    peak = traced_peak(weingarten._class_counts, 6)
+    assert peak < 4 * 2 ** 20, peak
