@@ -5,7 +5,8 @@ an integer array whose last axis holds its coefficients in [0, q),
 indexed by degree, so a stack of polynomials is one 2-D array.
 `fq_values` is the one evaluator: it evaluates every row at every point
 of F_q, which is exact and cheap at desk scale, and root sets are read
-from its zeros.  `taylor_shift` gives the matrix of p(y) -> p(y + a).
+from its zeros.  `taylor_shift` gives the matrix of p(y) -> p(y + a), and
+`taylor_shifts` the stack of those matrices over every a in F_q.
 """
 
 from __future__ import annotations
@@ -57,3 +58,11 @@ def taylor_shift(n: int, a: int, q: int) -> np.ndarray:
                        for j in range(n)] for i in range(n)], dtype=np.int64)
     shift.flags.writeable = False
     return shift
+
+
+@lru_cache(maxsize=None)
+def taylor_shifts(n: int, q: int) -> np.ndarray:
+    """The read-only (q, n, n) stack whose slice a is taylor_shift(n, a, q)."""
+    shifts = np.array([taylor_shift(n, a, q) for a in range(q)])
+    shifts.flags.writeable = False
+    return shifts

@@ -113,11 +113,13 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
     """Row map of the shift X^x: the index of v + x (mod q) for every digit
     row v of `digits`, by default all of `kron_digits`, so that rows[j] is
     the index of v_j + x.  Leading axes of x broadcast against those of
-    `digits`, so one call can shift each group of rows by its own x."""
-    x = np.asarray(x, dtype=np.intp)
+    `digits`, so one call can shift each group of rows by its own x.  The
+    digits lie in [0, q) and x is reduced once, so each digit sum is below
+    2q and a gather from the table k -> k mod q reduces it."""
+    x = np.asarray(x, dtype=np.intp) % q
     digits = kron_digits(q, x.shape[-1]) if digits is None else digits
     radix = q ** np.arange(x.shape[-1] - 1, -1, -1, dtype=np.intp)
-    return ((digits + x) % q) @ radix
+    return (np.arange(2 * q, dtype=np.intp) % q)[digits + x] @ radix
 
 
 def word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:

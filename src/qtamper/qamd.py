@@ -18,16 +18,20 @@ Layout conventions (fixed here, used by every routine):
 For a tampering word X^x Z^z the only codeword that can receive mass is
 s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
 difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
-which has degree between 1 and d+1 whenever x_{1:d} != 0.  One batched
-`field.taylor_shift` product gives the coefficients of these polynomials
-for every (x, s) pair of a block of cells, their degrees are checked
-(ConsistencyError otherwise), and one evaluation gives their root masks.
+which has degree between 1 and d+1 whenever x_{1:d} != 0.  One product
+with the `field.taylor_shifts` stack gives the coefficients of these
+polynomials for every (x, s) pair of a block of cells, their degrees are
+checked (ConsistencyError otherwise), and one evaluation gives their root
+masks.  A cell's probability depends only on the exponents of its phase
+sum's terms, so each cell reads it from a table over those exponents.
 By the triangle inequality the squared amplitude is at most (|roots|/q)^2,
 so counting roots in integers certifies the bound ((d+1)/q)^2 exactly.
 The dense cross-check never reads root sets: each codeword has q nonzero
 entries, so every amplitude is a q-term sum over its support, and only
-the codewords that the shifted support meets are multiplied.  Exhaustive
-mode hands the scan loop one block per shift, random mode sorted windows.
+the codewords that the shifted support meets are multiplied.  Both modes
+hand the scan loop bounded windows of cells: exhaustive mode windows of
+whole shifts, random mode windows of sorted draws.  A window never changes
+a report's bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
-from .field import fq_values, is_prime, taylor_shift
+from .field import fq_values, is_prime, taylor_shifts
 from .haar import child_generator
 from .linalg import MAX_DIM
 from .pauli import kron_digits, omega_powers, shift_rows
@@ -48,7 +52,8 @@ from .pauli import kron_digits, omega_powers, shift_rows
 EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell (8 MB at the cap) and
 DRAW_WINDOW = 2 ** 14    # draws them in windows of this many per generator call, then
-SCAN_WINDOW = 2 ** 14    # scans them in windows of SCAN_WINDOW // q cells (of q root slots)
+SCAN_WINDOW = 2 ** 14    # scans them in windows of SCAN_WINDOW // q cells (of q root slots);
+                         # exhaustive mode scans windows of SCAN_WINDOW // (M dim) whole shifts
 DENSE_MATCH_TOL = 1e-9
 
 
@@ -132,14 +137,15 @@ def _root_masks(params: QamdParams, coeffs: np.ndarray, x) -> np.ndarray:
     """(P, q) root masks of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2}
     for the tag coefficient rows `coeffs` of P messages s and the shift
     digit rows x ((P, d+2), or one row for all), all with x_{1:d} != 0: one
-    batched product with the matrices taylor_shift(d+3, a, q) gathered by
-    a = x_{d+1}.  Each difference is checked to have degree in [1, d+1]."""
+    product with the stack taylor_shifts(d+3, q) shifts every target row by
+    every a, and each row keeps its a = x_{d+1}, so no (P, d+3, d+3) gather
+    is made.  Each difference is checked to have degree in [1, d+1]."""
     q, d = params.q, params.d
     x = np.asarray(x, dtype=np.int64).reshape(-1, d + 2)
-    shifts = np.array([taylor_shift(d + 3, a, q) for a in range(q)])
     target = coeffs.copy()
     target[:, 1:d + 1] += x[:, :d]
-    diff = np.matmul(target[:, np.newaxis], shifts[x[:, d]])[:, 0] - coeffs
+    moved = target @ taylor_shifts(d + 3, q)                      # (q, P, d+3)
+    diff = moved[x[:, d], np.arange(len(target))] - coeffs
     diff[:, 0] -= x[:, d + 1]
     diff %= q
     nonzero = diff != 0
@@ -152,53 +158,151 @@ def _root_masks(params: QamdParams, coeffs: np.ndarray, x) -> np.ndarray:
     return fq_values(diff, q) == 0
 
 
-def _support_sum_route(params: QamdParams, psi: np.ndarray):
+def _key_probabilities(q: int, width: int) -> np.ndarray:
+    """The probability of every key sum_k t_k (q+1)^k, k < width, of base-q+1
+    digits t_k: the phases omega^(t_k - 1) of its digits t_k > 0 added to
+    zero in ascending k, the sum divided by q, and its modulus squared."""
+    t = np.arange((q + 1) ** width)[:, np.newaxis] // (q + 1) ** np.arange(width) % (q + 1)
+    w_table, amp = omega_powers(q), np.zeros(len(t), dtype=np.complex128)
+    for k in range(width):
+        np.add(amp, w_table[t[:, k] - 1], out=amp, where=t[:, k] > 0)
+    amp = amp / q
+    return np.hypot(amp.real, amp.imag) ** 2
+
+
+def _block_tables(build, m: int):
+    """A function table(ps, at, cz) giving build(group, cz), the table of a
+    block's messages `group`, whose row g % len(group) serves the block's
+    row g.  A block with one clock row runs through whole shifts of the
+    messages ps[:M], so its table is built for those and kept while ps[:M]
+    and cz repeat; any other block gets one for each row's own message."""
+    last = [None, None, None]
+
+    def table(ps, at, cz):
+        shared = len(cz) == 1
+        group = ps[:min(m, len(ps))] if shared else ps[at[:, 0]]
+        if not shared or cz is not last[1] or not np.array_equal(group, last[0]):
+            last[:] = group, cz, build(group, cz)
+        return last[2]
+
+    return table
+
+
+def _root_sum_route(params: QamdParams):
+    """The scan's symbolic route: a function symbolic(px, ps, at, cz) giving
+    the probabilities of a block of cells (see `_scan`) and the largest
+    root count of its (x, s) pairs.
+
+    A cell's amplitude is (1/q) sum_r omega^{<z, (s, r, f(s, r))>} over the
+    roots r of its pair's difference polynomial in ascending r, so its
+    probability depends only on the exponents of those terms, in that
+    order.  A cell's key is sum_k t_k (q+1)^k over its exponent digits
+    t_k = 1 + the k-th exponent (0: no k-th root), and it reads its
+    probability from `_key_probabilities`, built once per scan and root
+    count.  The exponent digits are tabled per message, root r and clock
+    word by `_block_tables`.
+    """
+    q, d = params.q, params.d
+    digits = kron_digits(q, params.block_length)
+    coeffs = _tag_coeffs(params, params.messages())
+    tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
+    moves = digits[:, :d].any(axis=1)          # x_{1:d} = 0 moves no mass off s
+    slots, tables = np.arange(q), {}
+
+    def exponent_digits(group, cz):
+        """[i, r, j] = 1 + <z, (s_i, r, f(s_i, r))> mod q for r < q and 0 at
+        r = q, for the messages s_i of `group` and z = cz[i or 0, j]."""
+        z = digits[cz][:, np.newaxis]                                       # (1 or G, 1, n, d+2)
+        exps = (np.matmul(coeffs[group, np.newaxis, 1:d + 1], z[:, 0, :, :d].swapaxes(1, 2))
+                + z[..., d] * slots[:, np.newaxis]
+                + z[..., d + 1] * tag_tables[group, :, np.newaxis]) % q      # (R, q, n)
+        table = np.zeros((len(group), q + 1, cz.shape[1]), dtype=np.intp)
+        table[:, :q] = exps + 1
+        return table
+
+    exponent_table = _block_tables(exponent_digits, len(coeffs))
+
+    def symbolic(px, ps, at, cz):
+        moving = np.flatnonzero(moves[px])
+        if not moving.size:
+            return np.zeros((len(at), cz.shape[1])), 0
+        masks = np.zeros((len(ps), q), dtype=bool)
+        masks[moving] = _root_masks(params, coeffs[ps[moving]], digits[px[moving]])
+        roots = np.sort(np.where(masks, slots, q), axis=1)[at[:, 0]]   # ascending r, then q: none
+        width = int(masks.sum(axis=1).max())
+        digit = exponent_table(ps, at, cz)
+        group = np.arange(len(at)) % len(digit)
+        key = digit[group, roots[:, 0]]
+        for k in range(1, width):             # the k-th root of each cell's message, or none
+            key += digit[group, roots[:, k]] * (q + 1) ** k
+        if width not in tables:
+            tables[width] = _key_probabilities(q, width)
+        return tables[width][key], width
+
+    return symbolic
+
+
+def _support_sum_route(params: QamdParams, states):
     """The scan's dense cross-check: a function dense(px, ps, at, cz) giving
     sum_{s' != s} |<psi_{s'}| X^x Z^z |psi_s>|^2 for a block of cells (see
-    `_scan`) from the codeword columns psi alone.
+    `_scan`) from the codeword state vectors `states` alone, one per
+    message in order, each read once.
 
-    Each codeword has exactly q nonzero entries j (checked here), so the
-    amplitude is sum_j omega^{<z, v_j>} C[j, s'] with the support column
+    Each codeword has exactly q nonzero entries j (checked here), and only
+    those entries and their amplitudes are kept.  The amplitude is
+    sum_j omega^{<z, v_j>} C[j, s'] with the support column
     C[j, s'] = conj(psi_{s'}[v_j + x]) psi_s[j], nonzero only for the
     receivers s' whose support the shifted support of s meets.  The
-    codewords nonzero at each basis index are listed once; a call shifts
-    the q support rows of each (x, s) pair by `pauli.shift_rows`, and slot
-    k multiplies each pair's k-th receiver s' != s (ascending) in one
-    stacked product P[s][cz] @ C[:, s'], with phase rows P[s][z, j] =
-    omega^{<z, v_j>}: a codeword that leaks into two receivers fills a
-    second slot.  P[s][cz] is built again only when (ps, at, cz) are not
-    the last call's, so the exhaustive scan, which repeats them, builds it
-    once, and no stack over every message is held.
+    codewords nonzero at each basis index, and their amplitudes there, are
+    listed once; a call shifts the q support rows of each (x, s) pair by
+    `pauli.shift_rows`, and slot k multiplies each pair's k-th receiver
+    s' != s (ascending) in one stacked product with the phase rows
+    P[s][z, j] = omega^{<z, v_j>}: a codeword that leaks into two receivers
+    fills a second slot.  A block with one clock row holds whole shifts of
+    the messages ps[:M]; its rows P[s][cz] do not depend on x, so
+    `_block_tables` builds them once for ps[:M], and one product broadcasts
+    them over the block's shifts.  Any other block gets the phase row of
+    each row's own clock word.
     """
-    q, m = params.q, psi.shape[1]
-    supports = [np.flatnonzero(column) for column in psi.T]
+    q, dim = params.q, params.dim
+    supports, weights = [], []
+    for state in states:
+        support = np.flatnonzero(state)
+        supports.append(support)
+        weights.append(state[support])
     if any(support.size != q for support in supports):
         raise ConsistencyError(f"codeword support sizes {[v.size for v in supports]} != {q}")
-    supp = np.array(supports)                                       # (M, q)
+    m, supp, weight = len(supports), np.array(supports), np.array(weights)    # (M, q)
     digits, w_table = kron_digits(q, params.block_length), omega_powers(q)
-    weight = np.take_along_axis(psi.T, supp, axis=1)                # psi_s[j] on the support
-    index, owner = np.nonzero(psi)                                  # by index, then message
-    slot = np.arange(index.size) - np.searchsorted(index, index)    # among the index's codewords
-    owners = np.full((params.dim, slot.max() + 1), m)               # m: no codeword
-    owners[index, slot] = owner
-    last = [None, None, None, None]     # the (ps, at, cz) of the last call and its rows P[s][cz]
+    order = np.argsort(supp, axis=None, kind="stable")                # by index, then message
+    index = supp.flat[order]
+    slot = np.arange(index.size) - np.searchsorted(index, index)      # among the index's codewords
+    owners = np.full((dim, slot.max() + 1), m)                        # m: no codeword
+    owners[index, slot] = order // q
+    amplitude = np.zeros(owners.shape, dtype=np.complex128)
+    amplitude[index, slot] = weight.flat[order]
+    phase_rows = _block_tables(
+        lambda group, cz: w_table[(digits[cz] @ digits[supp[group]].swapaxes(1, 2)) % q], m)
 
     def dense(px: np.ndarray, ps: np.ndarray, at: np.ndarray, cz: np.ndarray) -> np.ndarray:
         shifted = shift_rows(q, digits[px][:, np.newaxis], digits[supp[ps]])    # (P, q)
-        owned = owners[shifted].reshape(len(ps), -1)
-        owned[owned == ps[:, np.newaxis]] = m                       # s' = s is no wrong decode
-        receivers = [owned.min(axis=1)]                             # each once, ascending
+        owned = owners[shifted]                                     # (P, q, slots)
+        owned[owned == ps[:, np.newaxis, np.newaxis]] = m           # s' = s is no wrong decode
+        flat = owned.reshape(len(ps), -1)
+        receivers = [flat.min(axis=1)]                              # each once, ascending
         while (receivers[-1] < m).any():
-            receivers.append(np.where(owned > receivers[-1][:, np.newaxis], owned, m).min(axis=1))
-        if ps is not last[0] or at is not last[1] or cz is not last[2]:
-            rows = digits[cz] @ digits[supp[ps[at[:, 0]]]].swapaxes(1, 2)
-            last[:] = ps, at, cz, w_table[rows % q]                 # (G, n, q)
-        power = np.zeros(last[3].shape[:2])
+            receivers.append(np.where(flat > receivers[-1][:, np.newaxis], flat, m).min(axis=1))
+        power = np.zeros((len(at), cz.shape[1]))
+        if len(receivers) == 1:
+            return power
+        phase, amplitudes = phase_rows(ps, at, cz), amplitude[shifted]      # (R, n or 1, q)
         for receiver in receivers[:-1]:                             # m: no k-th receiver, masked
-            column = psi[shifted, np.minimum(receiver, m - 1)[:, np.newaxis]].conj() * weight[ps]
-            amps = np.matmul(last[3], column[at].swapaxes(1, 2))[:, :, 0]     # (G, 1, q) columns
-            np.add(power, np.square(amps.real) + np.square(amps.imag), out=power,
-                   where=(receiver < m)[at])
+            column = (np.where(owned == receiver[:, np.newaxis, np.newaxis], amplitudes, 0)
+                      .sum(axis=2).conj() * weight[ps])
+            # (R, n or 1, q) rows against (G / R, R, q, 1) columns: R = M, or R = G
+            amps = np.matmul(phase, column[at].reshape(-1, len(phase), q, 1)).reshape(len(at), -1)
+            real, imag = np.square(amps.real, out=amps.real), np.square(amps.imag, out=amps.imag)
+            np.add(power, np.add(real, imag, out=real), out=power, where=(receiver < m)[at])
         return power
 
     return dense
@@ -220,41 +324,22 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
     cells checked) over `blocks`.  A block (px, ps, at, cz) holds the shift
     and message ranks px, ps ((P,)) of its (x, s) pairs, each row's pair
     at ((G, 1)) and the clock ranks cz ((G, n), or (1, n) for every row),
-    so ordered that the cells in row-major order run in increasing (x, s, z)."""
-    q, d = params.q, params.d
+    so ordered that the cells in row-major order run in increasing (x, s, z).
+    A block with one clock row has one row per pair and holds whole shifts,
+    each against the messages ps[:M] in the same order."""
     messages = params.messages()
-    digits = kron_digits(q, params.block_length)   # row k: the exponent vector of rank k
-    w_table = omega_powers(q)
-    coeffs = _tag_coeffs(params, messages)
-    tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
-    base = (np.array(messages, dtype=np.intp) @ digits[:, :d].T) % q   # <z_{1:d}, s> per (s, z)
-    moves = digits[:, :d].any(axis=1)          # x_{1:d} = 0 moves no mass off s
+    digits = kron_digits(params.q, params.block_length)   # row k: the exponent vector of rank k
+    symbolic = _root_sum_route(params)
     if cross_check:
-        dense = _support_sum_route(
-            params, np.column_stack([encode(m, params).state for m in messages]))
+        dense = _support_sum_route(params, (encode(m, params).state for m in messages))
 
     best_prob, best_key, max_mismatch, max_roots, checked = -1.0, None, 0.0, 0, 0
     for px, ps, at, cz in blocks:
-        cm, moving = ps[at], np.flatnonzero(moves[px])
-        sym = np.zeros((len(at), cz.shape[1]))
-        if moving.size:
-            masks = _root_masks(params, coeffs[ps[moving]], digits[px[moving]])
-            count, roots = np.zeros(len(ps), dtype=np.intp), np.zeros((len(ps), q), dtype=np.intp)
-            count[moving] = masks.sum(axis=1)
-            roots[moving] = np.argsort(~masks, axis=1, kind="stable")      # ascending r first
-            max_roots = max(max_roots, int(count.max()))
-            count, roots = count[at], roots[at[:, 0]]                       # per row
-            head, z_clock, z_tag = base[cm, cz], digits[cz, d], digits[cz, d + 1]
-            amp = np.zeros(sym.shape, dtype=np.complex128)
-            for k in range(count.max()):       # the k-th root of each cell's message
-                r = roots[:, k:k + 1]
-                np.add(amp, w_table[(head + z_clock * r + z_tag * tag_tables[cm, r]) % q],
-                       out=amp, where=count > k)
-            amp = amp / q
-            sym = np.hypot(amp.real, amp.imag) ** 2
-        checked += sym.size
+        sym, width = symbolic(px, ps, at, cz)
+        cm, max_roots, checked = ps[at], max(max_roots, width), checked + sym.size
         if cross_check:
-            gap = np.abs(sym - dense(px, ps, at, cz))
+            gap = dense(px, ps, at, cz)
+            np.abs(np.subtract(sym, gap, out=gap), out=gap)
             max_mismatch = max(max_mismatch, float(gap.max()))
             if max_mismatch > DENSE_MATCH_TOL:     # earlier blocks would have raised
                 s, x, z = _cell(messages, digits, px, ps, at, cz, np.argmax(gap))
@@ -311,6 +396,23 @@ def _sampled_blocks(params: QamdParams, trials: int, seed: int):
         yield (*np.divmod(pair[starts, 0], m), at[:, np.newaxis], window - pair * params.dim)
 
 
+def _exhaustive_blocks(params: QamdParams):
+    """The scan blocks of every ((x, z) != 0, s) cell: the shift x = 0 on
+    its own, since it has no z = 0 cell, then windows of
+    max(1, SCAN_WINDOW // (M dim)) whole shifts, each shift against every
+    message and every clock word.  The full windows share one (ps, at, cz)."""
+    m, dim = params.num_messages, params.dim
+    every, clocks = np.arange(m), np.arange(dim)[np.newaxis]
+    yield np.zeros(m, dtype=np.intp), every, every[:, np.newaxis], clocks[:, 1:]
+    width = max(1, SCAN_WINDOW // (m * dim))
+    full = np.tile(every, width), np.arange(width * m)[:, np.newaxis]
+    for lo in range(1, dim, width):
+        xs = np.arange(lo, min(lo + width, dim))
+        ps, at = full if len(xs) == width else (np.tile(every, len(xs)),
+                                                np.arange(len(xs) * m)[:, np.newaxis])
+        yield np.repeat(xs, m), ps, at, clocks
+
+
 def security_scan(params: QamdParams, exhaustive: bool = True,
                   trials: Optional[int] = None, seed: int = 0,
                   cross_check: bool = True) -> dict:
@@ -318,35 +420,33 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     aggregate wrong-decode probability, its witness, and the theorem
     bound ((d+1)/q)^2.
 
-    Exhaustive mode visits every ((x, z) != 0, s) cell, one block per
-    shift x; random mode visits `trials` cells drawn from the seeded
-    stream, duplicates included, in windows sorted by (x, s, z).  With
-    cross_check each cell's symbolic probability is compared to the dense
-    state-vector simulation and the worst mismatch is reported (the scan
+    Exhaustive mode visits every ((x, z) != 0, s) cell: the shift x = 0
+    in one block, then the other shifts in windows of
+    max(1, SCAN_WINDOW // (M dim)) whole shifts, each shift against every
+    message and clock word; random mode visits `trials` cells drawn from
+    the seeded stream, duplicates included, in windows sorted by (x, s, z).
+    With cross_check each cell's symbolic probability is compared to the
+    dense state-vector simulation and the worst mismatch is reported (the scan
     raises ConsistencyError above DENSE_MATCH_TOL).  The witness is the
     smallest (s, x, z) among the cells at the maximum.  The certificate is
     exact: `max_root_count` is the largest root set of a scanned (s, x)
     pair with x_{1:d} != 0, `bound_satisfied` is the integer test
     max_root_count <= d + 1, which bounds every cell by the rational
     `bound_exact`, and `max_prob` is checked against (max_root_count/q)^2
-    up to rounding.  Root slot k adds, for every cell of a block at once,
-    the phase of the k-th root (ascending r) of the cell's (x, s) pair, so
-    each cell sums its phase sum's terms in their per-cell order before
-    the division by q; hypot is the modulus abs() takes (np.abs differs in
-    the last bit), and the array square v * v equals pow(v, 2) for every
-    amplitude an admissible (q, d) can produce (a test enumerates them),
-    so every probability has the per-cell route's bits.
+    up to rounding.  A cell reads its probability from a table over the
+    exponents of its phase sum's terms (see `_root_sum_route`), which adds
+    the terms in their per-cell order (ascending r) before the division
+    by q; hypot is the modulus abs() takes (np.abs differs in the last
+    bit), and the array square v * v equals pow(v, 2) for every amplitude
+    an admissible (q, d) can produce (a test enumerates them), so every
+    probability has the per-cell route's bits.
     """
     q, d = params.q, params.d
     if exhaustive:
         n_cells = (params.dim ** 2 - 1) * params.num_messages
         if n_cells > EXHAUSTIVE_CELL_BUDGET:
             raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        every = np.arange(params.num_messages)      # one (ps, at, cz) for every x != 0
-        rows, clocks = every[:, np.newaxis], np.arange(params.dim)[np.newaxis]
-        shifts = np.broadcast_to(clocks.T, (params.dim, params.num_messages))
-        blocks = ((shifts[xi], every, rows, clocks[:, 1:] if xi == 0 else clocks)
-                  for xi in range(params.dim))      # (x, z) = 0 is no tampering
+        blocks = _exhaustive_blocks(params)
     else:
         if not trials or not 1 <= trials <= MAX_TRIALS:
             raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "

@@ -719,3 +719,16 @@ def tamper_experiment(s, x, z, params):
     probs = {m: 0.0 for m in params.messages()}
     probs[target] = wrong_decode_prob_exact(s, target, x, z, params)
     return {"probabilities": probs, "reject": 1.0 - sum(probs.values())}
+
+
+def per_shift_blocks(params):
+    """The exhaustive scan's blocks one shift x at a time, in rank order:
+    every message against every clock word z, with z = 0 left out of x = 0.
+
+    The one-block-per-shift oracle for `qamd._exhaustive_blocks`, whose
+    windows of whole shifts must give the same report bytes.
+    """
+    every = np.arange(params.num_messages)
+    rows, clocks = every[:, np.newaxis], np.arange(params.dim)[np.newaxis]
+    for xi in range(params.dim):
+        yield np.full(len(every), xi), every, rows, clocks[:, 1:] if xi == 0 else clocks

@@ -4,7 +4,7 @@ from conftest import FqPoly, fq_eval, fq_roots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtamper.field import fq_values, is_prime, taylor_shift
+from qtamper.field import fq_values, is_prime, taylor_shift, taylor_shifts
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -97,6 +97,10 @@ def test_taylor_shift(poly_q, a):
     row = np.array(list(poly.coeffs) + [0] * (n - len(poly.coeffs)))
     moved = row @ taylor_shift(n, a % q, q)
     assert FqPoly(moved, q) == shifted
+    # the stack over every a, built once per (n, q) and read-only
+    stack = taylor_shifts(n, q)
+    assert stack is taylor_shifts(n, q) and not stack.flags.writeable
+    assert stack.shape == (q, n, n) and (stack[a % q] == taylor_shift(n, a % q, q)).all()
     assert (fq_values(moved, q) == fq_values(row, q)[(np.arange(q) + a) % q]).all()
 
 

@@ -256,6 +256,19 @@ def test_shift_rows_of_chosen_digit_rows():
             assert np.array_equal(shift_rows(q, tuple(x)), full)
 
 
+def test_shift_rows_match_the_modulo_form():
+    # x is reduced once and each digit sum wrapped by a table; the rows must
+    # be those of ((digits + x) % q) @ radix, for x unreduced or negative too
+    rng = np.random.default_rng(3)
+    for q, m in ((2, 8), (3, 4), (5, 3), (7, 2)):
+        digits = kron_digits(q, m)
+        radix = q ** np.arange(m - 1, -1, -1)
+        for xs in (rng.integers(0, q, (6, 1, m)), rng.integers(-3 * q, 3 * q, (6, 1, m))):
+            assert np.array_equal(shift_rows(q, xs, digits), ((digits + xs) % q) @ radix)
+            for x in xs[:, 0]:
+                assert np.array_equal(shift_rows(q, tuple(x)), ((digits + x) % q) @ radix)
+
+
 def test_digit_and_phase_tables():
     for q, m in ((2, 0), (2, 3), (3, 2), (5, 1)):
         digits = kron_digits(q, m)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (FqPoly, IdentityTampering, _difference_roots, dense_overlaps,
-                      difference_poly, fq_roots, pauli_matrix, tag_poly, tag_table,
-                      tamper_experiment, wrong_decode_prob_exact)
+                      difference_poly, fq_roots, pauli_matrix, per_shift_blocks, tag_poly,
+                      tag_table, tamper_experiment, traced_peak, wrong_decode_prob_exact)
 
 from qtamper import qamd
 from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
@@ -377,8 +377,7 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
 
 
 def _dense_kernel(params):
-    psi = np.column_stack([encode(m, params).state for m in params.messages()])
-    return qamd._support_sum_route(params, psi)
+    return qamd._support_sum_route(params, [encode(m, params).state for m in params.messages()])
 
 
 def _one_pair(dense, xi, mi, clocks):
@@ -390,7 +389,7 @@ def _one_pair(dense, xi, mi, clocks):
 @pytest.mark.parametrize("params,trials,seed", [(P71, 400, 21), (QamdParams(q=5, d=2), 100, 21),
                                                 (QamdParams(q=2, d=1), 500, 21),
                                                 (QamdParams(q=5, d=2), 1, 1),
-                                                (QamdParams(q=5, d=2), 1, 40)],
+                                                (QamdParams(q=5, d=2), 1, 8)],
                          ids=["q7d1", "q5d2", "q2d1", "q5d2-one-cell", "q5d2-root-order"])
 def test_random_scan_bytes_match_reference(params, trials, seed):
     # q2d1 has 126 cells, so 500 draws repeat cells: each must count; the
@@ -457,6 +456,61 @@ def test_witness_in_a_later_window_than_the_first_maximum(monkeypatch):
     assert fast["witness"] == {"s": list(s), "x": list(x), "z": list(z)}
 
 
+@pytest.mark.parametrize("params", [P51, P32, P71, P23], ids=["q5d1", "q3d2", "q7d1", "q2d3"])
+def test_exhaustive_windows_match_the_per_shift_oracle(monkeypatch, params):
+    # windows of one shift (1 and 31 cells, below one shift's M dim), of
+    # the default, and one window larger than the whole scan: every field,
+    # max_dense_mismatch included, keeps the bytes of one block per shift
+    with monkeypatch.context() as patch:
+        patch.setattr(qamd, "_exhaustive_blocks", per_shift_blocks)
+        oracle = canonical_json_bytes(security_scan(params, exhaustive=True))
+    for window in (1, 31, qamd.SCAN_WINDOW, params.num_messages * params.dim ** 2):
+        monkeypatch.setattr(qamd, "SCAN_WINDOW", window)
+        assert canonical_json_bytes(security_scan(params, exhaustive=True)) == oracle, window
+
+
+def test_exhaustive_witness_in_a_later_shift_of_its_window():
+    # at (7, 1) the first cell at the maximum in (x, s, z) order lies in
+    # shift 56 with s = 1, the smallest (s, x, z) key in shift 57 with s = 0,
+    # and one default window holds both shifts: the least s must be taken
+    # across the shifts of one block
+    params = P71
+    width = max(1, qamd.SCAN_WINDOW // (params.num_messages * params.dim))
+    per_shift = [qamd._scan(params, [block], False)[:2] for block in per_shift_blocks(params)]
+    top = max(p for p, _ in per_shift)
+    hits = [(xi, key) for xi, (p, key) in enumerate(per_shift) if p == top]
+    (first, first_key), (shift, witness) = hits[0], min(hits, key=lambda hit: hit[1])
+    assert first != shift and (first - 1) // width == (shift - 1) // width
+    assert first_key[0] > witness[0]
+    report = security_scan(params, exhaustive=True, cross_check=False)
+    s, x, z = witness
+    assert report["witness"] == {"s": list(s), "x": list(x), "z": list(z)}
+
+
+def test_exhaustive_scan_hands_over_whole_windows(monkeypatch):
+    # (7, 1) has M dim = 2401 cells a shift, so a default window holds 6
+    # shifts: the 342 shifts x != 0 take 57 windows after the x = 0 block,
+    # and every full window hands over the same (ps, at, cz)
+    blocks, true_scan = [], qamd._scan
+
+    def scan(params, scan_blocks, cross_check):
+        return true_scan(params, (blocks.append(b) or b for b in scan_blocks), cross_check)
+
+    monkeypatch.setattr(qamd, "_scan", scan)
+    report = security_scan(P71, exhaustive=True, cross_check=False)
+    assert len(blocks) <= 1 + -(-342 // 6) == 58
+    assert sum(len(at) * cz.shape[1] for _, _, at, cz in blocks) == report["pairs_checked"]
+    assert all(b[1] is blocks[1][1] and b[2] is blocks[1][2] and b[3] is blocks[1][3]
+               for b in blocks[1:])
+
+
+def test_random_scan_holds_no_message_by_dimension_table():
+    # at (2, 9) an (M, dim) table has 2^20 entries: 8.4 MB of int64 for
+    # <z_{1:d}, s>, 16.8 MB of complex for the dense codeword matrix
+    peak = traced_peak(security_scan, QamdParams(q=2, d=9), False, 2000, 5)
+    assert peak < 4 * 2 ** 20
+
+
 def test_witness_is_the_smallest_key_at_the_maximum():
     # at q = 7 the maximum is reached at cells whose (s, z) and (z, s)
     # orders disagree, so this pins the tie-break of the batched scan
@@ -495,6 +549,46 @@ def test_array_square_matches_scalar_power_for_every_amplitude():
                 assert modulus ** 2 == np.square(np.array([modulus]))[0], (q, exponents)
 
 
+def test_key_probabilities_match_the_per_cell_phase_sum():
+    # every ordered exponent tuple a cell's root phases can have, for every
+    # admissible (q, d): the table entry has the bits of the per-cell route,
+    # which adds the phases in ascending r from 0j and takes abs(sum / q) ** 2
+    for q in (2, 3, 5, 7, 11, 13):
+        max_roots = max(d + 1 for d in range(1, 12) if _admissible(q, d))
+        width = min(q, max_roots)
+        table, w_table = qamd._key_probabilities(q, width), omega_powers(q)
+        for count in range(width + 1):
+            for exponents in itertools.product(range(q), repeat=count):
+                total = 0j
+                for e in exponents:
+                    total += w_table[e]
+                key = sum((e + 1) * (q + 1) ** k for k, e in enumerate(exponents))
+                assert table[key] == abs(total / q) ** 2, (q, exponents)
+
+
+def test_root_sum_route_follows_the_message_of_one_pair_blocks():
+    # blocks of one (x, s) pair against one shared clock row: the tabled
+    # exponents must follow each block's message, not only its clock row;
+    # (30, 3) and (32, 0) have 3 roots, whose phases summed in descending r
+    # change 18 of the 81 probabilities in their last bits
+    params = P32
+    symbolic, clocks = qamd._root_sum_route(params), np.arange(params.dim)[np.newaxis]
+    grid = [tuple(int(v) for v in row) for row in kron_digits(params.q, params.block_length)]
+    for xi, mi in ((30, 3), (30, 4), (32, 0), (40, 8), (80, 2), (80, 0)):
+        sym, _ = symbolic(np.array([xi]), np.array([mi]), np.zeros((1, 1), dtype=np.intp), clocks)
+        s = params.messages()[mi]
+        assert sym[0].tolist() == [wrong_decode_prob_exact(s, None, grid[xi], z, params)
+                                   for z in grid], (xi, mi)
+
+
+def _admissible(q, d):
+    try:
+        QamdParams(q=q, d=d)
+    except InvalidParams:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 20}],
                          ids=["exhaustive", "random"])
 def test_dense_mismatch_raises_consistency_error(monkeypatch, kwargs):
@@ -506,7 +600,7 @@ def test_dense_mismatch_raises_consistency_error(monkeypatch, kwargs):
 def test_difference_roots_degree_check_is_not_an_assert(monkeypatch):
     # a degenerate difference polynomial must raise even under python -O:
     # a zero shift matrix leaves -f(s, .) - x_{d+2}, of degree d + 2
-    monkeypatch.setattr(qamd, "taylor_shift", lambda n, a, q: np.zeros((n, n), dtype=np.int64))
+    monkeypatch.setattr(qamd, "taylor_shifts", lambda n, q: np.zeros((q, n, n), dtype=np.int64))
     coeffs = qamd._tag_coeffs(P51, P51.messages())
     with pytest.raises(ConsistencyError, match="degree 3, outside"):
         qamd._root_masks(P51, coeffs, (1, 0, 0))
@@ -591,7 +685,7 @@ def test_codeword_leaking_into_another_support_fails_cross_check(monkeypatch, kw
     with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
         security_scan(P51, **kwargs)
     psi = np.column_stack([qamd.encode(m, P51).state for m in P51.messages()])
-    dense = qamd._support_sum_route(P51, psi)
+    dense = qamd._support_sum_route(P51, psi.T)
     clocks, two_receivers = np.arange(P51.dim)[np.newaxis], 0
     for xi, row in enumerate(kron_digits(P51.q, P51.block_length)):
         perm, _ = PauliLabel(P51.q, row, (0,) * P51.block_length).action()
