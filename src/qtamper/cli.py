@@ -12,7 +12,6 @@ the report is still written), 1 usage or input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .moments import (MomentSpec, check_moment_params, check_trials, closed_form
 from .pauli import MonomialUnitary, PauliLabel
 from .perm import sp_classes, verify_lemmas
 from .qamd import QamdParams, security_scan
-from .reports import canonical_json_bytes, format_float, make_manifest
+from .reports import canonical_json_bytes, cells_csv, make_manifest
 from .tamper import (UnitaryFamily, check_cell_count, check_family_size, check_scan_params,
                      check_seed_count, family_security_scan, pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
@@ -172,7 +171,7 @@ def _cycle_type_key(cycle_type) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: params dict -> (result, ok, csv_rows)
+# subcommand handlers: params dict -> (result, ok, csv_text)
 # ---------------------------------------------------------------------------
 
 def _run_weingarten_table(params: dict, jobs: int):
@@ -255,17 +254,9 @@ def _run_tamper_sim(params: dict, jobs: int):
         epsilon=params["epsilon"], seeds=params["seeds"],
         mode=params["mode"], jobs=jobs,
     )
-    rows = report.pop("rows")
+    cells = report.pop("cells")
     ok = report["pass_fraction"] >= params["min_pass_fraction"]
-    header = _CSV_COLUMNS[params["mode"]]
-    columns = [_csv_column([row.get(col) for row in rows]) for col in header]
-    return report, ok, [header, *zip(*columns)]
-
-
-def _csv_column(values: list) -> list[str]:
-    """One CSV column: floats by `format_float`, None as "undefined", the rest by str."""
-    return ["undefined" if value is None else format_float(value) if isinstance(value, float)
-            else str(value) for value in values]
+    return report, ok, cells_csv(_CSV_COLUMNS[params["mode"]], cells)
 
 
 _HANDLERS = {
@@ -411,7 +402,7 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     # each report is serialized before the directory is made, so a report
     # that cannot be written leaves no --out behind
     try:
-        result, ok, csv_rows = _HANDLERS[subcommand](params, jobs)
+        result, ok, csv_text = _HANDLERS[subcommand](params, jobs)
     except (AssertionError, ConsistencyError) as exc:
         report = canonical_json_bytes({"manifest": manifest, "error": str(exc)})
         out.mkdir(parents=True, exist_ok=True)
@@ -421,10 +412,9 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     report = canonical_json_bytes({"manifest": manifest, "result": result})
     out.mkdir(parents=True, exist_ok=True)
     path.write_bytes(report)
-    if csv_rows is not None:
+    if csv_text is not None:
         csv_path = out / f"{subcommand}-cells.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(csv_rows)
+        csv_path.write_bytes(csv_text.encode("utf-8"))
         print(f"[qtamper] per-cell table at {csv_path}", file=sys.stderr)
     elapsed = time.monotonic() - started
     status = "ok" if ok else "ASSERTION FAILED"

@@ -14,8 +14,9 @@ that knows the digit order and the phase rule):
   * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
     `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
     phase[j] = omega_powers(q)[<z, v_j> mod q], and `word_actions` gives
-    many words at once.  `MonomialUnitary` is its runtime form everywhere
-    (tamper families and `moments` alike), one word or a stack of them.
+    many words at once, one register at a time.  `MonomialUnitary` is its
+    runtime form everywhere (tamper families and `moments` alike), one word
+    or a stack of them.
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a.
 """
@@ -124,12 +125,23 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
 
 def word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:
     """(rows, phase) of the words X^x Z^z for exponent rows x and z of shape
-    (..., m): one `shift_rows` broadcast and one `omega_powers` gather, with
-    the words' leading axes in front of the column axis of rows and phase."""
+    (..., m), the words' leading axes in front of the column axis.  Both are
+    outer sums built one register at a time, least significant first, in
+    front of the columns so far; the phase exponent, below m q, is reduced
+    by its gather from the table of omega^(k mod q)."""
     x, z = np.asarray(x, dtype=np.intp), np.asarray(z, dtype=np.intp)
-    digits = kron_digits(q, x.shape[-1])
-    phase = omega_powers(q)[np.matmul(digits, z[..., np.newaxis])[..., 0] % q]
-    return shift_rows(q, x[..., np.newaxis, :], digits), phase
+    m = x.shape[-1]
+    if q ** m > MAX_DIM:
+        raise OutOfRange(f"dimension {q ** m} exceeds {MAX_DIM}")
+    v, radix = np.arange(q, dtype=np.intp), q ** np.arange(m - 1, -1, -1, dtype=np.intp)
+    row_terms = (v + x[..., np.newaxis] % q) % q * radix[:, np.newaxis]      # (..., m, q)
+    exponent_terms = v * (z[..., np.newaxis] % q) % q
+    rows, exponent = np.zeros(x.shape[:-1] + (1,), np.intp), np.zeros(z.shape[:-1] + (1,), np.intp)
+    for i in range(m - 1, -1, -1):
+        rows, exponent = (np.reshape(terms[..., i, :, np.newaxis] + built[..., np.newaxis, :],
+                                     built.shape[:-1] + (-1,))
+                          for terms, built in ((row_terms, rows), (exponent_terms, exponent)))
+    return rows, omega_powers(q)[np.arange(m * (q - 1) + 1) % q][exponent]
 
 
 class MonomialUnitary:
@@ -243,17 +255,16 @@ def checked_unitary(u):
 
 def random_nonidentity_labels(q: int, m: int, count: int, rng: Generator) -> list[PauliLabel]:
     """`count` distinct non-identity labels on m registers, drawn without
-    replacement from the 2m-digit exponent space."""
+    replacement from the 2m-digit exponent space in batches of the labels
+    still needed, which read the stream as draws of one label at a time do."""
     space = q ** (2 * m)
     if count > space - 1:
         raise OutOfRange(f"only {space - 1} non-identity words exist")
     chosen: list[PauliLabel] = []
     seen = set()
     while len(chosen) < count:
-        digits = rng.integers(0, q, size=2 * m)
-        key = tuple(int(d) for d in digits)
-        if key in seen or not any(key):
-            continue
-        seen.add(key)
-        chosen.append(PauliLabel(q=q, x=key[:m], z=key[m:]))
+        for key in map(tuple, rng.integers(0, q, size=(count - len(chosen), 2 * m)).tolist()):
+            if key not in seen and any(key):
+                seen.add(key)
+                chosen.append(PauliLabel(q=q, x=key[:m], z=key[m:]))
     return chosen

@@ -11,6 +11,7 @@ byte-identity); the CLI logs it to stderr instead.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from fractions import Fraction
@@ -71,8 +72,31 @@ def canonical_json_bytes(obj: Any) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+def _csv_field(text: str) -> str:
+    """`text` as a field in the middle of a `csv.writer` row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def cells_csv(header: list[str], cells: dict) -> str:
+    """The CSV text of named columns (the `label` list, int and float arrays)
+    in `header` order: what `csv.writer` writes for the cells formatted one
+    at a time, floats as format(v, ".17g") (which "%.17g" is) and NaN as
+    "undefined".  Each row shape (its set of NaN cells) has one % format
+    line; the rows' lines are applied once to the defined cells in order."""
+    quoted = {label: _csv_field(label) for label in dict.fromkeys(cells["label"])}
+    specs = ["%s" if name == "label" else "%.17g" if cells[name].dtype.kind == "f" else "%d"
+             for name in header]
+    undefined = np.array([np.isnan(cells[name]) if spec == "%.17g" else np.zeros_like(
+        cells["seed"], dtype=bool) for name, spec in zip(header, specs)]).T
+    shapes = undefined @ (1 << np.arange(len(header)))
+    lines = {shape: ",".join("undefined" if shape >> j & 1 else spec for j, spec in
+                             enumerate(specs)) + "\n" for shape in set(shapes.tolist())}
+    table = np.array([[quoted[label] for label in cells[name]] if name == "label"
+                      else cells[name].tolist() for name in header], dtype=object).T
+    rows = "".join([lines[shape] for shape in shapes.tolist()])
+    return ",".join(header) + "\n" + rows % tuple(table[~undefined])
 
 
 def make_manifest(subcommand: str, parameters: dict) -> dict:

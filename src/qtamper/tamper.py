@@ -11,8 +11,9 @@ BLOCK_ENTRIES tampered entries (m x N x K, quantum m x N, and one member
 when a member alone is larger), each dense member a block of its own, so
 no N x N stack is ever copied.  Classical, relaxed and weak read the
 K x K overlaps of all K codewords, quantum its one message state; the
-metrics, extrema and rows are reductions over the blocks' columns, and
-the public decoders are one-member calls of the same code.  P_perp is
+metrics and extrema are reductions over the blocks' columns, the per-cell
+table is those columns, and the public decoders are one-member calls of
+the same code.  P_perp is
 computed on its own (never as 1 minus the rest), so P_same + P_diff +
 P_perp = 1 is a real check; weak compares ||V^dag (U V)||_F^2 with
 ||(V^dag U) V||_F^2 for every member.  Family members (dense, or a
@@ -246,14 +247,14 @@ def pauli_family(n: int, count: int, seed: int) -> UnitaryFamily:
     """`count` distinct non-identity qubit Pauli words on n qubits.
 
     Every member is traceless, so the family carries phi = 0.  The words
-    are built and validated in stacks whose digit tables (words x N x n)
-    hold at most BLOCK_ENTRIES entries, and members are views of them.
+    are built and validated in stacks of at most BLOCK_ENTRIES entries
+    (words x N), and members are views of them.
     """
     check_family_size(count)
     labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
     x = np.array([lab.x for lab in labels], dtype=np.intp)
     z = np.array([lab.z for lab in labels], dtype=np.intp)
-    step = max(1, BLOCK_ENTRIES // (n * 2 ** n))
+    step = max(1, BLOCK_ENTRIES // 2 ** n)
     words = [u for i in range(0, count, step)
              for u in MonomialUnitary(*word_actions(2, x[i:i + step], z[i:i + step]))]
     return UnitaryFamily(members=[(lab.compact(), u) for lab, u in zip(labels, words)],
@@ -327,12 +328,6 @@ def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
     }
 
 
-def _defined(values: np.ndarray) -> list:
-    """A column as Python floats, with None where it is undefined (NaN)."""
-    cells = values.tolist()
-    return [None if isnan(v) else v for v in cells] if np.isnan(values).any() else cells
-
-
 def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
                          seeds: Sequence[int], mode: str = "classical",
                          jobs: int = 1) -> dict:
@@ -341,9 +336,11 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     A seed passes when its worst detection metric (min P_perp for the
     classical and quantum decoders, min P_same + P_perp for the relaxed
     one, min 1 - X for the weak one) is at least 1 - epsilon; the report
-    carries the pass fraction over seeds plus every per-cell row.  Seeds
-    run on `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs)
-    threads, with OpenBLAS held at one thread while it runs.
+    carries the pass fraction over seeds and `cells`, the per-cell table as
+    named columns: int arrays `seed` and `s` (classical and relaxed), the
+    `label` list and float arrays in which NaN is undefined.  Seeds run on
+    `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs) threads,
+    with OpenBLAS held at one thread while it runs.
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
@@ -361,12 +358,10 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
             extrema[key] = {"min": float(np.min(values)), "max": float(np.max(values))}
     labels = family.labels()
     messages = 2 ** k if mode in ("classical", "relaxed") else 1
-    index = {"seed": [sd for sd in seeds for _ in range(len(labels) * messages)],
+    cells = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), len(labels) * messages),
              "label": [lab for lab in labels for _ in range(messages)] * len(seeds)}
     if mode in ("classical", "relaxed"):
-        index["s"] = list(range(messages)) * (len(seeds) * len(labels))
-    cells = {**index, **{key: _defined(values) for key, values in columns.items()}}
-    rows = [dict(zip(cells, row)) for row in zip(*cells.values())]
+        cells["s"] = np.tile(np.arange(messages), len(seeds) * len(labels))
     phi = family.trace_bound_phi
     return {
         "mode": mode,
@@ -382,5 +377,5 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         "min_detection_metric": min(e["detection_metric"] for e in per_seed),
         "extrema": extrema,
         "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
-        "rows": rows,
+        "cells": {**cells, **columns},
     }

@@ -17,11 +17,13 @@ from qtamper.errors import (BudgetExceeded, ConsistencyError, InvalidParams, Out
                             QTamperError)
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
-from qtamper.pauli import MonomialUnitary, PauliLabel, omega_powers, random_nonidentity_labels
+from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega_powers,
+                           random_nonidentity_labels, shift_rows)
 from qtamper.moments import (PATTERN_DIAGONAL, PATTERN_OFF_DIAGONAL, MomentSpec,
                              closed_form_moment)
 from qtamper.perm import MAX_SWAPPER_DEGREE, sp_classes
 from qtamper.qamd import encode
+from qtamper.reports import canonical_json_bytes
 from qtamper.tamper import (CONSERVATION_TOL, FIDELITY_FLOOR, build_scheme,
                             parameter_warnings)
 from qtamper.weingarten import wg_table
@@ -444,6 +446,29 @@ def traced_peak(call, *args) -> int:
         tracemalloc.stop()
 
 
+def digit_table_word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """`pauli.word_actions` from the (words, N, m) digit table: the rows of
+    one `shift_rows` broadcast over `kron_digits`, and the phase gathered
+    at <z, v> mod q.  The oracle for its register-at-a-time outer sums."""
+    x, z = np.asarray(x, dtype=np.intp), np.asarray(z, dtype=np.intp)
+    digits = kron_digits(q, x.shape[-1])
+    phase = omega_powers(q)[np.matmul(digits, z[..., np.newaxis])[..., 0] % q]
+    return shift_rows(q, x[..., np.newaxis, :], digits), phase
+
+
+def single_draw_labels(q: int, m: int, count: int, rng) -> list[PauliLabel]:
+    """`pauli.random_nonidentity_labels` one candidate draw at a time: the
+    oracle for its batches, in labels and in the stream it reads."""
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        key = tuple(int(d) for d in rng.integers(0, q, size=2 * m))
+        if key in seen or not any(key):
+            continue
+        seen.add(key)
+        chosen.append(PauliLabel(q=q, x=key[:m], z=key[m:]))
+    return chosen
+
+
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
     rows, phase = label.action()
@@ -574,10 +599,24 @@ def _per_member_seed(scheme_seed, n, k, family, epsilon, mode):
             "pass": bool(metric >= 1.0 - epsilon), "max_conservation_violation": worst}
 
 
+def cell_rows(report) -> list[dict]:
+    """A scan report's per-cell columns zipped into one dict per cell, with
+    Python scalars and None where a float is undefined (NaN)."""
+    cells = report["cells"]
+    columns = [values if isinstance(values, list) else
+               [None if v != v else v for v in values.tolist()] for values in cells.values()]
+    return [dict(zip(cells, row)) for row in zip(*columns)]
+
+
+def scan_bytes(report) -> bytes:
+    """The canonical bytes of a scan report with its cells as `cell_rows`."""
+    return canonical_json_bytes({**report, "cells": cell_rows(report)})
+
+
 def per_member_scan(n, k, family, epsilon, seeds, mode):
     """`tamper.family_security_scan`'s report, one member at a time: the
     oracle for its stacked blocks.  Extrema run over every float-valued key
-    of every row."""
+    of every row, and the rows become the report's columns at the end."""
     seeds = list(seeds)
     per_seed = [_per_member_seed(sd, n, k, family, epsilon, mode) for sd in seeds]
     rows = [row for entry in per_seed for row in entry["rows"]]
@@ -598,7 +637,9 @@ def per_member_scan(n, k, family, epsilon, seeds, mode):
         "min_detection_metric": min(e["detection_metric"] for e in per_seed),
         "extrema": extrema,
         "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
-        "rows": rows,
+        "cells": {key: [row[key] for row in rows] if key == "label" else
+                  np.array([row[key] for row in rows], dtype=int if key in ("seed", "s") else float)
+                  for key in rows[0]},
     }
 
 

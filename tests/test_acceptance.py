@@ -13,8 +13,9 @@ from math import ceil
 
 import numpy as np
 import pytest
-from conftest import (Permutation, bfs_transposition_distances, first_moment_js, first_moment_ss,
-                      min_transpositions, pauli_matrix, tamper_experiment, wg_value)
+from conftest import (Permutation, bfs_transposition_distances, cell_rows, first_moment_js,
+                      first_moment_ss, min_transpositions, pauli_matrix, tamper_experiment,
+                      wg_value)
 
 from qtamper import cli
 from qtamper.haar import child_generator, sample_haar_unitary
@@ -181,7 +182,7 @@ def test_criterion_7_desk_scale_tamper_detection(classical_scan):
     # is taken over the 50 independent seed-level means (cells within one
     # seed share the isometry and are correlated)
     by_seed = {}
-    for row in report["rows"]:
+    for row in cell_rows(report):
         by_seed.setdefault(row["seed"], []).append(row["P_same"])
     seed_means = np.array([np.mean(v) for v in by_seed.values()])
     grand = seed_means.mean()
@@ -197,7 +198,7 @@ def test_criterion_7_desk_scale_tamper_detection(classical_scan):
 def test_criterion_8_probability_conservation(classical_scan):
     violations = 0
     worst = classical_scan["max_conservation_violation"]
-    for row in classical_scan["rows"]:
+    for row in cell_rows(classical_scan):
         if abs(row["P_same"] + row["P_diff"] + row["P_perp"] - 1.0) > 1e-9:
             violations += 1
     # full decoder distributions of the explicit code

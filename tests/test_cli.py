@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import per_cell_csv, per_member_scan, write_family_file
+from conftest import cell_rows, per_cell_csv, per_member_scan, write_family_file
 
 from qtamper import cli, haar, linalg, moments, pauli, perm, qamd, tamper
 from qtamper.linalg import require_unitary
@@ -682,11 +684,53 @@ def test_tamper_sim_files_match_the_per_member_oracle(tmp_path, mode, k):
                 "--min-pass-fraction", "0") == 0
     family = cli._resolve_family(f"file:{path}", 4, 0, lambda size: None)
     oracle = per_member_scan(4, k, family, 0.3, range(4), mode)
-    rows = oracle.pop("rows")
+    rows = cell_rows(oracle)
+    del oracle["cells"]
     manifest = _load(out / "tamper-sim.json")["manifest"]
     assert (out / "tamper-sim.json").read_bytes() == canonical_json_bytes(
         {"manifest": manifest, "result": oracle})
     assert (out / "tamper-sim-cells.csv").read_bytes() == per_cell_csv(rows, cli._CSV_COLUMNS[mode])
+
+
+def _edge_label_family(folder, n: int, k: int, seed: int):
+    """A `file:` family on n qubits whose labels hold a comma, quotes, line
+    breaks or nothing, with a dense identity and a dense reflection that
+    takes seed `seed`'s uniform message out of the code space, so that its
+    quantum fidelity there is undefined."""
+    scheme = tamper.build_scheme(n, k, seed)
+    v = scheme.isometry
+    message = v @ np.full(2 ** k, 2 ** (-k / 2))
+    off = np.eye(2 ** n)[0] - v @ v.conj()[0]                  # e_0 minus its code part
+    d = message - off / np.linalg.norm(off)
+    away = np.eye(2 ** n) - np.outer(d, d.conj()) / np.vdot(d, d).real * 2
+    for name, u in (("id.json", np.eye(2 ** n)), ("away.json", away)):
+        (folder / name).write_text(json.dumps(np.stack([u.real, u.imag], -1).tolist()))
+    word = {"q": 2, "x": [1] + [0] * (n - 1), "z": [0] * (n - 1) + [1]}
+    members = [{"pauli": word, "label": 'comma, "quoted"'},
+               {"file": "id.json", "label": "id\ndense"}, {"pauli": word, "label": ""},
+               {"file": "away.json", "label": 'away,\r\n"x"'}, "pauli:2:" + "1" * n + ":" + "0" * n]
+    path = folder / "edge.json"
+    path.write_text(json.dumps({"members": members}))
+    return path
+
+
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_tamper_sim_csv_quotes_labels_and_writes_undefined_cells(tmp_path, mode):
+    """Labels with a comma, quotes and line breaks are quoted as `csv.writer`
+    quotes them, and an undefined fidelity is written "undefined": the CSV is
+    the one formatted cell at a time by the per-member oracle."""
+    path = _edge_label_family(tmp_path, 3, 1, seed=0)
+    out = tmp_path / "r"
+    assert _run("--out", str(out), "tamper-sim", "--n", "3", "--k", "1", "--family",
+                f"file:{path}", "--epsilon", "0.3", "--mode", mode, "--seeds", "0..2",
+                "--min-pass-fraction", "0") == 0
+    family = cli._resolve_family(f"file:{path}", 3, 0, lambda size: None)
+    rows = cell_rows(per_member_scan(3, 1, family, 0.3, range(3), mode))
+    text = (out / "tamper-sim-cells.csv").read_bytes()
+    assert text == per_cell_csv(rows, cli._CSV_COLUMNS[mode])
+    assert [line[1] for line in csv.reader(io.StringIO(text.decode()))][1:] == [
+        row["label"] for row in rows]
+    assert sum(row.get("fidelity_given_pass", 0) is None for row in rows) == (mode == "quantum")
 
 
 @pytest.mark.parametrize("content", [

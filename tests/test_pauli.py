@@ -3,11 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import mixed_cycle_monomial, pauli_matrix
+from conftest import (digit_table_word_actions, mixed_cycle_monomial, pauli_matrix,
+                      single_draw_labels)
 
 from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
-from qtamper.linalg import identity, max_abs
+from qtamper.linalg import MAX_DIM, identity, max_abs
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega, omega_powers,
                            random_nonidentity_labels, shift_rows, word_actions)
 
@@ -214,6 +215,46 @@ def test_random_nonidentity_labels():
     assert all(any(lab.x) or any(lab.z) for lab in labels)
     with pytest.raises(OutOfRange):
         random_nonidentity_labels(2, 1, 4, rng)
+
+
+def _stream_position(rng):
+    """The SFC64 state of a generator, its buffered 32-bit half included."""
+    state = rng.bit_generator.state
+    return state["state"]["state"].tolist(), state["has_uint32"], state["uinteger"]
+
+
+@pytest.mark.parametrize("q, m, count", [(2, 1, 3), (2, 3, 40), (3, 2, 80), (5, 1, 24),
+                                         (2, 6, 4095), (7, 2, 100), (13, 1, 168)])
+def test_labels_match_the_single_draw_oracle(q, m, count):
+    """Batches of the labels still needed give the labels of one draw at a
+    time and leave the stream where it leaves it, the whole space
+    (count = q^(2m) - 1) included."""
+    for seed in (0, 1, 2):
+        batched, single = child_generator(seed, 0), child_generator(seed, 0)
+        assert random_nonidentity_labels(q, m, count, batched) == single_draw_labels(q, m, count,
+                                                                                     single)
+        assert _stream_position(batched) == _stream_position(single)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_word_actions_match_the_digit_table_oracle(q):
+    """Rows and phase equal the digit-table form bit for bit, for every
+    register count up to the dimension cap, for leading shapes (), (7,) and
+    (2, 3), and for unreduced and negative exponents; one register more is
+    refused."""
+    rng = child_generator(30, q)
+    m = 0
+    while q ** m <= MAX_DIM:
+        for lead in ((), (7,), (2, 3)):
+            x, z = rng.integers(-3 * q, 3 * q, size=(2,) + lead + (m,))
+            rows, phase = word_actions(q, x, z)
+            want_rows, want_phase = digit_table_word_actions(q, x, z)
+            assert rows.shape == phase.shape == lead + (q ** m,)
+            assert np.array_equal(rows, want_rows) and rows.dtype == np.intp
+            assert np.array_equal(phase.view(float), want_phase.view(float))
+        m += 1
+    with pytest.raises(OutOfRange):
+        word_actions(q, np.zeros(m, dtype=int), np.zeros(m, dtype=int))
 
 
 ORACLE_LABELS = [*_labels(2, 1), *_labels(2, 2), *_labels(2, 3), *_labels(3, 1),
