@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -272,11 +273,13 @@ _HANDLERS = {
 # argv parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on first use and then shared: parsing leaves it as it was."""
     parser = _Parser(prog="qtamper", description=__doc__)
     parser.add_argument("--out", default=DEFAULT_OUT, help="report directory")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker cap; results are independent of it")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker cap (default: the CPU count); results are independent of it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("weingarten-table", help="exact Weingarten table as JSON")
@@ -427,13 +430,14 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+        if jobs < 1:
+            raise _UsageError(f"--jobs must be at least 1, got {jobs}")
         if args.subcommand == "rerun":
-            return run_manifest(_load_manifest(parser, args.manifest), args.out, args.jobs)
+            return run_manifest(_load_manifest(parser, args.manifest), args.out, jobs)
         params = _params_from_args(args)
         manifest = make_manifest(args.subcommand, params)
-        return run_manifest(manifest, args.out, args.jobs)
+        return run_manifest(manifest, args.out, jobs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

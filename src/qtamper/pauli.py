@@ -148,16 +148,19 @@ class MonomialUnitary:
     """N x N unitary whose column j is phase[j] at row rows[j], validated
     once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
     per column and equal the dense products; numpy defers `A @ U` to
-    `__rmatmul__`.  The product of two monomials, `.T` and `.trace()` are
-    monomials and scalars again, so code written for dense matrices
-    (`moments`, the tamper decoders) runs on it unchanged.
+    `__rmatmul__`.  `U @ x` scatters x's rows to rows, and `A @ U` gathers
+    A's columns by rows (`np.take`).  The product of two monomials, `.T` and
+    `.trace()` are monomials and scalars again, so code written for dense
+    matrices (`moments`, the tamper decoders) runs on it unchanged.
     `.eigenvalues()` reads the spectrum off the cycles of rows in O(N).
 
     Rows and phase of shape (m, N) make a stack of m unitaries, of shape
     (m, N, N): `U @ x` and `A @ U` then carry the member axis in front, as
-    numpy's stacked matmul does, `U[i]` is member i and `stack` joins
-    members.  Products of two monomials, `.T`, `.trace()` and
-    `.eigenvalues()` take one member.
+    numpy's stacked matmul does, also behind leading axes of x or A whose
+    member slot has length 1, as a tamper scan's (S, 1, N, K) stack of
+    seeds.  `U[i]` is member i, `U[np.newaxis]` a stack of one and `stack`
+    joins members.  Products of two monomials, `.T` and `.eigenvalues()`
+    take one member; `.trace()` gives one trace per member.
     """
 
     __array_ufunc__ = None
@@ -180,20 +183,26 @@ class MonomialUnitary:
 
     @classmethod
     def stack(cls, members) -> "MonomialUnitary":
-        """The members, unitaries of one N validated when built, as one stack."""
+        """The members, unitaries of one N validated when built, as one stack
+        (a view of a lone member)."""
+        if len(members) == 1:
+            return members[0][np.newaxis]
         return cls.__new__(cls)._set(np.array([u.rows for u in members]),
                                      np.array([u.phase for u in members]))
 
     def __getitem__(self, index) -> "MonomialUnitary":
-        """Member `index` of a stack (a sub-stack for a slice), as views."""
-        if self.rows.ndim == 1:
+        """Member `index` of a stack (a sub-stack for a slice), or one unitary
+        as a stack of one for `np.newaxis`, as views."""
+        if self.rows.ndim == 1 and index is not np.newaxis:
             raise TypeError("only a stack of unitaries has members")
         return type(self).__new__(type(self))._set(self.rows[index], self.phase[index])
 
-    def trace(self) -> complex:
-        """Sum of the phases on the fixed points of rows."""
-        fixed = self.rows == np.arange(self.rows.size)
-        return complex(np.sum(np.where(fixed, self.phase, 0)))
+    def trace(self):
+        """Sum of the phases on the fixed points of rows: a complex, or an
+        array of one per member of a stack."""
+        fixed = self.rows == np.arange(self.rows.shape[-1])
+        traces = np.sum(np.where(fixed, self.phase, 0), axis=-1)
+        return complex(traces) if traces.ndim == 0 else traces
 
     @property
     def T(self) -> "MonomialUnitary":
@@ -228,23 +237,29 @@ class MonomialUnitary:
                 raise DimMismatch(f"cannot multiply {self.shape} by {x.shape}")
             return MonomialUnitary(self.rows[x.rows], self.phase[x.rows] * x.phase)
         x = np.asarray(x)
-        if x.shape[:1] != self.shape[-1:]:
+        cols, stacked = (x[:, np.newaxis] if x.ndim == 1 else x), self.rows.ndim > 1  # (..., N, c)
+        if cols.shape[-2:-1] != self.shape[-1:] or (stacked and cols.shape[-3:-2] > (1,)):
             raise DimMismatch(f"cannot apply {self.shape} to {x.shape}")
-        at = self.rows                # a stack's member i moves by rows[i]
-        if self.rows.ndim > 1:
-            at = (np.arange(len(self.rows))[:, np.newaxis], self.rows)
-        out = np.empty(self.rows.shape[:-1] + x.shape, dtype=np.complex128)
-        out[at] = x                  # moved, then scaled in place: no temporary the size of out
-        phase = np.empty_like(self.phase)
+        if stacked and cols.ndim > 2:
+            cols = cols[..., 0, :, :]            # the slot that broadcasts against the members
+        at = (np.arange(len(self.rows))[:, np.newaxis], self.rows) if stacked else (self.rows,)
+        out = np.empty(cols.shape[:-2] + self.rows.shape + cols.shape[-1:], np.complex128)
+        out[(..., *at, slice(None))] = cols[..., np.newaxis, :, :] if stacked else cols
+        phase = np.empty_like(self.phase)         # moved, then scaled in place
         phase[at] = self.phase
-        return np.multiply(phase.reshape(phase.shape + (1,) * (x.ndim - 1)), out, out=out)
+        np.multiply(phase[..., np.newaxis], out, out=out)
+        return out[..., 0] if x.ndim == 1 else out
 
     def __rmatmul__(self, a):
-        a = np.asarray(a)
-        if a.shape[-1:] != self.shape[-1:] or (self.rows.ndim > 1 and a.ndim > 2):
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        stacked = self.rows.ndim > 1 and a.ndim > 1
+        if a.shape[-1:] != self.shape[-1:] or (stacked and a.shape[-3:-2] > (1,)):
             raise DimMismatch(f"cannot multiply {a.shape} by {self.shape}")
-        out = a[..., self.rows] * self.phase           # a stack's member axis is a.ndim - 1
-        return np.ascontiguousarray(np.moveaxis(out, a.ndim - 1, 0) if self.rows.ndim > 1 else out)
+        if stacked and a.ndim > 2:
+            a = a[..., 0, :, :]                  # the slot that broadcasts against the members
+        out = np.take(a, self.rows, axis=-1)                     # (..., rows of a, members, N)
+        np.multiply(out, self.phase, out=out)
+        return np.ascontiguousarray(np.moveaxis(out, -2, -3)) if stacked else out
 
 
 def checked_unitary(u):
@@ -253,18 +268,22 @@ def checked_unitary(u):
     return u if isinstance(u, MonomialUnitary) else require_unitary(u)
 
 
-def random_nonidentity_labels(q: int, m: int, count: int, rng: Generator) -> list[PauliLabel]:
-    """`count` distinct non-identity labels on m registers, drawn without
-    replacement from the 2m-digit exponent space in batches of the labels
-    still needed, which read the stream as draws of one label at a time do."""
+def random_nonidentity_words(q: int, m: int, count: int, rng: Generator) -> np.ndarray:
+    """`count` distinct non-identity words on m registers as (count, 2m)
+    exponent rows x | z, drawn without replacement from the 2m-digit space
+    in batches of the words still needed, which read the stream as draws of
+    one word at a time do."""
     space = q ** (2 * m)
     if count > space - 1:
         raise OutOfRange(f"only {space - 1} non-identity words exist")
-    chosen: list[PauliLabel] = []
-    seen = set()
+    chosen: dict = {}                    # insertion-ordered; a repeat keeps its first place
     while len(chosen) < count:
-        for key in map(tuple, rng.integers(0, q, size=(count - len(chosen), 2 * m)).tolist()):
-            if key not in seen and any(key):
-                seen.add(key)
-                chosen.append(PauliLabel(q=q, x=key[:m], z=key[m:]))
-    return chosen
+        batch = rng.integers(0, q, size=(count - len(chosen), 2 * m)).tolist()
+        chosen.update(dict.fromkeys(filter(any, map(tuple, batch))))
+    return np.array(list(chosen), dtype=np.intp).reshape(count, 2 * m)
+
+
+def random_nonidentity_labels(q: int, m: int, count: int, rng: Generator) -> list[PauliLabel]:
+    """`random_nonidentity_words` as labels."""
+    return [PauliLabel(q=q, x=tuple(row[:m]), z=tuple(row[m:]))
+            for row in random_nonidentity_words(q, m, count, rng).tolist()]

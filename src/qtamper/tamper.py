@@ -1,23 +1,20 @@
-"""End-to-end tampering experiments: Haar-random encoding schemes, the
-four decoders (classical, relaxed, weak, quantum-message), and empirical
-security scans over explicit unitary families.
+"""End-to-end tampering experiments: Haar-random encoding schemes, the four
+decoders (classical, relaxed, weak, quantum-message) and security scans of families.
 
-A scheme holds its seeded Haar isometry V and V^dag, formed once.  Every
-decoder reads one kernel, `_decode_overlaps`: the overlaps V^dag U states
-of one encoded state or an N x c block, and each column's squared norm,
-for one unitary U or a stack of them.  A scan decodes a family in blocks:
-each run of Pauli members is one stacked `MonomialUnitary` of at most
-BLOCK_ENTRIES tampered entries (m x N x K, quantum m x N, and one member
-when a member alone is larger), each dense member a block of its own, so
-no N x N stack is ever copied.  Classical, relaxed and weak read the
-K x K overlaps of all K codewords, quantum its one message state; the
-metrics and extrema are reductions over the blocks' columns, the per-cell
-table is those columns, and the public decoders are one-member calls of
-the same code.  P_perp is
-computed on its own (never as 1 minus the rest), so P_same + P_diff +
-P_perp = 1 is a real check; weak compares ||V^dag (U V)||_F^2 with
-||(V^dag U) V||_F^2 for every member.  Family members (dense, or a
-`MonomialUnitary` for every Pauli word) are validated once, when built.
+A scheme holds its seeded Haar isometry V and V^dag, formed once, or a group
+of seeds' stacked.  Every decoder reads one kernel, `_decode_overlaps`: V^dag U
+states and each column's squared norm, for an encoded state or an N x c block
+per seed and one unitary U or a stack of them.  A scan decodes each group of
+seeds against blocks of members built for it (runs of Pauli words as stacked
+`MonomialUnitary`s, a dense member alone), each of at most BLOCK_ENTRIES
+tampered entries (seeds x members x N x K, N in quantum mode).  A seed is
+hundreds of numpy calls on small arrays that threads would pass the GIL
+between, so seeds fan out on the worker pool only when one (seed, member)
+decode fills a block.  Metrics, extrema and the per-cell table are
+reductions over the blocks' columns; the public decoders are one-seed calls
+of the same code.  P_perp is computed on its own (never as 1 minus the
+rest), so P_same + P_diff + P_perp = 1 is a real check; weak compares
+||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
 from .linalg import MAX_DIM, parallel_map, require_normalized
-from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_labels, word_actions
+from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_words, word_actions
 
 MAX_FAMILY = 10 ** 4
 MAX_SEEDS = 10 ** 4
@@ -48,11 +45,12 @@ MODES = ("classical", "relaxed", "weak", "quantum")
 
 @dataclass
 class EncodingScheme:
-    """Seeded Haar encoding: the N x K isometry V and nothing N x N."""
+    """Seeded Haar encoding: the N x K isometry V and nothing N x N, or a group of
+    seeds' V stacked as (S, 1, N, K), the 1 broadcasting against a stack of members."""
 
     n: int
     k: int
-    seed: int
+    seed: int | list
     isometry: np.ndarray
 
     @property
@@ -65,8 +63,8 @@ class EncodingScheme:
 
     @cached_property
     def adjoint(self) -> np.ndarray:
-        """V^dag, formed once per scheme."""
-        return self.isometry.conj().T
+        """V^dag, formed once per scheme, row-major."""
+        return np.conjugate(np.swapaxes(self.isometry, -1, -2), order="C")
 
 
 def check_scheme_size(n: int, k: int) -> None:
@@ -88,12 +86,14 @@ def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
 def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
     """(V^dag U states, squared norm of each tampered state) for one encoded
     state or an N x c block of them: the one decoding kernel.  U is one
-    N x N unitary or a stack of m; a stack's member axis leads both results."""
+    N x N unitary or a stack of m; a stack's member axis leads both results,
+    behind a group's seed axis."""
     if U.shape[-1] != scheme.N:
         raise OutOfRange(f"unitary dimension {U.shape[-1]} != N = {scheme.N}")
-    w = U @ states
-    if states.ndim == 1:
-        return (scheme.adjoint @ w[..., np.newaxis])[..., 0], np.vecdot(w, w).real
+    vector = states.ndim < scheme.isometry.ndim
+    w = U @ (states[..., np.newaxis] if vector else states)
+    if vector:
+        return (scheme.adjoint @ w)[..., 0], np.vecdot(w[..., 0], w[..., 0]).real
     wf = w.view(np.float64)
     sq = np.einsum("...ij,...ij->...j", wf, wf)    # no conjugated copy
     return scheme.adjoint @ w, sq[..., 0::2] + sq[..., 1::2]
@@ -103,7 +103,7 @@ def _classical_probs(scheme: EncodingScheme, U, messages: slice = slice(None)):
     """(P_same, P_diff, P_perp) of each stored message in the slice
     `messages`, all K by default, read off one overlap block: arrays over
     the messages, behind a stack's member axis."""
-    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry[:, messages])
+    overlaps, norm_sq = _decode_overlaps(scheme, U, scheme.isometry[..., messages])
     weights = np.abs(overlaps) ** 2
     own = np.arange(scheme.K)[messages]                                  # own codeword
     same = weights[..., own, np.arange(own.size)]
@@ -229,11 +229,14 @@ class UnitaryFamily:
     def __post_init__(self):
         check_family_size(len(self.members))
         self.members = [(label, checked_unitary(u)) for label, u in self.members]
-        phi = self.trace_bound_phi
-        for label, u in self.members:
-            if phi is not None and abs(u.trace()) > phi * u.shape[0] + 1e-9:
-                raise InvalidParams(f"member {label!r} violates |Tr| <= phi N "
-                                    f"({abs(u.trace()):.6g} > {phi * u.shape[0] + 1e-9:.6g})")
+        if self.trace_bound_phi is not None:       # one reduction per stack of members
+            stacks = _blocks([u for _, u in self.members], BLOCK_ENTRIES)
+            traces = np.abs(np.concatenate([U.trace() if isinstance(U, MonomialUnitary) else
+                                            np.trace(U, axis1=-2, axis2=-1) for U in stacks]))
+            bound = self.trace_bound_phi * np.array([u.shape[-1] for _, u in self.members]) + 1e-9
+            for i in np.flatnonzero(traces > bound)[:1]:
+                raise InvalidParams(f"member {self.members[i][0]!r} violates |Tr| <= phi N "
+                                    f"({traces[i]:.6g} > {bound[i]:.6g})")
 
     @property
     def size(self) -> int:
@@ -251,13 +254,13 @@ def pauli_family(n: int, count: int, seed: int) -> UnitaryFamily:
     (words x N), and members are views of them.
     """
     check_family_size(count)
-    labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
-    x = np.array([lab.x for lab in labels], dtype=np.intp)
-    z = np.array([lab.z for lab in labels], dtype=np.intp)
+    words = random_nonidentity_words(2, n, count, child_generator(seed, 0))
+    text = (words + ord("0")).astype(np.uint8).tobytes().decode()           # the digit rows
     step = max(1, BLOCK_ENTRIES // 2 ** n)
-    words = [u for i in range(0, count, step)
-             for u in MonomialUnitary(*word_actions(2, x[i:i + step], z[i:i + step]))]
-    return UnitaryFamily(members=[(lab.compact(), u) for lab, u in zip(labels, words)],
+    members = [u for block in np.split(words, range(step, count, step))
+               for u in MonomialUnitary(*word_actions(2, block[:, :n], block[:, n:]))]
+    return UnitaryFamily(members=[(f"pauli:2:{text[i:i + n]}:{text[i + n:i + 2 * n]}", u)
+                                  for i, u in zip(range(0, 2 * n * count, 2 * n), members)],
                          trace_bound_phi=0.0)
 
 
@@ -282,50 +285,42 @@ def parameter_warnings(n: int, k: int, epsilon: float,
     return warnings
 
 
-def _blocks(unitaries: list, width: int):
-    """The members as decode blocks, in order: each run of monomials in
-    stacks of at most `width`, each dense member alone as a one-member view,
-    so that no N x N stack is ever copied."""
-    for monomial, run in groupby(unitaries, lambda u: isinstance(u, MonomialUnitary)):
-        run = list(run)
-        if monomial:
-            yield from (MonomialUnitary.stack(run[i:i + width]) for i in range(0, len(run), width))
-        else:
-            yield from (u[np.newaxis] for u in run)
+def _blocks(unitaries: list, entries: int):
+    """The members as blocks, in order: each run of monomials of one N in stacks
+    of entries // N members (one at least, a view), each dense member alone as a
+    one-member view, so that no N x N stack is ever copied."""
+    for shape, run in groupby(unitaries, lambda u: isinstance(u, MonomialUnitary) and u.shape):
+        run, width = list(run), max(1, entries // shape[-1]) if shape else 1
+        yield from ((MonomialUnitary.stack(run[i:i + width]) for i in range(0, len(run), width))
+                    if shape else (u[np.newaxis] for u in run))
 
 
-def _evaluate_seed(scheme_seed: int, n: int, k: int, family: UnitaryFamily,
-                   epsilon: float, mode: str) -> dict:
-    """One scheme's columns over every (member, message) cell, member-major,
-    with its detection metric and worst conservation violation."""
-    scheme = build_scheme(n, k, scheme_seed)
-    width = max(1, BLOCK_ENTRIES // (scheme.N * (1 if mode == "quantum" else scheme.K)))
-    blocks = _blocks([u for _, u in family.members], width)
-    violation = 0.0
+def _scan_group(n: int, k: int, seeds: list, members: list, mode: str):
+    """A group of seeds' columns (seeds, members[, messages]), metrics and violations,
+    over blocks of members built for the group and dropped as they are decoded."""
+    V = [build_scheme(n, k, sd).isometry for sd in seeds]
+    # one seed's V is used as sampled, with no copy; a group's is stacked row-major, except
+    # that quantum keeps one seed's layout, on which V @ amps gives a one-seed call's bits
+    V = (V[0][np.newaxis] if len(V) == 1 else np.array(V) if mode != "quantum"
+         else np.stack([v.T for v in V]).transpose(0, 2, 1))
+    scheme = EncodingScheme(n, k, seeds, V[:, np.newaxis])
+    blocks = _blocks(members, BLOCK_ENTRIES // (len(seeds) * (1 if mode == "quantum" else 2 ** k)))
     if mode in ("classical", "relaxed"):
-        same, diff, perp = (np.concatenate(col, axis=None) for col in
+        same, diff, perp = (np.concatenate(col, axis=1) for col in
                             zip(*(_classical_probs(scheme, U) for U in blocks)))
         columns = {"P_same": same, "P_diff": diff, "P_perp": perp}
-        violation = np.max(np.abs(same + diff + perp - 1.0))
-        metric = np.min(perp if mode == "classical" else same + perp)
+        violation, metric = same + diff + perp - 1.0, perp if mode == "classical" else same + perp
     elif mode == "weak":
-        x = np.concatenate([_weak_x(scheme, U) for U in blocks])
-        columns = {"X": x}
-        metric = np.min(1.0 - x)
+        x = np.concatenate([_weak_x(scheme, U) for U in blocks], axis=1)
+        columns, violation, metric = {"X": x}, np.zeros_like(x), 1.0 - x
     else:
         amps = np.full(scheme.K, 1.0 / sqrt(scheme.K), dtype=np.complex128)
-        perp, passed, fidelity = (np.concatenate(col) for col in
+        perp, passed, fidelity = (np.concatenate(col, axis=1) for col in
                                   zip(*(_quantum_outcomes(scheme, U, amps) for U in blocks)))
         columns = {"P_perp": perp, "pass_prob": passed, "fidelity_given_pass": fidelity}
-        violation = np.max(np.abs(passed + perp - 1.0))
-        metric = np.min(perp)
-    return {
-        "seed": scheme_seed,
-        "columns": columns,
-        "detection_metric": float(metric),
-        "pass": bool(metric >= 1.0 - epsilon),
-        "max_conservation_violation": float(violation),
-    }
+        violation, metric = passed + perp - 1.0, perp
+    per_seed = [a.reshape(len(seeds), -1) for a in (metric, np.abs(violation))]
+    return columns, np.min(per_seed[0], axis=1), np.max(per_seed[1], axis=1)
 
 
 def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
@@ -338,24 +333,30 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     one, min 1 - X for the weak one) is at least 1 - epsilon; the report
     carries the pass fraction over seeds and `cells`, the per-cell table as
     named columns: int arrays `seed` and `s` (classical and relaxed), the
-    `label` list and float arrays in which NaN is undefined.  Seeds run on
-    `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs) threads,
-    with OpenBLAS held at one thread while it runs.
+    `label` list and float arrays in which NaN is undefined.  Seeds go in
+    groups of the size that needs the fewest blocks, on the calling thread;
+    each group builds its blocks as it decodes them.  Only when one (seed,
+    member) decode fills a block do seeds fan out, one per task, on
+    `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs) threads
+    (OpenBLAS held at one thread).  That rule is provisional: on 2 cores the
+    pool loses at the smallest sizes it takes (n=8, k=4).
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
     seeds = list(seeds)
-
-    per_seed = parallel_map(lambda sd: _evaluate_seed(sd, n, k, family, epsilon, mode),
-                            seeds, jobs)
-
-    columns = {key: np.concatenate([e["columns"][key] for e in per_seed])
-               for key in per_seed[0]["columns"]}
-    extrema = {}
-    for key, values in columns.items():
-        values = values[~np.isnan(values)]       # every defined value, whichever row is first
-        if values.size:
-            extrema[key] = {"min": float(np.min(values)), "max": float(np.max(values))}
+    entries = 2 ** n * (1 if mode == "quantum" else 2 ** k)    # of one (seed, member) decode
+    area = max(1, BLOCK_ENTRIES // entries)                   # (seed, member) pairs in a block
+    step = min(range(1, min(len(seeds), area) + 1),                   # seeds in a group
+               key=lambda s: (-(-len(seeds) // s) * -(-family.size // (area // s)), -s))
+    members, fan_out = [u for _, u in family.members], entries >= BLOCK_ENTRIES
+    chunks = [seeds[i:i + step] for i in range(0, len(seeds), step)]       # groups of seeds
+    groups = parallel_map(lambda g: _scan_group(n, k, g, members, mode), chunks,
+                          jobs if fan_out else 1)
+    columns = {key: np.concatenate([g[0][key] for g in groups], axis=None) for key in groups[0][0]}
+    metrics, violations = (np.concatenate([g[i] for g in groups]).tolist() for i in (1, 2))
+    defined = {key: values[~np.isnan(values)] for key, values in columns.items()}  # all of them
+    extrema = {key: {"min": float(v.min()), "max": float(v.max())}
+               for key, v in defined.items() if v.size}
     labels = family.labels()
     messages = 2 ** k if mode in ("classical", "relaxed") else 1
     cells = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), len(labels) * messages),
@@ -364,18 +365,13 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
         cells["s"] = np.tile(np.arange(messages), len(seeds) * len(labels))
     phi = family.trace_bound_phi
     return {
-        "mode": mode,
-        "n": n,
-        "k": k,
-        "epsilon": epsilon,
+        "mode": mode, "n": n, "k": k, "epsilon": epsilon,
         "family": {"size": family.size, "trace_bound_phi": phi, "labels": labels},
-        "seeds": seeds,
-        "warnings": parameter_warnings(n, k, epsilon, phi),
-        "per_seed": [{key: e[key] for key in ("seed", "detection_metric", "pass")}
-                     for e in per_seed],
-        "pass_fraction": sum(1 for e in per_seed if e["pass"]) / len(per_seed),
-        "min_detection_metric": min(e["detection_metric"] for e in per_seed),
-        "extrema": extrema,
-        "max_conservation_violation": max(e["max_conservation_violation"] for e in per_seed),
+        "seeds": seeds, "warnings": parameter_warnings(n, k, epsilon, phi),
+        "per_seed": [{"seed": sd, "detection_metric": m, "pass": m >= 1.0 - epsilon}
+                     for sd, m in zip(seeds, metrics)],
+        "pass_fraction": sum(m >= 1.0 - epsilon for m in metrics) / len(seeds),
+        "min_detection_metric": min(metrics),
+        "extrema": extrema, "max_conservation_violation": max(violations),
         "cells": {**cells, **columns},
     }

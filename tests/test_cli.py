@@ -474,7 +474,7 @@ def test_oversized_family_refused_before_any_member_is_built(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "_load_unitary_file", refuse)
     monkeypatch.setattr(cli, "MonomialUnitary", refuse)
-    monkeypatch.setattr(tamper, "random_nonidentity_labels", refuse)
+    monkeypatch.setattr(tamper, "random_nonidentity_words", refuse)
     too_many = tmp_path / "many.json"
     too_many.write_text(json.dumps(["pauli:2:1000:0000"] * (tamper.MAX_FAMILY + 1)))
     too_dense = tmp_path / "dense.json"   # 5 x 4096^2 x 16 B = 1.25 GiB
@@ -543,7 +543,9 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
 
 def test_worker_pools_are_clamped(tmp_path, monkeypatch):
     """The one pool gets min(jobs, tasks, CPUs) workers; a recording
-    stand-in runs the tasks serially, so no thread is started."""
+    stand-in runs the tasks serially, so no thread is started.  tamper-sim
+    fans its seeds out only when one (seed, member) decode fills a block,
+    as at n = 12, K = 1; a light scan (n = 4) starts no pool."""
     made = []
 
     class RecordingPool:
@@ -566,8 +568,10 @@ def test_worker_pools_are_clamped(tmp_path, monkeypatch):
           "--trials", str(5 * moments.MC_CHUNK), "--seed", "2"], 5),
         (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
           "--trials", str(2 * moments.MC_CHUNK), "--seed", "2"], 2),
-        (["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:3", "--epsilon", "0.4",
+        (["tamper-sim", "--n", "12", "--k", "0", "--family", "paulis:3", "--epsilon", "0.4",
           "--seeds", "0..1", "--min-pass-fraction", "0.0"], 2),
+        (["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:3", "--epsilon", "0.4",
+          "--seeds", "0..1", "--min-pass-fraction", "0.0"], 1),
     ]
     for i, (args, tasks) in enumerate(runs):
         for jobs in (1, 2, 10 ** 6):
@@ -578,6 +582,20 @@ def test_worker_pools_are_clamped(tmp_path, monkeypatch):
         name = f"{args[0]}.json"
         assert ((tmp_path / f"{i}-1" / name).read_bytes()
                 == (tmp_path / f"{i}-{10 ** 6}" / name).read_bytes())
+
+
+def test_parser_is_built_once_and_jobs_default_reads_the_cpu_count(tmp_path, monkeypatch):
+    """Every call parses with one parser, built on first use; an absent
+    --jobs is the CPU count when the arguments are parsed."""
+    seen = []
+    monkeypatch.setattr(cli, "run_manifest", lambda manifest, out, jobs: seen.append(jobs) or 0)
+    for cpus in (3, 5, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert _run("--out", str(tmp_path), "perm-verify", "--n-max", "3") == 0
+    assert _run("--out", str(tmp_path), "--jobs", "7", "perm-verify", "--n-max", "3") == 0
+    assert seen == [3, 5, 1, 7]
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_jobs_do_not_change_bytes(tmp_path):

@@ -419,6 +419,24 @@ def test_monomial_stack_products_match_dense_stacks():
         MonomialUnitary(np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
 
 
+def test_monomial_products_take_a_seed_axis():
+    """Operands with a leading seed axis, whose member slot has length 1,
+    broadcast against a stack of words as numpy's dense matmul does, bit for
+    bit, and so does one word on (S, N, c)."""
+    rng = child_generator(30, 0)
+    labels = list(_sampled_labels(2, 5, 6, 31))
+    dense = np.stack([pauli_matrix(label) for label in labels])
+    x = rng.normal(size=(3, 1, 32, 2)) + 1j * rng.normal(size=(3, 1, 32, 2))
+    a = np.swapaxes(x, -1, -2).conj()
+    stack = MonomialUnitary.stack([MonomialUnitary(*label.action()) for label in labels])
+    word = MonomialUnitary(*labels[0].action())
+    assert np.array_equal((stack @ x).view(float), (dense @ x).view(float))
+    assert np.array_equal((a @ stack).view(float), (a @ dense).view(float))
+    assert np.array_equal((word @ x[:, 0]).view(float), (dense[0] @ x[:, 0]).view(float))
+    with pytest.raises(DimMismatch):
+        stack @ np.ones((3, 2, 32, 2))
+
+
 def _same_multiset(got, want, tol):
     """Whether each value of `got` pairs off with its own value of `want`
     within tol (nearest unmatched value first)."""

@@ -8,9 +8,9 @@ from conftest import (cell_rows, dense_decoder_projectors, first_moment_js, firs
 from qtamper import cli, pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
-from qtamper.linalg import identity, max_abs, require_unitary
+from qtamper.linalg import identity, max_abs, parallel_map, require_unitary
 from qtamper.moments import MomentSpec, exact_moment
-from qtamper.pauli import MonomialUnitary, PauliLabel
+from qtamper.pauli import MonomialUnitary, PauliLabel, random_nonidentity_labels
 from qtamper.reports import cells_csv
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,
                             detect_quantum, detect_weak,
@@ -159,6 +159,38 @@ def test_family_validation():
         UnitaryFamily(members=[("bad", eye * 1.01)])
 
 
+def test_trace_bound_names_the_first_violating_member():
+    """The phi check is one reduction per stack of members: a monomial with
+    fixed points inside a run of Pauli words, and a dense member after it,
+    are refused, and the message names the first of them.  Words of two
+    dimensions go in separate stacks."""
+    words = pauli_family(3, 12, seed=62).members
+    phased = MonomialUnitary(np.arange(8), np.full(8, np.exp(0.3j)))                # |Tr| = 8
+    flip = MonomialUnitary(np.arange(8), np.array([1, 1, 1, 1, 1, 1, -1, -1], dtype=complex))
+    UnitaryFamily(members=words + [("flip", flip)], trace_bound_phi=0.5)          # |Tr| = 4 = N/2
+    for phi, first in ((0.0, "flip"), (0.6, "phased")):
+        members = words[:5] + [("flip", flip)] + words[5:9] + [("phased", phased),
+                                                              ("id", identity(8))] + words[9:]
+        with pytest.raises(InvalidParams, match=f"member '{first}' violates"):
+            UnitaryFamily(members=members, trace_bound_phi=phi)
+    with pytest.raises(InvalidParams, match="member 'id' violates"):
+        UnitaryFamily(members=words[:3] + [("id", identity(8))] + words[3:], trace_bound_phi=0.0)
+    mixed = UnitaryFamily(members=words + pauli_family(2, 3, seed=62).members, trace_bound_phi=0.0)
+    assert mixed.size == 15
+
+
+def test_pauli_family_matches_its_labels():
+    """Labels and members read the stream as `random_nonidentity_labels`
+    does: the compact text of each drawn label, and its action."""
+    for n, count, seed in ((1, 3, 63), (4, 30, 64), (7, 200, 65)):
+        fam = pauli_family(n, count, seed)
+        labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
+        assert fam.labels() == [lab.compact() for lab in labels]
+        for lab, (_, u) in zip(labels, fam.members):
+            rows, phase = lab.action()
+            assert np.array_equal(u.rows, rows) and np.array_equal(u.phase, phase)
+
+
 def test_pauli_family_traceless_and_distinct():
     fam = pauli_family(3, 20, seed=61)
     assert fam.size == 20
@@ -180,12 +212,21 @@ def test_scan_monotone_under_family_growth():
         assert big_seed["detection_metric"] <= small_seed["detection_metric"] + 1e-15
 
 
-def test_scan_jobs_do_not_change_report():
-    fam = pauli_family(4, 5, seed=81)
-    seeds = list(range(6))
-    rep1 = family_security_scan(4, 1, fam, epsilon=0.3, seeds=seeds, jobs=1)
-    rep4 = family_security_scan(4, 1, fam, epsilon=0.3, seeds=seeds, jobs=4)
-    assert scan_bytes(rep1) == scan_bytes(rep4)
+def test_scan_jobs_do_not_change_report(monkeypatch):
+    """Equal bytes at jobs 1 and 2 in every mode, at a light size (n = 4),
+    whose seeds run in groups on the calling thread, and at n = 12, K = 1,
+    where one (seed, member) decode fills a block and the seeds fan out."""
+    pools = []
+    monkeypatch.setattr(tamper, "parallel_map",
+                        lambda fn, items, jobs: pools.append(jobs) or parallel_map(fn, items, jobs))
+    for n, k, seeds, fanned in ((4, 1, range(6), False), (12, 0, range(3), True)):
+        fam = pauli_family(n, 5, seed=81)
+        for mode in tamper.MODES:
+            pools.clear()
+            rep1, rep2 = (family_security_scan(n, k, fam, 0.3, seeds, mode=mode, jobs=jobs)
+                          for jobs in (1, 2))
+            assert scan_bytes(rep1) == scan_bytes(rep2)
+            assert pools == [1, 2 if fanned else 1]
 
 
 def test_scan_modes_and_conservation():
@@ -356,7 +397,7 @@ def test_family_size_is_checked_before_sampling(monkeypatch):
     def refuse(*args):
         raise AssertionError("labels sampled for a family that must be refused")
 
-    monkeypatch.setattr(tamper, "random_nonidentity_labels", refuse)
+    monkeypatch.setattr(tamper, "random_nonidentity_words", refuse)
     with pytest.raises(OutOfRange):
         pauli_family(8, tamper.MAX_FAMILY + 1, seed=0)
     with pytest.raises(InvalidParams):
@@ -398,6 +439,32 @@ def test_scan_over_many_blocks_matches_the_per_member_oracle(mode):
     assert scan_bytes(report) == scan_bytes(oracle)
 
 
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_seed_groups_share_blocks_and_match_the_per_member_oracle(mode, monkeypatch):
+    """Several seeds decode each block in one product, block edges fall
+    inside the runs of Pauli words between dense members, and the rows and
+    report bytes are those of one decode per seed and member."""
+    n, k, seeds = 5, 1, list(range(20, 26))
+    words = pauli_family(n, 40, seed=113).members
+    dense = [(f"haar{i}", sample_haar_unitary(32, 114 + i)) for i in range(2)]
+    family = UnitaryFamily(members=words[:7] + dense[:1] + words[7:31] + dense[1:] + words[31:])
+    calls, kernel = [], tamper._decode_overlaps
+
+    def recording(scheme, U, states):
+        calls.append((scheme.isometry.shape[:-3], U.shape[:-2]))
+        return kernel(scheme, U, states)
+
+    monkeypatch.setattr(tamper, "_decode_overlaps", recording)
+    report = family_security_scan(n, k, family, epsilon=0.3, seeds=seeds, mode=mode)
+    monkeypatch.undo()
+    oracle = per_member_scan(n, k, family, 0.3, seeds, mode)
+    assert cell_rows(report) == cell_rows(oracle)
+    assert scan_bytes(report) == scan_bytes(oracle)
+    assert all(group[0] > 1 for group, _ in calls)                      # seeds share each block
+    widths = [members[0] for _, members in calls if members]
+    assert max(widths) > 1 and len(widths) > 3                    # runs split into several blocks
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["undefined-first", "undefined-last"])
 def test_extrema_take_every_defined_value(order):
     """A member that moves the codeword off the code space leaves the
@@ -430,6 +497,22 @@ def test_classical_scan_decodes_blocks_not_the_whole_family():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, peak
+
+
+def test_light_scan_over_seed_groups_streams_its_blocks():
+    """n = 10, K = 2, 300 Pauli members (7.0 MiB as built) and six seeds,
+    which run as three groups of two on the calling thread: each group
+    builds its stacked blocks as it decodes them, so the scan stays below
+    2 MiB of traced allocations.  Keeping every block for the later groups
+    would hold a stacked copy of the family's rows and phases."""
+    family = pauli_family(10, 300, seed=111)
+    tracemalloc.start()
+    try:
+        family_security_scan(10, 1, family, epsilon=0.5, seeds=range(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_relaxed_report_path_holds_no_per_cell_dicts():
