@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import check_seed, sample_haar_unitary
+from .linalg import usable_cpus
 from .moments import (MomentSpec, check_moment_params, check_trials, closed_form_moment,
                       exact_moment, mc_moment)
 from .pauli import MonomialUnitary, PauliLabel
@@ -279,7 +280,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qtamper", description=__doc__)
     parser.add_argument("--out", default=DEFAULT_OUT, help="report directory")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker cap (default: the CPU count); results are independent of it")
+                        help="worker cap (default: usable CPUs); results are independent of it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("weingarten-table", help="exact Weingarten table as JSON")
@@ -430,7 +431,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+        jobs = usable_cpus() if args.jobs is None else args.jobs
         if jobs < 1:
             raise _UsageError(f"--jobs must be at least 1, got {jobs}")
         if args.subcommand == "rerun":

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import OutOfRange, RankDeficient
-from .linalg import MAX_DIM, RANK_TOL
+from .linalg import LAPACK_SPLIT_DIM, MAX_DIM, RANK_TOL, one_blas_thread
 
 GENERATOR_VERSION = "sfc64/ziggurat/v11"
 
@@ -72,7 +72,8 @@ def complex_gaussian(rng: Generator, shape) -> np.ndarray:
 
 def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     """Q of the unique QR factorization with positive-real R diagonal."""
-    q, r = np.linalg.qr(a)
+    with one_blas_thread(min(a.shape[-2:]), LAPACK_SPLIT_DIM):
+        q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
     if np.min(mags) < RANK_TOL:

@@ -4,8 +4,13 @@ else needs.
 Matrices and state vectors are plain complex128 numpy arrays.  These
 helpers add the shape/unitarity/normalization checks the rest of the
 package relies on; products, traces and QR are plain numpy.
-`parallel_map` is the package's one worker pool: it owns the cores, so
-the OpenBLAS numpy loaded runs one thread per call while it is open.
+
+`one_blas_thread` holds the OpenBLAS numpy loaded at one thread.  A product
+OpenBLAS splits over its threads leaves one spinning for about 0.13 s of CPU,
+which a later `openblas_set_num_threads(1)` does not stop.  `parallel_map`,
+the one worker pool, holds while it runs; the moments path's dense products
+hold from the N at which OpenBLAS splits them (GEMM_SPLIT_DIM for an N x N
+product, LAPACK_SPLIT_DIM for QR and eigenvalues) up to BLAS_THREADED_DIM.
 
 Tolerance conventions: structural identities 1e-10, rank tests 1e-12.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +30,7 @@ from .errors import DimMismatch, NotNormalized, NotUnitary
 STRUCTURAL_TOL = 1e-10
 RANK_TOL = 1e-12
 MAX_DIM = 4096      # the largest dense dimension any routine builds
+GEMM_SPLIT_DIM, LAPACK_SPLIT_DIM, BLAS_THREADED_DIM = 41, 65, 1024
 
 
 def as_matrix(a) -> np.ndarray:
@@ -48,7 +55,8 @@ def is_unitary(u, tol: float = STRUCTURAL_TOL) -> bool:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
-    return max_abs(u.conj().T @ u - identity(u.shape[0])) <= tol
+    with one_blas_thread(u.shape[0], GEMM_SPLIT_DIM):
+        return max_abs(u.conj().T @ u - identity(u.shape[0])) <= tol
 
 
 def require_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
@@ -88,22 +96,36 @@ def _openblas_threads():
     return None
 
 
+@contextmanager
+def one_blas_thread(dim: int | None = None, split_from: int = 0):
+    """OpenBLAS at one thread inside the block, and its prior count after it,
+    also when it raises: always when dim is None (a pool), else when OpenBLAS
+    splits dim-sized products and one thread wins, split_from <= dim < BLAS_THREADED_DIM."""
+    blas = _openblas_threads() if dim is None or split_from <= dim < BLAS_THREADED_DIM else None
+    if not blas:
+        yield
+        return
+    prior = blas[0]()
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](prior)
+
+
+def usable_cpus() -> int:
+    """The CPUs in this process's affinity mask, else the CPU count, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def parallel_map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items] on min(jobs, items, CPUs) threads, in
-    item order.  Each small product in a worker would otherwise wake
-    OpenBLAS's own threads, so OpenBLAS is held at one thread while the
-    pool runs and restored afterwards, also when a worker raises."""
+    """[fn(item) for item in items] on min(jobs, items, usable CPUs) threads,
+    in item order; a pool of more than one holds OpenBLAS at one thread, as
+    each small product in a worker would otherwise wake OpenBLAS's own."""
     items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(items), usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
-    blas = _openblas_threads()
-    prior = blas[0]() if blas else None
-    if blas:
-        blas[1](1)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    finally:
-        if blas:
-            blas[1](prior)
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -57,7 +57,8 @@ import numpy as np
 
 from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator
-from .linalg import parallel_map, require_normalized
+from .linalg import (GEMM_SPLIT_DIM, LAPACK_SPLIT_DIM, one_blas_thread, parallel_map,
+                     require_normalized)
 from .pauli import MonomialUnitary, checked_unitary
 from .perm import orbit_labels, perm_table, sp_classes
 from .weingarten import wg_table
@@ -124,12 +125,13 @@ class MomentSpec:
     @cached_property
     def trace_profile(self) -> tuple[complex, ...]:
         """(Tr U, Tr U^2, ..., Tr U^t), formed once and read by both routes."""
-        profile = []
-        power = self.U
-        for j in range(1, self.t + 1):
-            if j > 1:
-                power = power @ self.U
-            profile.append(complex(power.trace()))
+        profile, power = [], self.U
+        dense = self.t > 1 and not isinstance(self.U, MonomialUnitary)
+        with one_blas_thread(self.N if dense else 0, GEMM_SPLIT_DIM):
+            for j in range(1, self.t + 1):
+                if j > 1:
+                    power = power @ self.U
+                profile.append(complex(power.trace()))
         return tuple(profile)
 
 
@@ -200,10 +202,11 @@ def exact_moment(spec: MomentSpec) -> float:
     wg_float = np.array(wg_table(2 * spec.t, spec.N), dtype=float)
     tp = _cycle_trace_products(spec)
     row = np.empty(len(pair), dtype=np.complex128)    # tp @ Wg, PAIR_BLOCK_COLUMNS at a time
-    for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
-        block = slice(start, start + PAIR_BLOCK_COLUMNS)
-        row[block] = tp @ wg_float[pair[:, block]]
-    total = complex(row @ _beta_weights(spec))
+    with one_blas_thread(len(pair), GEMM_SPLIT_DIM):  # t = 3: (720, 64) blocks
+        for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
+            block = slice(start, start + PAIR_BLOCK_COLUMNS)
+            row[block] = tp @ wg_float[pair[:, block]]
+        total = complex(row @ _beta_weights(spec))
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {total.imag} in exact moment")
     return total.real
@@ -224,8 +227,9 @@ def _checked_spectrum(spec: MomentSpec) -> np.ndarray:
     (Re, Im) rounded to 1e-9, so a Pauli word draws the same sample, to
     rounding, as a monomial or as a dense matrix.  Their power sums must
     meet the trace profile within SPECTRUM_TOL * N for every j <= t."""
-    U = spec.U
-    lam = U.eigenvalues() if isinstance(U, MonomialUnitary) else np.linalg.eigvals(U)
+    U, dense = spec.U, not isinstance(spec.U, MonomialUnitary)
+    with one_blas_thread(spec.N if dense else 0, LAPACK_SPLIT_DIM):
+        lam = np.linalg.eigvals(U) if dense else U.eigenvalues()
     lam = lam[np.lexsort((np.round(lam.imag, 9), np.round(lam.real, 9)))]
     power = np.ones(spec.N, dtype=np.complex128)
     for j, tr in enumerate(spec.trace_profile, 1):
@@ -272,9 +276,10 @@ def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
     Trials are split into fixed-size chunks; chunk c draws from the
     child stream (seed, c), so the estimate is independent of the worker
     count and bit-stable for a fixed seed.  The chunks run on
-    `linalg.parallel_map`'s pool of at most min(jobs, chunks, CPUs)
+    `linalg.parallel_map`'s pool of at most min(jobs, chunks, usable CPUs)
     threads, with OpenBLAS held at one thread while it runs.  U's spectrum
-    is taken and checked once, before the first chunk.
+    is taken (at one OpenBLAS thread, whose spinning worker would share the
+    cores with the pool) and checked once, before the first chunk.
     """
     check_trials(trials)
     if _frame_coefficients(spec)[1] and spec.N < 3:

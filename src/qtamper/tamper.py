@@ -10,11 +10,11 @@ seeds against blocks of members built for it (runs of Pauli words as stacked
 tampered entries (seeds x members x N x K, N in quantum mode).  A seed is
 hundreds of numpy calls on small arrays that threads would pass the GIL
 between, so seeds fan out on the worker pool only when one (seed, member)
-decode fills a block.  Metrics, extrema and the per-cell table are
-reductions over the blocks' columns; the public decoders are one-seed calls
-of the same code.  P_perp is computed on its own (never as 1 minus the
-rest), so P_same + P_diff + P_perp = 1 is a real check; weak compares
-||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
+decode holds FAN_OUT_ENTRIES of them.  Metrics, extrema and the per-cell
+table are reductions over the blocks' columns; the public decoders are
+one-seed calls of the same code.  P_perp is computed on its own (never as
+1 minus the rest), so P_same + P_diff + P_perp = 1 is a real check; weak
+compares ||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ MAX_CELLS = 10 ** 6         # seeds x members x (K for classical/relaxed, else 1
 MAX_DENSE_BYTES = 2 ** 30
 CONSERVATION_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 12     # tampered entries in one block of members: 64 KiB of complex128
+FAN_OUT_ENTRIES = 2 ** 15   # seeds fan out from this many per decode: the pool's crossover
 FIDELITY_FLOOR = 1e-12
 
 MODES = ("classical", "relaxed", "weak", "quantum")
@@ -335,11 +336,10 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     named columns: int arrays `seed` and `s` (classical and relaxed), the
     `label` list and float arrays in which NaN is undefined.  Seeds go in
     groups of the size that needs the fewest blocks, on the calling thread;
-    each group builds its blocks as it decodes them.  Only when one (seed,
-    member) decode fills a block do seeds fan out, one per task, on
-    `linalg.parallel_map`'s pool of at most min(jobs, seeds, CPUs) threads
-    (OpenBLAS held at one thread).  That rule is provisional: on 2 cores the
-    pool loses at the smallest sizes it takes (n=8, k=4).
+    each group builds its blocks as it decodes them.  Seeds fan out, one per
+    task, on `linalg.parallel_map`'s pool of at most min(jobs, seeds, usable
+    CPUs) threads only when one (seed, member) decode holds FAN_OUT_ENTRIES
+    tampered entries (README), so never in quantum mode, where it holds N.
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
@@ -348,7 +348,7 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     area = max(1, BLOCK_ENTRIES // entries)                   # (seed, member) pairs in a block
     step = min(range(1, min(len(seeds), area) + 1),                   # seeds in a group
                key=lambda s: (-(-len(seeds) // s) * -(-family.size // (area // s)), -s))
-    members, fan_out = [u for _, u in family.members], entries >= BLOCK_ENTRIES
+    members, fan_out = [u for _, u in family.members], entries >= FAN_OUT_ENTRIES
     chunks = [seeds[i:i + step] for i in range(0, len(seeds), step)]       # groups of seeds
     groups = parallel_map(lambda g: _scan_group(n, k, g, members, mode), chunks,
                           jobs if fan_out else 1)

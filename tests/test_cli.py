@@ -542,10 +542,11 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
 
 
 def test_worker_pools_are_clamped(tmp_path, monkeypatch):
-    """The one pool gets min(jobs, tasks, CPUs) workers; a recording
+    """The one pool gets min(jobs, tasks, usable CPUs) workers; a recording
     stand-in runs the tasks serially, so no thread is started.  tamper-sim
-    fans its seeds out only when one (seed, member) decode fills a block,
-    as at n = 12, K = 1; a light scan (n = 4) starts no pool."""
+    fans its seeds out only when one (seed, member) decode holds
+    FAN_OUT_ENTRIES, as at n = 12, K = 8; a light scan (n = 4, or n = 12 with
+    K = 4) starts no pool."""
     made = []
 
     class RecordingPool:
@@ -562,14 +563,16 @@ def test_worker_pools_are_clamped(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(linalg, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     runs = [  # (args, tasks)
         (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
           "--trials", str(5 * moments.MC_CHUNK), "--seed", "2"], 5),
         (["moments", "--pattern", "ss", "--t", "1", "--N", "4", "--unitary", "random:1",
           "--trials", str(2 * moments.MC_CHUNK), "--seed", "2"], 2),
-        (["tamper-sim", "--n", "12", "--k", "0", "--family", "paulis:3", "--epsilon", "0.4",
+        (["tamper-sim", "--n", "12", "--k", "3", "--family", "paulis:3", "--epsilon", "0.4",
           "--seeds", "0..1", "--min-pass-fraction", "0.0"], 2),
+        (["tamper-sim", "--n", "12", "--k", "2", "--family", "paulis:3", "--epsilon", "0.4",
+          "--seeds", "0..1", "--min-pass-fraction", "0.0"], 1),
         (["tamper-sim", "--n", "4", "--k", "1", "--family", "paulis:3", "--epsilon", "0.4",
           "--seeds", "0..1", "--min-pass-fraction", "0.0"], 1),
     ]
@@ -586,16 +589,57 @@ def test_worker_pools_are_clamped(tmp_path, monkeypatch):
 
 def test_parser_is_built_once_and_jobs_default_reads_the_cpu_count(tmp_path, monkeypatch):
     """Every call parses with one parser, built on first use; an absent
-    --jobs is the CPU count when the arguments are parsed."""
+    --jobs is the number of CPUs this process may use when the arguments
+    are parsed, or the CPU count where the platform has no affinity call."""
     seen = []
     monkeypatch.setattr(cli, "run_manifest", lambda manifest, out, jobs: seen.append(jobs) or 0)
-    for cpus in (3, 5, None):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for cpus in ({3}, {0, 1, 4}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert _run("--out", str(tmp_path), "perm-verify", "--n-max", "3") == 0
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus in (5, None):
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         assert _run("--out", str(tmp_path), "perm-verify", "--n-max", "3") == 0
     assert _run("--out", str(tmp_path), "--jobs", "7", "perm-verify", "--n-max", "3") == 0
-    assert seen == [3, 5, 1, 7]
+    assert seen == [1, 3, 5, 1, 7]
     assert cli._build_parser() is cli._build_parser()
     assert cli._build_parser.cache_info().misses == 1
+
+
+BENCH_MOMENT_SHAPES = {   # the moment-calculus shapes of perfbench/workloads.py
+    "js-t1-N64": ["--pattern", "js", "--t", "1", "--N", "64"],
+    "ss-t2-N64": ["--pattern", "ss", "--t", "2", "--N", "64"],
+    "m-t2-N16-K4": ["--pattern", "m", "--t", "2", "--N", "16", "--K", "4"],
+    "js-t3-N16": ["--pattern", "js", "--t", "3", "--N", "16"],
+    "js-t3-N32": ["--pattern", "js", "--t", "3", "--N", "32"],
+}
+
+
+@pytest.mark.parametrize("shape", BENCH_MOMENT_SHAPES.values(), ids=BENCH_MOMENT_SHAPES)
+def test_moments_bytes_do_not_depend_on_blas_threads(shape, tmp_path, monkeypatch):
+    """A moments report has the same bytes with OpenBLAS at one thread, at
+    two with no kernel held (BLAS_THREADED_DIM = 0) and at two with the
+    kernels held: holding moves no bit."""
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy did not load an OpenBLAS this process can find")
+    get, set_ = blas
+    original = get()
+    args = ["moments", *shape, "--unitary", "random:31", "--trials", str(moments.MIN_TRIALS),
+            "--seed", "32"]
+    reports = []
+    try:
+        for threads, crossover in ((1, linalg.BLAS_THREADED_DIM), (2, 0),
+                                   (2, linalg.BLAS_THREADED_DIM)):
+            set_(threads)
+            monkeypatch.setattr(linalg, "BLAS_THREADED_DIM", crossover)
+            out = tmp_path / f"{threads}-{crossover}"
+            assert _run("--out", str(out), "--jobs", "2", *args) == 0
+            reports.append((out / "moments.json").read_bytes())
+    finally:
+        set_(original)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_jobs_do_not_change_bytes(tmp_path):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from conftest import dense_decoder_projectors, pauli_matrix
 
-from qtamper import linalg
-from qtamper.errors import DimMismatch, NotNormalized, NotUnitary, RankDeficient
-from qtamper.haar import _phase_fixed_qr
-from qtamper.linalg import (identity, is_unitary, max_abs, parallel_map,
+from qtamper import linalg, moments
+from qtamper.errors import (ConsistencyError, DimMismatch, NotNormalized, NotUnitary,
+                            RankDeficient)
+from qtamper.haar import _phase_fixed_qr, sample_haar_unitary
+from qtamper.linalg import (identity, is_unitary, max_abs, one_blas_thread, parallel_map,
                             require_normalized, require_unitary)
+from qtamper.moments import MomentSpec, exact_moment
 from qtamper.pauli import MonomialUnitary, PauliLabel
 
 RNG = np.random.default_rng(20260809)
@@ -176,3 +178,130 @@ def test_pool_holds_openblas_at_one_thread(monkeypatch):
     finally:
         set_(original)
 
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS at two threads, its getter yielded; the prior count after."""
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy did not load an OpenBLAS this process can find")
+    get, set_ = blas
+    original = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(original)
+
+
+HELD_KERNELS = ("require_unitary", "trace_profile", "qr", "eigvals", "exact_moment")
+
+
+def _kernel_threads(monkeypatch, get, kernel, n, t=3):
+    """The OpenBLAS thread counts that `kernel`'s dense products see at
+    dimension n, read by a wrapper around a call inside them."""
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(get())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    u = sample_haar_unitary(n, 5)
+    if kernel == "require_unitary":
+        monkeypatch.setattr(linalg, "identity", spy(linalg.identity))
+        require_unitary(u)
+    elif kernel == "trace_profile":
+        class Recording(np.ndarray):
+            trace = spy(np.ndarray.trace)
+        spec = MomentSpec("ss", t, u)
+        spec.U = u.view(Recording)
+        assert spec.trace_profile == MomentSpec("ss", t, u).trace_profile
+    elif kernel == "qr":
+        monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr))
+        sample_haar_unitary(n, 6)
+    elif kernel == "eigvals":
+        monkeypatch.setattr(np.linalg, "eigvals", spy(np.linalg.eigvals))
+        moments._checked_spectrum(MomentSpec("ss", t, u))
+    else:
+        monkeypatch.setattr(moments, "_beta_weights", spy(moments._beta_weights))
+        exact_moment(MomentSpec("js", t, u))
+    assert seen
+    return seen
+
+
+@pytest.mark.parametrize("kernel", HELD_KERNELS)
+def test_small_dense_kernels_hold_openblas_at_one_thread(kernel, monkeypatch, blas_at_two):
+    """Between the dimension from which OpenBLAS splits a product and
+    BLAS_THREADED_DIM, each kernel of the moments path runs at one thread,
+    and the prior count comes back after it."""
+    n = linalg.LAPACK_SPLIT_DIM + 15
+    assert set(_kernel_threads(monkeypatch, blas_at_two, kernel, n)) == {1}
+    assert blas_at_two() == 2
+
+
+@pytest.mark.parametrize("kernel", HELD_KERNELS)
+def test_kernels_leave_blas_alone_where_openblas_keeps_its_threads(kernel, monkeypatch,
+                                                                   blas_at_two):
+    """From BLAS_THREADED_DIM, and below the dimension from which OpenBLAS
+    splits a kernel's products, the kernel leaves BLAS at its threads."""
+    n = linalg.LAPACK_SPLIT_DIM + 15
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "BLAS_THREADED_DIM", n - 1)
+        assert set(_kernel_threads(patched, blas_at_two, kernel, n)) == {2}
+    small = (linalg.GEMM_SPLIT_DIM - 1 if kernel in ("require_unitary", "trace_profile")
+             else linalg.LAPACK_SPLIT_DIM - 1)
+    assert set(_kernel_threads(monkeypatch, blas_at_two, kernel, small, t=2)) == {2}
+
+
+def test_held_kernels_restore_blas_when_they_raise(monkeypatch, blas_at_two):
+    n = linalg.LAPACK_SPLIT_DIM + 15
+    u = sample_haar_unitary(n, 7)
+    with pytest.raises(NotUnitary):
+        require_unitary(u * 1.01)
+    assert blas_at_two() == 2
+    spec = MomentSpec("js", 3, u)
+    monkeypatch.setattr(MomentSpec, "trace_profile", (0j, 0j, 0j))
+    with pytest.raises(ConsistencyError, match="sum of lambda"):
+        moments._checked_spectrum(spec)
+    assert blas_at_two() == 2
+
+    def fail(spec):
+        assert blas_at_two() == 1
+        raise ConsistencyError("inside the hold")
+
+    monkeypatch.setattr(moments, "_beta_weights", fail)
+    with pytest.raises(ConsistencyError, match="inside the hold"):
+        exact_moment(spec)
+    assert blas_at_two() == 2
+    with pytest.raises(ValueError), one_blas_thread():
+        assert blas_at_two() == 1
+        raise ValueError
+    assert blas_at_two() == 2
+
+
+def test_pool_is_capped_by_the_cpus_this_process_may_use(monkeypatch):
+    """A process pinned to one CPU starts no pool; without an affinity call
+    the CPU count caps it."""
+    made = []
+
+    class RecordingPool(linalg.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(linalg, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert parallel_map(abs, range(-4, 0), jobs=4) == [4, 3, 2, 1]
+    assert made == []
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+    assert parallel_map(abs, range(-4, 0), jobs=4) == [4, 3, 2, 1]
+    monkeypatch.delattr(linalg.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
+    assert parallel_map(abs, range(-4, 0), jobs=4) == [4, 3, 2, 1]
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: None)
+    assert parallel_map(abs, range(-4, 0), jobs=4) == [4, 3, 2, 1]
+    assert made == [3, 2]

@@ -214,19 +214,20 @@ def test_scan_monotone_under_family_growth():
 
 def test_scan_jobs_do_not_change_report(monkeypatch):
     """Equal bytes at jobs 1 and 2 in every mode, at a light size (n = 4),
-    whose seeds run in groups on the calling thread, and at n = 12, K = 1,
-    where one (seed, member) decode fills a block and the seeds fan out."""
+    whose seeds run in groups on the calling thread, and at n = 12, K = 8,
+    where one (seed, member) decode holds FAN_OUT_ENTRIES and the seeds fan
+    out, except in quantum mode, whose decode holds N entries."""
     pools = []
     monkeypatch.setattr(tamper, "parallel_map",
                         lambda fn, items, jobs: pools.append(jobs) or parallel_map(fn, items, jobs))
-    for n, k, seeds, fanned in ((4, 1, range(6), False), (12, 0, range(3), True)):
+    for n, k, seeds, fanned in ((4, 1, range(6), False), (12, 3, range(3), True)):
         fam = pauli_family(n, 5, seed=81)
         for mode in tamper.MODES:
             pools.clear()
             rep1, rep2 = (family_security_scan(n, k, fam, 0.3, seeds, mode=mode, jobs=jobs)
                           for jobs in (1, 2))
             assert scan_bytes(rep1) == scan_bytes(rep2)
-            assert pools == [1, 2 if fanned else 1]
+            assert pools == [1, 2 if fanned and mode != "quantum" else 1]
 
 
 def test_scan_modes_and_conservation():
