@@ -51,27 +51,27 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_unitary(u, tol: float = STRUCTURAL_TOL) -> bool:
+def is_unitary(u) -> bool:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
     with one_blas_thread(u.shape[0], GEMM_SPLIT_DIM):
-        return max_abs(u.conj().T @ u - identity(u.shape[0])) <= tol
+        return max_abs(u.conj().T @ u - identity(u.shape[0])) <= STRUCTURAL_TOL
 
 
-def require_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def require_unitary(u) -> np.ndarray:
     u = as_matrix(u)
-    if not is_unitary(u, tol):
-        raise NotUnitary(f"matrix of shape {u.shape} fails unitarity at {tol}")
+    if not is_unitary(u):
+        raise NotUnitary(f"matrix of shape {u.shape} fails unitarity at {STRUCTURAL_TOL}")
     return u
 
 
-def require_normalized(v, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1:
         raise DimMismatch(f"expected a vector, got ndim={v.ndim}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > tol:
-        raise NotNormalized(f"vector norm {np.linalg.norm(v)} not within {tol} of 1")
+    if abs(float(np.linalg.norm(v)) - 1.0) > STRUCTURAL_TOL:
+        raise NotNormalized(f"vector norm {np.linalg.norm(v)} not within {STRUCTURAL_TOL} of 1")
     return v
 
 

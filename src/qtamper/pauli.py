@@ -149,8 +149,8 @@ class MonomialUnitary:
     once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
     per column and equal the dense products; numpy defers `A @ U` to
     `__rmatmul__`.  `U @ x` scatters x's rows to rows, and `A @ U` gathers
-    A's columns by rows (`np.take`).  The product of two monomials, `.T` and
-    `.trace()` are monomials and scalars again, so code written for dense
+    A's columns by rows (`np.take`).  The product of two monomials and
+    `.trace()` are a monomial and a scalar again, so code written for dense
     matrices (`moments`, the tamper decoders) runs on it unchanged.
     `.eigenvalues()` reads the spectrum off the cycles of rows in O(N).
 
@@ -159,8 +159,8 @@ class MonomialUnitary:
     numpy's stacked matmul does, also behind leading axes of x or A whose
     member slot has length 1, as a tamper scan's (S, 1, N, K) stack of
     seeds.  `U[i]` is member i, `U[np.newaxis]` a stack of one and `stack`
-    joins members.  Products of two monomials, `.T` and `.eigenvalues()`
-    take one member; `.trace()` gives one trace per member.
+    joins members.  Products of two monomials and `.eigenvalues()` take one
+    member; `.trace()` gives one trace per member.
     """
 
     __array_ufunc__ = None
@@ -203,12 +203,6 @@ class MonomialUnitary:
         fixed = self.rows == np.arange(self.rows.shape[-1])
         traces = np.sum(np.where(fixed, self.phase, 0), axis=-1)
         return complex(traces) if traces.ndim == 0 else traces
-
-    @property
-    def T(self) -> "MonomialUnitary":
-        """The transpose: column rows[j] holds phase[j] at row j."""
-        inverse = np.argsort(self.rows)
-        return MonomialUnitary(inverse, self.phase[inverse])
 
     def eigenvalues(self) -> np.ndarray:
         """The N eigenvalues: a cycle j -> rows[j] -> ... of length L whose
@@ -282,8 +276,3 @@ def random_nonidentity_words(q: int, m: int, count: int, rng: Generator) -> np.n
         chosen.update(dict.fromkeys(filter(any, map(tuple, batch))))
     return np.array(list(chosen), dtype=np.intp).reshape(count, 2 * m)
 
-
-def random_nonidentity_labels(q: int, m: int, count: int, rng: Generator) -> list[PauliLabel]:
-    """`random_nonidentity_words` as labels."""
-    return [PauliLabel(q=q, x=tuple(row[:m]), z=tuple(row[m:]))
-            for row in random_nonidentity_words(q, m, count, rng).tolist()]

@@ -16,16 +16,21 @@ Layout conventions (fixed here, used by every routine):
     and every phase omega^k is read from `pauli.omega_powers(q)`.
 
 For a tampering word X^x Z^z the only codeword that can receive mass is
-s' = s + x_{1:d}; its amplitude is a phase sum over the root set of the
-difference polynomial f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
-which has degree between 1 and d+1 whenever x_{1:d} != 0.  One product
-with the `field.taylor_shifts` stack gives the coefficients of these
-polynomials for every (x, s) pair of a block of cells, their degrees are
-checked (ConsistencyError otherwise), and one evaluation gives their root
-masks.  A cell's probability depends only on the exponents of its phase
-sum's terms, so each cell reads it from a table over those exponents.
-By the triangle inequality the squared amplitude is at most (|roots|/q)^2,
-so counting roots in integers certifies the bound ((d+1)/q)^2 exactly.
+s' = s + x_{1:d}, with amplitude (1/q) sum_r omega^{<z, (s, r, f(s, r))>}
+over the root set R(s, x) of f(s + x_{1:d}, r + x_{d+1}) - f(s, r) - x_{d+2},
+of degree in [1, d+1] whenever x_{1:d} != 0.  Its term <z_{1:d}, s> is a
+global phase, so the symbolic route computes quotient cells (x, s, a, b),
+(a, b) = (z_{d+1}, z_{d+2}), and a full cell reads its quotient cell.  One
+product with the `field.taylor_shifts` stack gives the difference
+polynomials of a block's (x, s) pairs, their degrees are checked
+(ConsistencyError otherwise), and one evaluation gives their root masks.
+A probability depends only on the exponents a r + b f(s, r) of its terms,
+so each cell reads it from a table over them.  Counting roots in integers
+certifies the bound ((d+1)/q)^2 exactly, by the triangle inequality.  Two
+identities certify the quotient: the pairs with x_{1:d} != 0 hold
+M(M-1)q^2 roots (one shift joins each two support points of distinct
+codewords), and a pair's q^2 quotient cells sum to |R(s, x)| (Parseval:
+the points (r, f(s, r)) are distinct).
 The dense cross-check never reads root sets: each codeword has q nonzero
 entries, so every amplitude is a q-term sum over its support, and only
 the codewords that the shifted support meets are multiplied.  Both modes
@@ -43,18 +48,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
+from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .field import fq_values, is_prime, taylor_shifts
 from .haar import child_generator
 from .linalg import MAX_DIM
 from .pauli import kron_digits, omega_powers, shift_rows
 
-EXHAUSTIVE_CELL_BUDGET = 10 ** 8
 MAX_TRIALS = 10 ** 6     # random mode keeps one int64 key per cell (8 MB at the cap) and
 DRAW_WINDOW = 2 ** 14    # draws them in windows of this many per generator call, then
 SCAN_WINDOW = 2 ** 14    # scans them in windows of SCAN_WINDOW // q cells (of q root slots);
-                         # exhaustive mode scans windows of SCAN_WINDOW // (M dim) whole shifts
+                         # exhaustive mode scans windows of SCAN_WINDOW // (M q^2) whole shifts
 DENSE_MATCH_TOL = 1e-9
+DENSE_SAMPLE = 1024      # full cells drawn for the dense cross-check beside the quotient cells
+PARSEVAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,14 +119,7 @@ def _tag_coeffs(params: QamdParams, messages) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class QamdCodeword:
-    params: QamdParams
-    message: tuple[int, ...]
-    state: np.ndarray
-
-
-def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
+def encode(s: Sequence[int], params: QamdParams) -> np.ndarray:
     """Codeword (1/sqrt q) sum_r |s, r, f(s, r)> as a dense state vector."""
     s = tuple(v % params.q for v in s)
     if len(s) != params.d:
@@ -130,7 +129,7 @@ def encode(s: Sequence[int], params: QamdParams) -> QamdCodeword:
     tags = fq_values(_tag_coeffs(params, [s]), params.q)[0]
     for r in range(params.q):
         state[params.state_index(s + (r, tags[r]))] = amp
-    return QamdCodeword(params=params, message=s, state=state)
+    return state
 
 
 def _root_masks(params: QamdParams, coeffs: np.ndarray, x) -> np.ndarray:
@@ -171,11 +170,10 @@ def _key_probabilities(q: int, width: int) -> np.ndarray:
 
 
 def _block_tables(build, m: int):
-    """A function table(ps, at, cz) giving build(group, cz), the table of a
-    block's messages `group`, whose row g % len(group) serves the block's
-    row g.  A block with one clock row runs through whole shifts of the
-    messages ps[:M], so its table is built for those and kept while ps[:M]
-    and cz repeat; any other block gets one for each row's own message."""
+    """A function table(ps, at, cz) giving build(group, cz) for a block's
+    messages `group`, whose row g % len(group) serves the block's row g: a
+    block with one clock row runs through whole shifts of ps[:M], whose
+    table is kept while ps[:M] and cz repeat; any other gets one per row."""
     last = [None, None, None]
 
     def table(ps, at, cz):
@@ -190,54 +188,37 @@ def _block_tables(build, m: int):
 
 def _root_sum_route(params: QamdParams):
     """The scan's symbolic route: a function symbolic(px, ps, at, cz) giving
-    the probabilities of a block of cells (see `_scan`) and the largest
-    root count of its (x, s) pairs.
+    the probabilities of a block of cells (see `_scan`) and the root count
+    of each of its (x, s) pairs.
 
-    A cell's amplitude is (1/q) sum_r omega^{<z, (s, r, f(s, r))>} over the
-    roots r of its pair's difference polynomial in ascending r, so its
-    probability depends only on the exponents of those terms, in that
-    order.  A cell's key is sum_k t_k (q+1)^k over its exponent digits
-    t_k = 1 + the k-th exponent (0: no k-th root), and it reads its
-    probability from `_key_probabilities`, built once per scan and root
-    count.  The exponent digits are tabled per message, root r and clock
-    word by `_block_tables`.
+    Up to the global phase omega^{<z_{1:d}, s>}, a cell's amplitude is
+    (1/q) sum_r omega^{a r + b f(s, r)} over the roots r of its pair's
+    difference polynomial in ascending r, where a q + b is its clock rank
+    mod q^2.  A cell's key is sum_k t_k (q+1)^k over its exponent digits
+    t_k = 1 + the k-th exponent (0: no k-th root), read from one
+    (M, q+1, q^2) table, and `_key_probabilities` gives its probability;
+    both tables are built once per scan.
     """
     q, d = params.q, params.d
     digits = kron_digits(q, params.block_length)
     coeffs = _tag_coeffs(params, params.messages())
-    tag_tables = fq_values(coeffs, q)                                   # f(s, r) per (s, r)
+    (a, b), slots, tables = np.divmod(np.arange(q * q), q), np.arange(q), {}
+    exponent = np.zeros((len(coeffs), q + 1, q * q), dtype=np.intp)   # [s, r, a q + b]; q: none
+    exponent[:, :q] = 1 + (np.outer(slots, a) + fq_values(coeffs, q)[..., np.newaxis] * b) % q
     moves = digits[:, :d].any(axis=1)          # x_{1:d} = 0 moves no mass off s
-    slots, tables = np.arange(q), {}
-
-    def exponent_digits(group, cz):
-        """[i, r, j] = 1 + <z, (s_i, r, f(s_i, r))> mod q for r < q and 0 at
-        r = q, for the messages s_i of `group` and z = cz[i or 0, j]."""
-        z = digits[cz][:, np.newaxis]                                       # (1 or G, 1, n, d+2)
-        exps = (np.matmul(coeffs[group, np.newaxis, 1:d + 1], z[:, 0, :, :d].swapaxes(1, 2))
-                + z[..., d] * slots[:, np.newaxis]
-                + z[..., d + 1] * tag_tables[group, :, np.newaxis]) % q      # (R, q, n)
-        table = np.zeros((len(group), q + 1, cz.shape[1]), dtype=np.intp)
-        table[:, :q] = exps + 1
-        return table
-
-    exponent_table = _block_tables(exponent_digits, len(coeffs))
 
     def symbolic(px, ps, at, cz):
-        moving = np.flatnonzero(moves[px])
-        if not moving.size:
-            return np.zeros((len(at), cz.shape[1])), 0
-        masks = np.zeros((len(ps), q), dtype=bool)
+        moving, masks = np.flatnonzero(moves[px]), np.zeros((len(ps), q), dtype=bool)
         masks[moving] = _root_masks(params, coeffs[ps[moving]], digits[px[moving]])
+        counts = masks.sum(axis=1)
         roots = np.sort(np.where(masks, slots, q), axis=1)[at[:, 0]]   # ascending r, then q: none
-        width = int(masks.sum(axis=1).max())
-        digit = exponent_table(ps, at, cz)
-        group = np.arange(len(at)) % len(digit)
-        key = digit[group, roots[:, 0]]
+        width, message, clock = int(counts.max()), ps[at], cz % (q * q)
+        key = exponent[message, roots[:, :1], clock]
         for k in range(1, width):             # the k-th root of each cell's message, or none
-            key += digit[group, roots[:, k]] * (q + 1) ** k
+            key += exponent[message, roots[:, k:k + 1], clock] * (q + 1) ** k
         if width not in tables:
             tables[width] = _key_probabilities(q, width)
-        return tables[width][key], width
+        return tables[width][key], counts
 
     return symbolic
 
@@ -319,32 +300,40 @@ def _cell(messages, digits, px, ps, at, cz, index):
             tuple(int(v) for v in digits[cz[g % len(cz), j]]))
 
 
-def _scan(params: QamdParams, blocks, cross_check: bool):
+def _scan(params: QamdParams, blocks, cross_check: bool, sample=()):
     """(max probability, witness key, worst dense mismatch, max root count,
-    cells checked) over `blocks`.  A block (px, ps, at, cz) holds the shift
-    and message ranks px, ps ((P,)) of its (x, s) pairs, each row's pair
-    at ((G, 1)) and the clock ranks cz ((G, n), or (1, n) for every row),
-    so ordered that the cells in row-major order run in increasing (x, s, z).
+    cells checked, root count total, worst Parseval gap) over `blocks`;
+    with cross_check the dense route also meets the blocks `sample`, which
+    count in nothing else.  A block (px, ps, at, cz) holds the shift and
+    message ranks px, ps ((P,)) of its (x, s) pairs, each row's pair at
+    ((G, 1)) and the clock ranks cz ((G, n), or (1, n) for every row), so
+    ordered that the cells in row-major order run in increasing (x, s, z).
     A block with one clock row has one row per pair and holds whole shifts,
-    each against the messages ps[:M] in the same order."""
+    each against the messages ps[:M] in the same order.  A row's Parseval
+    gap is |the sum of its probabilities - its pair's root count|."""
     messages = params.messages()
     digits = kron_digits(params.q, params.block_length)   # row k: the exponent vector of rank k
     symbolic = _root_sum_route(params)
     if cross_check:
-        dense = _support_sum_route(params, (encode(m, params).state for m in messages))
+        dense = _support_sum_route(params, (encode(m, params) for m in messages))
+
+    def mismatch(px, ps, at, cz, sym):
+        gap = dense(px, ps, at, cz)
+        worst = float(np.abs(np.subtract(sym, gap, out=gap), out=gap).max())
+        if worst > DENSE_MATCH_TOL:
+            s, x, z = _cell(messages, digits, px, ps, at, cz, np.argmax(gap))
+            raise ConsistencyError(f"symbolic/dense mismatch {worst} at s={s}, x={x}, z={z}")
+        return worst
 
     best_prob, best_key, max_mismatch, max_roots, checked = -1.0, None, 0.0, 0, 0
+    root_total, parseval = 0, 0.0
     for px, ps, at, cz in blocks:
-        sym, width = symbolic(px, ps, at, cz)
-        cm, max_roots, checked = ps[at], max(max_roots, width), checked + sym.size
+        sym, counts = symbolic(px, ps, at, cz)
+        cm, checked = ps[at], checked + sym.size
+        max_roots, root_total = max(max_roots, int(counts.max())), root_total + int(counts.sum())
+        parseval = max(parseval, float(np.abs(sym.sum(axis=1) - counts[at[:, 0]]).max()))
         if cross_check:
-            gap = dense(px, ps, at, cz)
-            np.abs(np.subtract(sym, gap, out=gap), out=gap)
-            max_mismatch = max(max_mismatch, float(gap.max()))
-            if max_mismatch > DENSE_MATCH_TOL:     # earlier blocks would have raised
-                s, x, z = _cell(messages, digits, px, ps, at, cz, np.argmax(gap))
-                raise ConsistencyError(
-                    f"symbolic/dense mismatch {max_mismatch} at s={s}, x={x}, z={z}")
+            max_mismatch = max(max_mismatch, mismatch(px, ps, at, cz, sym))
         zi = np.argmax(sym)           # first in (x, s, z); a later shift may hold a smaller s
         p = float(sym.flat[zi])
         if p >= best_prob and px[0] != px[-1] and cm.flat[zi // sym.shape[1]]:
@@ -352,7 +341,9 @@ def _scan(params: QamdParams, blocks, cross_check: bool):
         key = _cell(messages, digits, px, ps, at, cz, zi)
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
-    return best_prob, best_key, max_mismatch, max_roots, checked
+    for block in sample if cross_check else ():
+        max_mismatch = max(max_mismatch, mismatch(*block, symbolic(*block)[0]))
+    return best_prob, best_key, max_mismatch, max_roots, checked, root_total, parseval
 
 
 def _sampled_blocks(params: QamdParams, trials: int, seed: int):
@@ -397,20 +388,20 @@ def _sampled_blocks(params: QamdParams, trials: int, seed: int):
 
 
 def _exhaustive_blocks(params: QamdParams):
-    """The scan blocks of every ((x, z) != 0, s) cell: the shift x = 0 on
-    its own, since it has no z = 0 cell, then windows of
-    max(1, SCAN_WINDOW // (M dim)) whole shifts, each shift against every
-    message and every clock word.  The full windows share one (ps, at, cz)."""
-    m, dim = params.num_messages, params.dim
-    every, clocks = np.arange(m), np.arange(dim)[np.newaxis]
-    yield np.zeros(m, dtype=np.intp), every, every[:, np.newaxis], clocks[:, 1:]
-    width = max(1, SCAN_WINDOW // (m * dim))
-    full = np.tile(every, width), np.arange(width * m)[:, np.newaxis]
-    for lo in range(1, dim, width):
-        xs = np.arange(lo, min(lo + width, dim))
-        ps, at = full if len(xs) == width else (np.tile(every, len(xs)),
-                                                np.arange(len(xs) * m)[:, np.newaxis])
-        yield np.repeat(xs, m), ps, at, clocks
+    """The scan blocks of every quotient cell (x, s, a, b) with x_{1:d} != 0:
+    windows of max(1, SCAN_WINDOW // (M q^2)) whole shifts x, of ranks q^2
+    and up, each shift against every message and the q^2 clock words
+    (0, ..., 0, a, b) of ranks a q + b.  The full windows share one
+    (ps, at, cz)."""
+    m, q2 = params.num_messages, params.q ** 2
+    every, clocks = np.arange(m), np.arange(q2)[np.newaxis]
+    width = max(1, SCAN_WINDOW // (m * q2))
+    rows = np.tile(every, width), np.arange(width * m)[:, np.newaxis]
+    for lo in range(q2, params.dim, width):
+        xs = np.arange(lo, min(lo + width, params.dim))
+        if len(xs) < width:                                        # the last window
+            rows = np.tile(every, len(xs)), np.arange(len(xs) * m)[:, np.newaxis]
+        yield np.repeat(xs, m), *rows, clocks
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -420,45 +411,47 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     aggregate wrong-decode probability, its witness, and the theorem
     bound ((d+1)/q)^2.
 
-    Exhaustive mode visits every ((x, z) != 0, s) cell: the shift x = 0
-    in one block, then the other shifts in windows of
-    max(1, SCAN_WINDOW // (M dim)) whole shifts, each shift against every
-    message and clock word; random mode visits `trials` cells drawn from
-    the seeded stream, duplicates included, in windows sorted by (x, s, z).
-    With cross_check each cell's symbolic probability is compared to the
-    dense state-vector simulation and the worst mismatch is reported (the scan
-    raises ConsistencyError above DENSE_MATCH_TOL).  The witness is the
-    smallest (s, x, z) among the cells at the maximum.  The certificate is
-    exact: `max_root_count` is the largest root set of a scanned (s, x)
-    pair with x_{1:d} != 0, `bound_satisfied` is the integer test
-    max_root_count <= d + 1, which bounds every cell by the rational
-    `bound_exact`, and `max_prob` is checked against (max_root_count/q)^2
-    up to rounding.  A cell reads its probability from a table over the
-    exponents of its phase sum's terms (see `_root_sum_route`), which adds
-    the terms in their per-cell order (ascending r) before the division
-    by q; hypot is the modulus abs() takes (np.abs differs in the last
-    bit), and the array square v * v equals pow(v, 2) for every amplitude
-    an admissible (q, d) can produce (a test enumerates them), so every
-    probability has the per-cell route's bits.
+    Exhaustive mode visits every quotient cell (x, s, a, b) with
+    x_{1:d} != 0 (see `_exhaustive_blocks`), which stands for the M full
+    cells with (z_{d+1}, z_{d+2}) = (a, b); no other word moves mass off s.
+    It raises ConsistencyError unless the root counts sum to M(M-1)q^2 and
+    each pair's quotient cells to its root count within PARSEVAL_TOL.
+    Random mode visits `trials` full cells drawn from the seeded stream,
+    duplicates included, in windows sorted by (x, s, z).  `pairs_checked`
+    counts the full cells certified.  With cross_check the dense
+    state-vector simulation meets every scanned cell, and in exhaustive
+    mode DENSE_SAMPLE full cells drawn as random mode draws them; the worst
+    mismatch is reported, and one above DENSE_MATCH_TOL raises
+    ConsistencyError.  The witness is the smallest (s, x, z) at the maximum.
+    The certificate is exact: `bound_satisfied` is the integer test
+    `max_root_count` <= d + 1 on the largest root set of a scanned pair
+    with x_{1:d} != 0, which bounds every cell by `bound_exact`, and
+    `max_prob` is checked against (max_root_count/q)^2 up to rounding.
+    Every probability has the per-cell route's bits: `_key_probabilities`
+    adds a cell's terms in ascending r before the division by q, hypot is
+    the modulus abs() takes (np.abs differs in the last bit), and v * v
+    equals pow(v, 2) for every amplitude an admissible (q, d) can produce
+    (a test enumerates them).
     """
-    q, d = params.q, params.d
+    q, d, m = params.q, params.d, params.num_messages
     if exhaustive:
-        n_cells = (params.dim ** 2 - 1) * params.num_messages
-        if n_cells > EXHAUSTIVE_CELL_BUDGET:
-            raise BudgetExceeded(f"{n_cells} cells exceed budget {EXHAUSTIVE_CELL_BUDGET}")
-        blocks = _exhaustive_blocks(params)
+        blocks, sample = _exhaustive_blocks(params), _sampled_blocks(params, DENSE_SAMPLE, seed)
     else:
         if not trials or not 1 <= trials <= MAX_TRIALS:
-            raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], "
-                             f"got {trials}")
-        blocks = _sampled_blocks(params, trials, seed)
-    best_prob, best_key, max_mismatch, max_roots, checked = _scan(params, blocks, cross_check)
+            raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], got {trials}")
+        blocks, sample = _sampled_blocks(params, trials, seed), ()
+    best_prob, best_key, max_mismatch, max_roots, checked, root_total, parseval = _scan(
+        params, blocks, cross_check, sample)
     # each cell's amplitude is a sum of at most max_roots unit phases over q
     if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):
         raise ConsistencyError(f"max_prob {best_prob} exceeds (max_root_count/q)^2 "
                                f"with max_root_count = {max_roots}")
+    if exhaustive and root_total != m * (m - 1) * q * q:
+        raise ConsistencyError(f"root sets hold {root_total} roots, not M(M-1)q^2 = "
+                               f"{m * (m - 1) * q * q}")
+    if exhaustive and parseval > PARSEVAL_TOL:
+        raise ConsistencyError(f"a pair's quotient cells miss its root count by {parseval}")
 
-    witness_s, witness_x, witness_z = best_key
     return {
         "mode": "exhaustive" if exhaustive else "random",
         "params": {"q": q, "d": d},
@@ -466,9 +459,14 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
         "bound_exact": Fraction((d + 1) ** 2, q ** 2),
         "max_prob": best_prob,
         "max_root_count": max_roots,
-        "witness": {"s": list(witness_s), "x": list(witness_x), "z": list(witness_z)},
-        "pairs_checked": checked,
+        "witness": {name: list(value) for name, value in zip("sxz", best_key)},
+        # a quotient cell stands for its M words z_{1:d}; x_{1:d} = 0 has (q^2 dim - 1) M cells
+        "pairs_checked": checked * m + (q * q * params.dim - 1) * m if exhaustive else checked,
+        "quotient_cells": checked if exhaustive else None,
+        "root_count_total": root_total if exhaustive else None,
+        "max_parseval_gap": parseval if exhaustive else None,
         "dense_cross_check": bool(cross_check),
+        "dense_sample_cells": DENSE_SAMPLE if exhaustive and cross_check else None,
         "max_dense_mismatch": max_mismatch if cross_check else None,
         "bound_satisfied": max_roots <= d + 1,
     }

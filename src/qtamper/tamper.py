@@ -51,7 +51,6 @@ class EncodingScheme:
 
     n: int
     k: int
-    seed: int | list
     isometry: np.ndarray
 
     @property
@@ -80,8 +79,7 @@ def check_scheme_size(n: int, k: int) -> None:
 def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
     """Scheme with N = 2^n codeword space and K = 2^k messages."""
     check_scheme_size(n, k)
-    return EncodingScheme(n=n, k=k, seed=seed,
-                          isometry=sample_encoding_isometry(2 ** n, 2 ** k, seed))
+    return EncodingScheme(n=n, k=k, isometry=sample_encoding_isometry(2 ** n, 2 ** k, seed))
 
 
 def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
@@ -304,7 +302,7 @@ def _scan_group(n: int, k: int, seeds: list, members: list, mode: str):
     # that quantum keeps one seed's layout, on which V @ amps gives a one-seed call's bits
     V = (V[0][np.newaxis] if len(V) == 1 else np.array(V) if mode != "quantum"
          else np.stack([v.T for v in V]).transpose(0, 2, 1))
-    scheme = EncodingScheme(n, k, seeds, V[:, np.newaxis])
+    scheme = EncodingScheme(n, k, V[:, np.newaxis])
     blocks = _blocks(members, BLOCK_ENTRIES // (len(seeds) * (1 if mode == "quantum" else 2 ** k)))
     if mode in ("classical", "relaxed"):
         same, diff, perp = (np.concatenate(col, axis=1) for col in

@@ -18,7 +18,7 @@ from qtamper.errors import (BudgetExceeded, ConsistencyError, InvalidParams, Out
 from qtamper.field import is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega_powers,
-                           random_nonidentity_labels, shift_rows)
+                           random_nonidentity_words, shift_rows)
 from qtamper.moments import (PATTERN_DIAGONAL, PATTERN_OFF_DIAGONAL, MomentSpec,
                              closed_form_moment)
 from qtamper.perm import MAX_SWAPPER_DEGREE, sp_classes
@@ -456,9 +456,16 @@ def digit_table_word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:
     return shift_rows(q, x[..., np.newaxis, :], digits), phase
 
 
+def nonidentity_labels(q: int, m: int, count: int, rng) -> list[PauliLabel]:
+    """`pauli.random_nonidentity_words` as labels."""
+    return [PauliLabel(q=q, x=tuple(row[:m]), z=tuple(row[m:]))
+            for row in random_nonidentity_words(q, m, count, rng).tolist()]
+
+
 def single_draw_labels(q: int, m: int, count: int, rng) -> list[PauliLabel]:
-    """`pauli.random_nonidentity_labels` one candidate draw at a time: the
-    oracle for its batches, in labels and in the stream it reads."""
+    """`nonidentity_labels` one candidate draw at a time: the oracle for the
+    batches of `pauli.random_nonidentity_words`, in labels and in the
+    stream they read."""
     chosen, seen = [], set()
     while len(chosen) < count:
         key = tuple(int(d) for d in rng.integers(0, q, size=2 * m))
@@ -661,7 +668,7 @@ def write_family_file(folder, n: int, kind: str):
     Pauli words (compact labels and `pauli` objects), "dense" unitary files
     (Haar unitaries and one dense Pauli matrix), "mixed" both, interleaved."""
     rng = np.random.default_rng(1000 * n + len(kind))
-    words = random_nonidentity_labels(2, n, 4, rng)
+    words = nonidentity_labels(2, n, 4, rng)
     labels = [words[0].compact(), {"pauli": {"q": 2, "x": list(words[1].x), "z": list(words[1].z)}},
               words[2].compact(), {"pauli": {"q": 2, "x": list(words[3].x), "z": list(words[3].z)},
                                    "label": "named-word"}]
@@ -688,12 +695,13 @@ def _check_word(params, x, z):
     return x, z
 
 
-def phase_sum(params, s, z, roots):
-    """(1/q) sum over the roots r of omega^{<z_{1:d}, s> + z_{d+1} r + z_{d+2} f(s, r)}."""
+def phase_sum(params, s, z, roots, global_phase=True):
+    """(1/q) sum over the roots r of omega^{<z_{1:d}, s> + z_{d+1} r + z_{d+2} f(s, r)},
+    or without its global phase <z_{1:d}, s>: the sum of the quotient cell."""
     q, d = params.q, params.d
     tags = tag_table(params, s)
     table = omega_powers(q)
-    base = sum(z[i] * s[i] for i in range(d)) % q
+    base = sum(z[i] * s[i] for i in range(d)) % q if global_phase else 0
     total = 0j
     for r in roots:
         total += table[(base + z[d] * r + z[d + 1] * tags[r]) % q]
@@ -701,11 +709,11 @@ def phase_sum(params, s, z, roots):
 
 
 def overlap_amplitude(s, s_prime, x, z, params):
-    """Exact <psi_{s'}| X^x Z^z |psi_s>, computed symbolically, one cell.
+    """Exact <psi_{s'}| X^x Z^z |psi_s> up to its global phase
+    omega^{<z_{1:d}, s>}, computed symbolically, one cell.
 
-    Zero unless s' = s + x_{1:d}; otherwise a phase sum over the root
-    set, including the constant omega^{<z_{1:d}, s>} prefactor so the
-    value matches the dense simulation amplitude-by-amplitude.
+    Zero unless s' = s + x_{1:d}; otherwise the phase sum over the root
+    set of the quotient cell (x, s, z_{d+1}, z_{d+2}).
     """
     q, d = params.q, params.d
     s = tuple(v % q for v in s)
@@ -714,12 +722,13 @@ def overlap_amplitude(s, s_prime, x, z, params):
     target = tuple((s[i] + x[i]) % q for i in range(d))
     if s_prime != target:
         return 0j
-    return phase_sum(params, s, z, _difference_roots(params, s, x))
+    return phase_sum(params, s, z, _difference_roots(params, s, x), global_phase=False)
 
 
 def wrong_decode_prob_exact(s, s_prime, x, z, params):
     """|<psi_{s'}| X^x Z^z |psi_s>|^2, or with s_prime=None the aggregate
-    sum over all s' != s (the total wrong-decode mass).
+    sum over all s' != s (the total wrong-decode mass), from the quotient
+    cell's phase sum.
 
     The per-cell symbolic route: reference for the scan, which must
     reproduce its probabilities bit for bit.
@@ -744,8 +753,8 @@ def dense_overlaps(s, x, z, params):
     """
     rows, phase = PauliLabel(params.q, x, z).action()
     tampered = np.zeros(params.dim, dtype=np.complex128)
-    tampered[rows] = phase * encode(s, params).state
-    return {m: complex(np.vdot(encode(m, params).state, tampered))
+    tampered[rows] = phase * encode(s, params)
+    return {m: complex(np.vdot(encode(m, params), tampered))
             for m in params.messages()}
 
 
@@ -763,11 +772,11 @@ def tamper_experiment(s, x, z, params):
 
 
 def per_shift_blocks(params):
-    """The exhaustive scan's blocks one shift x at a time, in rank order:
+    """Every full cell in scan blocks, one shift x at a time, in rank order:
     every message against every clock word z, with z = 0 left out of x = 0.
 
-    The one-block-per-shift oracle for `qamd._exhaustive_blocks`, whose
-    windows of whole shifts must give the same report bytes.
+    The full-cell oracle for `qamd._exhaustive_blocks`, whose windows of
+    quotient cells must give its maximum, witness and root count.
     """
     every = np.arange(params.num_messages)
     rows, clocks = every[:, np.newaxis], np.arange(params.dim)[np.newaxis]

@@ -14,13 +14,12 @@ from math import ceil
 import numpy as np
 import pytest
 from conftest import (Permutation, bfs_transposition_distances, cell_rows, first_moment_js,
-                      first_moment_ss, min_transpositions, pauli_matrix, tamper_experiment,
-                      wg_value)
+                      first_moment_ss, min_transpositions, nonidentity_labels, pauli_matrix,
+                      tamper_experiment, wg_value)
 
 from qtamper import cli
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.moments import MomentSpec, exact_moment, mc_moment
-from qtamper.pauli import random_nonidentity_labels
 from qtamper.perm import verify_lemmas
 from qtamper.qamd import QamdParams, security_scan
 from qtamper.tamper import family_security_scan, pauli_family
@@ -102,7 +101,7 @@ def test_criterion_3_qamd_security():
 
 
 def _criterion_4_battery(n_dim: int, qubits: int, stream: int, haar_base: int):
-    labels = random_nonidentity_labels(2, qubits, 10, child_generator(2026, stream))
+    labels = nonidentity_labels(2, qubits, 10, child_generator(2026, stream))
     battery = [pauli_matrix(lab) for lab in labels]
     battery += [sample_haar_unitary(n_dim, haar_base + i) for i in range(10)]
     return battery
@@ -132,7 +131,7 @@ def test_criterion_4_first_moment_closed_forms():
 
 def test_criterion_5_higher_moments():
     started = time.perf_counter()
-    labels = random_nonidentity_labels(2, 3, 5, child_generator(2027, 0))
+    labels = nonidentity_labels(2, 3, 5, child_generator(2027, 0))
     battery = [pauli_matrix(lab) for lab in labels]
     battery += [sample_haar_unitary(8, 4200 + i) for i in range(5)]
     seed = 53000

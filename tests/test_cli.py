@@ -415,6 +415,7 @@ def _with(key, value, section=None):
     _with("generator_version", "philox4x64/ziggurat/v8"),
     _with("generator_version", "sfc64/ziggurat/v9"),
     _with("generator_version", "sfc64/ziggurat/v10"),
+    _with("generator_version", "sfc64/ziggurat/v11"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -428,7 +429,7 @@ def _with(key, value, section=None):
         "rerun-subcommand",
         "generator-version", "generator-version-v5", "generator-version-v6",
         "generator-version-v7", "generator-version-v8", "generator-version-v9",
-        "generator-version-v10", "build",
+        "generator-version-v10", "generator-version-v11", "build",
         "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
@@ -686,9 +687,37 @@ def _assert_same_bytes_under_optimize(out, args):
 
 
 def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
-    for mode, flags in (("exhaustive", ["--exhaustive"]), ("random", ["--trials", "200"])):
-        _assert_same_bytes_under_optimize(tmp_path / mode,
-                                          ["qamd-scan", "--q", "3", "--d", "2", *flags])
+    for mode, flags in (("exhaustive", ["--q", "3", "--d", "2", "--exhaustive"]),
+                        ("random", ["--q", "3", "--d", "2", "--trials", "200"]),
+                        ("exhaustive-q7d2", ["--q", "7", "--d", "2", "--exhaustive"])):
+        _assert_same_bytes_under_optimize(tmp_path / mode, ["qamd-scan", *flags])
+
+
+_BROKEN_ROOT_MASK = """
+import sys
+from qtamper import cli, qamd
+
+true_masks = qamd._root_masks
+
+def masks(params, coeffs, x):
+    out = true_masks(params, coeffs, x)
+    out[:, -1] = False               # no pair has the root r = q - 1
+    return out
+
+qamd._root_masks = masks
+print(sys.flags.optimize)
+print(cli.run(["--out", sys.argv[1], "qamd-scan", "--q", "5", "--d", "1", "--exhaustive",
+               "--skip-dense-check"]))
+"""
+
+
+def test_root_count_identity_fires_under_optimize_flag(tmp_path):
+    """Under `python -O`, a root mask that loses the roots r = q - 1 fails
+    the exhaustive scan's root-count identity: exit 2 and an error report."""
+    proc = _optimized_python("-c", _BROKEN_ROOT_MASK, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]
+    assert _load(tmp_path / "qamd-scan.json")["error"].startswith("root sets hold")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,14 +1,16 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import (FqPoly, IdentityTampering, _difference_roots, dense_overlaps,
-                      difference_poly, fq_roots, pauli_matrix, per_shift_blocks, tag_poly,
-                      tag_table, tamper_experiment, traced_peak, wrong_decode_prob_exact)
+                      difference_poly, fq_roots, pauli_matrix, per_shift_blocks, phase_sum,
+                      tag_poly, tag_table, tamper_experiment, traced_peak,
+                      wrong_decode_prob_exact)
 
 from qtamper import qamd
-from qtamper.errors import BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange
+from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.field import fq_values
 from qtamper.haar import child_generator
 from qtamper.pauli import PauliLabel, kron_digits, omega_powers
@@ -19,6 +21,7 @@ P51 = QamdParams(q=5, d=1)
 P71 = QamdParams(q=7, d=1)
 P32 = QamdParams(q=3, d=2)
 P23 = QamdParams(q=2, d=3)
+QUOTIENT_FIELDS = ("quotient_cells", "root_count_total", "max_parseval_gap", "dense_sample_cells")
 
 
 def test_params_validation():
@@ -50,15 +53,15 @@ def test_encode_support_and_normalization():
         q, d = params.q, params.d
         for s in params.messages():
             cw = encode(s, params)
-            support = set(np.nonzero(cw.state)[0].tolist())
+            support = set(np.nonzero(cw)[0].tolist())
             tags = [(sum(v * r ** (i + 1) for i, v in enumerate(s)) + r ** (d + 2)) % q
                     for r in range(q)]
             expected = {int(np.ravel_multi_index(s + (r, tags[r]), (q,) * (d + 2)))
                         for r in range(q)}
             assert support == expected
-            amps = cw.state[sorted(support)]
+            amps = cw[sorted(support)]
             assert np.allclose(amps, 1 / np.sqrt(q))
-            assert abs(np.linalg.norm(cw.state) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(cw) - 1.0) < 1e-12
 
 
 def test_encode_orthogonality():
@@ -66,7 +69,7 @@ def test_encode_orthogonality():
         messages = params.messages()
         for a in messages[:3]:
             for b in messages[:3]:
-                ip = np.vdot(encode(a, params).state, encode(b, params).state)
+                ip = np.vdot(encode(a, params), encode(b, params))
                 if a == b:
                     assert abs(ip - 1) < 1e-12
                 else:
@@ -129,9 +132,9 @@ def test_symbolic_matches_dense_oracle(params):
     for s, x, z in _random_cells(params, 1000, seed=params.q * 100 + params.d):
         sym = wrong_decode_prob_exact(s, None, x, z, params)
         word = pauli_matrix(PauliLabel(q=params.q, x=x, z=z))
-        tampered = word @ encode(s, params).state
+        tampered = word @ encode(s, params)
         dense = sum(
-            abs(np.vdot(encode(m, params).state, tampered)) ** 2
+            abs(np.vdot(encode(m, params), tampered)) ** 2
             for m in params.messages() if m != s
         )
         assert abs(sym - dense) <= 1e-9, (s, x, z)
@@ -140,10 +143,10 @@ def test_symbolic_matches_dense_oracle(params):
 def test_dense_overlap_helper_matches_pauli_matrix_route():
     for s, x, z in _random_cells(P32, 50, seed=5):
         word = pauli_matrix(PauliLabel(q=3, x=x, z=z))
-        tampered = word @ encode(s, P32).state
+        tampered = word @ encode(s, P32)
         fast = dense_overlaps(s, x, z, P32)
         for m in P32.messages():
-            direct = np.vdot(encode(m, P32).state, tampered)
+            direct = np.vdot(encode(m, P32), tampered)
             assert abs(fast[m] - direct) <= 1e-12
 
 
@@ -151,8 +154,8 @@ def test_no_tamper_correctness():
     # decoding an untampered codeword recovers the message with certainty
     for params in (P51, P32):
         for s in params.messages()[:4]:
-            state = encode(s, params).state
-            assert abs(abs(np.vdot(encode(s, params).state, state)) ** 2 - 1.0) <= 1e-12
+            state = encode(s, params)
+            assert abs(abs(np.vdot(encode(s, params), state)) ** 2 - 1.0) <= 1e-12
 
 
 def test_tamper_experiment_distribution():
@@ -216,16 +219,20 @@ def test_security_scan_random_mode_deterministic():
 
 
 def test_security_scan_budget():
-    with pytest.raises(BudgetExceeded):
-        security_scan(QamdParams(q=7, d=2), exhaustive=True)
+    # no cell budget: exhaustive (7, 2), 2.8e8 full cells, runs and reaches 9/49
+    report = security_scan(QamdParams(q=7, d=2), exhaustive=True)
+    assert report["max_root_count"] == 3 and report["bound_exact"] == Fraction(9, 49)
+    assert abs(report["max_prob"] - 9 / 49) <= 1e-15
     with pytest.raises(OutOfRange):
         security_scan(P51, exhaustive=False, trials=0)
 
 
 def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=True):
     """security_scan one cell at a time: every (x, z) word gets its own
-    phase sums and its own dense GEMM with the word's `PauliLabel.action()`;
-    random cells use dense_overlaps.  Ties go to the smallest (s, x, z).
+    phase sums, global phase included, and its own dense GEMM with the
+    word's `PauliLabel.action()`; random cells take their quotient cell's
+    sum and use dense_overlaps.  Ties go to the smallest (s, x, z).  The
+    fields the quotient scan adds are left null.
 
     Independent route for the batched scan, which must match it byte for
     byte.  Returns the report and, for an exhaustive cross-checked scan,
@@ -243,7 +250,7 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
 
     if exhaustive:
         grid = [tuple(int(v) for v in row) for row in kron_digits(q, d + 2)]
-        psi = np.column_stack([encode(m, params).state for m in messages])
+        psi = np.column_stack([encode(m, params) for m in messages])
         w_table = omega_powers(q)
         if cross_check:
             dense_cells = np.zeros((len(grid), len(grid), len(messages)))
@@ -304,6 +311,7 @@ def _reference_scan(params, exhaustive=True, trials=None, seed=0, cross_check=Tr
         "dense_cross_check": bool(cross_check),
         "max_dense_mismatch": max_mismatch if cross_check else None,
         "bound_satisfied": max_roots <= d + 1,
+        **dict.fromkeys(QUOTIENT_FIELDS),
     }
     return report, dense_cells
 
@@ -361,8 +369,9 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
     fast = security_scan(params, exhaustive=True, cross_check=cross_check)
     slow, dense_cells = _reference_scan(params, exhaustive=True, cross_check=cross_check)
     # the support-sum kernel sums in another order than the per-word GEMM,
-    # so the worst gap moves in the last bits: every other field must match
-    skip = {"max_dense_mismatch"} if cross_check else set()
+    # so the worst gap moves in the last bits, and the reference has no
+    # quotient cells: every other field must match
+    skip = {"max_dense_mismatch", *QUOTIENT_FIELDS}
     assert (canonical_json_bytes({k: v for k, v in fast.items() if k not in skip})
             == canonical_json_bytes({k: v for k, v in slow.items() if k not in skip}))
     if cross_check:
@@ -377,7 +386,7 @@ def test_exhaustive_scan_bytes_match_reference(params, cross_check):
 
 
 def _dense_kernel(params):
-    return qamd._support_sum_route(params, [encode(m, params).state for m in params.messages()])
+    return qamd._support_sum_route(params, [encode(m, params) for m in params.messages()])
 
 
 def _one_pair(dense, xi, mi, clocks):
@@ -437,10 +446,10 @@ def test_random_scan_does_not_depend_on_the_window(monkeypatch, params, trials, 
 
 
 def test_witness_in_a_later_window_than_the_first_maximum(monkeypatch):
-    # six cells of (7, 1), 400 trials, seed 21 reach the maximum: in key order
-    # (x, s, z) the first is at position 74, the smallest (s, x, z) at 133,
+    # five cells of (7, 1), 400 trials, seed 42 reach the maximum: in key order
+    # (x, s, z) the first is at position 79, the smallest (s, x, z) at 129,
     # so windows of 100 cells find the witness one window later
-    params, trials, seed, cells_per_window = P71, 400, 21, 100
+    params, trials, seed, cells_per_window = P71, 400, 42, 100
     cells = sorted(_random_cells(params, trials, seed), key=lambda c: (c[1], c[0], c[2]))
     probs = [wrong_decode_prob_exact(s, None, x, z, params) for s, x, z in cells]
     hits = [i for i, p in enumerate(probs) if p == max(probs)]
@@ -458,15 +467,20 @@ def test_witness_in_a_later_window_than_the_first_maximum(monkeypatch):
 
 @pytest.mark.parametrize("params", [P51, P32, P71, P23], ids=["q5d1", "q3d2", "q7d1", "q2d3"])
 def test_exhaustive_windows_match_the_per_shift_oracle(monkeypatch, params):
-    # windows of one shift (1 and 31 cells, below one shift's M dim), of
-    # the default, and one window larger than the whole scan: every field,
-    # max_dense_mismatch included, keeps the bytes of one block per shift
-    with monkeypatch.context() as patch:
-        patch.setattr(qamd, "_exhaustive_blocks", per_shift_blocks)
-        oracle = canonical_json_bytes(security_scan(params, exhaustive=True))
-    for window in (1, 31, qamd.SCAN_WINDOW, params.num_messages * params.dim ** 2):
+    # every full cell, one block per shift, with the dense route, gives the
+    # quotient scan's maximum, witness and root count; windows of one shift
+    # (1 and 31 cells, below one shift's M q^2), and one window larger than
+    # the whole scan, keep every byte of the default windows' report
+    prob, key, mismatch, roots = qamd._scan(params, per_shift_blocks(params), True)[:4]
+    assert mismatch <= 1e-12
+    report = security_scan(params, exhaustive=True)
+    s, x, z = key
+    assert report["max_prob"] == prob and report["max_root_count"] == roots
+    assert report["witness"] == {"s": list(s), "x": list(x), "z": list(z)}
+    for window in (1, 31, params.num_messages * params.dim ** 2):
         monkeypatch.setattr(qamd, "SCAN_WINDOW", window)
-        assert canonical_json_bytes(security_scan(params, exhaustive=True)) == oracle, window
+        assert (canonical_json_bytes(security_scan(params, exhaustive=True))
+                == canonical_json_bytes(report)), window
 
 
 def test_exhaustive_witness_in_a_later_shift_of_its_window():
@@ -474,13 +488,13 @@ def test_exhaustive_witness_in_a_later_shift_of_its_window():
     # shift 56 with s = 1, the smallest (s, x, z) key in shift 57 with s = 0,
     # and one default window holds both shifts: the least s must be taken
     # across the shifts of one block
-    params = P71
-    width = max(1, qamd.SCAN_WINDOW // (params.num_messages * params.dim))
+    params, q2 = P71, P71.q ** 2
+    width = max(1, qamd.SCAN_WINDOW // (params.num_messages * q2))
     per_shift = [qamd._scan(params, [block], False)[:2] for block in per_shift_blocks(params)]
     top = max(p for p, _ in per_shift)
     hits = [(xi, key) for xi, (p, key) in enumerate(per_shift) if p == top]
     (first, first_key), (shift, witness) = hits[0], min(hits, key=lambda hit: hit[1])
-    assert first != shift and (first - 1) // width == (shift - 1) // width
+    assert first != shift and (first - q2) // width == (shift - q2) // width
     assert first_key[0] > witness[0]
     report = security_scan(params, exhaustive=True, cross_check=False)
     s, x, z = witness
@@ -488,20 +502,20 @@ def test_exhaustive_witness_in_a_later_shift_of_its_window():
 
 
 def test_exhaustive_scan_hands_over_whole_windows(monkeypatch):
-    # (7, 1) has M dim = 2401 cells a shift, so a default window holds 6
-    # shifts: the 342 shifts x != 0 take 57 windows after the x = 0 block,
-    # and every full window hands over the same (ps, at, cz)
+    # (7, 1) has M q^2 = 343 quotient cells a shift, so a default window
+    # holds 47 shifts: the 294 shifts with x_{1:d} != 0 take 7 windows, and
+    # every full window hands over the same (ps, at, cz)
     blocks, true_scan = [], qamd._scan
 
-    def scan(params, scan_blocks, cross_check):
-        return true_scan(params, (blocks.append(b) or b for b in scan_blocks), cross_check)
+    def scan(params, scan_blocks, *args):
+        return true_scan(params, (blocks.append(b) or b for b in scan_blocks), *args)
 
     monkeypatch.setattr(qamd, "_scan", scan)
     report = security_scan(P71, exhaustive=True, cross_check=False)
-    assert len(blocks) <= 1 + -(-342 // 6) == 58
-    assert sum(len(at) * cz.shape[1] for _, _, at, cz in blocks) == report["pairs_checked"]
-    assert all(b[1] is blocks[1][1] and b[2] is blocks[1][2] and b[3] is blocks[1][3]
-               for b in blocks[1:])
+    assert len(blocks) == -(-294 // 47) == 7
+    assert sum(len(at) * cz.shape[1] for _, _, at, cz in blocks) == report["quotient_cells"]
+    assert all(b[1] is blocks[0][1] and b[2] is blocks[0][2] and b[3] is blocks[0][3]
+               for b in blocks[:-1])
 
 
 def test_random_scan_holds_no_message_by_dimension_table():
@@ -653,7 +667,7 @@ def _patch_codeword(monkeypatch, edit):
     def encode(s, params):
         codeword = true_encode(s, params)
         if not any(s):
-            edit(codeword.state)
+            edit(codeword)
         return codeword
 
     monkeypatch.setattr(qamd, "encode", encode)
@@ -684,7 +698,7 @@ def test_codeword_leaking_into_another_support_fails_cross_check(monkeypatch, kw
     _patch_codeword(monkeypatch, move_first_entry)
     with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
         security_scan(P51, **kwargs)
-    psi = np.column_stack([qamd.encode(m, P51).state for m in P51.messages()])
+    psi = np.column_stack([qamd.encode(m, P51) for m in P51.messages()])
     dense = qamd._support_sum_route(P51, psi.T)
     clocks, two_receivers = np.arange(P51.dim)[np.newaxis], 0
     for xi, row in enumerate(kron_digits(P51.q, P51.block_length)):
@@ -743,9 +757,75 @@ def test_miscounted_root_set_fails_cross_check(monkeypatch, kwargs, edit):
 @pytest.mark.parametrize("kwargs", [{"exhaustive": True}, {"exhaustive": False, "trials": 200}],
                          ids=["exhaustive", "random"])
 def test_overcounted_root_set_fails_certificate(monkeypatch, kwargs):
+    # in exhaustive mode the root-count identity sees the extra roots first
     _patch_roots(monkeypatch, _one_more_root)
-    report = security_scan(P51, cross_check=False, **kwargs)
-    assert report["max_root_count"] == 3 and report["bound_satisfied"] is False
+    if kwargs["exhaustive"]:
+        with pytest.raises(ConsistencyError, match="root sets hold"):
+            security_scan(P51, cross_check=False, **kwargs)
+    else:
+        report = security_scan(P51, cross_check=False, **kwargs)
+        assert report["max_root_count"] == 3 and report["bound_satisfied"] is False
+
+
+def test_dropped_root_fails_the_root_count_identity(monkeypatch):
+    # each pair's last root dropped: the quotient cells still meet Parseval
+    # (their sums follow the root sets), but the root sets miss M(M-1)q^2
+    _patch_roots(monkeypatch, lambda params, roots: roots[:-1])
+    with pytest.raises(ConsistencyError, match="root sets hold"):
+        security_scan(P32, cross_check=False)
+
+
+def test_quotient_cells_missing_their_root_count_fail_parseval(monkeypatch):
+    # probabilities halved: every root set is right, and every pair with a
+    # root misses Parseval
+    true_route = qamd._root_sum_route
+
+    def halved(params):
+        symbolic = true_route(params)
+
+        def route(*block):
+            sym, counts = symbolic(*block)
+            return sym / 2, counts
+
+        return route
+
+    monkeypatch.setattr(qamd, "_root_sum_route", halved)
+    with pytest.raises(ConsistencyError, match="miss its root count"):
+        security_scan(P51, cross_check=False)
+
+
+def test_quotient_identities_hold_at_every_admissible_code():
+    # the root-count identity and Parseval per pair at all 14 admissible
+    # codes, with the cross-check: (7, 2) in under 5 s, all in under 30 s
+    codes = [(q, d) for q in (2, 3, 5, 7, 11, 13) for d in range(1, 12) if _admissible(q, d)]
+    assert len(codes) == 14
+    started = time.perf_counter()
+    for q, d in codes:
+        params, tick = QamdParams(q=q, d=d), time.perf_counter()
+        report, m = security_scan(params, exhaustive=True), params.num_messages
+        assert report["root_count_total"] == m * (m - 1) * q * q, (q, d)
+        assert report["max_parseval_gap"] <= qamd.PARSEVAL_TOL, (q, d)
+        assert report["quotient_cells"] == (m - 1) * q ** (d + 4), (q, d)
+        assert report["pairs_checked"] == (params.dim ** 2 - 1) * m, (q, d)
+        assert report["dense_sample_cells"] == qamd.DENSE_SAMPLE and report["bound_satisfied"]
+        if (q, d) == (7, 2):
+            assert time.perf_counter() - tick < 5.0
+    assert time.perf_counter() - started < 30.0
+
+
+@pytest.mark.parametrize("params", [P51, P32, P23], ids=["q5d1", "q3d2", "q2d3"])
+def test_global_phase_moves_no_full_cell_probability(params):
+    # every full cell with x_{1:d} != 0 (the others move no mass off s in
+    # either form): the phase sum with the term <z_{1:d}, s>, and the
+    # quotient cell's sum without it, give probabilities within 1e-15
+    grid = [tuple(int(v) for v in row) for row in kron_digits(params.q, params.block_length)]
+    for s in params.messages():
+        for x in (x for x in grid if any(x[:params.d])):
+            roots = _difference_roots(params, s, x)
+            for z in grid:
+                full, quotient = (abs(phase_sum(params, s, z, roots, global_phase)) ** 2
+                                  for global_phase in (True, False))
+                assert abs(full - quotient) <= 1e-15, (s, x, z)
 
 
 def test_probability_above_root_count_raises(monkeypatch):

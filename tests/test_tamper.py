@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (cell_rows, dense_decoder_projectors, first_moment_js, first_moment_ss,
-                      pauli_matrix, per_member_scan, scan_bytes, traced_peak, write_family_file)
+                      nonidentity_labels, pauli_matrix, per_member_scan, scan_bytes, traced_peak,
+                      write_family_file)
 
 from qtamper import cli, pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, parallel_map, require_unitary
 from qtamper.moments import MomentSpec, exact_moment
-from qtamper.pauli import MonomialUnitary, PauliLabel, random_nonidentity_labels
+from qtamper.pauli import MonomialUnitary, PauliLabel
 from qtamper.reports import cells_csv
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,
                             detect_quantum, detect_weak,
@@ -180,11 +181,11 @@ def test_trace_bound_names_the_first_violating_member():
 
 
 def test_pauli_family_matches_its_labels():
-    """Labels and members read the stream as `random_nonidentity_labels`
+    """Labels and members read the stream as `random_nonidentity_words`
     does: the compact text of each drawn label, and its action."""
     for n, count, seed in ((1, 3, 63), (4, 30, 64), (7, 200, 65)):
         fam = pauli_family(n, count, seed)
-        labels = random_nonidentity_labels(2, n, count, child_generator(seed, 0))
+        labels = nonidentity_labels(2, n, count, child_generator(seed, 0))
         assert fam.labels() == [lab.compact() for lab in labels]
         for lab, (_, u) in zip(labels, fam.members):
             rows, phase = lab.action()
