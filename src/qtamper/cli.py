@@ -25,14 +25,14 @@ from .errors import (ConsistencyError, InputError, InvalidParams, NotNormalized,
                      NotUnitary, OutOfRange, QTamperError)
 from .haar import check_seed, sample_haar_unitary
 from .linalg import usable_cpus
-from .moments import (MomentSpec, check_moment_params, check_trials, closed_form_moment,
-                      exact_moment, mc_moment)
+from .moments import (PATTERNS, MomentSpec, check_moment_params, check_trials,
+                      closed_form_moment, exact_moment, mc_moment)
 from .pauli import MonomialUnitary, PauliLabel
 from .perm import sp_classes, verify_lemmas
 from .qamd import QamdParams, security_scan
 from .reports import canonical_json_bytes, cells_csv, make_manifest
-from .tamper import (UnitaryFamily, check_cell_count, check_family_size, check_scan_params,
-                     check_seed_count, family_security_scan, pauli_family)
+from .tamper import (MODES, UnitaryFamily, check_cell_count, check_family_size,
+                     check_scan_params, check_seed_count, family_security_scan, pauli_family)
 from .weingarten import wg_abs_sum, wg_sum, wg_table
 
 DEFAULT_OUT = "reports"
@@ -205,7 +205,7 @@ def _run_qamd_scan(params: dict, jobs: int):
         qamd_params,
         exhaustive=params["mode"] == "exhaustive",
         trials=params.get("trials"),
-        seed=params["seed"],
+        seed=params.get("seed", 0),
         cross_check=params["cross_check"],
     )
     return report, report["bound_satisfied"], None
@@ -234,14 +234,6 @@ def _run_moments(params: dict, jobs: int):
     return result, True, None
 
 
-_CSV_COLUMNS = {
-    "classical": ["seed", "label", "s", "P_same", "P_diff", "P_perp"],
-    "relaxed": ["seed", "label", "s", "P_same", "P_diff", "P_perp"],
-    "weak": ["seed", "label", "X"],
-    "quantum": ["seed", "label", "P_perp", "pass_prob", "fidelity_given_pass"],
-}
-
-
 def _run_tamper_sim(params: dict, jobs: int):
     if not 0.0 <= params["min_pass_fraction"] <= 1.0:   # NaN too
         raise OutOfRange(f"min_pass_fraction {params['min_pass_fraction']} outside [0, 1]")
@@ -258,7 +250,7 @@ def _run_tamper_sim(params: dict, jobs: int):
     )
     cells = report.pop("cells")
     ok = report["pass_fraction"] >= params["min_pass_fraction"]
-    return report, ok, cells_csv(_CSV_COLUMNS[params["mode"]], cells)
+    return report, ok, cells_csv(cells)
 
 
 _HANDLERS = {
@@ -301,7 +293,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--skip-dense-check", action="store_true")
 
     p = sub.add_parser("moments", help="exact and Monte Carlo decoder moments")
-    p.add_argument("--pattern", choices=["js", "ss", "m"], required=True)
+    p.add_argument("--pattern", choices=PATTERNS, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--unitary", required=True,
@@ -316,8 +308,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--family", required=True, help="paulis:COUNT | file:PATH")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--mode", choices=["classical", "relaxed", "weak", "quantum"],
-                   default="classical")
+    p.add_argument("--mode", choices=MODES, default="classical")
     p.add_argument("--seeds", required=True, help="S0..S1 | comma list | single")
     p.add_argument("--family-seed", type=int, default=None)
     p.add_argument("--min-pass-fraction", type=float, default=0.9)
@@ -330,14 +321,19 @@ def _build_parser() -> _Parser:
 
 def _params_from_args(args) -> dict:
     """The manifest parameters of a parsed command line: its subcommand's
-    options, with seeds resolved and checked and the qamd-scan flags named."""
+    options, with seeds resolved and checked and the qamd-scan flags named.
+    An exhaustive qamd-scan draws nothing, so it has no trials and no seed."""
     params = {k: v for k, v in vars(args).items() if k not in ("out", "jobs", "subcommand")}
-    for key in ("seed", "family_seed"):
-        if key in params:
-            params[key] = check_seed(_env_seed() if params[key] is None else params[key])
     if args.subcommand == "qamd-scan":
         params["mode"] = "exhaustive" if params.pop("exhaustive") else "random"
         params["cross_check"] = not params.pop("skip_dense_check")
+        if params["mode"] == "exhaustive":
+            del params["trials"]
+            if params.pop("seed") is not None:
+                raise _UsageError("--seed does not apply to --exhaustive, which draws nothing")
+    for key in ("seed", "family_seed"):
+        if key in params:
+            params[key] = check_seed(_env_seed() if params[key] is None else params[key])
     if args.subcommand == "tamper-sim":
         params["seeds"] = _parse_seeds(params["seeds"])
     return params

@@ -33,10 +33,10 @@ codewords), and a pair's q^2 quotient cells sum to |R(s, x)| (Parseval:
 the points (r, f(s, r)) are distinct).
 The dense cross-check never reads root sets: each codeword has q nonzero
 entries, so every amplitude is a q-term sum over its support, and only
-the codewords that the shifted support meets are multiplied.  Both modes
-hand the scan loop bounded windows of cells: exhaustive mode windows of
-whole shifts, random mode windows of sorted draws.  A window never changes
-a report's bytes.
+the codewords that the shifted support meets are multiplied; it meets each
+quotient cell at a full cell with z_{1:d} != 0, so it checks the global
+phase too.  The scan loop takes bounded windows: of whole shifts in
+exhaustive mode, of sorted draws in random mode, never changing a byte.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ DRAW_WINDOW = 2 ** 14    # draws them in windows of this many per generator call
 SCAN_WINDOW = 2 ** 14    # scans them in windows of SCAN_WINDOW // q cells (of q root slots);
                          # exhaustive mode scans windows of SCAN_WINDOW // (M q^2) whole shifts
 DENSE_MATCH_TOL = 1e-9
-DENSE_SAMPLE = 1024      # full cells drawn for the dense cross-check beside the quotient cells
 PARSEVAL_TOL = 1e-12
 
 
@@ -172,14 +171,14 @@ def _key_probabilities(q: int, width: int) -> np.ndarray:
 def _block_tables(build, m: int):
     """A function table(ps, at, cz) giving build(group, cz) for a block's
     messages `group`, whose row g % len(group) serves the block's row g: a
-    block with one clock row runs through whole shifts of ps[:M], whose
-    table is kept while ps[:M] and cz repeat; any other gets one per row."""
+    block with one clock row runs through whole shifts of ps[:M], its table
+    kept while ps[:M] and the values of cz repeat; any other gets one per row."""
     last = [None, None, None]
 
     def table(ps, at, cz):
         shared = len(cz) == 1
         group = ps[:min(m, len(ps))] if shared else ps[at[:, 0]]
-        if not shared or cz is not last[1] or not np.array_equal(group, last[0]):
+        if not shared or not np.array_equal(cz, last[1]) or not np.array_equal(group, last[0]):
             last[:] = group, cz, build(group, cz)
         return last[2]
 
@@ -300,17 +299,17 @@ def _cell(messages, digits, px, ps, at, cz, index):
             tuple(int(v) for v in digits[cz[g % len(cz), j]]))
 
 
-def _scan(params: QamdParams, blocks, cross_check: bool, sample=()):
+def _scan(params: QamdParams, blocks, cross_check: bool):
     """(max probability, witness key, worst dense mismatch, max root count,
-    cells checked, root count total, worst Parseval gap) over `blocks`;
-    with cross_check the dense route also meets the blocks `sample`, which
-    count in nothing else.  A block (px, ps, at, cz) holds the shift and
-    message ranks px, ps ((P,)) of its (x, s) pairs, each row's pair at
-    ((G, 1)) and the clock ranks cz ((G, n), or (1, n) for every row), so
-    ordered that the cells in row-major order run in increasing (x, s, z).
-    A block with one clock row has one row per pair and holds whole shifts,
-    each against the messages ps[:M] in the same order.  A row's Parseval
-    gap is |the sum of its probabilities - its pair's root count|."""
+    cells checked, root count total, worst Parseval gap) over `blocks`.  A
+    block (px, ps, at, cz) holds the shift and message ranks px, ps ((P,))
+    of its (x, s) pairs, each row's pair at ((G, 1)) and the clock ranks cz
+    ((G, n), or (1, n) for every row), which the symbolic route reads mod
+    q^2 and the dense route (with cross_check) in full, so ordered that the
+    cells in row-major order run in increasing (x, s, z).  A block with one
+    clock row has one row per pair and holds whole shifts, each against the
+    messages ps[:M] in the same order.  A row's Parseval gap is |the sum of
+    its probabilities - its pair's root count|."""
     messages = params.messages()
     digits = kron_digits(params.q, params.block_length)   # row k: the exponent vector of rank k
     symbolic = _root_sum_route(params)
@@ -341,8 +340,6 @@ def _scan(params: QamdParams, blocks, cross_check: bool, sample=()):
         key = _cell(messages, digits, px, ps, at, cz, zi)
         if p > best_prob or (p == best_prob and key < best_key):
             best_prob, best_key = p, key
-    for block in sample if cross_check else ():
-        max_mismatch = max(max_mismatch, mismatch(*block, symbolic(*block)[0]))
     return best_prob, best_key, max_mismatch, max_roots, checked, root_total, parseval
 
 
@@ -391,17 +388,21 @@ def _exhaustive_blocks(params: QamdParams):
     """The scan blocks of every quotient cell (x, s, a, b) with x_{1:d} != 0:
     windows of max(1, SCAN_WINDOW // (M q^2)) whole shifts x, of ranks q^2
     and up, each shift against every message and the q^2 clock words
-    (0, ..., 0, a, b) of ranks a q + b.  The full windows share one
-    (ps, at, cz)."""
+    (z_{1:d}, a, b) of ranks q^2 r + a q + b, where window i of W has the
+    prefix rank r = M - 1 - floor(i (M-1) / W): z_{1:d} != 0, all q - 1 in
+    the first window, each prefix in one run of windows (so the dense route
+    builds its phase rows min(W, M-1) times), every prefix if W >= M - 1.
+    The full windows share one (ps, at)."""
     m, q2 = params.num_messages, params.q ** 2
     every, clocks = np.arange(m), np.arange(q2)[np.newaxis]
     width = max(1, SCAN_WINDOW // (m * q2))
     rows = np.tile(every, width), np.arange(width * m)[:, np.newaxis]
-    for lo in range(q2, params.dim, width):
+    windows = range(q2, params.dim, width)
+    for i, lo in enumerate(windows):
         xs = np.arange(lo, min(lo + width, params.dim))
         if len(xs) < width:                                        # the last window
             rows = np.tile(every, len(xs)), np.arange(len(xs) * m)[:, np.newaxis]
-        yield np.repeat(xs, m), *rows, clocks
+        yield np.repeat(xs, m), *rows, q2 * (m - 1 - i * (m - 1) // len(windows)) + clocks
 
 
 def security_scan(params: QamdParams, exhaustive: bool = True,
@@ -415,14 +416,15 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     x_{1:d} != 0 (see `_exhaustive_blocks`), which stands for the M full
     cells with (z_{d+1}, z_{d+2}) = (a, b); no other word moves mass off s.
     It raises ConsistencyError unless the root counts sum to M(M-1)q^2 and
-    each pair's quotient cells to its root count within PARSEVAL_TOL.
-    Random mode visits `trials` full cells drawn from the seeded stream,
-    duplicates included, in windows sorted by (x, s, z).  `pairs_checked`
-    counts the full cells certified.  With cross_check the dense
-    state-vector simulation meets every scanned cell, and in exhaustive
-    mode DENSE_SAMPLE full cells drawn as random mode draws them; the worst
-    mismatch is reported, and one above DENSE_MATCH_TOL raises
-    ConsistencyError.  The witness is the smallest (s, x, z) at the maximum.
+    each pair's quotient cells to its root count within PARSEVAL_TOL; it
+    reads neither `trials` nor `seed`.  Random mode visits `trials` full
+    cells drawn from the seeded stream, duplicates included, in windows
+    sorted by (x, s, z).  `pairs_checked` counts the full cells certified.
+    With cross_check the dense state-vector simulation meets every scanned
+    cell, a quotient cell at its window's z_{1:d} != 0 (which checks the
+    global phase); the worst mismatch is reported, and one above
+    DENSE_MATCH_TOL raises ConsistencyError.  The witness is the smallest
+    (s, x, z) at the maximum, in exhaustive mode with z_{1:d} = 0.
     The certificate is exact: `bound_satisfied` is the integer test
     `max_root_count` <= d + 1 on the largest root set of a scanned pair
     with x_{1:d} != 0, which bounds every cell by `bound_exact`, and
@@ -434,14 +436,11 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
     (a test enumerates them).
     """
     q, d, m = params.q, params.d, params.num_messages
-    if exhaustive:
-        blocks, sample = _exhaustive_blocks(params), _sampled_blocks(params, DENSE_SAMPLE, seed)
-    else:
-        if not trials or not 1 <= trials <= MAX_TRIALS:
-            raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], got {trials}")
-        blocks, sample = _sampled_blocks(params, trials, seed), ()
-    best_prob, best_key, max_mismatch, max_roots, checked, root_total, parseval = _scan(
-        params, blocks, cross_check, sample)
+    if not exhaustive and (not trials or not 1 <= trials <= MAX_TRIALS):
+        raise OutOfRange(f"random mode needs a trial count in [1, {MAX_TRIALS}], got {trials}")
+    blocks = _exhaustive_blocks(params) if exhaustive else _sampled_blocks(params, trials, seed)
+    best_prob, (s, x, z), max_mismatch, max_roots, checked, root_total, parseval = _scan(
+        params, blocks, cross_check)
     # each cell's amplitude is a sum of at most max_roots unit phases over q
     if best_prob > (max_roots / q) ** 2 * (1 + 1e-12):
         raise ConsistencyError(f"max_prob {best_prob} exceeds (max_root_count/q)^2 "
@@ -459,14 +458,14 @@ def security_scan(params: QamdParams, exhaustive: bool = True,
         "bound_exact": Fraction((d + 1) ** 2, q ** 2),
         "max_prob": best_prob,
         "max_root_count": max_roots,
-        "witness": {name: list(value) for name, value in zip("sxz", best_key)},
+        "witness": {"s": list(s), "x": list(x),       # exhaustive: its quotient cell's least z
+                    "z": [0] * d + list(z[d:]) if exhaustive else list(z)},
         # a quotient cell stands for its M words z_{1:d}; x_{1:d} = 0 has (q^2 dim - 1) M cells
         "pairs_checked": checked * m + (q * q * params.dim - 1) * m if exhaustive else checked,
         "quotient_cells": checked if exhaustive else None,
         "root_count_total": root_total if exhaustive else None,
         "max_parseval_gap": parseval if exhaustive else None,
         "dense_cross_check": bool(cross_check),
-        "dense_sample_cells": DENSE_SAMPLE if exhaustive and cross_check else None,
         "max_dense_mismatch": max_mismatch if cross_check else None,
         "bound_satisfied": max_roots <= d + 1,
     }

@@ -79,12 +79,14 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def cells_csv(header: list[str], cells: dict) -> str:
+def cells_csv(cells: dict) -> str:
     """The CSV text of named columns (the `label` list, int and float arrays)
-    in `header` order: what `csv.writer` writes for the cells formatted one
-    at a time, floats as format(v, ".17g") (which "%.17g" is) and NaN as
-    "undefined".  Each row shape (its set of NaN cells) has one % format
-    line; the rows' lines are applied once to the defined cells in order."""
+    under their names in key order: what `csv.writer` writes for the
+    cells formatted one at a time, floats as format(v, ".17g") (which
+    "%.17g" is) and NaN as "undefined".  Each row shape (its set of NaN
+    cells) has one % format line; the rows' lines are applied once to the
+    defined cells in order."""
+    header = list(cells)
     quoted = {label: _csv_field(label) for label in dict.fromkeys(cells["label"])}
     specs = ["%s" if name == "label" else "%.17g" if cells[name].dtype.kind == "f" else "%d"
              for name in header]

@@ -331,13 +331,14 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     classical and quantum decoders, min P_same + P_perp for the relaxed
     one, min 1 - X for the weak one) is at least 1 - epsilon; the report
     carries the pass fraction over seeds and `cells`, the per-cell table as
-    named columns: int arrays `seed` and `s` (classical and relaxed), the
-    `label` list and float arrays in which NaN is undefined.  Seeds go in
-    groups of the size that needs the fewest blocks, on the calling thread;
-    each group builds its blocks as it decodes them.  Seeds fan out, one per
-    task, on `linalg.parallel_map`'s pool of at most min(jobs, seeds, usable
-    CPUs) threads only when one (seed, member) decode holds FAN_OUT_ENTRIES
-    tampered entries (README), so never in quantum mode, where it holds N.
+    named columns in CSV order: the int array `seed`, the `label` list, the
+    int array `s` (classical and relaxed), then the mode's float arrays, in
+    which NaN is undefined.  Seeds go in groups of the size that needs the
+    fewest blocks, on the calling thread; each group builds its blocks as it
+    decodes them.  Seeds fan out, one per task, on `linalg.parallel_map`'s
+    pool of at most min(jobs, seeds, usable CPUs) threads only when one
+    (seed, member) decode holds FAN_OUT_ENTRIES tampered entries (README),
+    so never in quantum mode, where it holds N.
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)

@@ -13,9 +13,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from qtamper import qamd
 from qtamper.errors import (BudgetExceeded, ConsistencyError, InvalidParams, OutOfRange,
                             QTamperError)
-from qtamper.field import is_prime
+from qtamper.field import fq_values, is_prime
 from qtamper.haar import _phase_fixed_qr, complex_gaussian, root_generator
 from qtamper.pauli import (MonomialUnitary, PauliLabel, kron_digits, omega_powers,
                            random_nonidentity_words, shift_rows)
@@ -650,6 +651,15 @@ def per_member_scan(n, k, family, epsilon, seeds, mode):
     }
 
 
+# the per-cell CSV header of each tamper-sim mode, in column order
+CSV_COLUMNS = {
+    "classical": ["seed", "label", "s", "P_same", "P_diff", "P_perp"],
+    "relaxed": ["seed", "label", "s", "P_same", "P_diff", "P_perp"],
+    "weak": ["seed", "label", "X"],
+    "quantum": ["seed", "label", "P_perp", "pass_prob", "fidelity_given_pass"],
+}
+
+
 def per_cell_csv(rows, columns) -> bytes:
     """The CSV file of scan rows, formatted one cell at a time: floats at
     17 significant digits, None as "undefined", the rest by str."""
@@ -782,3 +792,34 @@ def per_shift_blocks(params):
     rows, clocks = every[:, np.newaxis], np.arange(params.dim)[np.newaxis]
     for xi in range(params.dim):
         yield np.full(len(every), xi), every, rows, clocks[:, 1:] if xi == 0 else clocks
+
+
+def non_global_phase_route(true_route):
+    """`qamd._root_sum_route` with a phase error that is not global: each
+    cell's amplitude is summed again over its pair's roots r in ascending
+    order, the last root's term multiplied by omega^{z_1 r}.  Only a dense
+    route that meets full cells with z_1 != 0 can see it.  (On the first
+    root it would be invisible at q = 2: a pair with two roots has 0 first,
+    and one term's phase leaves its modulus.)"""
+    def route(params):
+        symbolic, q = true_route(params), params.q
+        digits, w_table = kron_digits(q, params.block_length), omega_powers(q)
+        coeffs = qamd._tag_coeffs(params, params.messages())
+        tags, moves = fq_values(coeffs, q), digits[:, :params.d].any(axis=1)
+
+        def mutated(px, ps, at, cz):
+            counts = symbolic(px, ps, at, cz)[1]
+            masks = np.zeros((len(ps), q), dtype=bool)
+            moving = np.flatnonzero(moves[px])
+            masks[moving] = qamd._root_masks(params, coeffs[ps[moving]], digits[px[moving]])
+            (a, b), z1 = np.divmod(cz % (q * q), q), digits[cz][..., 0]
+            last = q - 1 - np.argmax(masks[:, ::-1], axis=1)[at]
+            amp = np.zeros(np.broadcast(at, cz).shape, dtype=complex)
+            for r in range(q):
+                term = w_table[(a * r + b * tags[ps[at], r] + z1 * r * (last == r)) % q]
+                amp += np.where(masks[at[:, 0], r][:, np.newaxis], term, 0)
+            return np.abs(amp / q) ** 2, counts
+
+        return mutated
+
+    return route

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import cell_rows, per_cell_csv, per_member_scan, write_family_file
+from conftest import CSV_COLUMNS, cell_rows, per_cell_csv, per_member_scan, write_family_file
 
 from qtamper import cli, haar, linalg, moments, pauli, perm, qamd, tamper
 from qtamper.linalg import require_unitary
@@ -357,6 +357,52 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert report["manifest"]["parameters"]["seed"] == 321
 
 
+def test_exhaustive_qamd_scan_has_no_seed(tmp_path, monkeypatch):
+    # an exhaustive scan draws nothing: its manifest holds q, d, mode and
+    # cross_check only, and no QTAMPER_SEED changes a byte
+    reports = []
+    for env in (None, "0", "7", str(2 ** 64 - 1)):
+        if env is None:
+            monkeypatch.delenv("QTAMPER_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QTAMPER_SEED", env)
+        out = tmp_path / f"r{len(reports)}"
+        assert _run("--out", str(out), "qamd-scan", "--q", "3", "--d", "2", "--exhaustive") == 0
+        reports.append((out / "qamd-scan.json").read_bytes())
+    assert len(set(reports)) == 1
+    parameters = json.loads(reports[0])["manifest"]["parameters"]
+    assert parameters == {"q": 3, "d": 2, "mode": "exhaustive", "cross_check": True}
+
+
+def test_seed_with_exhaustive_is_a_usage_error(tmp_path, capsys):
+    assert _run("--out", str(tmp_path / "r"), "qamd-scan", "--q", "3", "--d", "2",
+                "--exhaustive", "--seed", "3") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r").exists()
+
+
+def test_exhaustive_rerun_round_trips_and_refuses_a_seed(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert _run("--out", str(out), "qamd-scan", "--q", "3", "--d", "2", "--exhaustive") == 0
+    assert _run("--out", str(tmp_path / "b"), "rerun", str(out / "qamd-scan.json")) == 0
+    assert (out / "qamd-scan.json").read_bytes() == (tmp_path / "b" / "qamd-scan.json").read_bytes()
+    # the manifest as v12 wrote it (its version, a seed, a null trial count),
+    # and the running version with a seed: neither can be replayed
+    manifest = _load(out / "qamd-scan.json")["manifest"]
+    v12 = {**manifest, "generator_version": "sfc64/ziggurat/v12",
+           "parameters": {**manifest["parameters"], "seed": 0, "trials": None}}
+    seeded = {**manifest, "parameters": {**manifest["parameters"], "seed": 0}}
+    for name, edited in (("v12", v12), ("seeded", seeded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert _run("--out", str(tmp_path / name), "rerun", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("mode", tamper.MODES)
 def test_manifest_round_trip_bytes(tmp_path, mode):
     out1 = tmp_path / "a"
@@ -416,6 +462,7 @@ def _with(key, value, section=None):
     _with("generator_version", "sfc64/ziggurat/v9"),
     _with("generator_version", "sfc64/ziggurat/v10"),
     _with("generator_version", "sfc64/ziggurat/v11"),
+    _with("generator_version", "sfc64/ziggurat/v12"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -429,7 +476,7 @@ def _with(key, value, section=None):
         "rerun-subcommand",
         "generator-version", "generator-version-v5", "generator-version-v6",
         "generator-version-v7", "generator-version-v8", "generator-version-v9",
-        "generator-version-v10", "generator-version-v11", "build",
+        "generator-version-v10", "generator-version-v11", "generator-version-v12", "build",
         "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
@@ -686,11 +733,30 @@ def _assert_same_bytes_under_optimize(out, args):
         assert (out / "opt" / name).read_bytes() == (out / "plain" / name).read_bytes()
 
 
+_NON_GLOBAL_PHASE = """
+import sys
+sys.path.insert(0, sys.argv[2])
+from conftest import non_global_phase_route
+from qtamper import cli, qamd
+
+qamd._root_sum_route = non_global_phase_route(qamd._root_sum_route)
+print(sys.flags.optimize)
+print(cli.run(["--out", sys.argv[1], "qamd-scan", "--q", "7", "--d", "1", "--exhaustive"]))
+"""
+
+
 def test_qamd_scan_checks_survive_optimize_flag(tmp_path):
     for mode, flags in (("exhaustive", ["--q", "3", "--d", "2", "--exhaustive"]),
                         ("random", ["--q", "3", "--d", "2", "--trials", "200"]),
                         ("exhaustive-q7d2", ["--q", "7", "--d", "2", "--exhaustive"])):
         _assert_same_bytes_under_optimize(tmp_path / mode, ["qamd-scan", *flags])
+    # a phase error that is not global fails the exhaustive cross-check
+    proc = _optimized_python("-c", _NON_GLOBAL_PHASE, str(tmp_path / "phase"),
+                             str(Path(__file__).parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]
+    assert _load(tmp_path / "phase" / "qamd-scan.json")["error"].startswith(
+        "symbolic/dense mismatch")
 
 
 _BROKEN_ROOT_MASK = """
@@ -780,7 +846,7 @@ def test_tamper_sim_files_match_the_per_member_oracle(tmp_path, mode, k):
     manifest = _load(out / "tamper-sim.json")["manifest"]
     assert (out / "tamper-sim.json").read_bytes() == canonical_json_bytes(
         {"manifest": manifest, "result": oracle})
-    assert (out / "tamper-sim-cells.csv").read_bytes() == per_cell_csv(rows, cli._CSV_COLUMNS[mode])
+    assert (out / "tamper-sim-cells.csv").read_bytes() == per_cell_csv(rows, CSV_COLUMNS[mode])
 
 
 def _edge_label_family(folder, n: int, k: int, seed: int):
@@ -818,7 +884,7 @@ def test_tamper_sim_csv_quotes_labels_and_writes_undefined_cells(tmp_path, mode)
     family = cli._resolve_family(f"file:{path}", 3, 0, lambda size: None)
     rows = cell_rows(per_member_scan(3, 1, family, 0.3, range(3), mode))
     text = (out / "tamper-sim-cells.csv").read_bytes()
-    assert text == per_cell_csv(rows, cli._CSV_COLUMNS[mode])
+    assert text == per_cell_csv(rows, CSV_COLUMNS[mode])
     assert [line[1] for line in csv.reader(io.StringIO(text.decode()))][1:] == [
         row["label"] for row in rows]
     assert sum(row.get("fidelity_given_pass", 0) is None for row in rows) == (mode == "quantum")

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (FqPoly, IdentityTampering, _difference_roots, dense_overlaps,
-                      difference_poly, fq_roots, pauli_matrix, per_shift_blocks, phase_sum,
-                      tag_poly, tag_table, tamper_experiment, traced_peak,
-                      wrong_decode_prob_exact)
+                      difference_poly, fq_roots, non_global_phase_route, pauli_matrix,
+                      per_shift_blocks, phase_sum, tag_poly, tag_table, tamper_experiment,
+                      traced_peak, wrong_decode_prob_exact)
 
 from qtamper import qamd
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
@@ -21,7 +21,7 @@ P51 = QamdParams(q=5, d=1)
 P71 = QamdParams(q=7, d=1)
 P32 = QamdParams(q=3, d=2)
 P23 = QamdParams(q=2, d=3)
-QUOTIENT_FIELDS = ("quotient_cells", "root_count_total", "max_parseval_gap", "dense_sample_cells")
+QUOTIENT_FIELDS = ("quotient_cells", "root_count_total", "max_parseval_gap")
 
 
 def test_params_validation():
@@ -503,8 +503,9 @@ def test_exhaustive_witness_in_a_later_shift_of_its_window():
 
 def test_exhaustive_scan_hands_over_whole_windows(monkeypatch):
     # (7, 1) has M q^2 = 343 quotient cells a shift, so a default window
-    # holds 47 shifts: the 294 shifts with x_{1:d} != 0 take 7 windows, and
-    # every full window hands over the same (ps, at, cz)
+    # holds 47 shifts: the 294 shifts with x_{1:d} != 0 take 7 windows,
+    # every full window hands over the same (ps, at), and window i of 7
+    # the q^2 clock words of prefix 6 - floor(6 i / 7)
     blocks, true_scan = [], qamd._scan
 
     def scan(params, scan_blocks, *args):
@@ -514,8 +515,9 @@ def test_exhaustive_scan_hands_over_whole_windows(monkeypatch):
     report = security_scan(P71, exhaustive=True, cross_check=False)
     assert len(blocks) == -(-294 // 47) == 7
     assert sum(len(at) * cz.shape[1] for _, _, at, cz in blocks) == report["quotient_cells"]
-    assert all(b[1] is blocks[0][1] and b[2] is blocks[0][2] and b[3] is blocks[0][3]
-               for b in blocks[:-1])
+    assert all(b[1] is blocks[0][1] and b[2] is blocks[0][2] for b in blocks[:-1])
+    assert [cz.tolist() for _, _, _, cz in blocks] == [
+        [list(range(49 * r, 49 * r + 49))] for r in (6, 6, 5, 4, 3, 2, 1)]
 
 
 def test_random_scan_holds_no_message_by_dimension_table():
@@ -807,7 +809,7 @@ def test_quotient_identities_hold_at_every_admissible_code():
         assert report["max_parseval_gap"] <= qamd.PARSEVAL_TOL, (q, d)
         assert report["quotient_cells"] == (m - 1) * q ** (d + 4), (q, d)
         assert report["pairs_checked"] == (params.dim ** 2 - 1) * m, (q, d)
-        assert report["dense_sample_cells"] == qamd.DENSE_SAMPLE and report["bound_satisfied"]
+        assert "dense_sample_cells" not in report and report["bound_satisfied"]
         if (q, d) == (7, 2):
             assert time.perf_counter() - tick < 5.0
     assert time.perf_counter() - started < 30.0
@@ -826,6 +828,72 @@ def test_global_phase_moves_no_full_cell_probability(params):
                 full, quotient = (abs(phase_sum(params, s, z, roots, global_phase)) ** 2
                                   for global_phase in (True, False))
                 assert abs(full - quotient) <= 1e-15, (s, x, z)
+
+
+def test_exhaustive_report_does_not_depend_on_the_seed():
+    # exhaustive mode draws nothing: the seed, at both ends of its range, and
+    # a trial count leave every byte
+    reports = {canonical_json_bytes(security_scan(P32, exhaustive=True, trials=trials, seed=seed))
+               for seed in (0, 1, 2 ** 64 - 1) for trials in (None, 7)}
+    assert len(reports) == 1
+
+
+def _codes():
+    return [QamdParams(q=q, d=d) for q in (2, 3, 5, 7, 11, 13) for d in range(1, 12)
+            if _admissible(q, d)]
+
+
+@pytest.mark.parametrize("params,window", [(P71, None), (QamdParams(q=5, d=2), None),
+                                           (P32, 1), (P23, 1)],
+                         ids=["q7d1", "q5d2", "q3d2-window-1", "q2d3-window-1"])
+def test_dense_route_meets_every_nonzero_clock_prefix(monkeypatch, params, window):
+    # the clock words the dense route is handed: every z_{1:d} != 0, and
+    # never z_{1:d} = 0, which the quotient's global phase leaves unchecked;
+    # (3, 2) and (2, 3) take one default window, so windows of one shift
+    if window is not None:
+        monkeypatch.setattr(qamd, "SCAN_WINDOW", window)
+    seen, true_route = set(), qamd._support_sum_route
+
+    def recording(*args):
+        dense = true_route(*args)
+
+        def route(px, ps, at, cz):
+            seen.update((cz // params.q ** 2).ravel().tolist())
+            return dense(px, ps, at, cz)
+
+        return route
+
+    monkeypatch.setattr(qamd, "_support_sum_route", recording)
+    security_scan(params, exhaustive=True)
+    assert seen == set(range(1, params.num_messages))
+
+
+def test_exhaustive_windows_take_nonzero_prefixes_in_runs():
+    # at every admissible code: window i of W has the prefix rank
+    # M - 1 - floor(i (M-1) / W), all digits q - 1 first, so min(W, M-1)
+    # distinct prefixes in runs, and every window's q^2 clock words share it
+    for params in _codes():
+        q2, m = params.q ** 2, params.num_messages
+        prefixes = []
+        for _, _, _, cz in qamd._exhaustive_blocks(params):
+            prefixes.append(int(cz[0, 0]) // q2)
+            assert cz.tolist() == [list(range(q2 * prefixes[-1], q2 * prefixes[-1] + q2))]
+        runs = [r for i, r in enumerate(prefixes) if i == 0 or r != prefixes[i - 1]]
+        assert prefixes[0] == m - 1 and 0 not in prefixes, (params, prefixes)
+        assert len(runs) == len(set(runs)) == min(len(prefixes), m - 1), params
+
+
+@pytest.mark.parametrize("params", _codes(), ids=lambda p: f"q{p.q}d{p.d}")
+def test_non_global_phase_fails_the_cross_check(monkeypatch, params):
+    # omega^{z_1 r} on the last root's term of every cell: the dense route
+    # meets full cells with z_1 != 0, so it must see the error; (2, 1) has
+    # no pair with two roots, so no phase on one term changes a probability
+    monkeypatch.setattr(qamd, "_root_sum_route", non_global_phase_route(qamd._root_sum_route))
+    if params.q == 2 and params.d == 1:
+        assert security_scan(params, exhaustive=True)["max_root_count"] == 1
+        return
+    with pytest.raises(ConsistencyError, match="symbolic/dense mismatch"):
+        security_scan(params, exhaustive=True)
 
 
 def test_probability_above_root_count_raises(monkeypatch):

@@ -525,6 +525,6 @@ def test_relaxed_report_path_holds_no_per_cell_dicts():
 
     def report_path():
         report = family_security_scan(6, 2, family, epsilon=0.25, seeds=range(20), mode="relaxed")
-        return cells_csv(cli._CSV_COLUMNS["relaxed"], report["cells"])
+        return cells_csv(report["cells"])
 
     assert traced_peak(report_path) < 2 * 2 ** 20
