@@ -149,21 +149,21 @@ def _resolve_family(spec: str, n: int, family_seed: int, admit) -> UnitaryFamily
         members = []
         base = Path(path).parent
         for i, (entry, kind) in enumerate(zip(entries, kinds)):
-            if kind == "label":
-                label = PauliLabel.from_compact(entry)
-                members.append((entry, MonomialUnitary(*label.action())))
-            elif kind == "pauli":
-                label = PauliLabel.from_json(entry["pauli"])
-                members.append((entry.get("label", label.compact()),
-                                MonomialUnitary(*label.action())))
-            elif kind == "file":
+            if kind == "file":
                 matrix = _load_unitary_file(str(base / entry["file"]))
+                if matrix.shape[0] != N:
+                    raise InputError(f"family entry {i} has dimension {matrix.shape[0]} != {N}")
                 members.append((entry.get("label", entry["file"]), matrix))
-            else:
+                continue
+            if kind is None:
                 raise InputError(f"family entry {i} not understood: {entry!r}")
-        for label, matrix in members:
-            if matrix.shape[0] != N:
-                raise InputError(f"family member {label!r} has dimension {matrix.shape[0]} != {N}")
+            label = (PauliLabel.from_compact(entry) if kind == "label"
+                     else PauliLabel.from_json(entry["pauli"]))
+            if (label.q, label.m) != (2, n):
+                raise InputError(f"family entry {i} is a word on {label.m} registers of "
+                                 f"dimension {label.q}, not on {n} qubits")
+            members.append((entry if kind == "label" else entry.get("label", label.compact()),
+                            np.array(label.x + label.z)))
         return UnitaryFamily(members=members, trace_bound_phi=phi)
     raise InputError(f"unknown family spec {spec!r} (paulis:|file:)")
 

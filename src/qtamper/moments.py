@@ -58,8 +58,8 @@ import numpy as np
 from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator
 from .linalg import (GEMM_SPLIT_DIM, LAPACK_SPLIT_DIM, one_blas_thread, parallel_map,
-                     require_normalized)
-from .pauli import MonomialUnitary, checked_unitary
+                     require_normalized, require_unitary)
+from .pauli import MonomialUnitary
 from .perm import orbit_labels, perm_table, sp_classes
 from .weingarten import wg_table
 
@@ -108,7 +108,8 @@ class MomentSpec:
     target_index: int = 0
 
     def __post_init__(self):
-        self.U = checked_unitary(self.U)
+        if not isinstance(self.U, MonomialUnitary):     # a monomial is checked when built
+            self.U = require_unitary(self.U)
         check_moment_params(self.pattern, self.t, self.N, self.K, self.target_index)
         if self.pattern == PATTERN_QUANTUM_MESSAGE:
             if self.message_amplitudes is None:

@@ -14,9 +14,9 @@ that knows the digit order and the phase rule):
   * a tensor word X^x Z^z is a monomial action, |v> -> omega^{<z, v>} |v + x>:
     `PauliLabel.action()` gives column j as phase[j] at row rows[j], with
     phase[j] = omega_powers(q)[<z, v_j> mod q], and `word_actions` gives
-    many words at once, one register at a time.  `MonomialUnitary` is its
-    runtime form everywhere (tamper families and `moments` alike), one word
-    or a stack of them.
+    many words at once, one table gather per register.  A `MonomialUnitary`
+    applies one word or a stack of them: `moments` one word, a tamper scan
+    each block of a family's words, built as the block is decoded.
 
 With these choices X^a Z^b = omega^{-ab} Z^b X^a.
 """
@@ -31,7 +31,7 @@ from numpy.random import Generator
 
 from .errors import DimMismatch, NotUnitary, OutOfRange
 from .field import is_prime
-from .linalg import MAX_DIM, STRUCTURAL_TOL, require_unitary
+from .linalg import MAX_DIM, STRUCTURAL_TOL
 
 
 @dataclass(frozen=True)
@@ -123,31 +123,41 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
     return (np.arange(2 * q, dtype=np.intp) % q)[digits + x] @ radix
 
 
+@lru_cache(maxsize=None)
+def _register_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only C-order (m, q, q^m) int16 tables of register i's part of
+    column j, with digits v, under the exponent a: the place value
+    ((v_i + a) mod q) q^(m-1-i) of its row, and its phase exponent a v_i mod q."""
+    digits = kron_digits(q, m).T.astype(np.int32, order="C")[:, np.newaxis]   # (m, 1, q^m)
+    a = np.arange(q, dtype=np.int32)[:, np.newaxis]
+    radix = q ** np.arange(m - 1, -1, -1, dtype=np.int32)[:, np.newaxis, np.newaxis]
+    tables = ((digits + a) % q * radix).astype(np.int16), (digits * a % q).astype(np.int16)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def word_actions(q: int, x, z) -> tuple[np.ndarray, np.ndarray]:
     """(rows, phase) of the words X^x Z^z for exponent rows x and z of shape
-    (..., m), the words' leading axes in front of the column axis.  Both are
-    outer sums built one register at a time, least significant first, in
-    front of the columns so far; the phase exponent, below m q, is reduced
-    by its gather from the table of omega^(k mod q)."""
+    (..., m), the words' leading axes in front of the column axis: int16 sums,
+    below q^m and m q, of one `_register_tables` gather per register, the
+    exponent reduced mod q by a wrapping gather from `omega_powers`.  Results
+    are allocated first, so that blocks built in turn leave no heap holes."""
     x, z = np.asarray(x, dtype=np.intp), np.asarray(z, dtype=np.intp)
     m = x.shape[-1]
-    if q ** m > MAX_DIM:
-        raise OutOfRange(f"dimension {q ** m} exceeds {MAX_DIM}")
-    v, radix = np.arange(q, dtype=np.intp), q ** np.arange(m - 1, -1, -1, dtype=np.intp)
-    row_terms = (v + x[..., np.newaxis] % q) % q * radix[:, np.newaxis]      # (..., m, q)
-    exponent_terms = v * (z[..., np.newaxis] % q) % q
-    rows, exponent = np.zeros(x.shape[:-1] + (1,), np.intp), np.zeros(z.shape[:-1] + (1,), np.intp)
-    for i in range(m - 1, -1, -1):
-        rows, exponent = (np.reshape(terms[..., i, :, np.newaxis] + built[..., np.newaxis, :],
-                                     built.shape[:-1] + (-1,))
-                          for terms, built in ((row_terms, rows), (exponent_terms, exponent)))
-    return rows, omega_powers(q)[np.arange(m * (q - 1) + 1) % q][exponent]
+    row_table, exponent_table = _register_tables(q, m)     # refuses q^m above MAX_DIM
+    registers, shape = np.arange(m), x.shape[:-1] + row_table.shape[-1:]
+    rows, phase = np.empty(shape, np.intp), np.empty(shape, np.complex128)
+    rows[...] = np.add.reduce(row_table[registers, x % q], axis=-2, dtype=np.int16)
+    exponent = np.add.reduce(exponent_table[registers, z % q], axis=-2, dtype=np.int16)
+    return rows, np.take(omega_powers(q), exponent, out=phase, mode="wrap")
 
 
 class MonomialUnitary:
     """N x N unitary whose column j is phase[j] at row rows[j], validated
-    once, when built.  `U @ x` and `A @ U` move and scale entries in O(N)
-    per column and equal the dense products; numpy defers `A @ U` to
+    once, when built from rows and phase; `from_words` builds Pauli words,
+    unitary by construction.  `U @ x` and `A @ U` move and scale entries in
+    O(N) per column and equal the dense products; numpy defers `A @ U` to
     `__rmatmul__`.  `U @ x` scatters x's rows to rows, and `A @ U` gathers
     A's columns by rows (`np.take`).  The product of two monomials and
     `.trace()` are a monomial and a scalar again, so code written for dense
@@ -158,9 +168,8 @@ class MonomialUnitary:
     (m, N, N): `U @ x` and `A @ U` then carry the member axis in front, as
     numpy's stacked matmul does, also behind leading axes of x or A whose
     member slot has length 1, as a tamper scan's (S, 1, N, K) stack of
-    seeds.  `U[i]` is member i, `U[np.newaxis]` a stack of one and `stack`
-    joins members.  Products of two monomials and `.eigenvalues()` take one
-    member; `.trace()` gives one trace per member.
+    seeds.  Products of two monomials and `.eigenvalues()` take one member;
+    `.trace()` gives one trace per member.
     """
 
     __array_ufunc__ = None
@@ -182,20 +191,10 @@ class MonomialUnitary:
         return self
 
     @classmethod
-    def stack(cls, members) -> "MonomialUnitary":
-        """The members, unitaries of one N validated when built, as one stack
-        (a view of a lone member)."""
-        if len(members) == 1:
-            return members[0][np.newaxis]
-        return cls.__new__(cls)._set(np.array([u.rows for u in members]),
-                                     np.array([u.phase for u in members]))
-
-    def __getitem__(self, index) -> "MonomialUnitary":
-        """Member `index` of a stack (a sub-stack for a slice), or one unitary
-        as a stack of one for `np.newaxis`, as views."""
-        if self.rows.ndim == 1 and index is not np.newaxis:
-            raise TypeError("only a stack of unitaries has members")
-        return type(self).__new__(type(self))._set(self.rows[index], self.phase[index])
+    def from_words(cls, q: int, x, z) -> "MonomialUnitary":
+        """The words X^x Z^z of `word_actions`, one unitary or a stack: a
+        permutation and unit phases by construction, so not checked again."""
+        return cls.__new__(cls)._set(*word_actions(q, x, z))
 
     def trace(self):
         """Sum of the phases on the fixed points of rows: a complex, or an
@@ -254,12 +253,6 @@ class MonomialUnitary:
         out = np.take(a, self.rows, axis=-1)                     # (..., rows of a, members, N)
         np.multiply(out, self.phase, out=out)
         return np.ascontiguousarray(np.moveaxis(out, -2, -3)) if stacked else out
-
-
-def checked_unitary(u):
-    """`u` ready to act as a unitary: a `MonomialUnitary` as it is, since it
-    was validated when built, and any other matrix by `require_unitary`."""
-    return u if isinstance(u, MonomialUnitary) else require_unitary(u)
 
 
 def random_nonidentity_words(q: int, m: int, count: int, rng: Generator) -> np.ndarray:

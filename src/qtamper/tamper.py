@@ -4,17 +4,17 @@ decoders (classical, relaxed, weak, quantum-message) and security scans of famil
 A scheme holds its seeded Haar isometry V and V^dag, formed once, or a group
 of seeds' stacked.  Every decoder reads one kernel, `_decode_overlaps`: V^dag U
 states and each column's squared norm, for an encoded state or an N x c block
-per seed and one unitary U or a stack of them.  A scan decodes each group of
-seeds against blocks of members built for it (runs of Pauli words as stacked
-`MonomialUnitary`s, a dense member alone), each of at most BLOCK_ENTRIES
-tampered entries (seeds x members x N x K, N in quantum mode).  A seed is
-hundreds of numpy calls on small arrays that threads would pass the GIL
-between, so seeds fan out on the worker pool only when one (seed, member)
-decode holds FAN_OUT_ENTRIES of them.  Metrics, extrema and the per-cell
-table are reductions over the blocks' columns; the public decoders are
-one-seed calls of the same code.  P_perp is computed on its own (never as
-1 minus the rest), so P_same + P_diff + P_perp = 1 is a real check; weak
-compares ||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
+per seed and one unitary U or a stack of them.  A family holds its Pauli words
+as digit rows; a scan decodes each group of seeds against blocks of members (a
+run of words as one `word_actions` stack, a dense member alone), of at most
+BLOCK_ENTRIES tampered entries (seeds x members x N x K, N in quantum mode)
+each.  A seed is hundreds of numpy calls on small arrays that threads would
+pass the GIL between, so seeds fan out on the worker pool only when one (seed,
+member) decode holds FAN_OUT_ENTRIES of them.  Metrics, extrema and the
+per-cell table are reductions over the blocks' columns; the public decoders are
+one-seed calls of the same code.  P_perp is computed on its own (never as 1
+minus the rest), so P_same + P_diff + P_perp = 1 is a real check; weak compares
+||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidParams, OutOfRange
 from .haar import child_generator, sample_encoding_isometry
-from .linalg import MAX_DIM, parallel_map, require_normalized
-from .pauli import MonomialUnitary, checked_unitary, random_nonidentity_words, word_actions
+from .linalg import MAX_DIM, parallel_map, require_normalized, require_unitary
+from .pauli import MonomialUnitary, random_nonidentity_words
 
 MAX_FAMILY = 10 ** 4
 MAX_SEEDS = 10 ** 4
@@ -49,17 +49,15 @@ class EncodingScheme:
     """Seeded Haar encoding: the N x K isometry V and nothing N x N, or a group of
     seeds' V stacked as (S, 1, N, K), the 1 broadcasting against a stack of members."""
 
-    n: int
-    k: int
     isometry: np.ndarray
 
     @property
     def N(self) -> int:
-        return 2 ** self.n
+        return self.isometry.shape[-2]
 
     @property
     def K(self) -> int:
-        return 2 ** self.k
+        return self.isometry.shape[-1]
 
     @cached_property
     def adjoint(self) -> np.ndarray:
@@ -79,7 +77,7 @@ def check_scheme_size(n: int, k: int) -> None:
 def build_scheme(n: int, k: int, seed: int) -> EncodingScheme:
     """Scheme with N = 2^n codeword space and K = 2^k messages."""
     check_scheme_size(n, k)
-    return EncodingScheme(n=n, k=k, isometry=sample_encoding_isometry(2 ** n, 2 ** k, seed))
+    return EncodingScheme(sample_encoding_isometry(2 ** n, 2 ** k, seed))
 
 
 def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
@@ -218,24 +216,26 @@ def check_scan_params(n: int, k: int, epsilon: float, seeds: int, mode: str) -> 
 
 @dataclass
 class UnitaryFamily:
-    """Explicit list of (label, unitary) tampering members, optionally
-    carrying a declared far-from-identity trace bound phi.  Each member
-    passes `pauli.checked_unitary` once, here."""
+    """Explicit list of (label, member) tampering members, optionally
+    carrying a declared far-from-identity trace bound phi.  A member is a
+    qubit Pauli word, held as its 2n-digit row x | z, or a dense unitary,
+    which passes `linalg.require_unitary` once, here.  A word's trace is N
+    for the identity and 0 otherwise, so its |Tr| <= phi N check is exact."""
 
-    members: list[tuple[str, object]]
+    members: list[tuple[str, np.ndarray]]
     trace_bound_phi: Optional[float] = None
 
     def __post_init__(self):
         check_family_size(len(self.members))
-        self.members = [(label, checked_unitary(u)) for label, u in self.members]
-        if self.trace_bound_phi is not None:       # one reduction per stack of members
-            stacks = _blocks([u for _, u in self.members], BLOCK_ENTRIES)
-            traces = np.abs(np.concatenate([U.trace() if isinstance(U, MonomialUnitary) else
-                                            np.trace(U, axis1=-2, axis2=-1) for U in stacks]))
-            bound = self.trace_bound_phi * np.array([u.shape[-1] for _, u in self.members]) + 1e-9
-            for i in np.flatnonzero(traces > bound)[:1]:
-                raise InvalidParams(f"member {self.members[i][0]!r} violates |Tr| <= phi N "
-                                    f"({traces[i]:.6g} > {bound[i]:.6g})")
+        self.members = [(label, np.asarray(u) if np.ndim(u) == 1 else require_unitary(u))
+                        for label, u in self.members]
+        phi = self.trace_bound_phi
+        for label, u in self.members if phi is not None else ():
+            N = 2 ** (u.size // 2) if u.ndim == 1 else len(u)
+            trace = N * (not u.any()) if u.ndim == 1 else abs(np.trace(u))
+            if trace > phi * N + (0 if u.ndim == 1 else 1e-9):
+                raise InvalidParams(f"member {label!r} violates |Tr| <= phi N "
+                                    f"({trace:.6g} > {phi * N:.6g})")
 
     @property
     def size(self) -> int:
@@ -246,20 +246,16 @@ class UnitaryFamily:
 
 
 def pauli_family(n: int, count: int, seed: int) -> UnitaryFamily:
-    """`count` distinct non-identity qubit Pauli words on n qubits.
-
-    Every member is traceless, so the family carries phi = 0.  The words
-    are built and validated in stacks of at most BLOCK_ENTRIES entries
-    (words x N), and members are views of them.
+    """`count` distinct non-identity qubit Pauli words on n qubits, each
+    held as its digit row x | z beside its compact label: O(count n) memory,
+    and no member's action is built.  Every member is traceless, so the
+    family carries phi = 0.
     """
     check_family_size(count)
     words = random_nonidentity_words(2, n, count, child_generator(seed, 0))
     text = (words + ord("0")).astype(np.uint8).tobytes().decode()           # the digit rows
-    step = max(1, BLOCK_ENTRIES // 2 ** n)
-    members = [u for block in np.split(words, range(step, count, step))
-               for u in MonomialUnitary(*word_actions(2, block[:, :n], block[:, n:]))]
-    return UnitaryFamily(members=[(f"pauli:2:{text[i:i + n]}:{text[i + n:i + 2 * n]}", u)
-                                  for i, u in zip(range(0, 2 * n * count, 2 * n), members)],
+    return UnitaryFamily(members=[(f"pauli:2:{text[i:i + n]}:{text[i + n:i + 2 * n]}", word)
+                                  for i, word in zip(range(0, 2 * n * count, 2 * n), words)],
                          trace_bound_phi=0.0)
 
 
@@ -284,26 +280,31 @@ def parameter_warnings(n: int, k: int, epsilon: float,
     return warnings
 
 
-def _blocks(unitaries: list, entries: int):
-    """The members as blocks, in order: each run of monomials of one N in stacks
-    of entries // N members (one at least, a view), each dense member alone as a
+def _blocks(members: list, entries: int):
+    """The members as blocks, in order: each run of words of one length in
+    stacks of entries // N words (one at least), built from their rows by
+    `word_actions` as the block is reached, and each dense member alone as a
     one-member view, so that no N x N stack is ever copied."""
-    for shape, run in groupby(unitaries, lambda u: isinstance(u, MonomialUnitary) and u.shape):
-        run, width = list(run), max(1, entries // shape[-1]) if shape else 1
-        yield from ((MonomialUnitary.stack(run[i:i + width]) for i in range(0, len(run), width))
-                    if shape else (u[np.newaxis] for u in run))
+    for shape, run in groupby(members, np.shape):
+        run = list(run)
+        if len(shape) == 2:
+            yield from (u[np.newaxis] for u in run)
+            continue
+        n = shape[0] // 2
+        for i in range(0, len(run), width := max(1, entries >> n)):
+            words = np.array(run[i:i + width])
+            yield MonomialUnitary.from_words(2, words[:, :n], words[:, n:])
 
 
-def _scan_group(n: int, k: int, seeds: list, members: list, mode: str):
-    """A group of seeds' columns (seeds, members[, messages]), metrics and violations,
-    over blocks of members built for the group and dropped as they are decoded."""
+def _scan_group(n: int, k: int, seeds: list, blocks, mode: str):
+    """A group of seeds' columns (seeds, members[, messages]), metrics and
+    violations, over its blocks of members, decoded in turn."""
     V = [build_scheme(n, k, sd).isometry for sd in seeds]
     # one seed's V is used as sampled, with no copy; a group's is stacked row-major, except
     # that quantum keeps one seed's layout, on which V @ amps gives a one-seed call's bits
     V = (V[0][np.newaxis] if len(V) == 1 else np.array(V) if mode != "quantum"
          else np.stack([v.T for v in V]).transpose(0, 2, 1))
-    scheme = EncodingScheme(n, k, V[:, np.newaxis])
-    blocks = _blocks(members, BLOCK_ENTRIES // (len(seeds) * (1 if mode == "quantum" else 2 ** k)))
+    scheme = EncodingScheme(V[:, np.newaxis])
     if mode in ("classical", "relaxed"):
         same, diff, perp = (np.concatenate(col, axis=1) for col in
                             zip(*(_classical_probs(scheme, U) for U in blocks)))
@@ -338,19 +339,23 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     decodes them.  Seeds fan out, one per task, on `linalg.parallel_map`'s
     pool of at most min(jobs, seeds, usable CPUs) threads only when one
     (seed, member) decode holds FAN_OUT_ENTRIES tampered entries (README),
-    so never in quantum mode, where it holds N.
+    so never in quantum mode, where it holds N; the tasks of two seeds or
+    more then share one list of blocks, built before the pool starts.
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
     seeds = list(seeds)
-    entries = 2 ** n * (1 if mode == "quantum" else 2 ** k)    # of one (seed, member) decode
+    per_member = 1 if mode == "quantum" else 2 ** k
+    entries = 2 ** n * per_member                              # of one (seed, member) decode
     area = max(1, BLOCK_ENTRIES // entries)                   # (seed, member) pairs in a block
     step = min(range(1, min(len(seeds), area) + 1),                   # seeds in a group
                key=lambda s: (-(-len(seeds) // s) * -(-family.size // (area // s)), -s))
     members, fan_out = [u for _, u in family.members], entries >= FAN_OUT_ENTRIES
     chunks = [seeds[i:i + step] for i in range(0, len(seeds), step)]       # groups of seeds
-    groups = parallel_map(lambda g: _scan_group(n, k, g, members, mode), chunks,
-                          jobs if fan_out else 1)
+    blocks = lambda size: _blocks(members, BLOCK_ENTRIES // (size * per_member))
+    shared = list(blocks(1)) if fan_out and len(chunks) > 1 else None     # one seed a task
+    groups = parallel_map(lambda g: _scan_group(n, k, g, shared or blocks(len(g)), mode),
+                          chunks, jobs if fan_out else 1)
     columns = {key: np.concatenate([g[0][key] for g in groups], axis=None) for key in groups[0][0]}
     metrics, violations = (np.concatenate([g[i] for g in groups]).tolist() for i in (1, 2))
     defined = {key: values[~np.isnan(values)] for key, values in columns.items()}  # all of them

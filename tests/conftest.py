@@ -478,8 +478,9 @@ def single_draw_labels(q: int, m: int, count: int, rng) -> list[PauliLabel]:
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
-    """Dense q^m x q^m unitary of the tensor word: the scatter of its action."""
-    rows, phase = label.action()
+    """Dense q^m x q^m unitary of the tensor word: the scatter of its
+    digit-table action, which reads no table of `pauli.word_actions`."""
+    rows, phase = digit_table_word_actions(label.q, label.x, label.z)
     out = np.zeros((rows.size, rows.size), dtype=np.complex128)
     out[rows, np.arange(rows.size)] = phase
     return out
@@ -551,6 +552,15 @@ def dense_decoder_projectors(scheme):
     return codewords, pi, np.eye(v.shape[0], dtype=np.complex128) - pi
 
 
+def dense_member(u) -> np.ndarray:
+    """A family member as a dense matrix: a word's digit row x | z as the
+    `pauli_matrix` of its label, a dense member as it is."""
+    if u.ndim == 2:
+        return u
+    n = u.size // 2
+    return pauli_matrix(PauliLabel(2, tuple(u[:n].tolist()), tuple(u[n:].tolist())))
+
+
 def _per_member_overlaps(scheme, u, states):
     """V^dag u states and each tampered state's squared norm, for one member."""
     w = u @ states
@@ -562,13 +572,15 @@ def _per_member_overlaps(scheme, u, states):
 
 def _per_member_seed(scheme_seed, n, k, family, epsilon, mode):
     """One scheme's rows, member by member and cell by cell, with Python
-    scalars: one overlap block and one dict per member and message."""
+    scalars: one overlap block and one dict per member and message, each
+    word applied as its dense `pauli_matrix`."""
     scheme = build_scheme(n, k, scheme_seed)
     v, K = scheme.isometry, scheme.K
+    members = [(label, dense_member(u)) for label, u in family.members]
     rows = []
     worst = 0.0
     if mode in ("classical", "relaxed"):
-        for label, u in family.members:
+        for label, u in members:
             overlaps, norm_sq = _per_member_overlaps(scheme, u, v)
             weights = np.abs(overlaps) ** 2
             in_code = np.sum(weights, axis=0)
@@ -583,7 +595,7 @@ def _per_member_seed(scheme_seed, n, k, family, epsilon, mode):
         else:
             metric = min(r["P_same"] + r["P_perp"] for r in rows)
     elif mode == "weak":
-        for label, u in family.members:
+        for label, u in members:
             gram, _ = _per_member_overlaps(scheme, u, v)
             x = float(np.sum(np.abs(gram) ** 2)) / K
             other = float(np.sum(np.abs((scheme.adjoint @ u) @ v) ** 2)) / K
@@ -593,7 +605,7 @@ def _per_member_seed(scheme_seed, n, k, family, epsilon, mode):
         metric = min(1.0 - r["X"] for r in rows)
     else:
         amps = np.full(K, 1.0 / np.sqrt(K), dtype=np.complex128)
-        for label, u in family.members:
+        for label, u in members:
             overlaps, norm_sq = _per_member_overlaps(scheme, u, v @ amps)
             pass_prob = float(np.sum(np.abs(overlaps) ** 2))
             p_perp = norm_sq - pass_prob

@@ -136,7 +136,7 @@ def test_moments_validates_the_unitary_once(tmp_path, monkeypatch):
         return require_unitary(u)
 
     # a dense U is checked once; a Pauli word is a MonomialUnitary, checked when built
-    monkeypatch.setattr(pauli, "require_unitary", counting)
+    monkeypatch.setattr(moments, "require_unitary", counting)
     for pattern, unitary, checks in (("js", "random:3", 1), ("ss", "random:3", 1),
                                      ("js", "pauli:3:100:021", 0)):
         calls.clear()
@@ -250,7 +250,7 @@ def test_tamper_sim_cell_count_is_capped(tmp_path, capsys, monkeypatch):
     built, drawn, members_built = [], [], []
     monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
     monkeypatch.setattr(cli, "pauli_family", lambda *args: drawn.append(args))
-    monkeypatch.setattr(cli, "MonomialUnitary", lambda *args: members_built.append(args))
+    monkeypatch.setattr(pauli, "word_actions", lambda *args: members_built.append(args))
     for family in ("paulis:10000", f"file:{tmp_path / 'family.json'}"):
         assert _run("--out", str(tmp_path / "r"), "tamper-sim", "--n", "8", "--k", "7",
                     "--family", family, "--epsilon", "0.4", "--seeds", "0..9") == 1
@@ -521,7 +521,7 @@ def test_oversized_family_refused_before_any_member_is_built(tmp_path, monkeypat
         raise AssertionError("a member was built for a family that must be refused")
 
     monkeypatch.setattr(cli, "_load_unitary_file", refuse)
-    monkeypatch.setattr(cli, "MonomialUnitary", refuse)
+    monkeypatch.setattr(pauli, "word_actions", refuse)
     monkeypatch.setattr(tamper, "random_nonidentity_words", refuse)
     too_many = tmp_path / "many.json"
     too_many.write_text(json.dumps(["pauli:2:1000:0000"] * (tamper.MAX_FAMILY + 1)))
@@ -796,9 +796,17 @@ def test_combinatorics_checks_survive_optimize_flag(tmp_path, args):
 
 @pytest.mark.parametrize("mode", tamper.MODES)
 def test_tamper_sim_checks_survive_optimize_flag(tmp_path, mode):
-    _assert_same_bytes_under_optimize(tmp_path, [
-        "tamper-sim", "--n", "5", "--k", "2", "--family", "paulis:40", "--epsilon", "0.3",
-        "--mode", mode, "--seeds", "0..2", "--min-pass-fraction", "0"])
+    args = ["tamper-sim", "--n", "5", "--k", "2", "--epsilon", "0.3", "--mode", mode,
+            "--seeds", "0..2", "--min-pass-fraction", "0", "--family"]
+    _assert_same_bytes_under_optimize(tmp_path, [*args, "paulis:40"])
+    # a qutrit word in a family file is refused where it enters
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(["pauli:2:10000:00001", "pauli:3:10000:00002"]))
+    proc = _optimized_python("-m", "qtamper.cli", "--out", str(tmp_path / "refused"),
+                             *args, f"file:{path}")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "refused").exists()
 
 
 _BROKEN_ACTION = """
@@ -904,13 +912,17 @@ def test_tamper_sim_csv_quotes_labels_and_writes_undefined_cells(tmp_path, mode)
     {"trace_bound_phi": float("inf"), "members": ["pauli:2:10:01"]},
     {"trace_bound_phi": -0.5, "members": ["pauli:2:10:01"]},
     {"trace_bound_phi": 7, "members": ["pauli:2:10:01"]},
+    ["pauli:2:10:01", "pauli:3:10:01"],
+    ["pauli:2:10:01", {"pauli": {"q": 2, "x": [1], "z": [0]}}],
 ], ids=["file-not-a-string", "pauli-not-an-object", "exponents-not-lists",
         "phi-not-a-number", "phi-bool", "bool-exponent", "label-not-a-string",
         "entry-not-a-string-or-object", "huge-register-dimension", "phi-nan", "phi-inf",
-        "phi-negative", "phi-above-one"])
+        "phi-negative", "phi-above-one", "qutrit-word", "short-word"])
 def test_malformed_family_file_is_an_input_error(tmp_path, capsys, monkeypatch, content):
+    # every entry is checked where it enters: no word's action and no scheme is built
     built = []
     monkeypatch.setattr(tamper, "build_scheme", lambda *args: built.append(args))
+    monkeypatch.setattr(pauli, "word_actions", lambda *args: built.append(args))
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))
     out = tmp_path / "r"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -580,6 +581,27 @@ def test_key_probabilities_match_the_per_cell_phase_sum():
                     total += w_table[e]
                 key = sum((e + 1) * (q + 1) ** k for k, e in enumerate(exponents))
                 assert table[key] == abs(total / q) ** 2, (q, exponents)
+
+
+# SHA-256 of the bytes of `qamd._key_probabilities(q, width)`.  With three
+# roots the sum's order shows: adding the phases in descending k moves 6,
+# 18 and 36 entries of the width-3 tables in their last bits.
+KEY_TABLE_DIGESTS = {
+    (2, 2): "58d59716876139caa2c479da2df7bc90a4c13a84e43b906ea70b84be28d02cd4",
+    (3, 3): "d396c55d1461f35022a7b5b5ff1a7badfd1401a94cb68ed7e3d8bbc30d99b637",
+    (5, 3): "06648b1e6f68906264f33b078e1930d0dfe83a8ea7b1218f80315d70879bc732",
+    (7, 3): "f873d5e91a86470c5308fb025311f913a5f913cef56bc6db279b5f7619fb93ad",
+    (13, 2): "73f4d3267135ae191ecf7548df1eb210b63934c03bbcf5a8440b3d8d0ae6f135",
+}
+
+
+@pytest.mark.parametrize("q, width", KEY_TABLE_DIGESTS, ids=lambda v: str(v))
+def test_key_probabilities_keep_their_golden_bytes(q, width):
+    # the per-key table pins the root-sum order of every exhaustive report
+    # at unit level, beside the golden reports
+    table = qamd._key_probabilities(q, width)
+    assert table.dtype == np.float64 and table.shape == ((q + 1) ** width,)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == KEY_TABLE_DIGESTS[q, width]
 
 
 def test_root_sum_route_follows_the_message_of_one_pair_blocks():

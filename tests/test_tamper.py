@@ -2,16 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (cell_rows, dense_decoder_projectors, first_moment_js, first_moment_ss,
-                      nonidentity_labels, pauli_matrix, per_member_scan, scan_bytes, traced_peak,
-                      write_family_file)
+from conftest import (cell_rows, dense_decoder_projectors, dense_member, first_moment_js,
+                      first_moment_ss, nonidentity_labels, pauli_matrix, per_member_scan,
+                      scan_bytes, traced_peak, write_family_file)
 
 from qtamper import cli, pauli, tamper
 from qtamper.errors import ConsistencyError, InvalidParams, OutOfRange
 from qtamper.haar import child_generator, sample_haar_unitary
 from qtamper.linalg import identity, max_abs, parallel_map, require_unitary
 from qtamper.moments import MomentSpec, exact_moment
-from qtamper.pauli import MonomialUnitary, PauliLabel
+from qtamper.pauli import MonomialUnitary, PauliLabel, word_actions
 from qtamper.reports import cells_csv
 from qtamper.tamper import (UnitaryFamily, build_scheme, detect_classical,
                             detect_quantum, detect_weak,
@@ -161,13 +161,13 @@ def test_family_validation():
 
 
 def test_trace_bound_names_the_first_violating_member():
-    """The phi check is one reduction per stack of members: a monomial with
-    fixed points inside a run of Pauli words, and a dense member after it,
-    are refused, and the message names the first of them.  Words of two
-    dimensions go in separate stacks."""
+    """Dense members with fixed points inside a run of Pauli words are
+    refused, and the message names the first of them.  A word's trace is
+    exact: the identity word is refused at every phi below 1 and admitted at
+    phi = 1, and words of two lengths may share a family."""
     words = pauli_family(3, 12, seed=62).members
-    phased = MonomialUnitary(np.arange(8), np.full(8, np.exp(0.3j)))                # |Tr| = 8
-    flip = MonomialUnitary(np.arange(8), np.array([1, 1, 1, 1, 1, 1, -1, -1], dtype=complex))
+    phased = np.diag(np.full(8, np.exp(0.3j)))                                     # |Tr| = 8
+    flip = np.diag(np.array([1, 1, 1, 1, 1, 1, -1, -1], dtype=complex))
     UnitaryFamily(members=words + [("flip", flip)], trace_bound_phi=0.5)          # |Tr| = 4 = N/2
     for phi, first in ((0.0, "flip"), (0.6, "phased")):
         members = words[:5] + [("flip", flip)] + words[5:9] + [("phased", phased),
@@ -176,20 +176,24 @@ def test_trace_bound_names_the_first_violating_member():
             UnitaryFamily(members=members, trace_bound_phi=phi)
     with pytest.raises(InvalidParams, match="member 'id' violates"):
         UnitaryFamily(members=words[:3] + [("id", identity(8))] + words[3:], trace_bound_phi=0.0)
+    blank = ("pauli:2:000:000", np.zeros(6, dtype=np.intp))
+    for phi in (0.0, 0.5, 1 - 2 ** -52):
+        with pytest.raises(InvalidParams, match=r"member 'pauli:2:000:000' violates .*\(8 > "):
+            UnitaryFamily(members=words[:4] + [blank] + words[4:], trace_bound_phi=phi)
+    UnitaryFamily(members=words + [blank], trace_bound_phi=1.0)
     mixed = UnitaryFamily(members=words + pauli_family(2, 3, seed=62).members, trace_bound_phi=0.0)
     assert mixed.size == 15
 
 
 def test_pauli_family_matches_its_labels():
     """Labels and members read the stream as `random_nonidentity_words`
-    does: the compact text of each drawn label, and its action."""
+    does: the compact text of each drawn label, and its digit row x | z."""
     for n, count, seed in ((1, 3, 63), (4, 30, 64), (7, 200, 65)):
         fam = pauli_family(n, count, seed)
         labels = nonidentity_labels(2, n, count, child_generator(seed, 0))
         assert fam.labels() == [lab.compact() for lab in labels]
         for lab, (_, u) in zip(labels, fam.members):
-            rows, phase = lab.action()
-            assert np.array_equal(u.rows, rows) and np.array_equal(u.phase, phase)
+            assert u.shape == (2 * n,) and u.tolist() == list(lab.x + lab.z)
 
 
 def test_pauli_family_traceless_and_distinct():
@@ -198,8 +202,7 @@ def test_pauli_family_traceless_and_distinct():
     assert fam.trace_bound_phi == 0.0
     assert len(set(fam.labels())) == 20
     for _, u in fam.members:
-        assert isinstance(u, MonomialUnitary)
-        assert abs(u.trace()) <= 1e-9
+        assert u.any() and abs(np.trace(dense_member(u))) <= 1e-9
 
 
 def test_scan_monotone_under_family_growth():
@@ -229,6 +232,24 @@ def test_scan_jobs_do_not_change_report(monkeypatch):
                           for jobs in (1, 2))
             assert scan_bytes(rep1) == scan_bytes(rep2)
             assert pools == [1, 2 if fanned and mode != "quantum" else 1]
+
+
+def test_fan_out_tasks_share_one_list_of_blocks(monkeypatch):
+    """Seeds that fan out decode one list of blocks, built once before the
+    pool starts, so no word's action is built once per seed; a light scan's
+    groups build their own blocks as they decode them."""
+    built = []
+
+    def building(q, x, z):
+        built.append(np.shape(x)[:-1])
+        return word_actions(q, x, z)
+
+    monkeypatch.setattr(pauli, "word_actions", building)
+    family_security_scan(12, 3, pauli_family(12, 5, seed=82), 0.3, range(3), jobs=2)
+    assert built == [(1,)] * 5                 # N K = 2^15 entries: one word a block
+    built.clear()
+    family_security_scan(10, 1, pauli_family(10, 5, seed=82), 0.3, range(6))
+    assert built == [(1,)] * 15                # three groups of two seeds, five blocks each
 
 
 def test_scan_modes_and_conservation():
@@ -302,7 +323,8 @@ def test_quantum_mean_matches_exact_moment():
     passes = np.array([row["pass_prob"] for row in cell_rows(rep)])
     amps = np.full(2, 1 / np.sqrt(2), dtype=complex)
     exact_by_label = {}
-    for label, u in fam.members:
+    for label in fam.labels():
+        u = MonomialUnitary(*PauliLabel.from_compact(label).action())
         exact_by_label[label] = sum(
             exact_moment(MomentSpec("m", 1, u, K=2, message_amplitudes=amps,
                                     target_index=m))
@@ -337,20 +359,28 @@ def test_monomial_family_scan_matches_dense_family(n):
 
 
 def test_members_are_validated_once(monkeypatch):
-    calls = []
+    """Dense members pass `require_unitary` once, when the family is built,
+    and no word builds its action before the scan reaches its block."""
+    calls, built = [], []
 
     def counting(u):
         calls.append(1)
         return require_unitary(u)
 
-    # the one unitarity rule, `pauli.checked_unitary`, runs the dense check
-    monkeypatch.setattr(pauli, "require_unitary", counting)
+    def building(q, x, z):
+        built.append(np.shape(x)[:-1])
+        return word_actions(q, x, z)
+
+    monkeypatch.setattr(tamper, "require_unitary", counting)
+    monkeypatch.setattr(pauli, "word_actions", building)
     paulis = pauli_family(4, 3, seed=103)
     fam = UnitaryFamily(members=paulis.members + [("id", identity(16)),
                                                   ("haar", sample_haar_unitary(16, 104))])
-    assert len(calls) == 2
+    assert len(calls) == 2 and built == []
     for mode in ("classical", "weak", "quantum"):
+        built.clear()
         family_security_scan(4, 1, fam, epsilon=0.3, seeds=[0, 1], mode=mode)
+        assert built == [(3,)]                    # the run of three words, as one stack
     assert len(calls) == 2
 
 
@@ -379,13 +409,34 @@ def test_weak_mode_builds_no_n_by_n_array():
     assert peak < 32 * 2 ** 20, peak
 
 
-@pytest.mark.parametrize("u", [sample_haar_unitary(16, 108),
-                               MonomialUnitary(*PauliLabel(2, (1, 1, 0, 1), (0, 1, 1, 1)).action())],
+def test_pauli_family_holds_digit_rows():
+    """The largest admitted family at n = 12 holds 10^4 digit rows and
+    labels, traced under 8 MiB, where its members as N-entry actions would
+    hold 938 MiB."""
+    assert traced_peak(pauli_family, 12, tamper.MAX_FAMILY, 0) < 8 * 2 ** 20
+
+
+def test_quantum_scan_at_n12_builds_its_words_per_block():
+    """A one-seed quantum scan of 256 words at n = 12, the family drawn
+    inside the trace: one word's action is 96 KiB, the whole family's 24 MiB,
+    and the run stays under 4 MiB traced."""
+    def run():
+        family_security_scan(12, 1, pauli_family(12, 256, 0), epsilon=0.5, seeds=[0],
+                             mode="quantum")
+
+    assert traced_peak(run) < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("member, u", [
+    (sample_haar_unitary(16, 108),) * 2,
+    (np.array([1, 1, 0, 1, 0, 1, 1, 1]),
+     MonomialUnitary(*PauliLabel(2, (1, 1, 0, 1), (0, 1, 1, 1)).action()))],
                          ids=["dense", "monomial"])
-def test_scan_rows_match_the_public_decoders(u):
+def test_scan_rows_match_the_public_decoders(member, u):
     """The scan reads one K x K block per member; each row equals the
-    per-message decoder within 1e-12, and quantum rows are its bytes."""
-    fam = UnitaryFamily(members=[("u", u)])
+    per-message decoder on the member as a unitary within 1e-12, and
+    quantum rows are its bytes."""
+    fam = UnitaryFamily(members=[("u", member)])
     scheme = build_scheme(4, 2, seed=7)
     rows = cell_rows(family_security_scan(4, 2, fam, epsilon=0.3, seeds=[7]))
     for s, row in enumerate(rows):
