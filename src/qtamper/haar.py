@@ -34,7 +34,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from .errors import OutOfRange, RankDeficient
 from .linalg import LAPACK_SPLIT_DIM, MAX_DIM, RANK_TOL, one_blas_thread
 
-GENERATOR_VERSION = "sfc64/ziggurat/v13"
+GENERATOR_VERSION = "sfc64/ziggurat/v14"
 
 
 def check_seed(seed) -> int:

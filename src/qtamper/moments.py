@@ -72,6 +72,7 @@ MOMENT_ORDER_CAP = 3
 MIN_TRIALS = 1000
 MAX_TRIALS = 10 ** 8    # 24415 chunks: the chunk list and the pool's futures stay small
 MC_CHUNK = 4096
+MC_PIECE = 2 ** 15      # exponentials per piece of a chunk (256 KiB), whatever N is
 IMAG_RESIDUE_TOL = 1e-9
 PAIR_BLOCK_COLUMNS = 64  # Wg columns gathered per block of `exact_moment`
 SPECTRUM_TOL = 1e-9     # per unit of N: |sum lambda^j - Tr U^j| bound
@@ -200,13 +201,13 @@ def _beta_weights(spec: MomentSpec) -> np.ndarray:
 def exact_moment(spec: MomentSpec) -> float:
     """Exact E[X^t] over the Haar measure for the spec's pattern."""
     pair = sp_classes(2 * spec.t).pair
-    wg_float = np.array(wg_table(2 * spec.t, spec.N), dtype=float)
+    wg = np.array(wg_table(2 * spec.t, spec.N), dtype=complex)   # gathered as tp's type
     tp = _cycle_trace_products(spec)
     row = np.empty(len(pair), dtype=np.complex128)    # tp @ Wg, PAIR_BLOCK_COLUMNS at a time
     with one_blas_thread(len(pair), GEMM_SPLIT_DIM):  # t = 3: (720, 64) blocks
         for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
             block = slice(start, start + PAIR_BLOCK_COLUMNS)
-            row[block] = tp @ wg_float[pair[:, block]]
+            row[block] = tp @ wg[pair[:, block]]
         total = complex(row @ _beta_weights(spec))
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {total.imag} in exact moment")
@@ -242,14 +243,18 @@ def _checked_spectrum(spec: MomentSpec) -> np.ndarray:
 
 
 def _mc_chunk(spec: MomentSpec, lam: np.ndarray, seed: int, chunk_index: int, count: int):
-    """Sums of X^t and X^2t over `count` draws of the chunk's stream: an
-    exponential (count, N) block e for A, then count uniforms for b when
-    beta != 0 and count for theta when alpha beta != 0.  One product with
-    the columns Re lambda, Im lambda and 1 gives sum(e lambda) and sum(e)."""
+    """Sums of X^t and X^2t over `count` draws of the chunk's stream: count
+    rows of N exponentials e for A, drawn in pieces of max(1, MC_PIECE // N)
+    rows, then count uniforms for b when beta != 0 and count for theta when
+    alpha beta != 0.  Each piece's product with the columns Re lambda,
+    Im lambda and 1 gives its rows' sum(e lambda) and sum(e)."""
     alpha, beta = _frame_coefficients(spec)
     rng = child_generator(seed, chunk_index)
     columns = np.stack([lam.real, lam.imag, np.ones(spec.N)], axis=1)
-    re, im, total = (rng.standard_exponential((count, spec.N)) @ columns).T
+    sums, piece = np.empty((count, 3)), max(1, MC_PIECE // spec.N)
+    for block in np.split(sums, range(piece, count, piece)):     # views of sums
+        np.matmul(rng.standard_exponential((len(block), spec.N)), columns, out=block)
+    re, im, total = sums.T
     a = re / total + 1j * (im / total)    # not complex / real: A = 1 exactly when U = 1
     if not beta:
         x = np.abs(alpha * a) ** 2

@@ -127,11 +127,14 @@ def shift_rows(q: int, x, digits=None) -> np.ndarray:
 def _register_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only C-order (m, q, q^m) int16 tables of register i's part of
     column j, with digits v, under the exponent a: the place value
-    ((v_i + a) mod q) q^(m-1-i) of its row, and its phase exponent a v_i mod q."""
-    digits = kron_digits(q, m).T.astype(np.int32, order="C")[:, np.newaxis]   # (m, 1, q^m)
-    a = np.arange(q, dtype=np.int32)[:, np.newaxis]
-    radix = q ** np.arange(m - 1, -1, -1, dtype=np.int32)[:, np.newaxis, np.newaxis]
-    tables = ((digits + a) % q * radix).astype(np.int16), (digits * a % q).astype(np.int16)
+    ((v_i + a) mod q) q^(m-1-i) of its row, and its phase exponent a v_i mod q.
+    Built one exponent a at a time: O(m q^m) transients beside the tables."""
+    digits = kron_digits(q, m).T                                 # (m, q^m)
+    radix = q ** np.arange(m - 1, -1, -1, dtype=np.intp)[:, np.newaxis]
+    tables = np.empty((m, q, q ** m), np.int16), np.empty((m, q, q ** m), np.int16)
+    for a in range(q):
+        tables[0][:, a] = (digits + a) % q * radix
+        tables[1][:, a] = digits * a % q
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -38,6 +38,7 @@ MAX_LEMMA_DEGREE = 7          # fixed-point lemma checked on S_n, n <= 7
 MAX_COROLLARY_2T = 6          # cycle-bound corollary checked on S_{2t} x B_{2t}
 MAX_PAIR_DEGREE = 6           # (p!)^2 pair-class table: 720 x 720 bytes at most
 CYCLE_BLOCK_ROWS = 1024       # rows per block of `cycle_counts`
+PAIR_BLOCK_ROWS = 64          # rows a per block of codes of `sp_classes`
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def sp_classes(p: int) -> SpClasses:
     cycle lengths (orbit sizes at the heads) sorted descending, and classes
     are numbered in the order their types first appear.  Base-p digit codes
     index a p^p table of classes, and the code of b o a^-1 is
-    sum_y place[a(y)] * b(y), so every pair's code is one integer product."""
+    sum_y place[a(y)] * b(y): one integer product per PAIR_BLOCK_ROWS rows a."""
     if not 0 <= p <= MAX_PAIR_DEGREE:
         raise BudgetExceeded(f"S_{p} pair table capped at p <= {MAX_PAIR_DEGREE}")
     table = perm_table(p)
@@ -125,13 +126,15 @@ def sp_classes(p: int) -> SpClasses:
     order = np.argsort(first)                       # classes in first-seen order
     class_of = np.argsort(order)[inverse.ravel()].astype(np.uint8)
     types = tuple(tuple(n for n in row if n) for row in shapes[first[order]].tolist())
-    # uint16 holds every code and partial sum (below p^p <= 6^6 < 2^16) and
-    # keeps the (p!)^2 product at 1 MB
+    # uint16 holds every code and partial sum (below p^p <= 6^6 < 2^16)
     digits = table.astype(np.uint16)
     place = p ** np.arange(p - 1, -1, -1, dtype=np.uint16)
     class_at = np.zeros(p ** p, dtype=np.uint8)
     class_at[digits @ place] = class_of
-    pair = class_at[place[digits] @ digits.T]
+    pair = np.empty((len(table), len(table)), dtype=np.uint8)
+    for start in range(0, len(table), PAIR_BLOCK_ROWS):
+        block = slice(start, start + PAIR_BLOCK_ROWS)
+        pair[block] = class_at[place[digits[block]] @ digits.T]
     class_of.flags.writeable = pair.flags.writeable = False   # shared via the cache
     return SpClasses(types, class_of, tuple(np.bincount(class_of).tolist()), pair)
 
@@ -185,9 +188,9 @@ def verify_cycle_bound_corollary(t: int) -> dict:
     beta o alpha^-1 is one gather, independent of `sp_classes`."""
     if 2 * t > MAX_COROLLARY_2T:
         raise BudgetExceeded(f"cycle-bound corollary check capped at 2t <= {MAX_COROLLARY_2T}")
-    betas = parity_swappers(t)
+    betas = parity_swappers(t).astype(np.uint8)
     alphas = perm_table(2 * t)
-    # composed[a, b, x] = beta_b(alpha_a^-1(x)), gathered alpha-major
+    # composed[a, b, x] = beta_b(alpha_a^-1(x)), gathered alpha-major as uint8
     composed = betas[np.arange(len(betas))[:, None], np.argsort(alphas, axis=1)[:, None, :]]
     total = (cycle_counts(alphas)[:, None]
              + cycle_counts(composed.reshape(-1, 2 * t)).reshape(len(alphas), len(betas)))

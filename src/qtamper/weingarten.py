@@ -15,8 +15,8 @@ without adding information.
 
 The count rows are read off the N-independent pair table of
 `perm.sp_classes` once per p, in blocks of CLASS_COUNT_BLOCK_ROWS sigmas,
-and the distinct ones found by one sort; the exact check runs on every
-table build.
+into uint16 rows, and the distinct ones found by one sort; the exact
+check runs on every table build.
 `wg_table(p, N)` is a vector: a tuple of Fractions indexed like
 `sp_classes(p).types`, whose class sizes are `sp_classes(p).sizes`.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import OutOfRange, SingularGram
 from .perm import MAX_PAIR_DEGREE, sp_classes
 
-CLASS_COUNT_BLOCK_ROWS = 64   # sigmas per bincount of `_class_counts`
+CLASS_COUNT_BLOCK_ROWS = 16   # sigmas per bincount of `_class_counts`
 
 
 def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -61,16 +61,16 @@ def _class_counts(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sp = sp_classes(p)
     n_perms, n_types = len(sp.class_of), len(sp.types)
     width = n_types ** 2
-    counts = np.empty((n_perms, width), dtype=np.intp)
+    rows = np.empty((n_perms, width + 1), dtype=np.uint16)  # counts <= p! <= 720, then the flag
+    rows[:, -1] = sp.class_of == 0                           # e is class 0
     tau_key = sp.class_of.astype(np.intp) * n_types
     # one bincount per block of sigmas over pair[tau, sigma], keyed by
     # (sigma in the block, class of tau, class)
     for start in range(0, n_perms, CLASS_COUNT_BLOCK_ROWS):
         block = sp.pair[:, start:start + CLASS_COUNT_BLOCK_ROWS].T
         key = np.arange(len(block))[:, None] * width + tau_key + block
-        counts[start:start + len(block)] = np.bincount(
+        rows[start:start + len(block), :-1] = np.bincount(
             key.ravel(), minlength=len(block) * width).reshape(len(block), width)
-    rows = np.column_stack([counts, sp.class_of == 0])                     # e is class 0
     # sorted lexicographically, a row starts a new distinct row where it
     # differs from the one before it
     order = np.lexsort(rows.T[::-1])

@@ -463,6 +463,7 @@ def _with(key, value, section=None):
     _with("generator_version", "sfc64/ziggurat/v10"),
     _with("generator_version", "sfc64/ziggurat/v11"),
     _with("generator_version", "sfc64/ziggurat/v12"),
+    _with("generator_version", "sfc64/ziggurat/v13"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -476,7 +477,8 @@ def _with(key, value, section=None):
         "rerun-subcommand",
         "generator-version", "generator-version-v5", "generator-version-v6",
         "generator-version-v7", "generator-version-v8", "generator-version-v9",
-        "generator-version-v10", "generator-version-v11", "generator-version-v12", "build",
+        "generator-version-v10", "generator-version-v11", "generator-version-v12",
+        "generator-version-v13", "build",
         "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])

@@ -12,7 +12,8 @@ from qtamper import moments
 from qtamper.errors import ConsistencyError, NotNormalized, NotUnitary, OutOfRange
 from qtamper.haar import (_phase_fixed_qr, child_generator, complex_gaussian,
                           sample_encoding_isometry, sample_haar_unitary)
-from qtamper.moments import (MAX_TRIALS, MomentSpec, _beta_weights, _checked_spectrum,
+from qtamper.moments import (MAX_TRIALS, MC_CHUNK, MC_PIECE, MIN_TRIALS, MomentSpec,
+                             _beta_weights, _checked_spectrum,
                              _cycle_trace_products, _frame_coefficients, _mc_chunk,
                              closed_form_moment, exact_moment, mc_moment)
 from qtamper.pauli import MonomialUnitary, PauliLabel
@@ -91,6 +92,41 @@ def test_mc_chunk_draws_only_the_columns_it_reads():
         results = [_mc_chunk(MomentSpec("m", 2, u, K=k, message_amplitudes=_message(k, m, a_m),
                                         target_index=m), lam, 62, 3, 1000) for k, m in cases]
         assert all(r == results[0] for r in results), (a_m, results)
+
+
+@pytest.mark.parametrize("n", [16, 200])
+def test_mc_chunk_pieces_match_the_whole_block(n):
+    """A chunk drawn and reduced in pieces of MC_PIECE // N rows, over a
+    count that is not a multiple of them, gives the sums of the whole
+    (count, N) block of its stream followed by its b and theta uniforms,
+    within 1e-12 relative, for js, ss and m."""
+    u = sample_haar_unitary(n, 210 + n)
+    rows = MC_PIECE // n
+    count = 2 * rows + rows // 3
+    amps = _message(3, 1, 0.6 - 0.48j)
+    for spec in (MomentSpec("js", 2, u), MomentSpec("ss", 2, u),
+                 MomentSpec("m", 2, u, K=3, message_amplitudes=amps, target_index=1)):
+        lam = _checked_spectrum(spec)
+        rng = child_generator(211, 3)
+        e = rng.standard_exponential((count, n))
+        a = (e * lam).sum(axis=1) / e.sum(axis=1)
+        alpha, beta = _frame_coefficients(spec)
+        b_sq = (1 - np.abs(a) ** 2) * (1 - (1 - rng.random(count)) ** (1 / (n - 2))) if beta else 0
+        phase = np.exp(2j * np.pi * rng.random(count)) if alpha and beta else 1
+        y = np.abs(alpha * a + beta * np.sqrt(b_sq) * phase) ** (2 * spec.t)
+        got = _mc_chunk(spec, lam, 211, 3, count)
+        for g, w in zip(got, (y.sum(), (y * y).sum())):
+            assert abs(g - w) <= 1e-12 * w, (n, spec.pattern, g, w)
+
+
+def test_mc_moment_memory_does_not_grow_with_n():
+    """At N = 4096 a chunk holds one piece of 8 rows, not a (count, N)
+    block: `mc_moment` on a 12-qubit word, with the spectrum's own lists
+    and arrays, peaks under 1 MiB traced at MIN_TRIALS and one job."""
+    spec = MomentSpec("js", 1, MonomialUnitary.from_words(2, (1, 0) * 6, (0, 1, 1) * 4))
+    spec.trace_profile
+    peak = traced_peak(mc_moment, spec, MIN_TRIALS, 3, 1)
+    assert peak < 2 ** 20, peak
 
 
 class FrameScalars:
@@ -404,12 +440,13 @@ def test_mc_matches_exact_all_patterns():
 
 
 def test_mc_reproducible_and_jobs_independent():
-    u = sample_haar_unitary(8, 77)
-    spec = MomentSpec("ss", 2, u)
-    a = mc_moment(spec, 5000, seed=3)
-    b = mc_moment(spec, 5000, seed=3)
-    c = mc_moment(spec, 5000, seed=3, jobs=4)
-    assert a == b == c
+    # N = 200 splits each chunk into pieces of 163 rows
+    for n, trials in ((8, 5000), (200, 3 * MC_CHUNK + 7)):
+        spec = MomentSpec("ss", 2, sample_haar_unitary(n, 77))
+        a = mc_moment(spec, trials, seed=3)
+        b = mc_moment(spec, trials, seed=3)
+        c = mc_moment(spec, trials, seed=3, jobs=4)
+        assert a == b == c, n
     with pytest.raises(OutOfRange):
         mc_moment(spec, 999, seed=3)
     with pytest.raises(OutOfRange):

@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (digit_table_word_actions, mixed_cycle_monomial, nonidentity_labels,
-                      pauli_matrix, single_draw_labels)
+                      pauli_matrix, single_draw_labels, traced_peak)
 
+from qtamper import pauli
 from qtamper.errors import DimMismatch, NotUnitary, OutOfRange
 from qtamper.haar import child_generator
 from qtamper.linalg import MAX_DIM, identity, max_abs
@@ -321,6 +322,20 @@ def test_digit_and_phase_tables():
         assert not table.flags.writeable
     with pytest.raises(OutOfRange):
         kron_digits(2, 13)
+
+
+def test_register_tables_build_in_place_at_large_q():
+    """A cold build of one register's tables at q = 1021 (4 MiB of int16)
+    peaks at most 1.25 times their bytes, traced, and holds
+    ((v + a) mod q) and a v mod q."""
+    q = 1021
+    pauli._register_tables.cache_clear()
+    peak = traced_peak(pauli._register_tables, q, 1)
+    rows, exponents = pauli._register_tables(q, 1)
+    assert peak <= 1.25 * (rows.nbytes + exponents.nbytes), peak
+    v, a = np.arange(q), np.arange(q)[:, np.newaxis]
+    assert rows.dtype == exponents.dtype == np.int16 and rows.shape == (1, q, q)
+    assert np.array_equal(rows[0], (v + a) % q) and np.array_equal(exponents[0], v * a % q)
 
 
 def test_monomial_validation():

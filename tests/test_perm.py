@@ -275,11 +275,11 @@ def test_cycle_counts_take_rows_in_blocks(monkeypatch):
 
 
 def test_corollary_peak_memory_is_bounded():
-    """t = 3 composes 25 920 rows, whose cycle counts are taken in blocks:
-    the check's traced peak stays below 3 MiB."""
+    """t = 3 composes 25 920 rows as uint8 images, whose cycle counts are
+    taken in blocks: the check's traced peak stays below 1 MiB."""
     verify_cycle_bound_corollary(3)    # tables built once per process
     peak = traced_peak(verify_cycle_bound_corollary, 3)
-    assert peak < 3 * 2 ** 20, peak
+    assert peak < 2 ** 20, peak
 
 
 def test_corollary_composes_beta_after_alpha_inverse(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -12,6 +13,18 @@ from qtamper.errors import OutOfRange, SingularGram
 from qtamper.haar import child_generator
 from qtamper.perm import perm_table, sp_classes
 from qtamper.weingarten import wg_abs_sum, wg_sum, wg_table
+
+# SHA-256 of sp_classes(p).pair and .class_of (uint8), and of the count rows
+# of _class_counts(p) as little-endian int64, recorded from the one-product
+# pair table and intp count rows
+S_TABLE_DIGESTS = {
+    5: ("35b5c699abb4eec40957ee2230387f4600b3870973ea357ff930d78bd0bbb711",
+        "a19219524865d1096544cb35ad4f7f9048a949e431b76fc7a37817e77423140a",
+        "9bcbdf50903948da61b86c58cb61efe8fa6e880fe1cc22f0b89f9c87229f6aea"),
+    6: ("c5653b4930131ec293e42c9a7f8b52f299ed11c59bc26a8ce22562ec9623d9c9",
+        "fdea41765057428b3b8177cffaf621d22c3576afa3be4f88c8810b09aa04f695",
+        "5b7f2f9b3f4d216d202f709440ffe7a77b560723d6413c47f10dd376aa7ad581"),
+}
 
 
 def _rising(n, t):
@@ -247,6 +260,32 @@ def test_class_counts_take_sigmas_in_blocks(monkeypatch):
         monkeypatch.setattr(weingarten, "CLASS_COUNT_BLOCK_ROWS", rows)
         for got, want in zip(weingarten._class_counts.__wrapped__(6), whole):
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), rows
+
+
+@pytest.mark.parametrize("p", sorted(S_TABLE_DIGESTS))
+def test_sp_tables_keep_their_golden_bytes(p):
+    """The pair table formed in row blocks and the uint16 count rows hold
+    the entries of the one-product table and the intp rows."""
+    sp = sp_classes(p)
+    rows, is_identity, class_row = weingarten._class_counts(p)
+    assert sp.pair.dtype == sp.class_of.dtype == np.uint8 and rows.dtype == np.uint16
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                    for a in (sp.pair, sp.class_of, rows.astype("<i8")))
+    assert digests == S_TABLE_DIGESTS[p]
+    n_types = len(sp.types)
+    assert is_identity.tolist() == [0] * (n_types - 1) + [1]
+    assert class_row.tolist() == list(range(n_types - 1, -1, -1))
+
+
+def test_cold_sp_tables_peak_memory_is_bounded():
+    """Cold `sp_classes(6)` and `_class_counts(6)`, built together: no
+    (720, 720) code product and no intp count rows form, so the traced peak
+    stays below 3 MiB."""
+    perm_table(6)
+    sp_classes.cache_clear()
+    weingarten._class_counts.cache_clear()
+    peak = traced_peak(weingarten._class_counts, 6)      # builds sp_classes(6) first
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_class_counts_peak_memory_is_bounded():
