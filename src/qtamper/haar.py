@@ -32,9 +32,9 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import OutOfRange, RankDeficient
-from .linalg import LAPACK_SPLIT_DIM, MAX_DIM, RANK_TOL, one_blas_thread
+from .linalg import MAX_DIM, RANK_TOL, blas_threads
 
-GENERATOR_VERSION = "sfc64/ziggurat/v14"
+GENERATOR_VERSION = "sfc64/ziggurat/v15"
 
 
 def check_seed(seed) -> int:
@@ -72,7 +72,7 @@ def complex_gaussian(rng: Generator, shape) -> np.ndarray:
 
 def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     """Q of the unique QR factorization with positive-real R diagonal."""
-    with one_blas_thread(min(a.shape[-2:]), LAPACK_SPLIT_DIM):
+    with blas_threads(min(a.shape[-2:])):
         q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)

@@ -5,12 +5,10 @@ Matrices and state vectors are plain complex128 numpy arrays.  These
 helpers add the shape/unitarity/normalization checks the rest of the
 package relies on; products, traces and QR are plain numpy.
 
-`one_blas_thread` holds the OpenBLAS numpy loaded at one thread.  A product
-OpenBLAS splits over its threads leaves one spinning for about 0.13 s of CPU,
-which a later `openblas_set_num_threads(1)` does not stop.  `parallel_map`,
-the one worker pool, holds while it runs; the moments path's dense products
-hold from the N at which OpenBLAS splits them (GEMM_SPLIT_DIM for an N x N
-product, LAPACK_SPLIT_DIM for QR and eigenvalues) up to BLAS_THREADED_DIM.
+Importing this module parks the OpenBLAS numpy loaded at one thread with no
+worker running (a worker left running spins for about 0.13 s of CPU).  Only
+kernels from BLAS_THREADED_DIM, where two threads were measured 1.2-2.5x
+faster, use threads (`blas_threads`), at OpenBLAS's load-time count.
 
 Tolerance conventions: structural identities 1e-10, rank tests 1e-12.
 """
@@ -19,9 +17,9 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .errors import DimMismatch, NotNormalized, NotUnitary
 STRUCTURAL_TOL = 1e-10
 RANK_TOL = 1e-12
 MAX_DIM = 4096      # the largest dense dimension any routine builds
-GEMM_SPLIT_DIM, LAPACK_SPLIT_DIM, BLAS_THREADED_DIM = 41, 65, 1024
+BLAS_THREADED_DIM = 1024  # the smallest dense dimension whose kernels use BLAS threads
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,7 +53,7 @@ def is_unitary(u) -> bool:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
-    with one_blas_thread(u.shape[0], GEMM_SPLIT_DIM):
+    with blas_threads(u.shape[0]):
         return max_abs(u.conj().T @ u - identity(u.shape[0])) <= STRUCTURAL_TOL
 
 
@@ -75,10 +73,10 @@ def require_normalized(v) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded (the
-    mapped *openblas* library), or None for another BLAS or platform."""
+def _openblas():
+    """(get, set, shutdown) of the OpenBLAS numpy loaded (the mapped *openblas*
+    library), shutdown a no-op where it lacks `blas_thread_shutdown_`; None
+    for another BLAS or platform."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -90,27 +88,40 @@ def _openblas_threads():
                 if hasattr(lib, get) and hasattr(lib, set_):
                     getattr(lib, get).restype = ctypes.c_int
                     getattr(lib, set_).argtypes = [ctypes.c_int]
-                    return getattr(lib, get), getattr(lib, set_)
+                    shutdown = getattr(lib, "blas_thread_shutdown_", lambda: None)
+                    return getattr(lib, get), getattr(lib, set_), shutdown
     except OSError:
         pass
     return None
 
 
+def _park() -> None:
+    """One OpenBLAS thread, then no worker: setting a count restarts a parked pool."""
+    if _OPENBLAS:
+        _OPENBLAS[1](1)
+        _OPENBLAS[2]()
+
+
+_OPENBLAS = _openblas()
+_LOAD_THREADS = _OPENBLAS[0]() if _OPENBLAS else 1   # honours OPENBLAS_NUM_THREADS
+_park()
+
+
 @contextmanager
-def one_blas_thread(dim: int | None = None, split_from: int = 0):
-    """OpenBLAS at one thread inside the block, and its prior count after it,
-    also when it raises: always when dim is None (a pool), else when OpenBLAS
-    splits dim-sized products and one thread wins, split_from <= dim < BLAS_THREADED_DIM."""
-    blas = _openblas_threads() if dim is None or split_from <= dim < BLAS_THREADED_DIM else None
+def blas_threads(dim: int):
+    """OpenBLAS at its load-time count inside the block, parked after it (also
+    on a raise), from dim = BLAS_THREADED_DIM on the main thread; a pool worker
+    must not change the global count while another runs, so it stays parked."""
+    main = threading.current_thread() is threading.main_thread()
+    blas = _OPENBLAS if dim >= BLAS_THREADED_DIM and main else None
     if not blas:
         yield
         return
-    prior = blas[0]()
-    blas[1](1)
+    blas[1](_LOAD_THREADS)
     try:
         yield
     finally:
-        blas[1](prior)
+        _park()
 
 
 def usable_cpus() -> int:
@@ -121,11 +132,10 @@ def usable_cpus() -> int:
 
 def parallel_map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items] on min(jobs, items, usable CPUs) threads,
-    in item order; a pool of more than one holds OpenBLAS at one thread, as
-    each small product in a worker would otherwise wake OpenBLAS's own."""
+    in item order."""
     items = list(items)
     workers = min(jobs, len(items), usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

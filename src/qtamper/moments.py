@@ -57,8 +57,7 @@ import numpy as np
 
 from .errors import ConsistencyError, OutOfRange
 from .haar import child_generator
-from .linalg import (GEMM_SPLIT_DIM, LAPACK_SPLIT_DIM, one_blas_thread, parallel_map,
-                     require_normalized, require_unitary)
+from .linalg import blas_threads, parallel_map, require_normalized, require_unitary
 from .pauli import MonomialUnitary
 from .perm import orbit_labels, perm_table, sp_classes
 from .weingarten import wg_table
@@ -127,30 +126,23 @@ class MomentSpec:
     @cached_property
     def trace_profile(self) -> tuple[complex, ...]:
         """(Tr U, Tr U^2, ..., Tr U^t), formed once and read by both routes."""
-        profile, power = [], self.U
         dense = self.t > 1 and not isinstance(self.U, MonomialUnitary)
-        with one_blas_thread(self.N if dense else 0, GEMM_SPLIT_DIM):
-            for j in range(1, self.t + 1):
-                if j > 1:
-                    power = power @ self.U
+        with blas_threads(self.N if dense else 0):
+            profile, power = [complex(self.U.trace())], self.U
+            for _ in range(1, self.t):
+                power = power @ self.U
                 profile.append(complex(power.trace()))
         return tuple(profile)
-
-
-def _first_moment(pattern: str, U) -> float:
-    n = U.shape[0]
-    if n < 2:
-        raise OutOfRange("need N >= 2")
-    if pattern == PATTERN_OFF_DIAGONAL:
-        return (n ** 2 - abs(U.trace()) ** 2) / (n * (n ** 2 - 1))
-    return (n + abs(U.trace()) ** 2) / (n * (n + 1))
 
 
 def closed_form_moment(spec: MomentSpec) -> Optional[float]:
     """First-moment closed form of a js or ss spec (t = 1), else None."""
     if spec.t != 1 or spec.pattern == PATTERN_QUANTUM_MESSAGE:
         return None
-    return _first_moment(spec.pattern, spec.U)
+    n, trace_sq = spec.N, abs(spec.U.trace()) ** 2
+    if spec.pattern == PATTERN_OFF_DIAGONAL:
+        return (n ** 2 - trace_sq) / (n * (n ** 2 - 1))
+    return (n + trace_sq) / (n * (n + 1))
 
 
 def _cycle_trace_products(spec: MomentSpec) -> np.ndarray:
@@ -204,11 +196,10 @@ def exact_moment(spec: MomentSpec) -> float:
     wg = np.array(wg_table(2 * spec.t, spec.N), dtype=complex)   # gathered as tp's type
     tp = _cycle_trace_products(spec)
     row = np.empty(len(pair), dtype=np.complex128)    # tp @ Wg, PAIR_BLOCK_COLUMNS at a time
-    with one_blas_thread(len(pair), GEMM_SPLIT_DIM):  # t = 3: (720, 64) blocks
-        for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
-            block = slice(start, start + PAIR_BLOCK_COLUMNS)
-            row[block] = tp @ wg[pair[:, block]]
-        total = complex(row @ _beta_weights(spec))
+    for start in range(0, len(pair), PAIR_BLOCK_COLUMNS):
+        block = slice(start, start + PAIR_BLOCK_COLUMNS)
+        row[block] = tp @ wg[pair[:, block]]
+    total = complex(row @ _beta_weights(spec))
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {total.imag} in exact moment")
     return total.real
@@ -230,7 +221,7 @@ def _checked_spectrum(spec: MomentSpec) -> np.ndarray:
     rounding, as a monomial or as a dense matrix.  Their power sums must
     meet the trace profile within SPECTRUM_TOL * N for every j <= t."""
     U, dense = spec.U, not isinstance(spec.U, MonomialUnitary)
-    with one_blas_thread(spec.N if dense else 0, LAPACK_SPLIT_DIM):
+    with blas_threads(spec.N if dense else 0):
         lam = np.linalg.eigvals(U) if dense else U.eigenvalues()
     lam = lam[np.lexsort((np.round(lam.imag, 9), np.round(lam.real, 9)))]
     power = np.ones(spec.N, dtype=np.complex128)
@@ -283,17 +274,14 @@ def mc_moment(spec: MomentSpec, trials: int, seed: int, jobs: int = 1):
     child stream (seed, c), so the estimate is independent of the worker
     count and bit-stable for a fixed seed.  The chunks run on
     `linalg.parallel_map`'s pool of at most min(jobs, chunks, usable CPUs)
-    threads, with OpenBLAS held at one thread while it runs.  U's spectrum
-    is taken (at one OpenBLAS thread, whose spinning worker would share the
-    cores with the pool) and checked once, before the first chunk.
+    threads, with OpenBLAS parked.  U's spectrum is taken and checked once,
+    before the first chunk.
     """
     check_trials(trials)
     if _frame_coefficients(spec)[1] and spec.N < 3:
         raise ConsistencyError("the second codeword's Beta(1, N - 2) law needs N >= 3")
     lam = _checked_spectrum(spec)
-    sizes = [MC_CHUNK] * (trials // MC_CHUNK)
-    if trials % MC_CHUNK:
-        sizes.append(trials % MC_CHUNK)
+    sizes = [min(MC_CHUNK, trials - start) for start in range(0, trials, MC_CHUNK)]
     results = parallel_map(lambda c: _mc_chunk(spec, lam, seed, c, sizes[c]),
                            range(len(sizes)), jobs)
 

@@ -4,7 +4,7 @@ absolute-sum identities.
 The defining linear system is Gram-type: with G[sigma, tau] = N^{|C(sigma
 tau^-1)|} over S_p, the Weingarten function is the identity row of G^-1.
 Because G commutes with conjugation, its inverse row is a class function;
-we therefore solve the class-collapsed system exactly (fraction Gaussian
+we therefore solve the class-collapsed system exactly (fraction-free integer
 elimination on an (#cycle types)^2 matrix) and then verify the candidate
 against the permutation-level system exactly.  Its row sigma depends only
 on conjugation invariants of sigma, so the p! equations are one per class
@@ -35,22 +35,24 @@ from .perm import MAX_PAIR_DEGREE, sp_classes
 CLASS_COUNT_BLOCK_ROWS = 16   # sigmas per bincount of `_class_counts`
 
 
-def _solve_fraction_system(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial (first-nonzero) pivoting."""
+def _solve_fraction_system(m: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Fraction-free Gauss-Jordan (Bareiss), first-nonzero pivoting: every other
+    row is scaled by each pivot, even at a 0 entry, so each // prev is exact."""
     n = len(m)
     a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise SingularGram("collapsed Gram system is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        top, lead = a[col], a[col][col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+                a[r] = [(v * lead - factor * w) // prev for v, w in zip(a[r], top)]
+        prev = lead
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +105,8 @@ def wg_table(p: int, N: int) -> tuple[Fraction, ...]:
     types = sp_classes(p).types
     rows, is_identity, class_row = _class_counts(p)
     gram = rows.astype(object) @ np.array([N ** len(ct) for ct in types], dtype=object)
-    matrix = [[Fraction(g) for g in gram[r]] for r in class_row]
-    solution = _solve_fraction_system(matrix, [Fraction(int(j == 0)) for j in range(len(types))])
+    matrix = [list(gram[r]) for r in class_row]
+    solution = _solve_fraction_system(matrix, [int(j == 0) for j in range(len(types))])
 
     scale = lcm(*(w.denominator for w in solution))
     scaled = np.array([w.numerator * (scale // w.denominator) for w in solution], dtype=object)

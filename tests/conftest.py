@@ -346,6 +346,24 @@ def loop_parity_swappers(t: int) -> list[tuple[int, ...]]:
     return out
 
 
+def fraction_gauss_jordan(m: Sequence[Sequence[Fraction]],
+                          rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Exact Gauss-Jordan elimination in Fractions with first-nonzero
+    pivoting: the oracle for the package's integer (Bareiss) solve."""
+    n = len(m)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
 def wg_value(cycle_type: Sequence[int], N: int) -> Fraction:
     """Wg of the class with this cycle type, its parts in any order."""
     p = sum(cycle_type)

@@ -464,6 +464,7 @@ def _with(key, value, section=None):
     _with("generator_version", "sfc64/ziggurat/v11"),
     _with("generator_version", "sfc64/ziggurat/v12"),
     _with("generator_version", "sfc64/ziggurat/v13"),
+    _with("generator_version", "sfc64/ziggurat/v14"),
     _with("build", "qtamper/0.0.0"),
     _with("build", BUILD_ID.replace(f"numpy/{np.__version__}", f"numpy/{np.__version__}.post1")),
     _with("p", "x", "parameters"),
@@ -478,7 +479,7 @@ def _with(key, value, section=None):
         "generator-version", "generator-version-v5", "generator-version-v6",
         "generator-version-v7", "generator-version-v8", "generator-version-v9",
         "generator-version-v10", "generator-version-v11", "generator-version-v12",
-        "generator-version-v13", "build",
+        "generator-version-v13", "generator-version-v14", "build",
         "build-other-numpy",
         "string-for-int", "numeric-string-for-int", "float-for-int",
         "integral-float-for-int", "bool-for-int", "null-for-int"])
@@ -668,27 +669,29 @@ BENCH_MOMENT_SHAPES = {   # the moment-calculus shapes of perfbench/workloads.py
 
 @pytest.mark.parametrize("shape", BENCH_MOMENT_SHAPES.values(), ids=BENCH_MOMENT_SHAPES)
 def test_moments_bytes_do_not_depend_on_blas_threads(shape, tmp_path, monkeypatch):
-    """A moments report has the same bytes with OpenBLAS at one thread, at
-    two with no kernel held (BLAS_THREADED_DIM = 0) and at two with the
-    kernels held: holding moves no bit."""
-    blas = linalg._openblas_threads()
-    if blas is None:
+    """A moments report has the same bytes with OpenBLAS parked (the
+    default), with every kernel threaded (BLAS_THREADED_DIM = 0) at two
+    threads, and where no OpenBLAS is found and BLAS is left at two threads."""
+    if linalg._OPENBLAS is None:
         pytest.skip("numpy did not load an OpenBLAS this process can find")
-    get, set_ = blas
-    original = get()
+    set_ = linalg._OPENBLAS[1]
     args = ["moments", *shape, "--unitary", "random:31", "--trials", str(moments.MIN_TRIALS),
             "--seed", "32"]
     reports = []
     try:
-        for threads, crossover in ((1, linalg.BLAS_THREADED_DIM), (2, 0),
-                                   (2, linalg.BLAS_THREADED_DIM)):
-            set_(threads)
-            monkeypatch.setattr(linalg, "BLAS_THREADED_DIM", crossover)
-            out = tmp_path / f"{threads}-{crossover}"
-            assert _run("--out", str(out), "--jobs", "2", *args) == 0
-            reports.append((out / "moments.json").read_bytes())
+        for name, patches in (("parked", {}),
+                              ("threaded", {"BLAS_THREADED_DIM": 0, "_LOAD_THREADS": 2}),
+                              ("no-openblas", {"BLAS_THREADED_DIM": 0, "_OPENBLAS": None})):
+            with monkeypatch.context() as patched:
+                for attr, value in patches.items():
+                    patched.setattr(linalg, attr, value)
+                if name == "no-openblas":
+                    set_(2)
+                out = tmp_path / name
+                assert _run("--out", str(out), "--jobs", "2", *args) == 0
+                reports.append((out / "moments.json").read_bytes())
     finally:
-        set_(original)
+        linalg._park()
     assert reports[0] == reports[1] == reports[2]
 
 

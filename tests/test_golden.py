@@ -104,24 +104,25 @@ def run_in_process(folder: Path) -> dict:
     return digests
 
 
-def run_under_kernel(folder: Path) -> dict | str:
-    """The digests of the UNDER_KERNEL cases, run in one subprocess under
-    the recorded kernel, or why they cannot run."""
+def run_under_kernel(folder: Path, cases: dict = UNDER_KERNEL,
+                     env: dict | None = None) -> dict | str:
+    """The digests of `cases`, run in one subprocess under the recorded
+    kernel with `env` added to its environment, or why they cannot run."""
     reason = _kernel_unavailable()
     if reason:
         return reason
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": KERNEL,
+    env = {**os.environ, **(env or {}), "OPENBLAS_CORETYPE": KERNEL,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _KERNEL_RUN, str(folder),
-                           json.dumps(UNDER_KERNEL), KERNEL],
+                           json.dumps(cases), KERNEL],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     if result["kernel"] != KERNEL:
         return f"OPENBLAS_CORETYPE={KERNEL} gave the kernel {result['kernel']!r}"
-    assert result["codes"] == dict.fromkeys(UNDER_KERNEL, 0), result["codes"]
-    return {name: _digests(folder / name, argv[0]) for name, argv in UNDER_KERNEL.items()}
+    assert result["codes"] == dict.fromkeys(cases, 0), result["codes"]
+    return {name: _digests(folder / name, argv[0]) for name, argv in cases.items()}
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,18 @@ def test_kernel_cases_keep_their_digests(golden, tmp_path):
     if isinstance(digests, str):
         pytest.skip(digests)
     assert digests == _expected(golden, UNDER_KERNEL)
+
+
+def test_decode_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    """Below BLAS_THREADED_DIM OpenBLAS runs parked, so the Haswell decode
+    of `tamper-sim-n10` (N K = 2^14, which two threads split in another
+    order) has the same bytes at OPENBLAS_NUM_THREADS 1 and 2."""
+    case = {"tamper-sim-n10": UNDER_KERNEL["tamper-sim-n10"]}
+    digests = [run_under_kernel(tmp_path / threads, case, {"OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")]
+    if isinstance(digests[0], str):
+        pytest.skip(digests[0])
+    assert digests[0] == digests[1]
 
 
 def record(folder: Path) -> None:

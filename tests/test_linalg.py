@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from qtamper import linalg, moments
 from qtamper.errors import (ConsistencyError, DimMismatch, NotNormalized, NotUnitary,
                             RankDeficient)
 from qtamper.haar import _phase_fixed_qr, sample_haar_unitary
-from qtamper.linalg import (identity, is_unitary, max_abs, one_blas_thread, parallel_map,
+from qtamper.linalg import (blas_threads, identity, is_unitary, max_abs, parallel_map,
                             require_normalized, require_unitary)
 from qtamper.moments import MomentSpec, exact_moment
 from qtamper.pauli import MonomialUnitary, PauliLabel
@@ -150,52 +155,51 @@ def test_nan_rejected():
         require_unitary(bad)
 
 
-def test_pool_holds_openblas_at_one_thread(monkeypatch):
-    """Workers see OpenBLAS at one thread; the prior count comes back after
-    the pool, and after a worker raises."""
-    blas = linalg._openblas_threads()
-    if blas is None:
+@pytest.fixture
+def blas():
+    """The getter of the OpenBLAS numpy loaded, with the load-time count
+    patched to two, so a threaded section reads 2 on any host; OpenBLAS is
+    parked again after the test."""
+    if linalg._OPENBLAS is None:
         pytest.skip("numpy did not load an OpenBLAS this process can find")
-    get, set_ = blas
-    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
-    original = get()
-    set_(2)
-    try:
-        before = get()
-        assert parallel_map(lambda _: get(), range(6), jobs=2) == [1] * 6
-        assert get() == before
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(linalg, "_LOAD_THREADS", 2)
+        try:
+            yield linalg._OPENBLAS[0]
+        finally:
+            linalg._park()
 
-        def fail_on_three(i):
+
+def _tasks():
+    """The threads of this process, OpenBLAS's workers among them."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+
+
+def test_pool_holds_openblas_at_one_thread(monkeypatch, blas):
+    """Workers see OpenBLAS parked at one thread, and a threaded section in
+    a worker leaves it so; a worker's raise leaves it parked too."""
+    monkeypatch.setattr(linalg.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def threaded(i):
+        with blas_threads(linalg.BLAS_THREADED_DIM):
             if i == 3:
                 raise ValueError("worker failure")
-            return get()
+            return blas()
 
-        with pytest.raises(ValueError, match="worker failure"):
-            parallel_map(fail_on_three, range(6), jobs=2)
-        assert get() == before
-        # one worker is a plain loop: BLAS keeps its threads
-        assert parallel_map(lambda _: get(), range(3), jobs=1) == [before] * 3
-    finally:
-        set_(original)
-
-
-
-@pytest.fixture
-def blas_at_two():
-    """OpenBLAS at two threads, its getter yielded; the prior count after."""
-    blas = linalg._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy did not load an OpenBLAS this process can find")
-    get, set_ = blas
-    original = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(original)
+    assert blas() == 1
+    assert parallel_map(lambda _: blas(), range(6), jobs=2) == [1] * 6
+    assert parallel_map(threaded, range(3), jobs=2) == [1] * 3
+    with pytest.raises(ValueError, match="worker failure"):
+        parallel_map(threaded, range(6), jobs=2)
+    assert blas() == 1
+    # one worker is a plain loop on the calling thread, which may thread
+    assert parallel_map(threaded, range(3), jobs=1) == [2] * 3
+    assert blas() == 1
 
 
 HELD_KERNELS = ("require_unitary", "trace_profile", "qr", "eigvals", "exact_moment")
+THREADED_KERNELS = HELD_KERNELS[:-1]   # exact_moment's pair table has at most 720 rows
 
 
 def _kernel_threads(monkeypatch, get, kernel, n, t=3):
@@ -233,53 +237,110 @@ def _kernel_threads(monkeypatch, get, kernel, n, t=3):
 
 
 @pytest.mark.parametrize("kernel", HELD_KERNELS)
-def test_small_dense_kernels_hold_openblas_at_one_thread(kernel, monkeypatch, blas_at_two):
-    """Between the dimension from which OpenBLAS splits a product and
-    BLAS_THREADED_DIM, each kernel of the moments path runs at one thread,
-    and the prior count comes back after it."""
-    n = linalg.LAPACK_SPLIT_DIM + 15
-    assert set(_kernel_threads(monkeypatch, blas_at_two, kernel, n)) == {1}
-    assert blas_at_two() == 2
+def test_small_dense_kernels_hold_openblas_at_one_thread(kernel, monkeypatch, blas):
+    """Below BLAS_THREADED_DIM each kernel of the moments path runs parked,
+    at one thread, also at sizes where OpenBLAS would split its products."""
+    assert set(_kernel_threads(monkeypatch, blas, kernel, 80)) == {1}
+    assert blas() == 1
 
 
-@pytest.mark.parametrize("kernel", HELD_KERNELS)
-def test_kernels_leave_blas_alone_where_openblas_keeps_its_threads(kernel, monkeypatch,
-                                                                   blas_at_two):
-    """From BLAS_THREADED_DIM, and below the dimension from which OpenBLAS
-    splits a kernel's products, the kernel leaves BLAS at its threads."""
-    n = linalg.LAPACK_SPLIT_DIM + 15
+@pytest.mark.parametrize("kernel", THREADED_KERNELS)
+def test_threaded_kernels_run_at_the_load_time_count(kernel, monkeypatch, blas):
+    """From BLAS_THREADED_DIM a kernel's products see OpenBLAS's load-time
+    count, and after it OpenBLAS is parked again: one thread, no worker."""
+    parked = _tasks()
     with monkeypatch.context() as patched:
-        patched.setattr(linalg, "BLAS_THREADED_DIM", n - 1)
-        assert set(_kernel_threads(patched, blas_at_two, kernel, n)) == {2}
-    small = (linalg.GEMM_SPLIT_DIM - 1 if kernel in ("require_unitary", "trace_profile")
-             else linalg.LAPACK_SPLIT_DIM - 1)
-    assert set(_kernel_threads(monkeypatch, blas_at_two, kernel, small, t=2)) == {2}
+        patched.setattr(linalg, "BLAS_THREADED_DIM", 79)
+        assert set(_kernel_threads(patched, blas, kernel, 80)) == {2}
+    assert blas() == 1 and _tasks() == parked
 
 
-def test_held_kernels_restore_blas_when_they_raise(monkeypatch, blas_at_two):
-    n = linalg.LAPACK_SPLIT_DIM + 15
-    u = sample_haar_unitary(n, 7)
+def test_exact_moment_runs_parked_above_the_crossover(monkeypatch, blas):
+    """The exact contraction asks for no threads, whatever the crossover."""
+    monkeypatch.setattr(linalg, "BLAS_THREADED_DIM", 0)
+    assert set(_kernel_threads(monkeypatch, blas, "exact_moment", 16)) == {1}
+
+
+def test_held_kernels_restore_blas_when_they_raise(monkeypatch, blas):
+    """A threaded kernel that raises leaves OpenBLAS parked."""
+    parked = _tasks()
+    monkeypatch.setattr(linalg, "BLAS_THREADED_DIM", 79)
+    u = sample_haar_unitary(80, 7)
     with pytest.raises(NotUnitary):
         require_unitary(u * 1.01)
-    assert blas_at_two() == 2
-    spec = MomentSpec("js", 3, u)
-    monkeypatch.setattr(MomentSpec, "trace_profile", (0j, 0j, 0j))
-    with pytest.raises(ConsistencyError, match="sum of lambda"):
-        moments._checked_spectrum(spec)
-    assert blas_at_two() == 2
+    assert blas() == 1 and _tasks() == parked
 
-    def fail(spec):
-        assert blas_at_two() == 1
-        raise ConsistencyError("inside the hold")
+    def fail(*args, **kwargs):
+        assert blas() == 2
+        raise ConsistencyError("inside the section")
 
-    monkeypatch.setattr(moments, "_beta_weights", fail)
-    with pytest.raises(ConsistencyError, match="inside the hold"):
-        exact_moment(spec)
-    assert blas_at_two() == 2
-    with pytest.raises(ValueError), one_blas_thread():
-        assert blas_at_two() == 1
+    class Failing(np.ndarray):
+        trace = fail
+
+    spec = MomentSpec("ss", 3, u)
+    spec.U = u.view(Failing)
+    calls = {"trace": lambda: spec.trace_profile,
+             "qr": lambda: sample_haar_unitary(80, 6),
+             "eigvals": lambda: moments._checked_spectrum(MomentSpec("ss", 3, u))}
+    for name, call in calls.items():
+        with monkeypatch.context() as patched:
+            if name != "trace":
+                patched.setattr(np.linalg, name, fail)
+            with pytest.raises(ConsistencyError, match="inside the section"):
+                call()
+        assert blas() == 1 and _tasks() == parked
+    with pytest.raises(ValueError), blas_threads(linalg.BLAS_THREADED_DIM):
+        assert blas() == 2
         raise ValueError
-    assert blas_at_two() == 2
+    assert blas() == 1 and _tasks() == parked
+
+
+# run with OPENBLAS_NUM_THREADS=2: after import, a small product, and a
+# threaded section, it prints the thread count, the process's tasks and its
+# CPU seconds over 0.3 s of sleep
+_NO_SPINNER = """
+import json, os, time
+import numpy as np
+import qtamper.cli
+from qtamper import linalg
+
+def state():
+    cpu = time.process_time()
+    time.sleep(0.3)
+    return [linalg._OPENBLAS[0](), len(os.listdir("/proc/self/task")), time.process_time() - cpu]
+
+a = np.ones((80, 80), dtype=complex)
+out = {"load": linalg._LOAD_THREADS, "import": state()}
+a @ a
+out["product"] = state()
+with linalg.blas_threads(linalg.BLAS_THREADED_DIM):
+    inside = linalg._OPENBLAS[0]()
+    a @ a
+out["section"] = [inside, *state()]
+print(json.dumps(out))
+"""
+
+
+def test_no_openblas_worker_spins_after_import_or_a_product():
+    """A fresh process that imports qtamper has one task and OpenBLAS at one
+    thread, and uses under 10 ms of CPU in 0.3 s of sleep after import, after
+    an 80 x 80 complex product (which OpenBLAS splits from N = 41) and after
+    a threaded section, which runs at the load-time count."""
+    if linalg._OPENBLAS is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs an OpenBLAS this process can find, and /proc")
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SPINNER], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["load"] == 2
+    for stage in ("import", "product"):
+        threads, tasks, cpu = out[stage]
+        assert (threads, tasks) == (1, 1) and cpu < 0.010, (stage, out[stage])
+    inside, threads, tasks, cpu = out["section"]
+    assert (inside, threads, tasks) == (2, 1, 1) and cpu < 0.010, out["section"]
 
 
 def test_pool_is_capped_by_the_cpus_this_process_may_use(monkeypatch):

@@ -5,8 +5,8 @@ from math import factorial
 
 import numpy as np
 import pytest
-from conftest import (compose, cycle_type_of, haar_moment, haar_unitary_stack, invert,
-                      iter_tuples, num_cycles, traced_peak, wg_value)
+from conftest import (compose, cycle_type_of, fraction_gauss_jordan, haar_moment,
+                      haar_unitary_stack, invert, iter_tuples, num_cycles, traced_peak, wg_value)
 
 from qtamper import weingarten
 from qtamper.errors import OutOfRange, SingularGram
@@ -94,6 +94,23 @@ def test_full_gram_system_independent_check():
             total = sum((k * Fraction(n) ** c * wg_value(ct, n) for (c, ct), k in counts.items()),
                         Fraction(0))
             assert total == (1 if sigma == identity else 0)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_integer_solve_matches_the_fraction_oracle(p):
+    """The fraction-free integer solve gives the Fractions that Gauss-Jordan
+    elimination in Fractions gives, on the class-collapsed system of S_p at
+    18 dimensions N from p to 10^6."""
+    types = sp_classes(p).types
+    rows, _, class_row = weingarten._class_counts(p)
+    rhs = [int(j == 0) for j in range(len(types))]
+    for n in [*range(p, p + 10), 16, 64, 100, 1000, 4096, 10 ** 4, 10 ** 5, 10 ** 6]:
+        gram = rows.astype(object) @ np.array([n ** len(ct) for ct in types], dtype=object)
+        matrix = [list(gram[r]) for r in class_row]
+        solution = weingarten._solve_fraction_system(matrix, rhs)
+        assert all(type(w) is Fraction for w in solution)
+        assert solution == fraction_gauss_jordan(
+            [[Fraction(g) for g in row] for row in matrix], [Fraction(b) for b in rhs]), (p, n)
 
 
 def test_certificate_rejects_a_wrong_solution(monkeypatch):
