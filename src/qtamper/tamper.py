@@ -1,20 +1,21 @@
 """End-to-end tampering experiments: Haar-random encoding schemes, the four
 decoders (classical, relaxed, weak, quantum-message) and security scans of families.
 
-A scheme holds its seeded Haar isometry V and V^dag, formed once, or a group
+A scheme holds its seeded Haar isometry V and V^dag, formed once, or a window
 of seeds' stacked.  Every decoder reads one kernel, `_decode_overlaps`: V^dag U
 states and each column's squared norm, for an encoded state or an N x c block
 per seed and one unitary U or a stack of them.  A family holds its Pauli words
-as digit rows; a scan decodes each group of seeds against blocks of members (a
-run of words as one `word_actions` stack, a dense member alone), of at most
-BLOCK_ENTRIES tampered entries (seeds x members x N x K, N in quantum mode)
-each.  A seed is hundreds of numpy calls on small arrays that threads would
-pass the GIL between, so seeds fan out on the worker pool only when one (seed,
-member) decode holds FAN_OUT_ENTRIES of them.  Metrics, extrema and the
-per-cell table are reductions over the blocks' columns; the public decoders are
-one-seed calls of the same code.  P_perp is computed on its own (never as 1
-minus the rest), so P_same + P_diff + P_perp = 1 is a real check; weak compares
-||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
+as digit rows; a scan splits its seeds into windows, and each window decodes
+blocks of members (a run of words as one `word_actions` stack, a dense member
+alone) of at most BLOCK_ENTRIES tampered entries (seeds x members x N x K, N in
+quantum mode), built as it reaches them, so a scan holds one block per worker.
+A window is hundreds of numpy calls on small arrays that threads would pass the
+GIL between, so windows go to the worker pool only when one (seed, member)
+decode holds FAN_OUT_ENTRIES of them, and are single seeds there.  Metrics,
+extrema and the per-cell table are reductions over the blocks' columns; the
+public decoders are one-seed calls of the same code.  P_perp is computed on its
+own (never as 1 minus the rest), so P_same + P_diff + P_perp = 1 is a real
+check; weak compares ||V^dag (U V)||_F^2 with ||(V^dag U) V||_F^2 for every member.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ MODES = ("classical", "relaxed", "weak", "quantum")
 
 @dataclass
 class EncodingScheme:
-    """Seeded Haar encoding: the N x K isometry V and nothing N x N, or a group of
+    """Seeded Haar encoding: the N x K isometry V and nothing N x N, or a window of
     seeds' V stacked as (S, 1, N, K), the 1 broadcasting against a stack of members."""
 
     isometry: np.ndarray
@@ -84,7 +85,7 @@ def _decode_overlaps(scheme: EncodingScheme, U, states: np.ndarray):
     """(V^dag U states, squared norm of each tampered state) for one encoded
     state or an N x c block of them: the one decoding kernel.  U is one
     N x N unitary or a stack of m; a stack's member axis leads both results,
-    behind a group's seed axis."""
+    behind a window's seed axis."""
     if U.shape[-1] != scheme.N:
         raise OutOfRange(f"unitary dimension {U.shape[-1]} != N = {scheme.N}")
     vector = states.ndim < scheme.isometry.ndim
@@ -296,15 +297,14 @@ def _blocks(members: list, entries: int):
             yield MonomialUnitary.from_words(2, words[:, :n], words[:, n:])
 
 
-def _scan_group(n: int, k: int, seeds: list, blocks, mode: str):
-    """A group of seeds' columns (seeds, members[, messages]), metrics and
-    violations, over its blocks of members, decoded in turn."""
+def _scan_group(n: int, k: int, seeds: list, members: list, mode: str):
+    """A window of seeds' columns (seeds, members[, messages]), metrics and
+    violations, over blocks of members built as they are decoded."""
     V = [build_scheme(n, k, sd).isometry for sd in seeds]
-    # one seed's V is used as sampled, with no copy; a group's is stacked row-major, except
-    # that quantum keeps one seed's layout, on which V @ amps gives a one-seed call's bits
-    V = (V[0][np.newaxis] if len(V) == 1 else np.array(V) if mode != "quantum"
-         else np.stack([v.T for v in V]).transpose(0, 2, 1))
+    # one seed's V as sampled, with no copy; several in each seed's layout, which keeps its bits
+    V = V[0][np.newaxis] if len(V) == 1 else np.stack([v.T for v in V]).transpose(0, 2, 1)
     scheme = EncodingScheme(V[:, np.newaxis])
+    blocks = _blocks(members, BLOCK_ENTRIES // (len(seeds) * (1 if mode == "quantum" else 2 ** k)))
     if mode in ("classical", "relaxed"):
         same, diff, perp = (np.concatenate(col, axis=1) for col in
                             zip(*(_classical_probs(scheme, U) for U in blocks)))
@@ -334,28 +334,24 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
     carries the pass fraction over seeds and `cells`, the per-cell table as
     named columns in CSV order: the int array `seed`, the `label` list, the
     int array `s` (classical and relaxed), then the mode's float arrays, in
-    which NaN is undefined.  Seeds go in groups of the size that needs the
-    fewest blocks, on the calling thread; each group builds its blocks as it
-    decodes them.  Seeds fan out, one per task, on `linalg.parallel_map`'s
-    pool of at most min(jobs, seeds, usable CPUs) threads only when one
-    (seed, member) decode holds FAN_OUT_ENTRIES tampered entries (README),
-    so never in quantum mode, where it holds N; the tasks of two seeds or
-    more then share one list of blocks, built before the pool starts.
+    which NaN is undefined.  Seeds go in windows of as many as one block of
+    BLOCK_ENTRIES tampered entries holds, one at least, and each window builds
+    its blocks as it decodes them, so the scan keeps one block per worker
+    whatever the family's size.  The windows run on the calling thread, or,
+    when one (seed, member) decode holds FAN_OUT_ENTRIES tampered entries
+    (README), one seed each on `linalg.parallel_map`'s pool of at most
+    min(jobs, seeds, usable CPUs) threads: never in quantum mode, where a
+    decode holds N.
     """
     check_scan_params(n, k, epsilon, len(seeds), mode)
     check_cell_count(len(seeds), family.size, k, mode)
     seeds = list(seeds)
-    per_member = 1 if mode == "quantum" else 2 ** k
-    entries = 2 ** n * per_member                              # of one (seed, member) decode
-    area = max(1, BLOCK_ENTRIES // entries)                   # (seed, member) pairs in a block
-    step = min(range(1, min(len(seeds), area) + 1),                   # seeds in a group
-               key=lambda s: (-(-len(seeds) // s) * -(-family.size // (area // s)), -s))
-    members, fan_out = [u for _, u in family.members], entries >= FAN_OUT_ENTRIES
-    chunks = [seeds[i:i + step] for i in range(0, len(seeds), step)]       # groups of seeds
-    blocks = lambda size: _blocks(members, BLOCK_ENTRIES // (size * per_member))
-    shared = list(blocks(1)) if fan_out and len(chunks) > 1 else None     # one seed a task
-    groups = parallel_map(lambda g: _scan_group(n, k, g, shared or blocks(len(g)), mode),
-                          chunks, jobs if fan_out else 1)
+    entries = 2 ** n * (1 if mode == "quantum" else 2 ** k)    # of one (seed, member) decode
+    width = max(1, BLOCK_ENTRIES // entries)                               # seeds in a window
+    members = [u for _, u in family.members]
+    groups = parallel_map(lambda window: _scan_group(n, k, window, members, mode),
+                          [seeds[i:i + width] for i in range(0, len(seeds), width)],
+                          jobs if entries >= FAN_OUT_ENTRIES else 1)
     columns = {key: np.concatenate([g[0][key] for g in groups], axis=None) for key in groups[0][0]}
     metrics, violations = (np.concatenate([g[i] for g in groups]).tolist() for i in (1, 2))
     defined = {key: values[~np.isnan(values)] for key, values in columns.items()}  # all of them

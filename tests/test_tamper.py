@@ -218,7 +218,7 @@ def test_scan_monotone_under_family_growth():
 
 def test_scan_jobs_do_not_change_report(monkeypatch):
     """Equal bytes at jobs 1 and 2 in every mode, at a light size (n = 4),
-    whose seeds run in groups on the calling thread, and at n = 12, K = 8,
+    whose seeds run in windows on the calling thread, and at n = 12, K = 8,
     where one (seed, member) decode holds FAN_OUT_ENTRIES and the seeds fan
     out, except in quantum mode, whose decode holds N entries."""
     pools = []
@@ -234,22 +234,39 @@ def test_scan_jobs_do_not_change_report(monkeypatch):
             assert pools == [1, 2 if fanned and mode != "quantum" else 1]
 
 
-def test_fan_out_tasks_share_one_list_of_blocks(monkeypatch):
-    """Seeds that fan out decode one list of blocks, built once before the
-    pool starts, so no word's action is built once per seed; a light scan's
-    groups build their own blocks as they decode them."""
-    built = []
+def test_each_seed_window_builds_its_own_blocks(monkeypatch):
+    """Every seed window builds its blocks as it decodes them, so each word's
+    action is built once per window: once per seed where the seeds fan out
+    (N K = 2^15 entries, one seed and one word a block), and once per window
+    of two seeds at n = 10, K = 2 (2^11 entries a decode)."""
+    built, windows, scan_group = [], [], tamper._scan_group
 
     def building(q, x, z):
         built.append(np.shape(x)[:-1])
         return word_actions(q, x, z)
 
+    def window(n, k, seeds, *args):
+        windows.append(len(seeds))
+        return scan_group(n, k, seeds, *args)
+
     monkeypatch.setattr(pauli, "word_actions", building)
-    family_security_scan(12, 3, pauli_family(12, 5, seed=82), 0.3, range(3), jobs=2)
-    assert built == [(1,)] * 5                 # N K = 2^15 entries: one word a block
-    built.clear()
-    family_security_scan(10, 1, pauli_family(10, 5, seed=82), 0.3, range(6))
-    assert built == [(1,)] * 15                # three groups of two seeds, five blocks each
+    monkeypatch.setattr(tamper, "_scan_group", window)
+    for n, k, seeds, jobs, width in ((12, 3, range(3), 2, 1), (10, 1, range(6), 1, 2)):
+        built.clear()
+        windows.clear()
+        family_security_scan(n, k, pauli_family(n, 5, seed=82), 0.3, seeds, jobs=jobs)
+        assert windows == [width] * (len(seeds) // width)
+        assert built == [(1,)] * 15                    # five one-word blocks a window
+
+
+def test_fan_out_scan_holds_one_block_per_worker():
+    """Classical n = 12, K = 8, 300 Pauli members and two seeds on two
+    workers: each seed builds its one-word blocks as it decodes them, so the
+    scan stays below 16 MiB traced, where one list of every member's action
+    (300 x N x 24 B, 28 MiB) would not fit."""
+    family = pauli_family(12, 300, seed=83)
+    assert traced_peak(family_security_scan, 12, 3, family, 0.3, [0, 1], "classical",
+                       2) < 16 * 2 ** 20
 
 
 def test_scan_modes_and_conservation():
@@ -518,6 +535,30 @@ def test_seed_groups_share_blocks_and_match_the_per_member_oracle(mode, monkeypa
     assert max(widths) > 1 and len(widths) > 3                    # runs split into several blocks
 
 
+@pytest.mark.parametrize("mode", tamper.MODES)
+def test_ragged_seed_windows_match_the_per_member_oracle(mode, monkeypatch):
+    """One seed more than a window holds (17 seeds at n = 6, K = 4; 65 in
+    quantum mode, whose decode holds N entries): a stacked window is
+    followed by a window of one seed, whose V is used as sampled, and the
+    rows and report bytes are those of one decode per seed and member."""
+    n, k = 6, 2
+    width = tamper.BLOCK_ENTRIES // (2 ** n * (1 if mode == "quantum" else 2 ** k))
+    seeds, family = list(range(30, 31 + width)), pauli_family(n, 6, seed=115)
+    windows, kernel = [], tamper._decode_overlaps
+
+    def recording(scheme, U, states):
+        windows.append(scheme.isometry.shape[0])
+        return kernel(scheme, U, states)
+
+    monkeypatch.setattr(tamper, "_decode_overlaps", recording)
+    report = family_security_scan(n, k, family, epsilon=0.3, seeds=seeds, mode=mode)
+    monkeypatch.undo()
+    oracle = per_member_scan(n, k, family, 0.3, seeds, mode)
+    assert cell_rows(report) == cell_rows(oracle)
+    assert scan_bytes(report) == scan_bytes(oracle)
+    assert list(dict.fromkeys(windows)) == [width, 1]
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["undefined-first", "undefined-last"])
 def test_extrema_take_every_defined_value(order):
     """A member that moves the codeword off the code space leaves the
@@ -554,9 +595,9 @@ def test_classical_scan_decodes_blocks_not_the_whole_family():
 
 def test_light_scan_over_seed_groups_streams_its_blocks():
     """n = 10, K = 2, 300 Pauli members (7.0 MiB as built) and six seeds,
-    which run as three groups of two on the calling thread: each group
+    which run as three windows of two on the calling thread: each window
     builds its stacked blocks as it decodes them, so the scan stays below
-    2 MiB of traced allocations.  Keeping every block for the later groups
+    2 MiB of traced allocations.  Keeping every block for the later windows
     would hold a stacked copy of the family's rows and phases."""
     family = pauli_family(10, 300, seed=111)
     tracemalloc.start()
