@@ -84,7 +84,7 @@ def _resolve_unitary(spec: str, N: int):
         label = PauliLabel.from_compact(spec)
         if label.q ** label.m != N:
             raise InputError(f"label dimension {label.q ** label.m} != N = {N}")
-        return MonomialUnitary(*label.action())
+        return MonomialUnitary.from_words(label.q, label.x, label.z)
     if spec.startswith("file:"):
         matrix = _load_unitary_file(spec[len("file:"):])
         if matrix.shape[0] != N:
@@ -173,7 +173,7 @@ def _cycle_type_key(cycle_type) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: params dict -> (result, ok, csv_text)
+# subcommand handlers: params dict -> (result, ok, csv_pieces)
 # ---------------------------------------------------------------------------
 
 def _run_weingarten_table(params: dict, jobs: int):
@@ -400,9 +400,10 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     path = out / f"{subcommand}.json"
     started = time.monotonic()
     # each report is serialized before the directory is made, so a report
-    # that cannot be written leaves no --out behind
+    # that cannot be written leaves no --out behind; the CSV is formatted as
+    # it is written, from columns that cannot fail to format
     try:
-        result, ok, csv_text = _HANDLERS[subcommand](params, jobs)
+        result, ok, csv_pieces = _HANDLERS[subcommand](params, jobs)
     except (AssertionError, ConsistencyError) as exc:
         report = canonical_json_bytes({"manifest": manifest, "error": str(exc)})
         out.mkdir(parents=True, exist_ok=True)
@@ -412,9 +413,10 @@ def run_manifest(manifest: dict, out_dir: str, jobs: int) -> int:
     report = canonical_json_bytes({"manifest": manifest, "result": result})
     out.mkdir(parents=True, exist_ok=True)
     path.write_bytes(report)
-    if csv_text is not None:
+    if csv_pieces is not None:
         csv_path = out / f"{subcommand}-cells.csv"
-        csv_path.write_bytes(csv_text.encode("utf-8"))
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(csv_pieces)
         print(f"[qtamper] per-cell table at {csv_path}", file=sys.stderr)
     elapsed = time.monotonic() - started
     status = "ok" if ok else "ASSERTION FAILED"

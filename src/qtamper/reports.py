@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -23,6 +25,7 @@ from . import __version__
 from .haar import GENERATOR_VERSION
 
 BUILD_ID = f"qtamper/{__version__} numpy/{np.__version__}"  # the normal stream is per release
+CSV_PIECE_ROWS = 2 ** 9    # rows of the per-cell CSV formatted and written as one piece
 
 
 def _emit(obj: Any, out: io.StringIO) -> None:
@@ -79,26 +82,32 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def cells_csv(cells: dict) -> str:
+def cells_csv(cells: dict) -> Iterator[str]:
     """The CSV text of named columns (the `label` list, int and float arrays)
-    under their names in key order: what `csv.writer` writes for the
-    cells formatted one at a time, floats as format(v, ".17g") (which
-    "%.17g" is) and NaN as "undefined".  Each row shape (its set of NaN
-    cells) has one % format line; the rows' lines are applied once to the
-    defined cells in order."""
+    under their names in key order, in pieces: the header, then pieces of at
+    most CSV_PIECE_ROWS rows.  Joined, they are what `csv.writer` writes for
+    the cells formatted one at a time, floats as format(v, ".17g") (which
+    "%.17g" is) and NaN as "undefined".  Each piece is one % row template
+    applied to its rows; a float column with a NaN in the piece is formatted
+    there as text."""
     header = list(cells)
     quoted = {label: _csv_field(label) for label in dict.fromkeys(cells["label"])}
-    specs = ["%s" if name == "label" else "%.17g" if cells[name].dtype.kind == "f" else "%d"
-             for name in header]
-    undefined = np.array([np.isnan(cells[name]) if spec == "%.17g" else np.zeros_like(
-        cells["seed"], dtype=bool) for name, spec in zip(header, specs)]).T
-    shapes = undefined @ (1 << np.arange(len(header)))
-    lines = {shape: ",".join("undefined" if shape >> j & 1 else spec for j, spec in
-                             enumerate(specs)) + "\n" for shape in set(shapes.tolist())}
-    table = np.array([[quoted[label] for label in cells[name]] if name == "label"
-                      else cells[name].tolist() for name in header], dtype=object).T
-    rows = "".join([lines[shape] for shape in shapes.tolist()])
-    return ",".join(header) + "\n" + rows % tuple(table[~undefined])
+    yield ",".join(header) + "\n"
+    for start in range(0, len(cells["label"]), CSV_PIECE_ROWS):
+        specs, columns = [], []
+        for name in header:
+            values = cells[name][start:start + CSV_PIECE_ROWS]
+            if name == "label":
+                spec, values = "%s", [quoted[label] for label in values]
+            elif values.dtype.kind == "f" and np.isnan(values).any():
+                spec, values = "%s", ["undefined" if v != v else format(v, ".17g")
+                                      for v in values.tolist()]
+            else:
+                spec, values = "%.17g" if values.dtype.kind == "f" else "%d", values.tolist()
+            specs.append(spec)
+            columns.append(values)
+        rows = ",".join(specs) + "\n"
+        yield rows * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def make_manifest(subcommand: str, parameters: dict) -> dict:

@@ -354,9 +354,10 @@ def family_security_scan(n: int, k: int, family: UnitaryFamily, epsilon: float,
                           jobs if entries >= FAN_OUT_ENTRIES else 1)
     columns = {key: np.concatenate([g[0][key] for g in groups], axis=None) for key in groups[0][0]}
     metrics, violations = (np.concatenate([g[i] for g in groups]).tolist() for i in (1, 2))
-    defined = {key: values[~np.isnan(values)] for key, values in columns.items()}  # all of them
-    extrema = {key: {"min": float(v.min()), "max": float(v.max())}
-               for key, v in defined.items() if v.size}
+    # fmin and fmax skip NaN; a key whose values are all NaN has no extrema
+    bounds = {key: (float(np.fmin.reduce(v)), float(np.fmax.reduce(v)))
+              for key, v in columns.items()}
+    extrema = {key: {"min": lo, "max": hi} for key, (lo, hi) in bounds.items() if not isnan(lo)}
     labels = family.labels()
     messages = 2 ** k if mode in ("classical", "relaxed") else 1
     cells = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), len(labels) * messages),
